@@ -107,9 +107,7 @@ fn bench_incremental_checkpoint(c: &mut Criterion) {
                 }
                 cursor += 1;
                 let ops = db.drain_journal_ops();
-                for op in &ops {
-                    writer.append(op).unwrap();
-                }
+                writer.append_batch(&ops).unwrap();
                 writer.sync().unwrap();
                 black_box(ops.len())
             });
@@ -134,9 +132,7 @@ fn bench_journal_append(c: &mut Criterion) {
                     db.set_prop(id, "drc", Value::Int(k as i64)).unwrap();
                 }
                 let drained = db.drain_journal_ops();
-                for op in &drained {
-                    writer.append(op).unwrap();
-                }
+                writer.append_batch(&drained).unwrap();
                 black_box(drained.len())
             });
         });

@@ -1,8 +1,7 @@
 //! Shared helpers for the reproduction benches.
 //!
-//! Each bench file regenerates one experiment from DESIGN.md §3; the
-//! measured series are recorded against the paper's qualitative claims in
-//! EXPERIMENTS.md.
+//! Each bench file regenerates one experiment listed in DESIGN.md §6
+//! (Experiments), which also names the ablations the benches exercise.
 
 use blueprint_core::engine::server::ProjectServer;
 use damocles_flows::{generator, DesignSpec};

@@ -438,7 +438,7 @@ pub fn run_follower_loop<E>(
                 match applied {
                     Ok(()) => {
                         cursor.1 += 1;
-                        hub.publish_records([line]);
+                        hub.publish_line(&line);
                         status.set(|st| {
                             st.seq = cursor.1;
                             st.leader_up = true;

@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use damocles_meta::journal::{self, JournalOp, JournalWriter, RecoveryReport};
+use damocles_meta::journal::{self, JournalOp, JournalWriter, RecordBatch, RecoveryReport};
 use damocles_meta::{
     persist, Direction, EventMessage, LinkId, MetaDb, MetaError, Oid, OidId, ProjectQuery, Value,
     Workspace,
@@ -710,16 +710,12 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         let snapshot = std::fs::read_to_string(d.dir.join(SNAPSHOT_FILE)).map_err(journal_io)?;
         let bytes = std::fs::read(d.dir.join(JOURNAL_FILE)).map_err(journal_io)?;
         let text = String::from_utf8_lossy(&bytes);
-        let mut lines = text.split_inclusive('\n');
-        let _header = lines.next();
+        let records = text.split_once('\n').map_or("", |(_header, rest)| rest);
         self.tail.publish_enable(d.epoch, d.term, snapshot);
-        self.tail.publish_records(
-            // Only newline-terminated lines are committed records; a
-            // torn fragment (impossible outside a crash) is not.
-            lines
-                .filter(|l| l.ends_with('\n'))
-                .map(|l| l.trim_end().to_string()),
-        );
+        // Only newline-terminated lines are committed records; a torn
+        // fragment (impossible outside a crash) is dropped.
+        self.tail
+            .publish_records(RecordBatch::from_lines(records.to_string()));
         Ok(())
     }
 
@@ -814,12 +810,8 @@ impl<E: ScriptExecutor> ProjectServer<E> {
                 Err(e) => {
                     // The snapshot may have landed at the new epoch while the
                     // journal did not reset; continuing to append would write
-                    // ops recovery must ignore. Disable durability loudly —
-                    // recorder included, or the db would buffer ops forever.
-                    self.durability = None;
-                    self.db.detach_journal();
-                    self.journal_poisoned = true;
-                    self.tail.publish_disable();
+                    // ops recovery must ignore.
+                    self.poison_journal();
                     return Err(e);
                 }
             };
@@ -840,36 +832,20 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         d.epoch = epoch;
         d.ops_since_checkpoint = 0;
         d.force_checkpoint = false;
-        let reseed = |d: &mut Durability| -> Result<(), std::io::Error> {
-            for op in &carried {
-                d.writer.append(op)?;
+        let reseeded = match Self::append_and_sync(d, &carried) {
+            Ok(batch) => batch,
+            Err(e) => {
+                self.poison_journal();
+                return Err(EngineError::Journal {
+                    reason: format!("checkpoint re-seed failed, durability disabled: {e}"),
+                });
             }
-            if !carried.is_empty() {
-                d.writer.sync()?;
-            }
-            Ok(())
         };
-        if let Err(e) = reseed(d) {
-            self.durability = None;
-            self.db.detach_journal();
-            self.journal_poisoned = true;
-            self.tail.publish_disable();
-            return Err(EngineError::Journal {
-                reason: format!("checkpoint re-seed failed, durability disabled: {e}"),
-            });
-        }
         // Re-tag links in image order so tail ops and the snapshot agree.
         self.db.attach_journal();
         self.tail
             .publish_checkpoint(epoch, term, image, dropped_ops == 0 && !adopted);
-        if !carried.is_empty() {
-            self.tail.publish_records(
-                carried
-                    .iter()
-                    .enumerate()
-                    .map(|(i, op)| journal::encode_record(i as u64, op).trim_end().to_string()),
-            );
-        }
+        self.tail.publish_records(reseeded);
         Ok(epoch)
     }
 
@@ -1061,52 +1037,58 @@ impl<E: ScriptExecutor> ProjectServer<E> {
             self.checkpoint()?;
         }
         let ops = self.db.drain_journal_ops();
+        if ops.is_empty() {
+            return Ok(());
+        }
         let d = self.durability.as_mut().expect("checked above");
-        let base_seq = d.writer.record_count();
-        let appended = {
-            let write_all = |d: &mut Durability| -> Result<u64, std::io::Error> {
-                let mut appended = 0u64;
-                for op in ops.iter() {
-                    d.writer.append(op)?;
-                    appended += 1;
-                }
-                if appended > 0 {
-                    d.writer.sync()?;
-                }
-                Ok(appended)
-            };
-            match write_all(d) {
-                Ok(n) => n,
-                Err(e) => {
-                    self.durability = None;
-                    self.db.detach_journal();
-                    self.journal_poisoned = true;
-                    self.tail.publish_disable();
-                    return Err(EngineError::Journal {
-                        reason: format!("journal append failed, durability disabled: {e}"),
-                    });
-                }
+        let batch = match Self::append_and_sync(d, &ops) {
+            Ok(batch) => batch,
+            Err(e) => {
+                self.poison_journal();
+                return Err(EngineError::Journal {
+                    reason: format!("journal append failed, durability disabled: {e}"),
+                });
             }
         };
-        if appended > 0 {
-            // Publish to tail subscribers strictly AFTER the fsync: a
-            // record a follower ever sees is on the leader's stable
-            // storage, so replication can never run ahead of durability.
-            self.tail
-                .publish_records(ops.iter().enumerate().map(|(i, op)| {
-                    journal::encode_record(base_seq + i as u64, op)
-                        .trim_end()
-                        .to_string()
-                }));
-        }
-        if appended > 0 {
-            let d = self.durability.as_mut().expect("checked above");
-            d.ops_since_checkpoint += appended;
-            if d.ops_since_checkpoint >= d.checkpoint_every {
-                self.checkpoint()?;
-            }
+        // The encoded batch supersedes the ops: free them before a
+        // checkpoint renders the whole image below.
+        drop(ops);
+        let appended = batch.len() as u64;
+        // Publish to tail subscribers strictly AFTER the fsync: a record a
+        // follower ever sees is on the leader's stable storage, so
+        // replication can never run ahead of durability. The hub keeps
+        // the written buffer itself, so followers get the bytes on disk.
+        self.tail.publish_records(batch);
+        let d = self.durability.as_mut().expect("checked above");
+        d.ops_since_checkpoint += appended;
+        if d.ops_since_checkpoint >= d.checkpoint_every {
+            self.checkpoint()?;
         }
         Ok(())
+    }
+
+    /// Appends `ops` to the journal with one write and fsyncs it — the
+    /// one write path of both the group-commit flush and the checkpoint's
+    /// work re-seed. An empty batch neither writes nor syncs.
+    fn append_and_sync(
+        d: &mut Durability,
+        ops: &[JournalOp],
+    ) -> Result<RecordBatch, std::io::Error> {
+        let batch = d.writer.append_batch(ops)?;
+        if !batch.is_empty() {
+            d.writer.sync()?;
+        }
+        Ok(batch)
+    }
+
+    /// Disables durability after a failed journal or snapshot write,
+    /// loudly: the recorder detaches (or the database would buffer ops
+    /// forever), the poison marker is set, and tail subscriptions end.
+    fn poison_journal(&mut self) {
+        self.durability = None;
+        self.db.detach_journal();
+        self.journal_poisoned = true;
+        self.tail.publish_disable();
     }
 
     /// Replaces the blueprint from source text.
@@ -2247,6 +2229,56 @@ mod tests {
         let mut fresh = ProjectServer::from_source(SIMPLE).unwrap();
         fresh.recover_journal(&dir, 8).unwrap();
         assert_eq!(damocles_meta::persist::save(fresh.db()), image);
+    }
+
+    /// The tail hub's record lines of the current epoch, from sequence 0.
+    fn hub_lines(server: &ProjectServer) -> Vec<String> {
+        use crate::engine::tail::{TailCursor, TailFrame};
+        let hub = server.tail_hub();
+        let (epoch, _) = hub.position().expect("journaling on");
+        let mut cursor = TailCursor { epoch, seq: 0 };
+        hub.next_frames(&mut cursor, Duration::from_millis(1))
+            .unwrap()
+            .into_iter()
+            .filter_map(|frame| match frame {
+                TailFrame::Record { line, .. } => Some(line),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The journal file's record lines (header skipped, newlines cut).
+    fn file_lines(dir: &Path) -> Vec<String> {
+        let text = std::fs::read_to_string(dir.join(JOURNAL_FILE)).unwrap();
+        text.lines().skip(1).map(str::to_string).collect()
+    }
+
+    #[test]
+    fn hub_records_are_the_journal_file_bytes() {
+        let dir = temp_dir("shared-bytes");
+        let mut server = ProjectServer::from_source(SIMPLE).unwrap();
+        server.enable_journal(&dir, 10_000).unwrap();
+        server.set_group_commit(true).unwrap();
+        let hdl = server
+            .checkin("cpu", "HDL_model", "yves", b"v1 \n%".to_vec())
+            .unwrap();
+        // An empty payload ends its `data` record in a space.
+        let sch = server
+            .checkin("cpu", "schematic", "synth", Vec::new())
+            .unwrap();
+        server.connect_oids(&hdl, &sch).unwrap();
+        server.flush_journal().unwrap();
+        let flushed = file_lines(&dir);
+        assert!(flushed.iter().any(|l| l.ends_with(' ')), "{flushed:?}");
+        assert_eq!(hub_lines(&server), flushed);
+
+        // The check-ins' `ckin` events are still queued, so the
+        // checkpoint re-seeds the fresh journal with their `evq` records.
+        server.checkpoint().unwrap();
+        let reseeded = file_lines(&dir);
+        assert_eq!(reseeded.len(), 2, "{reseeded:?}");
+        assert!(reseeded.iter().all(|l| l.contains(" evq ")), "{reseeded:?}");
+        assert_eq!(hub_lines(&server), reseeded);
     }
 
     #[test]

@@ -49,6 +49,8 @@
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
+use damocles_meta::journal::RecordBatch;
+
 // The request codec's word helpers (`%` = empty string, shared
 // percent-escaping) — one implementation per crate, so the frame codec
 // cannot drift from the request codec.
@@ -203,12 +205,40 @@ struct TailState {
     /// Leadership term the published records are committed under.
     term: u64,
     snapshot: String,
-    /// Committed record lines of `epoch` (`<fnv1a> <seq> <op…>`), index ==
-    /// sequence number. Only fsynced records are ever pushed here.
-    records: Vec<String>,
+    /// Committed records of `epoch` (`<fnv1a> <seq> <op…>` lines), kept
+    /// as the buffers the journal writer put on disk, each paired with
+    /// the sequence number of its first record. Only fsynced batches are
+    /// ever pushed here.
+    batches: Vec<(u64, RecordBatch)>,
+    /// Records across `batches` (== the next sequence number).
+    committed: u64,
     /// `(epoch, final record count)` of the epoch the last checkpoint
     /// folded — the seamless-marker fast path for caught-up subscribers.
     prev: Option<(u64, u64)>,
+}
+
+impl TailState {
+    /// Drops the epoch's records.
+    fn clear_records(&mut self) {
+        self.batches.clear();
+        self.committed = 0;
+    }
+
+    /// Record frames from sequence `from` (< `committed`) to the end of
+    /// the epoch, sliced out of the stored batches.
+    fn frames_from(&self, from: u64) -> Vec<TailFrame> {
+        let first = self.batches.partition_point(|(start, _)| *start <= from) - 1;
+        let mut frames = Vec::with_capacity((self.committed - from) as usize);
+        for (start, batch) in &self.batches[first..] {
+            let skip = from.saturating_sub(*start) as usize;
+            frames.extend((skip..batch.len()).map(|i| TailFrame::Record {
+                epoch: self.epoch,
+                term: self.term,
+                line: batch.line(i).to_string(),
+            }));
+        }
+        frames
+    }
 }
 
 /// The shared publication point between one journaling leader and any
@@ -239,21 +269,47 @@ impl TailHub {
         st.epoch = epoch;
         st.term = term;
         st.snapshot = snapshot;
-        st.records.clear();
+        st.clear_records();
         st.prev = None;
         drop(st);
         self.notify();
     }
 
     /// A batch of records reached stable storage (the group-commit fsync
-    /// returned). `lines` are the record lines in sequence order,
-    /// continuing the current epoch's count.
-    pub fn publish_records(&self, lines: impl IntoIterator<Item = String>) {
+    /// returned). `batch` holds the records in sequence order, continuing
+    /// the current epoch's count, as the very buffer written to the
+    /// journal file; the hub keeps it whole.
+    pub fn publish_records(&self, batch: RecordBatch) {
+        let mut st = self.state.lock().expect("tail hub lock");
+        if !st.enabled || batch.is_empty() {
+            return;
+        }
+        let start = st.committed;
+        st.committed += batch.len() as u64;
+        st.batches.push((start, batch));
+        drop(st);
+        self.notify();
+    }
+
+    /// One record line (without its newline) was applied and is to be
+    /// relayed — a follower republishing its leader's stream record by
+    /// record. The line joins the newest batch rather than forming its
+    /// own.
+    pub fn publish_line(&self, line: &str) {
         let mut st = self.state.lock().expect("tail hub lock");
         if !st.enabled {
             return;
         }
-        st.records.extend(lines);
+        let start = st.committed;
+        st.committed += 1;
+        match st.batches.last_mut() {
+            Some((_, batch)) => batch.push_line(line),
+            None => {
+                let mut batch = RecordBatch::default();
+                batch.push_line(line);
+                st.batches.push((start, batch));
+            }
+        }
         drop(st);
         self.notify();
     }
@@ -267,12 +323,12 @@ impl TailHub {
         let mut st = self.state.lock().expect("tail hub lock");
         // The marker shortcut only holds within one reign: a follower at
         // the fold point of an older term must re-bootstrap instead.
-        st.prev = (seamless && st.term == term).then_some((st.epoch, st.records.len() as u64));
+        st.prev = (seamless && st.term == term).then_some((st.epoch, st.committed));
         st.enabled = true;
         st.epoch = epoch;
         st.term = term;
         st.snapshot = snapshot;
-        st.records.clear();
+        st.clear_records();
         drop(st);
         self.notify();
     }
@@ -283,7 +339,7 @@ impl TailHub {
         let mut st = self.state.lock().expect("tail hub lock");
         st.enabled = false;
         st.snapshot.clear();
-        st.records.clear();
+        st.clear_records();
         st.prev = None;
         drop(st);
         self.notify();
@@ -301,7 +357,7 @@ impl TailHub {
     /// [`Tailing`]: crate::engine::api::Response::Tailing
     pub fn position(&self) -> Option<(u64, u64)> {
         let st = self.state.lock().expect("tail hub lock");
-        st.enabled.then_some((st.epoch, st.records.len() as u64))
+        st.enabled.then_some((st.epoch, st.committed))
     }
 
     /// The leadership term the published stream is committed under, or
@@ -352,7 +408,7 @@ impl TailHub {
                     image: st.snapshot.clone(),
                 }]);
             }
-            let committed = st.records.len() as u64;
+            let committed = st.committed;
             if cursor.seq > committed {
                 // A position we never committed (foreign or future
                 // cursor): re-bootstrap rather than guess.
@@ -364,14 +420,7 @@ impl TailHub {
                 }]);
             }
             if cursor.seq < committed {
-                let frames = st.records[cursor.seq as usize..]
-                    .iter()
-                    .map(|line| TailFrame::Record {
-                        epoch: st.epoch,
-                        term: st.term,
-                        line: line.clone(),
-                    })
-                    .collect();
+                let frames = st.frames_from(cursor.seq);
                 cursor.seq = committed;
                 return Ok(frames);
             }
@@ -390,11 +439,53 @@ mod tests {
     use damocles_meta::journal::{encode_record, JournalOp};
     use damocles_meta::Oid;
 
-    fn record_line(seq: u64) -> String {
-        let op = JournalOp::CreateOid {
+    fn op(seq: u64) -> JournalOp {
+        JournalOp::CreateOid {
             oid: Oid::new("blk", "v", seq as u32 + 1),
-        };
-        encode_record(seq, &op).trim_end().to_string()
+        }
+    }
+
+    fn record_line(seq: u64) -> String {
+        encode_record(seq, &op(seq)).trim_end().to_string()
+    }
+
+    /// Records `seqs` encoded as one journal write.
+    fn batch(seqs: std::ops::Range<u64>) -> RecordBatch {
+        let ops: Vec<JournalOp> = seqs.clone().map(op).collect();
+        RecordBatch::encode(seqs.start, &ops)
+    }
+
+    fn record_lines(frames: &[TailFrame]) -> Vec<&str> {
+        frames
+            .iter()
+            .map(|frame| match frame {
+                TailFrame::Record { line, .. } => line.as_str(),
+                other => panic!("expected a record frame, got {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn records_are_sliced_across_batch_boundaries() {
+        let hub = TailHub::new();
+        hub.publish_enable(1, 1, "image".into());
+        hub.publish_records(batch(0..3));
+        hub.publish_records(RecordBatch::default());
+        hub.publish_records(batch(3..5));
+        hub.publish_line(&record_line(5));
+        assert_eq!(hub.position(), Some((1, 6)));
+        for from in 0..6u64 {
+            let mut cursor = TailCursor {
+                epoch: 1,
+                seq: from,
+            };
+            let frames = hub
+                .next_frames(&mut cursor, Duration::from_millis(1))
+                .unwrap();
+            let expected: Vec<String> = (from..6).map(record_line).collect();
+            assert_eq!(record_lines(&frames), expected, "from {from}");
+            assert_eq!(cursor, TailCursor { epoch: 1, seq: 6 });
+        }
     }
 
     #[test]
@@ -447,7 +538,7 @@ mod tests {
                 image: "image-e1".into()
             }]
         );
-        hub.publish_records([record_line(0), record_line(1)]);
+        hub.publish_records(batch(0..2));
         let frames = hub
             .next_frames(&mut cursor, Duration::from_millis(1))
             .unwrap();
@@ -468,7 +559,7 @@ mod tests {
     fn caught_up_subscriber_gets_the_cheap_rollover_marker() {
         let hub = TailHub::new();
         hub.publish_enable(1, 1, "image-e1".into());
-        hub.publish_records([record_line(0)]);
+        hub.publish_records(batch(0..1));
         let mut caught_up = TailCursor { epoch: 1, seq: 1 };
         let mut behind = TailCursor { epoch: 1, seq: 0 };
         hub.publish_checkpoint(2, 1, "image-e2".into(), true);
@@ -492,7 +583,7 @@ mod tests {
     fn cross_term_checkpoint_never_uses_the_marker() {
         let hub = TailHub::new();
         hub.publish_enable(1, 1, "image-e1".into());
-        hub.publish_records([record_line(0)]);
+        hub.publish_records(batch(0..1));
         let mut caught_up = TailCursor { epoch: 1, seq: 1 };
         // A new reign checkpoints at the same fold point; even a fully
         // caught-up follower must re-bootstrap to adopt the new term's
@@ -513,7 +604,7 @@ mod tests {
     fn non_seamless_checkpoint_forces_reset_even_when_caught_up() {
         let hub = TailHub::new();
         hub.publish_enable(1, 1, "image-e1".into());
-        hub.publish_records([record_line(0)]);
+        hub.publish_records(batch(0..1));
         let mut caught_up = TailCursor { epoch: 1, seq: 1 };
         // Ops were folded without ever being streamed: the marker would
         // silently skip them.
@@ -571,7 +662,7 @@ mod tests {
             })
         };
         std::thread::sleep(Duration::from_millis(20));
-        hub.publish_records([record_line(0)]);
+        hub.publish_records(batch(0..1));
         let frames = waiter.join().unwrap().unwrap();
         assert!(matches!(frames.as_slice(), [TailFrame::Record { .. }]));
     }

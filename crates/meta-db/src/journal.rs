@@ -15,7 +15,9 @@
 //!   file opens with a versioned header carrying the checkpoint *epoch* it
 //!   extends, and each record line carries a sequence number and an FNV-1a
 //!   checksum, so a torn tail (the crash case) is detected and cleanly
-//!   ignored.
+//!   ignored. A batch of ops is encoded once into a [`RecordBatch`] and
+//!   written with one `write_all`; the caller keeps the batch to publish
+//!   the same bytes to replication followers.
 //! * [`recover`] — loads `snapshot + journal tail` and replays the tail
 //!   **through the normal [`MetaDb`] API**, so invariants (interned event
 //!   bitsets, version chains, the property index, link incidence) are
@@ -273,15 +275,53 @@ pub enum JournalOp {
 impl JournalOp {
     /// The line body of this op (no checksum/seq prefix, no newline).
     pub fn encode(&self) -> String {
-        use persist::{encode_value, escape};
+        let mut out = String::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends [`JournalOp::encode`]`()` to `out` — the one encoder of
+    /// the op grammar, borrowing every field in place.
+    pub fn encode_into(&self, out: &mut String) {
+        use persist::{encode_hex_into, encode_value_into, escape_into, push_oid, push_u64};
+        // `<keyword> <number>`, the opening of every tag/id/seq record.
+        let head = |out: &mut String, keyword: &str, n: u64| {
+            out.push_str(keyword);
+            push_u64(out, n);
+        };
+        // ` <escaped word>`.
+        let word = |out: &mut String, s: &str| {
+            out.push(' ');
+            escape_into(out, s);
+        };
+        // ` <count> <arg>…`: a length-prefixed argument list.
+        let arg_list = |out: &mut String, args: &[String]| {
+            out.push(' ');
+            push_u64(out, args.len() as u64);
+            for arg in args {
+                word(out, arg);
+            }
+        };
         match self {
-            JournalOp::CreateOid { oid } => format!("create {oid}"),
-            JournalOp::DeleteOid { oid } => format!("delete {oid}"),
+            JournalOp::CreateOid { oid } => {
+                out.push_str("create ");
+                push_oid(out, oid);
+            }
+            JournalOp::DeleteOid { oid } => {
+                out.push_str("delete ");
+                push_oid(out, oid);
+            }
             JournalOp::SetProp { oid, name, value } => {
-                format!("prop {oid} {} {}", escape(name), encode_value(value))
+                out.push_str("prop ");
+                push_oid(out, oid);
+                word(out, name);
+                out.push(' ');
+                encode_value_into(out, value);
             }
             JournalOp::RemoveProp { oid, name } => {
-                format!("unprop {oid} {}", escape(name))
+                out.push_str("unprop ");
+                push_oid(out, oid);
+                word(out, name);
             }
             JournalOp::AddLink {
                 tag,
@@ -291,35 +331,37 @@ impl JournalOp {
                 kind,
                 propagates,
             } => {
-                let events = if propagates.is_empty() {
-                    "-".to_string()
-                } else {
-                    propagates
-                        .iter()
-                        .map(|e| escape(e))
-                        .collect::<Vec<_>>()
-                        .join(",")
-                };
-                format!(
-                    "link {tag} {from} {to} {class} {} {events}",
-                    escape(kind.as_keyword())
-                )
+                head(out, "link ", *tag);
+                out.push(' ');
+                persist::push_link_fields(out, from, to, *class, kind, propagates);
             }
-            JournalOp::RemoveLink { tag } => format!("unlink {tag}"),
+            JournalOp::RemoveLink { tag } => head(out, "unlink ", *tag),
             JournalOp::AllowEvent { tag, event } => {
-                format!("allow {tag} {}", escape(event))
+                head(out, "allow ", *tag);
+                word(out, event);
             }
             JournalOp::SetLinkProp { tag, name, value } => {
-                format!("lprop {tag} {} {}", escape(name), encode_value(value))
+                head(out, "lprop ", *tag);
+                word(out, name);
+                out.push(' ');
+                encode_value_into(out, value);
             }
             JournalOp::RemoveLinkProp { tag, name } => {
-                format!("unlprop {tag} {}", escape(name))
+                head(out, "unlprop ", *tag);
+                word(out, name);
             }
             JournalOp::MoveLinkEnd { tag, end, new } => {
-                format!("move {tag} {} {new}", end.as_keyword())
+                head(out, "move ", *tag);
+                out.push(' ');
+                out.push_str(end.as_keyword());
+                out.push(' ');
+                push_oid(out, new);
             }
             JournalOp::Data { oid, payload } => {
-                format!("data {oid} {}", persist::encode_hex(payload))
+                out.push_str("data ");
+                push_oid(out, oid);
+                out.push(' ');
+                encode_hex_into(out, payload);
             }
             JournalOp::EventQueued {
                 seq,
@@ -330,21 +372,16 @@ impl JournalOp {
                 args,
                 user,
             } => {
-                let mut s = format!(
-                    "evq {seq} {} {direction} {} {target} {}",
-                    escape(event),
-                    if *propagate { "fan" } else { "at" },
-                    args.len()
-                );
-                for arg in args {
-                    s.push(' ');
-                    s.push_str(&escape(arg));
-                }
-                s.push(' ');
-                s.push_str(&escape(user));
-                s
+                head(out, "evq ", *seq);
+                word(out, event);
+                out.push(' ');
+                out.push_str(direction);
+                out.push_str(if *propagate { " fan " } else { " at " });
+                push_oid(out, target);
+                arg_list(out, args);
+                word(out, user);
             }
-            JournalOp::EventDone { seq } => format!("evdone {seq}"),
+            JournalOp::EventDone { seq } => head(out, "evdone ", *seq),
             JournalOp::InvokeQueued {
                 id,
                 script,
@@ -353,26 +390,23 @@ impl JournalOp {
                 origin,
                 event,
             } => {
-                let mut s = format!("invq {id} {} {}", escape(script), args.len());
-                for arg in args {
-                    s.push(' ');
-                    s.push_str(&escape(arg));
-                }
-                s.push_str(&format!(
-                    " {} {} {}",
-                    if *notify { 1 } else { 0 },
-                    escape(origin),
-                    escape(event)
-                ));
-                s
+                head(out, "invq ", *id);
+                word(out, script);
+                arg_list(out, args);
+                out.push_str(if *notify { " 1" } else { " 0" });
+                word(out, origin);
+                word(out, event);
             }
-            JournalOp::InvokeCompleted { id } => format!("invdone {id}"),
+            JournalOp::InvokeCompleted { id } => head(out, "invdone ", *id),
             JournalOp::InvokeFailed {
                 id,
                 attempts,
                 reason,
             } => {
-                format!("invfail {id} {attempts} {}", escape(reason))
+                head(out, "invfail ", *id);
+                out.push(' ');
+                push_u64(out, *attempts);
+                word(out, reason);
             }
         }
     }
@@ -671,9 +705,94 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// assert_eq!(decode_record(line.trim_end(), 7), Ok(op));
 /// ```
 pub fn encode_record(seq: u64, op: &JournalOp) -> String {
-    let body = op.encode();
-    let payload = format!("{seq} {body}");
-    format!("{:016x} {payload}\n", fnv1a(payload.as_bytes()))
+    let mut out = String::new();
+    encode_record_into(&mut out, seq, op);
+    out
+}
+
+/// Appends [`encode_record`]`(seq, op)` to `out`. The record is rendered
+/// in place behind 16 reserved checksum bytes, which are back-patched
+/// once the covered `"<seq> <op…>"` bytes exist.
+pub fn encode_record_into(out: &mut String, seq: u64, op: &JournalOp) {
+    let start = out.len();
+    out.push_str("0000000000000000 ");
+    let covered = out.len();
+    persist::push_u64(out, seq);
+    out.push(' ');
+    op.encode_into(out);
+    let digits = persist::hex_digits(fnv1a(&out.as_bytes()[covered..]));
+    out.replace_range(
+        start..start + digits.len(),
+        std::str::from_utf8(&digits).expect("hex digits are ASCII"),
+    );
+    out.push('\n');
+}
+
+/// Encoded journal records exactly as one [`JournalWriter::append_batch`]
+/// wrote them: newline-terminated record lines in one buffer, plus where
+/// each line ends. The replication tail hub keeps these buffers as they
+/// are, so a follower receives the bytes that are on disk.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RecordBatch {
+    text: String,
+    /// Byte offset just past each line's newline.
+    ends: Vec<usize>,
+}
+
+impl RecordBatch {
+    /// Encodes `ops` as records numbered from `first_seq`, into one buffer.
+    pub fn encode(first_seq: u64, ops: &[JournalOp]) -> Self {
+        let mut batch = RecordBatch {
+            text: String::with_capacity(64 * ops.len()),
+            ends: Vec::with_capacity(ops.len()),
+        };
+        for (seq, op) in (first_seq..).zip(ops) {
+            encode_record_into(&mut batch.text, seq, op);
+            batch.ends.push(batch.text.len());
+        }
+        batch
+    }
+
+    /// Wraps record lines as read back from a journal file: every
+    /// newline-terminated line of `text` is a record; a final fragment
+    /// without its newline (a torn write) is dropped.
+    pub fn from_lines(mut text: String) -> Self {
+        text.truncate(text.rfind('\n').map_or(0, |i| i + 1));
+        let ends = text.match_indices('\n').map(|(i, _)| i + 1).collect();
+        RecordBatch { text, ends }
+    }
+
+    /// Appends one record line (given without its newline).
+    pub fn push_line(&mut self, line: &str) {
+        self.text.push_str(line);
+        self.text.push('\n');
+        self.ends.push(self.text.len());
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the batch holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The batch's bytes: record lines, each ending in a newline.
+    pub fn as_str(&self) -> &str {
+        &self.text
+    }
+
+    /// Record `i` of the batch, without its newline.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is out of range.
+    pub fn line(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start..self.ends[i] - 1]
+    }
 }
 
 /// Renders the journal header line for `epoch` under leadership `term`
@@ -896,17 +1015,21 @@ impl JournalWriter {
         })
     }
 
-    /// Appends one op record, returning its sequence number. Buffered by
-    /// the OS until [`JournalWriter::sync`].
+    /// Appends `ops` as consecutive records: the whole batch is encoded
+    /// into one buffer and written with one `write_all`, then returned so
+    /// the caller can publish the very bytes it put on disk. Buffered by
+    /// the OS until [`JournalWriter::sync`]. An empty batch writes nothing.
     ///
     /// # Errors
     ///
-    /// File-system errors.
-    pub fn append(&mut self, op: &JournalOp) -> Result<u64, std::io::Error> {
-        let seq = self.seq;
-        self.file.write_all(encode_record(seq, op).as_bytes())?;
-        self.seq += 1;
-        Ok(seq)
+    /// File-system errors; the sequence does not advance then.
+    pub fn append_batch(&mut self, ops: &[JournalOp]) -> Result<RecordBatch, std::io::Error> {
+        let batch = RecordBatch::encode(self.seq, ops);
+        if !batch.is_empty() {
+            self.file.write_all(batch.as_str().as_bytes())?;
+        }
+        self.seq += batch.len() as u64;
+        Ok(batch)
     }
 
     /// Forces appended records to stable storage.
@@ -967,7 +1090,11 @@ fn sync_parent_dir(path: &Path) -> Result<(), std::io::Error> {
 /// [`recover`] matches against the journal header.
 pub fn write_snapshot(db: &MetaDb, workspace: &Workspace, epoch: u64, term: u64) -> String {
     let mut image = persist::save_project(db, workspace);
-    image.push_str(&format!("{EPOCH_COMMENT}{epoch}\n{TERM_COMMENT}{term}\n"));
+    for (marker, n) in [(EPOCH_COMMENT, epoch), (TERM_COMMENT, term)] {
+        image.push_str(marker);
+        persist::push_u64(&mut image, n);
+        image.push('\n');
+    }
     image
 }
 

@@ -27,6 +27,10 @@
 //! deliberately excluded: queued events, check-out holders and the
 //! workspace's logical clock all belong to the running server, matching the
 //! paper's split between the meta-database and the tracking session.
+//!
+//! Every encoder here has an `*_into` form that appends to a caller's
+//! `String`; the `String`-returning forms are thin wrappers over them.
+//! An image is rendered into one buffer, borrowing from the database.
 
 use crate::db::{MetaDb, OidId};
 use crate::error::MetaError;
@@ -36,22 +40,104 @@ use crate::property::Value;
 
 const HEADER: &str = "damocles-db v1";
 
+/// Lower-hex digit of each nibble value.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
 /// Percent-escapes whitespace, `%` and newlines so `s` survives as one
 /// whitespace-delimited word of a line-oriented encoding. Shared by the
 /// snapshot image, the journal and the command-protocol codec.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '%' => out.push_str("%25"),
-            ' ' => out.push_str("%20"),
-            '\t' => out.push_str("%09"),
-            '\n' => out.push_str("%0A"),
-            '\r' => out.push_str("%0D"),
-            other => out.push(other),
+    escape_into(&mut out, s);
+    out
+}
+
+/// Appends [`escape`]`(s)` to `out`. Runs of bytes that need no escape
+/// are copied whole; every escaped character is ASCII, so byte positions
+/// are always character boundaries.
+pub fn escape_into(out: &mut String, s: &str) {
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let code = match b {
+            b'%' => "%25",
+            b' ' => "%20",
+            b'\t' => "%09",
+            b'\n' => "%0A",
+            b'\r' => "%0D",
+            _ => continue,
+        };
+        out.push_str(&s[clean..i]);
+        out.push_str(code);
+        clean = i + 1;
+    }
+    out.push_str(&s[clean..]);
+}
+
+/// Appends the decimal digits of `n` (what `{n}` formats).
+pub(crate) fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
-    out
+    out.extend(digits[i..].iter().map(|&d| char::from(d)));
+}
+
+/// Appends an OID in its wire form `block,view,version`.
+pub(crate) fn push_oid(out: &mut String, oid: &Oid) {
+    out.push_str(oid.block.as_str());
+    out.push(',');
+    out.push_str(oid.view.as_str());
+    out.push(',');
+    push_u64(out, u64::from(oid.version));
+}
+
+/// Appends the link fields shared by snapshot `link` lines and journal
+/// `link` records: `<from> <to> <class> <kind> <events>`, where `events`
+/// is the escaped PROPAGATE set joined by commas, or `-` when empty.
+pub(crate) fn push_link_fields<'a>(
+    out: &mut String,
+    from: &Oid,
+    to: &Oid,
+    class: LinkClass,
+    kind: &LinkKind,
+    events: impl IntoIterator<Item = &'a String>,
+) {
+    push_oid(out, from);
+    out.push(' ');
+    push_oid(out, to);
+    out.push_str(match class {
+        LinkClass::Use => " use ",
+        LinkClass::Derive => " derive ",
+    });
+    escape_into(out, kind.as_keyword());
+    out.push(' ');
+    let mut first = true;
+    for event in events {
+        if !first {
+            out.push(',');
+        }
+        first = false;
+        escape_into(out, event);
+    }
+    if first {
+        out.push('-');
+    }
+}
+
+/// Appends `<keyword><escaped name> <encoded value>\n` — the `prop` and
+/// `lprop` lines of an image (`keyword` includes its trailing space).
+fn push_prop_line(out: &mut String, keyword: &str, name: &str, value: &Value) {
+    out.push_str(keyword);
+    escape_into(out, name);
+    out.push(' ');
+    encode_value_into(out, value);
+    out.push('\n');
 }
 
 /// Inverse of [`escape`].
@@ -78,12 +164,29 @@ pub fn unescape(s: &str) -> Result<String, String> {
 
 /// Lower-hex encoding of an opaque payload, one pre-sized allocation.
 pub fn encode_hex(bytes: &[u8]) -> String {
-    use std::fmt::Write as _;
     let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        let _ = write!(out, "{b:02x}");
-    }
+    encode_hex_into(&mut out, bytes);
     out
+}
+
+/// Appends [`encode_hex`]`(bytes)` to `out`, two table-looked-up digits
+/// per byte.
+pub fn encode_hex_into(out: &mut String, bytes: &[u8]) {
+    out.reserve(bytes.len() * 2);
+    for &b in bytes {
+        out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(HEX_DIGITS[usize::from(b & 0xf)]));
+    }
+}
+
+/// The 16 lower-hex digits of `n`, most significant first (what
+/// `{n:016x}` formats), as ASCII bytes.
+pub(crate) fn hex_digits(n: u64) -> [u8; 16] {
+    let mut digits = [0u8; 16];
+    for (i, digit) in digits.iter_mut().enumerate() {
+        *digit = HEX_DIGITS[((n >> (60 - 4 * i)) & 0xf) as usize];
+    }
+    digits
 }
 
 /// Inverse of [`encode_hex`].
@@ -104,10 +207,23 @@ pub fn decode_hex(hex: &str) -> Result<Vec<u8>, String> {
 /// Renders a typed [`Value`] as one word (`b:`/`i:`/`s:` tag + escaped
 /// body) — the value encoding every line format of this crate shares.
 pub fn encode_value(v: &Value) -> String {
+    let mut out = String::new();
+    encode_value_into(&mut out, v);
+    out
+}
+
+/// Appends [`encode_value`]`(v)` to `out`.
+pub fn encode_value_into(out: &mut String, v: &Value) {
     match v {
-        Value::Bool(b) => format!("b:{b}"),
-        Value::Int(n) => format!("i:{n}"),
-        Value::Str(s) => format!("s:{}", escape(s)),
+        Value::Bool(b) => out.push_str(if *b { "b:true" } else { "b:false" }),
+        Value::Int(n) => {
+            out.push_str(if *n < 0 { "i:-" } else { "i:" });
+            push_u64(out, n.unsigned_abs());
+        }
+        Value::Str(s) => {
+            out.push_str("s:");
+            escape_into(out, s);
+        }
     }
 }
 
@@ -134,15 +250,32 @@ pub fn decode_value(s: &str) -> Result<Value, String> {
 
 /// Serializes the database to its text image.
 pub fn save(db: &MetaDb) -> String {
-    let mut out = String::from(HEADER);
+    let mut out = String::with_capacity(image_capacity(db));
+    save_into(&mut out, db);
+    out
+}
+
+/// A starting capacity for the image of `db` — roughly a line per object
+/// and per link plus their property lines — so rendering seldom regrows.
+fn image_capacity(db: &MetaDb) -> usize {
+    HEADER.len() + 1 + 96 * (db.oid_count() + db.link_count())
+}
+
+/// Appends the [`save`] image of `db` to `out`, borrowing every OID,
+/// link and value in place.
+fn save_into(out: &mut String, db: &MetaDb) {
+    out.push_str(HEADER);
     out.push('\n');
 
-    let mut oids: Vec<_> = db.iter_oids().collect();
-    oids.sort_by(|a, b| a.1.oid.cmp(&b.1.oid));
-    for (_, entry) in &oids {
-        out.push_str(&format!("oid {}\n", entry.oid));
+    let mut entries: Vec<_> = db.iter_oids().map(|(_, entry)| entry).collect();
+    // Triplets are unique, so an unstable sort is still deterministic.
+    entries.sort_unstable_by(|a, b| a.oid.cmp(&b.oid));
+    for entry in entries {
+        out.push_str("oid ");
+        push_oid(out, &entry.oid);
+        out.push('\n');
         for (name, value) in entry.props.iter() {
-            out.push_str(&format!("prop {} {}\n", escape(name), encode_value(value)));
+            push_prop_line(out, "prop ", name, value);
         }
     }
 
@@ -150,36 +283,18 @@ pub fn save(db: &MetaDb) -> String {
     // shared with the journal's link-tag assignment: `MetaDb::attach_journal`
     // and `journal::recover` both enumerate links through
     // `links_in_image_order`, so record order here IS the tag order there.
-    let links: Vec<_> = db
-        .links_in_image_order()
-        .into_iter()
-        .filter_map(|id| {
-            let link = db.link(id).ok()?;
-            let from = db.oid(link.from).ok()?;
-            let to = db.oid(link.to).ok()?;
-            Some((from.clone(), to.clone(), link.clone()))
-        })
-        .collect();
-    for (from, to, link) in links {
-        let class = match link.class {
-            LinkClass::Use => "use",
-            LinkClass::Derive => "derive",
+    for id in db.links_in_image_order() {
+        let Ok(link) = db.link(id) else { continue };
+        let (Ok(from), Ok(to)) = (db.oid(link.from), db.oid(link.to)) else {
+            continue;
         };
-        let propagates: Vec<String> = link.propagates.iter().map(|e| escape(e)).collect();
-        out.push_str(&format!(
-            "link {from} {to} {class} {} {}\n",
-            escape(link.kind.as_keyword()),
-            if propagates.is_empty() {
-                "-".to_string()
-            } else {
-                propagates.join(",")
-            }
-        ));
+        out.push_str("link ");
+        push_link_fields(out, from, to, link.class, &link.kind, &link.propagates);
+        out.push('\n');
         for (name, value) in link.props.iter() {
-            out.push_str(&format!("lprop {} {}\n", escape(name), encode_value(value)));
+            push_prop_line(out, "lprop ", name, value);
         }
     }
-    out
 }
 
 /// Loads a database from its text image.
@@ -275,18 +390,20 @@ pub fn load(image: &str) -> Result<MetaDb, MetaError> {
 /// Serializes database + workspace payloads (hex-encoded `data` records
 /// appended to the [`save`] image).
 pub fn save_project(db: &MetaDb, workspace: &crate::workspace::Workspace) -> String {
-    let mut out = save(db);
-    let mut data: Vec<(Oid, Vec<u8>)> = workspace
-        .timestamps()
-        .filter_map(|(id, _)| {
-            let oid = db.oid(id).ok()?.clone();
-            let payload = workspace.datum(id)?.content.clone();
-            Some((oid, payload))
-        })
+    let mut data: Vec<(&Oid, &[u8])> = workspace
+        .payloads()
+        .filter_map(|(id, datum)| Some((db.oid(id).ok()?, datum.content.as_slice())))
         .collect();
-    data.sort_by(|a, b| a.0.cmp(&b.0));
+    data.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    let data_capacity: usize = data.iter().map(|(_, payload)| 64 + 2 * payload.len()).sum();
+    let mut out = String::with_capacity(image_capacity(db) + data_capacity);
+    save_into(&mut out, db);
     for (oid, payload) in data {
-        out.push_str(&format!("data {oid} {}\n", encode_hex(&payload)));
+        out.push_str("data ");
+        push_oid(&mut out, oid);
+        out.push(' ');
+        encode_hex_into(&mut out, payload);
+        out.push('\n');
     }
     out
 }

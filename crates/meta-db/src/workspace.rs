@@ -211,6 +211,11 @@ impl Workspace {
     pub fn timestamps(&self) -> impl Iterator<Item = (OidId, u64)> + '_ {
         self.payloads.iter().map(|(&id, d)| (id, d.stored_at))
     }
+
+    /// Every stored payload, in no particular order.
+    pub(crate) fn payloads(&self) -> impl Iterator<Item = (OidId, &DesignDatum)> {
+        self.payloads.iter().map(|(&id, d)| (id, d))
+    }
 }
 
 /// FNV-1a, enough to detect payload changes in simulated design data.

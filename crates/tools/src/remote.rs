@@ -345,7 +345,10 @@ impl TailStream {
                 "leader closed the tail stream",
             ));
         }
-        let trimmed = line.trim_end();
+        // Strip only the line terminator: a record's checksum covers all
+        // of its bytes, trailing spaces included (a `data` record with an
+        // empty payload ends in one).
+        let trimmed = line.trim_end_matches(['\r', '\n']);
         TailFrame::decode(trimmed).map_err(|frame_err| {
             // The stream's last line is a structured `err …` response
             // when the leader ends it deliberately.
@@ -463,6 +466,41 @@ mod tests {
             multiplier: 2,
         });
         assert!(client.call(&Request::ProcessAll).is_err());
+    }
+
+    #[test]
+    fn tail_stream_keeps_a_records_trailing_space() {
+        use damocles_meta::journal::{decode_record, encode_record, JournalOp};
+        // An empty payload leaves its `data` record ending in a space that
+        // the checksum covers.
+        let op = JournalOp::Data {
+            oid: Oid::new("cpu", "HDL_model", 1),
+            payload: Vec::new(),
+        };
+        let line = encode_record(0, &op).trim_end_matches('\n').to_string();
+        assert!(line.ends_with(' '));
+        let frame = TailFrame::Record {
+            epoch: 1,
+            term: 1,
+            line,
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let wire = format!("{}\r\n", frame.encode());
+        let leader = std::thread::spawn(move || {
+            let (mut socket, _) = listener.accept().unwrap();
+            socket.write_all(wire.as_bytes()).unwrap();
+        });
+        let mut stream = TailStream {
+            reader: BufReader::new(TcpStream::connect(addr).unwrap()),
+        };
+        let received = stream.next_frame().unwrap();
+        leader.join().unwrap();
+        assert_eq!(received, frame);
+        let TailFrame::Record { line, .. } = received else {
+            unreachable!()
+        };
+        assert_eq!(decode_record(&line, 0), Ok(op));
     }
 
     #[test]

@@ -304,6 +304,23 @@ fn kill_the_leader_chaos() {
         issue_exactly_once(&mut client, &mut check, i);
     }
 
+    // Replication is asynchronous: an acked write the tail thread has not
+    // yet streamed to any follower is lost on promotion (DESIGN.md §13).
+    // This test proves failover of *replicated* state, so it kills the
+    // leader only once some follower's cursor has reached the leader's.
+    let (leader_epoch, leader_seq, _, _) = stat_of(&leader.addr).expect("leader stat");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !followers.iter().any(|f| {
+        stat_of(&f.addr)
+            .is_some_and(|(epoch, seq, _, _)| (epoch, seq) >= (leader_epoch, leader_seq))
+    }) {
+        assert!(
+            Instant::now() < deadline,
+            "no follower reached the leader's cursor ({leader_epoch}, {leader_seq}) within 10s"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
     // ------------------------------------------------------------------
     // CRASH. No shutdown, no flush: SIGKILL mid-reign.
     // ------------------------------------------------------------------
