@@ -8,19 +8,21 @@
 //! throughput by roughly the batch size, while keeping the same crash
 //! contract (a reply in hand means the effect is on disk).
 //!
-//! Series (burst = 128 pipelined `checkin` requests per iteration, each
-//! creating an OID, applying templates and journaling its payload):
+//! Series (128 `checkin` requests per iteration, each creating an OID,
+//! applying templates and journaling its payload), all through the
+//! production loop and its adaptive window (a batch is the backlog queued
+//! when it forms):
 //!
-//! * `throughput/checkin_fsync_per_op/128` — command loop with
-//!   `max_batch = 1`: every request pays its own fsync (the PR 2
-//!   behaviour).
-//! * `throughput/checkin_group_commit_16/128` — `max_batch = 16`.
-//! * `throughput/checkin_group_commit_64/128` — `max_batch = 64`.
-//! * `throughput/checkin_no_journal/128` — durability off: the engine +
-//!   protocol ceiling the group commit converges towards.
+//! * `throughput/checkin_fsync_per_op/128` — one request in flight at a
+//!   time, so every window holds one request and pays its own fsync: the
+//!   idle-client case.
+//! * `throughput/checkin_group_commit_adaptive/128` — all 128 pipelined:
+//!   the windows take the backlog, one fsync each.
+//! * `throughput/checkin_no_journal/128` — pipelined with durability off:
+//!   the engine + protocol ceiling the group commit converges towards.
 //!
-//! Acceptance (ISSUE 3): group commit at batch ≥ 16 sustains ≥ 5× the
-//! durable event throughput of fsync-per-op.
+//! `BENCH_pr3.json` also holds `checkin_group_commit_{16,64}`, measured
+//! with fixed windows that the loop no longer forms.
 //!
 //! Smoke mode for CI: set `BENCH_SMOKE=1` to shrink measurement windows;
 //! set `BENCH_JSON=<file>` to append results as JSON lines — that is how
@@ -32,9 +34,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use blueprint_core::engine::api::{Request, Response};
 use blueprint_core::engine::server::ProjectServer;
-use blueprint_core::engine::service::{
-    spawn_project_loop, spawn_project_loop_with_window, ClientSession, ProjectService,
-};
+use blueprint_core::engine::service::{spawn_project_loop, ClientSession, ProjectService};
 use damocles_meta::{persist, MetaDb, Workspace};
 
 /// Pipelined requests per measured iteration.
@@ -63,8 +63,7 @@ fn empty_image_path() -> std::path::PathBuf {
 }
 
 /// Spawns a command loop over an EDTC service, optionally journaled.
-/// `max_batch = None` uses the adaptive (production) window.
-fn spawn(tag: &str, journaled: bool, max_batch: Option<usize>) -> ClientSession {
+fn spawn(tag: &str, journaled: bool) -> ClientSession {
     let mut service = edtc_service();
     if journaled {
         let dir = bench_dir(tag);
@@ -76,39 +75,43 @@ fn spawn(tag: &str, journaled: bool, max_batch: Option<usize>) -> ClientSession 
         });
         assert!(matches!(resp, Response::Epoch { .. }), "{resp:?}");
     }
-    let (handle, _join) = match max_batch {
-        Some(n) => spawn_project_loop_with_window(service, Some(n)),
-        None => spawn_project_loop(service),
-    };
+    let (handle, _join) = spawn_project_loop(service);
     handle.session()
 }
 
+fn checkin(n: usize) -> Request {
+    Request::Checkin {
+        block: format!("b{n}"),
+        view: "HDL_model".to_string(),
+        user: "bench".to_string(),
+        payload: b"module m;".to_vec(),
+    }
+}
+
 /// One measured iteration: reset to the empty project (identical cost in
-/// every series), then pipeline BURST check-ins and drain every reply —
-/// each reply implies the request is journaled+fsynced when durability
-/// is on.
-fn burst(session: &ClientSession, reset: &str) -> usize {
+/// every series), then send BURST check-ins — all pipelined, or each
+/// waiting for its reply — and drain every reply. Each reply implies the
+/// request is journaled+fsynced when durability is on.
+fn burst(session: &ClientSession, reset: &str, pipelined: bool) -> usize {
     match session.call(Request::LoadProject {
         path: reset.to_string(),
     }) {
         Response::Loaded { .. } => {}
         other => panic!("reset failed: {other:?}"),
     }
-    let pending: Vec<_> = (0..BURST)
-        .map(|n| {
-            session.submit(Request::Checkin {
-                block: format!("b{n}"),
-                view: "HDL_model".to_string(),
-                user: "bench".to_string(),
-                payload: b"module m;".to_vec(),
-            })
-        })
-        .collect();
     let mut created = 0usize;
-    for rx in pending {
-        match rx.recv() {
-            Some(Response::Created { .. }) => created += 1,
-            other => panic!("unexpected reply {other:?}"),
+    let mut count = |reply: Option<Response>| match reply {
+        Some(Response::Created { .. }) => created += 1,
+        other => panic!("unexpected reply {other:?}"),
+    };
+    if pipelined {
+        let pending: Vec<_> = (0..BURST).map(|n| session.submit(checkin(n))).collect();
+        for rx in pending {
+            count(rx.recv());
+        }
+    } else {
+        for n in 0..BURST {
+            count(session.submit(checkin(n)).recv());
         }
     }
     created
@@ -120,19 +123,16 @@ fn bench_throughput(c: &mut Criterion) {
     let reset = empty_image_path();
     let reset = reset.display().to_string();
 
-    let configs: &[(&str, bool, Option<usize>)] = &[
-        ("checkin_fsync_per_op", true, Some(1)),
-        ("checkin_group_commit_16", true, Some(16)),
-        ("checkin_group_commit_64", true, Some(64)),
-        // The production default: no knob, window derived from the
-        // pipelined backlog at batch formation.
-        ("checkin_group_commit_adaptive", true, None),
-        ("checkin_no_journal", false, None),
+    // (series, journaled, pipelined)
+    let configs: &[(&str, bool, bool)] = &[
+        ("checkin_fsync_per_op", true, false),
+        ("checkin_group_commit_adaptive", true, true),
+        ("checkin_no_journal", false, true),
     ];
-    for &(name, journaled, max_batch) in configs {
-        let session = spawn(name, journaled, max_batch);
+    for &(name, journaled, pipelined) in configs {
+        let session = spawn(name, journaled);
         group.bench_with_input(BenchmarkId::new(name, BURST), &(), |b, ()| {
-            b.iter(|| black_box(burst(&session, &reset)));
+            b.iter(|| black_box(burst(&session, &reset, pipelined)));
         });
     }
     group.finish();

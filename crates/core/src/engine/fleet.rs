@@ -15,7 +15,8 @@
 //!   while it is resident, and LRU-evicts idle projects when more than
 //!   `max_active` want to be in memory at once. Workers host the
 //!   [`ProjectService`]s currently pinned to them and run the same
-//!   group-commit batch loop as a single-project node.
+//!   group-commit batches as a single-project node, with one commit
+//!   window beside each resident service.
 //! * [`FleetSession`] — a [`RequestSink`], so the existing TCP front
 //!   door ([`serve_with`](crate::engine::service::serve_with)) serves a
 //!   fleet unchanged: one connection, one session, `project <name>`
@@ -64,27 +65,23 @@
 //! are untouched. A worker *thread* death (send failure) unpins all its
 //! projects; they re-activate elsewhere on demand.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::engine::api::{ApiError, ProjectEntry, Request, Response, SessionId};
 use crate::engine::compile::CompiledBlueprint;
 use crate::engine::exec::ScriptExecutor;
 use crate::engine::server::{ProjectServer, SNAPSHOT_FILE};
 use crate::engine::service::{
-    loop_gone, Envelope, ProjectService, RequestSink, MAX_GROUP_COMMIT_WINDOW,
+    loop_gone, next_batch, CommitWindow, Envelope, ProjectService, RequestSink,
 };
 use crate::lang::ast::Blueprint;
 use crate::lang::{parser, validate};
-
-/// How often an otherwise-idle worker wakes to absorb finished detached
-/// tool invocations (mirrors the single-project command loop).
-const INVOKE_PUMP: std::time::Duration = std::time::Duration::from_millis(25);
 
 // ---------------------------------------------------------------------
 // Configuration and counters
@@ -119,14 +116,15 @@ impl Default for FleetConfig {
     }
 }
 
-/// Fleet-wide gauges and lifetime counters, surfaced through `stat`
-/// (`active_projects`, `resident_projects`, `activations`, `evictions`).
+/// Fleet-wide gauges and lifetime counters, surfaced through `stat`.
 #[derive(Debug, Default)]
 pub struct FleetCounters {
-    /// Gauge: projects registered under the fleet root.
+    /// Gauge: projects registered under the fleet root (`stat`'s
+    /// `resident_projects`: resident on disk, in memory or not).
     pub registered: AtomicU64,
-    /// Gauge: project services currently in memory across all workers.
-    pub resident: AtomicU64,
+    /// Gauge: projects activated in memory across all workers (`stat`'s
+    /// `active_projects`).
+    pub active: AtomicU64,
     /// Lifetime cold→resident transitions (journal recoveries + first
     /// activations).
     pub activations: AtomicU64,
@@ -938,8 +936,12 @@ fn no_workers() -> ApiError {
 // The engine worker
 // ---------------------------------------------------------------------
 
-/// An executed-but-unacked reply of the current group-commit batch.
-type PendingReply = (String, Sender<Response>, bool, Response);
+/// A project in memory on a worker: its service, and the group-commit
+/// window of the replies it has executed but not yet sent.
+struct Resident<E: ScriptExecutor> {
+    service: ProjectService<E>,
+    window: CommitWindow,
+}
 
 /// Requests a fleet worker refuses: they re-point a project's durability
 /// or swap its blueprint, which are fleet-root decisions (the journal
@@ -959,63 +961,32 @@ fn run_worker<E>(rx: &Receiver<WorkerMsg>, router: &Sender<RouterMsg>, shared: &
 where
     E: ScriptExecutor + Default,
 {
-    let mut resident: HashMap<String, ProjectService<E>> = HashMap::new();
-    let mut pending: Vec<PendingReply> = Vec::new();
-    let mut touched: BTreeSet<String> = BTreeSet::new();
-    loop {
-        // Block for the next message — but while any resident project
-        // has detached invocations in flight, wake periodically to pump
-        // results back in (and flush what they journaled).
-        let in_flight = resident.values().any(|s| s.invocations_in_flight() > 0);
-        let first = if in_flight {
-            match rx.recv_timeout(INVOKE_PUMP) {
-                Ok(msg) => msg,
-                Err(RecvTimeoutError::Timeout) => {
-                    for svc in resident.values_mut() {
-                        if svc.invocations_in_flight() > 0 {
-                            let _ = svc.call(Request::PumpInvocations);
-                            let _ = svc.flush();
-                            let _ = svc.take_journal_poisoned();
-                        }
-                    }
-                    continue;
+    // Ordered by name, so windows settle (and fsync) in the same order
+    // on every run.
+    let mut resident: BTreeMap<String, Resident<E>> = BTreeMap::new();
+    while let Some(batch) = next_batch(
+        rx,
+        resident
+            .values()
+            .any(|r| r.service.invocations_in_flight() > 0),
+    ) {
+        if batch.is_empty() {
+            // A pump tick: absorb finished tool runs and journal them.
+            for Resident { service, window } in resident.values_mut() {
+                if service.invocations_in_flight() > 0 {
+                    let _ = service.call(Request::PumpInvocations);
+                    window.settle(service);
                 }
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        } else {
-            match rx.recv() {
-                Some(msg) => msg,
-                None => break,
-            }
-        };
-        // Same adaptive group-commit window as the single-project loop:
-        // the backlog at batch formation is the batch.
-        let window = rx.len().saturating_add(1).clamp(1, MAX_GROUP_COMMIT_WINDOW);
-        let mut batch = Vec::with_capacity(window);
-        batch.push(first);
-        while batch.len() < window {
-            match rx.try_recv() {
-                Ok(msg) => batch.push(msg),
-                Err(_) => break,
             }
         }
         for msg in batch {
             match msg {
                 WorkerMsg::Execute { project, env } => {
-                    execute(
-                        &mut resident,
-                        &mut pending,
-                        &mut touched,
-                        shared,
-                        &project,
-                        env,
-                    );
+                    execute(&mut resident, shared, &project, env);
                 }
                 WorkerMsg::Evict { project } => {
-                    settle_project(&mut resident, &mut pending, &project);
-                    touched.remove(&project);
-                    if let Some(svc) = resident.remove(&project) {
-                        retire(svc, shared);
+                    if let Some(evicted) = resident.remove(&project) {
+                        retire(evicted, shared);
                     }
                     // Always acknowledge — a poisoned (already dropped)
                     // project still frees its router slot.
@@ -1023,27 +994,23 @@ where
                 }
             }
         }
-        for project in std::mem::take(&mut touched) {
-            settle_project(&mut resident, &mut pending, &project);
+        for Resident { service, window } in resident.values_mut() {
+            if !window.is_empty() {
+                window.settle(service);
+            }
         }
-        debug_assert!(pending.is_empty());
     }
     // Channel disconnected (fleet shutdown): flush + checkpoint every
     // resident project on the way out.
-    for project in std::mem::take(&mut touched) {
-        settle_project(&mut resident, &mut pending, &project);
-    }
-    for (_, svc) in resident.drain() {
-        retire(svc, shared);
+    for project in resident.into_values() {
+        retire(project, shared);
     }
 }
 
-/// Executes one routed request, activating the project if it is not in
-/// memory (the lazy half of the LRU cycle).
+/// Executes one routed request in its project's window, activating the
+/// project if it is not in memory (the lazy half of the LRU cycle).
 fn execute<E>(
-    resident: &mut HashMap<String, ProjectService<E>>,
-    pending: &mut Vec<PendingReply>,
-    touched: &mut BTreeSet<String>,
+    resident: &mut BTreeMap<String, Resident<E>>,
     shared: &Arc<FleetShared>,
     project: &str,
     env: Envelope,
@@ -1063,8 +1030,8 @@ fn execute<E>(
     }
     if !resident.contains_key(project) {
         match activate::<E>(shared, project) {
-            Ok(svc) => {
-                resident.insert(project.to_string(), svc);
+            Ok(activated) => {
+                resident.insert(project.to_string(), activated);
             }
             Err(e) => {
                 let _ = reply.send(Response::Error(e));
@@ -1072,47 +1039,36 @@ fn execute<E>(
             }
         }
     }
-    touched.insert(project.to_string());
-    // Barriers re-base durable state: settle the project's window before
-    // and after, exactly like the single-project loop.
-    let barrier = request.is_barrier();
-    if barrier {
-        settle_project(resident, pending, project);
-    }
-    let mutating = request.is_mutation();
-    let svc = resident
+    let Resident { service, window } = resident
         .get_mut(project)
         .expect("activated or already resident");
-    match catch_unwind(AssertUnwindSafe(|| svc.call(request))) {
-        Ok(resp) => {
-            let resp = patch_stat(resp, shared);
-            pending.push((project.to_string(), reply, mutating, resp));
-            if barrier {
-                settle_project(resident, pending, project);
-            }
-        }
-        Err(_) => {
-            // The interpreter panicked mid-request: drop the service
-            // without flushing (its group-commit window is gone — the
-            // crash contract), fail this project's unacked window, and
-            // leave every other project on this worker untouched. The
-            // next request re-activates from the journal.
-            drop(resident.remove(project));
-            touched.remove(project);
-            shared.counters.resident.fetch_sub(1, Ordering::Relaxed);
-            shared.counters.evictions.fetch_add(1, Ordering::Relaxed);
-            settle_project(resident, pending, project);
-            let _ = reply.send(Response::Error(ApiError::ProjectPoisoned {
-                project: project.to_string(),
-            }));
-        }
+    let survived = window.execute(service, request, reply, |service, request| {
+        catch_unwind(AssertUnwindSafe(|| service.call(request)))
+            .map(|resp| patch_stat(resp, shared))
+            .map_err(|_| {
+                // Counted before the window answers anyone, so the
+                // gauges are truthful by the time the victim hears.
+                shared.counters.active.fetch_sub(1, Ordering::Relaxed);
+                shared.counters.evictions.fetch_add(1, Ordering::Relaxed);
+                ApiError::ProjectPoisoned {
+                    project: project.to_string(),
+                }
+            })
+    });
+    if !survived {
+        // The interpreter panicked mid-request: the window failed its
+        // unacked replies without a flush (the window is lost — the crash
+        // contract), and the service goes, leaving every other project on
+        // this worker untouched. The next request re-activates from the
+        // journal.
+        drop(resident.remove(project));
     }
 }
 
 /// Builds a service for `project` around the shared compiled blueprint
 /// and brings its journal up: recover `snapshot + tail` when the project
 /// has disk state, enable a fresh journal on first activation.
-fn activate<E>(shared: &FleetShared, project: &str) -> Result<ProjectService<E>, ApiError>
+fn activate<E>(shared: &FleetShared, project: &str) -> Result<Resident<E>, ApiError>
 where
     E: ScriptExecutor + Default,
 {
@@ -1125,9 +1081,8 @@ where
         Arc::clone(&shared.compiled),
         E::default(),
     );
-    let mut svc = ProjectService::with_server(server);
-    svc.set_group_commit(true).map_err(ApiError::from)?;
-    let _ = svc.take_journal_poisoned();
+    let mut service = ProjectService::with_server(server);
+    let window = CommitWindow::open(&mut service);
     let dir = dir.to_string_lossy().into_owned();
     let every = shared.config.checkpoint_every;
     let bring_up = if std::path::Path::new(&dir).join(SNAPSHOT_FILE).exists() {
@@ -1135,70 +1090,33 @@ where
     } else {
         Request::EnableJournal { dir, every }
     };
-    match svc.call(bring_up) {
+    match service.call(bring_up) {
         Response::Error(e) => Err(e),
         _ => {
-            shared.counters.resident.fetch_add(1, Ordering::Relaxed);
+            shared.counters.active.fetch_add(1, Ordering::Relaxed);
             shared.counters.activations.fetch_add(1, Ordering::Relaxed);
-            Ok(svc)
+            Ok(Resident { service, window })
         }
     }
 }
 
-/// Flushes the group-commit buffer and folds the journal into a fresh
+/// Settles the project's window, then folds the journal into a fresh
 /// checkpoint, leaving the cold form (`snapshot.ddb` + empty tail) on
-/// disk — then drops the service.
-fn retire<E>(mut svc: ProjectService<E>, shared: &FleetShared)
-where
-    E: ScriptExecutor + Default,
-{
-    let _ = svc.set_group_commit(false); // flushes buffered ops
-    let _ = svc.call(Request::Checkpoint);
-    shared.counters.resident.fetch_sub(1, Ordering::Relaxed);
-    shared.counters.evictions.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Settles one project's slice of the pending window: flush, consume the
-/// poison marker, and send the replies — downgrading acked mutations
-/// when the flush failed (or the service is gone entirely, the panic
-/// path), exactly mirroring the single-project loop's `settle`.
-fn settle_project<E>(
-    resident: &mut HashMap<String, ProjectService<E>>,
-    pending: &mut Vec<PendingReply>,
-    project: &str,
+/// disk — and drops the service.
+fn retire<E>(
+    Resident {
+        mut service,
+        mut window,
+    }: Resident<E>,
+    shared: &FleetShared,
 ) where
     E: ScriptExecutor + Default,
 {
-    let error = match resident.get_mut(project) {
-        Some(svc) => {
-            let flushed = svc.flush();
-            let poisoned = svc.take_journal_poisoned();
-            match flushed {
-                Err(e) => Some(ApiError::from(e)),
-                Ok(()) if poisoned => Some(ApiError::Journal {
-                    reason: "durability was disabled mid-batch; the batch is not on stable storage"
-                        .to_string(),
-                }),
-                Ok(()) => None,
-            }
-        }
-        None => Some(ApiError::ProjectPoisoned {
-            project: project.to_string(),
-        }),
-    };
-    let mut keep = Vec::with_capacity(pending.len());
-    for (owner, reply, mutating, resp) in pending.drain(..) {
-        if owner != project {
-            keep.push((owner, reply, mutating, resp));
-            continue;
-        }
-        let resp = match &error {
-            Some(err) if mutating && !resp.is_error() => Response::Error(err.clone()),
-            _ => resp,
-        };
-        let _ = reply.send(resp);
-    }
-    *pending = keep;
+    window.settle(&mut service);
+    let _ = service.set_group_commit(false); // nothing may stay buffered
+    let _ = service.call(Request::Checkpoint);
+    shared.counters.active.fetch_sub(1, Ordering::Relaxed);
+    shared.counters.evictions.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Patches the fleet gauges onto a `stat` reply (a project service
@@ -1206,7 +1124,7 @@ fn settle_project<E>(
 fn patch_stat(resp: Response, shared: &FleetShared) -> Response {
     match resp {
         Response::Stat { mut stat } => {
-            stat.active_projects = shared.counters.resident.load(Ordering::Relaxed);
+            stat.active_projects = shared.counters.active.load(Ordering::Relaxed);
             stat.resident_projects = shared.counters.registered.load(Ordering::Relaxed);
             stat.activations = shared.counters.activations.load(Ordering::Relaxed);
             stat.evictions = shared.counters.evictions.load(Ordering::Relaxed);

@@ -13,10 +13,14 @@
 //!   behind an mpsc command queue. [`ProjectHandle::session`] hands out
 //!   [`SessionId`]-tagged [`ClientSession`]s; their requests are drained
 //!   in arrival order, **executed as a batch, journaled with one
-//!   append+fsync, and only then replied to** — the group-commit point
-//!   the ROADMAP asked for. A reply in hand means the effect is durable
-//!   (when journaling is enabled), yet the fsync cost is amortized over
-//!   up to `max_batch` requests.
+//!   append+fsync, and only then replied to**. A reply in hand means the
+//!   effect is durable (when journaling is enabled). The window is
+//!   adaptive: a batch is the backlog queued when it forms (at most
+//!   [`MAX_GROUP_COMMIT_WINDOW`]), so an idle client pays one fsync per
+//!   request and a burst shares one fsync. `CommitWindow` holds the
+//!   rule that settles a window's replies; the fleet worker
+//!   ([`crate::engine::fleet`]) runs the same batches and windows, one
+//!   window per resident project.
 //! * [`serve_listener`] — a minimal line-framed TCP front door: one
 //!   request line in, one response line out, in the [`Request`] /
 //!   [`Response`] text codec (raw §3.1 `postEvent` lines are accepted
@@ -195,9 +199,9 @@ impl<E: ScriptExecutor + Default> ProjectService<E> {
 
     /// Takes (and clears) the server's journal-poison marker: `true` when
     /// a journal failure disabled durability since the last call (see
-    /// [`ProjectServer::take_journal_poisoned`]). The command loop
+    /// [`ProjectServer::take_journal_poisoned`]). [`CommitWindow`]
     /// consumes this per group-commit window.
-    pub fn take_journal_poisoned(&mut self) -> bool {
+    pub(crate) fn take_journal_poisoned(&mut self) -> bool {
         self.server
             .as_mut()
             .is_some_and(ProjectServer::take_journal_poisoned)
@@ -728,102 +732,124 @@ pub(crate) fn loop_gone() -> ApiError {
     }
 }
 
-/// Ceiling of the *adaptive* group-commit window: under a sustained
-/// burst, one journal append+fsync never covers more than this many
-/// requests, bounding both reply latency and the batch a crash can
-/// lose. An explicit window passed to the `*_with_window` measurement
-/// seam is honored as given and not subject to this ceiling.
+/// Ceiling of the adaptive group-commit window: under a sustained burst,
+/// one journal append+fsync never covers more than this many requests,
+/// bounding both reply latency and the batch a crash can lose.
 pub const MAX_GROUP_COMMIT_WINDOW: usize = 1024;
 
-/// How often an otherwise-idle command loop wakes to absorb finished
-/// detached tool invocations. Small enough that results flow back well
-/// inside interactive latency; large enough not to busy-spin.
+/// How often an otherwise-idle loop wakes to absorb finished detached
+/// tool invocations. Small enough that results flow back well inside
+/// interactive latency; large enough not to busy-spin.
 const INVOKE_PUMP: std::time::Duration = std::time::Duration::from_millis(25);
 
-/// Spawns a service onto its own command-loop thread and returns the
-/// handle clients connect through. The loop exits (flushing any pending
-/// batch) when every handle and session is dropped.
+/// Forms the next group-commit batch, for the dedicated loop and the
+/// fleet worker alike. Blocks for the next message, but while `pumping`
+/// (detached tool runs are in flight) wakes every [`INVOKE_PUMP`] with an
+/// empty batch, so finished results post back (and journal) between
+/// client commands instead of waiting for the next request. Then takes
+/// the backlog queued at formation time, capped at
+/// [`MAX_GROUP_COMMIT_WINDOW`]: one request when idle, one fsync for the
+/// whole backlog under a burst. `None` once every sender is gone.
+pub(crate) fn next_batch<T>(rx: &Receiver<T>, pumping: bool) -> Option<Vec<T>> {
+    let first = if pumping {
+        match rx.recv_timeout(INVOKE_PUMP) {
+            Ok(msg) => msg,
+            Err(RecvTimeoutError::Timeout) => return Some(Vec::new()),
+            Err(RecvTimeoutError::Disconnected) => return None,
+        }
+    } else {
+        rx.recv()?
+    };
+    let window = rx.len().saturating_add(1).min(MAX_GROUP_COMMIT_WINDOW);
+    let mut batch = Vec::with_capacity(window);
+    batch.push(first);
+    while batch.len() < window {
+        match rx.try_recv() {
+            Ok(msg) => batch.push(msg),
+            Err(_) => break,
+        }
+    }
+    Some(batch)
+}
+
+/// One service's group-commit window: the replies executed since its
+/// last flush and not yet sent, and the one rule that decides what they
+/// say. A reply in hand means its effect is on stable storage, so:
 ///
-/// The group-commit window is **adaptive**: each batch takes exactly
-/// what is queued at formation time (bounded by
-/// [`MAX_GROUP_COMMIT_WINDOW`]), so an idle connection pays one fsync of
-/// latency per request while a burst amortizes one fsync across the
-/// whole backlog — no tuning knob to set wrong. Harnesses that must
-/// measure a *fixed* window use [`spawn_project_loop_with_window`].
-pub fn spawn_project_loop<E>(
-    service: ProjectService<E>,
-) -> (ProjectHandle, std::thread::JoinHandle<()>)
-where
-    E: ScriptExecutor + Default + Send + 'static,
-{
-    spawn_project_loop_with_window(service, None)
+/// * **Barriers** ([`Request::is_barrier`]) re-base durable state. The
+///   window settles before one when replies are pending, so a mid-window
+///   poisoning is reported on its own window and never masked by a later
+///   trivial flush; and again straight after it, so the barrier's reply
+///   (durable by its own doing) never shares a flush with later requests.
+/// * **Settling** flushes, consumes the journal-poison marker and, when
+///   the flush failed or the window's requests poisoned durability, turns
+///   every successful mutating reply into the journal error. Read-only
+///   replies, and replies that already failed, pass through unchanged.
+/// * **A service that died under a request** (the fleet's panic
+///   isolation) settles its window with the caller's error, unflushed.
+#[derive(Debug, Default)]
+pub(crate) struct CommitWindow {
+    /// Executed-but-unacked replies: where each goes, whether its request
+    /// mutates, and the reply itself.
+    pending: Vec<(Sender<Response>, bool, Response)>,
 }
 
-/// [`spawn_project_loop`] with a fixed group-commit window cap: up to
-/// `max_batch` queued requests execute back-to-back before one journal
-/// append+fsync covers them all (`Some(1)` restores per-request
-/// durability cost). The measurement seam behind the adaptive default.
-pub fn spawn_project_loop_with_window<E>(
-    service: ProjectService<E>,
-    max_batch: Option<usize>,
-) -> (ProjectHandle, std::thread::JoinHandle<()>)
-where
-    E: ScriptExecutor + Default + Send + 'static,
-{
-    let (tx, rx) = unbounded();
-    let tail = service.tail_hub();
-    let join = std::thread::spawn(move || run_command_loop_with_window(service, &rx, max_batch));
-    (
-        ProjectHandle {
-            tx,
-            next_session: Arc::new(AtomicU64::new(1)),
-            tail,
-        },
-        join,
-    )
-}
+impl CommitWindow {
+    /// Puts `service` into group-commit mode and opens its window. A stale
+    /// poison marker from the service's life before the loop was already
+    /// reported to whoever called it directly, so the first window is not
+    /// charged with it.
+    pub(crate) fn open<E: ScriptExecutor + Default>(service: &mut ProjectService<E>) -> Self {
+        // Entering the mode never flushes, so it cannot fail.
+        let _ = service.set_group_commit(true);
+        let _ = service.take_journal_poisoned();
+        CommitWindow::default()
+    }
 
-/// The command loop body with the adaptive group-commit window (see
-/// [`spawn_project_loop`]). Exposed for callers that want to run the
-/// loop on a thread they own (the TCP binary, benches).
-pub fn run_command_loop<E>(service: ProjectService<E>, rx: &Receiver<Envelope>)
-where
-    E: ScriptExecutor + Default,
-{
-    run_command_loop_with_window(service, rx, None);
-}
+    /// Whether no reply waits for a settle.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.pending.is_empty()
+    }
 
-/// [`run_command_loop`] with an optional fixed window cap; `None` derives
-/// each window from the queue depth at batch formation (small when idle
-/// for latency, up to [`MAX_GROUP_COMMIT_WINDOW`] under burst).
-///
-/// Set `DAMOCLES_LOOP_STATS=1` to print batch-formation statistics on
-/// exit (used by the throughput bench to verify batches actually fill).
-pub fn run_command_loop_with_window<E>(
-    mut service: ProjectService<E>,
-    rx: &Receiver<Envelope>,
-    max_batch: Option<usize>,
-) where
-    E: ScriptExecutor + Default,
-{
-    let _ = service.set_group_commit(true);
-    let mut n_batches = 0u64;
-    let mut n_reqs = 0u64;
-    // Executed-but-unacked requests of the current group-commit window.
-    let mut pending: Vec<(Sender<Response>, bool, Response)> = Vec::new();
-    // A stale poison marker from the service's pre-loop life was already
-    // reported to whoever called it directly; don't charge it to the
-    // first window.
-    let _ = service.take_journal_poisoned();
-    // Flushes the window and sends the pending replies. A flush failure
-    // — or a poisoning the executed requests themselves triggered
-    // (explicit marker, NOT inferred from journaling-state deltas, which
-    // a legitimate `Init` swap would trip) — turns every mutating reply
-    // into the journal error: none of those mutations reached stable
-    // storage, and acking them would lie. Read-only requests still
-    // answer.
-    let settle = |service: &mut ProjectService<E>,
-                  pending: &mut Vec<(Sender<Response>, bool, Response)>| {
+    /// Runs `request` in this window under the barrier rule; `call`
+    /// executes it on `service`. An `Err` from `call` means the service
+    /// died under the request: the window settles with that error,
+    /// unflushed, the request is answered with it too, and `false` tells
+    /// the caller to drop the service.
+    pub(crate) fn execute<E: ScriptExecutor + Default>(
+        &mut self,
+        service: &mut ProjectService<E>,
+        request: Request,
+        reply: Sender<Response>,
+        call: impl FnOnce(&mut ProjectService<E>, Request) -> Result<Response, ApiError>,
+    ) -> bool {
+        let barrier = request.is_barrier();
+        if barrier && !self.is_empty() {
+            self.settle(service);
+        }
+        let mutating = request.is_mutation();
+        match call(service, request) {
+            Ok(response) => {
+                self.pending.push((reply, mutating, response));
+                if barrier {
+                    self.settle(service);
+                }
+                true
+            }
+            Err(died) => {
+                self.answer(Some(&died));
+                let _ = reply.send(Response::Error(died));
+                false
+            }
+        }
+    }
+
+    /// Flushes `service` and sends every pending reply. A failed flush, or
+    /// a poisoning the window's own requests triggered (the explicit
+    /// marker, not a journaling-state delta, which a legitimate `Init`
+    /// swap would trip), means none of the window's mutations reached
+    /// stable storage: acking them would lie.
+    pub(crate) fn settle<E: ScriptExecutor + Default>(&mut self, service: &mut ProjectService<E>) {
         let flushed = service.flush();
         let poisoned = service.take_journal_poisoned();
         let error = match flushed {
@@ -834,93 +860,72 @@ pub fn run_command_loop_with_window<E>(
             }),
             Ok(()) => None,
         };
-        for (reply, mutating, resp) in pending.drain(..) {
-            let resp = match &error {
-                // Only successful mutations are downgraded: a request
-                // that already failed (frozen view, unknown OID) wrote
-                // nothing the flush could lose, and its own diagnostic
-                // is the useful one.
-                Some(err) if mutating && !resp.is_error() => Response::Error(err.clone()),
-                _ => resp,
-            };
-            let _ = reply.send(resp);
-        }
-    };
-    loop {
-        // Block for the next request — but while detached invocations
-        // are in flight, wake periodically to absorb finished results so
-        // they post back (and journal) between client commands instead
-        // of waiting for the next request to arrive.
-        let first = if service.invocations_in_flight() > 0 {
-            match rx.recv_timeout(INVOKE_PUMP) {
-                Ok(env) => env,
-                Err(RecvTimeoutError::Timeout) => {
-                    let _ = service.call(Request::PumpInvocations);
-                    settle(&mut service, &mut pending);
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        } else {
-            match rx.recv() {
-                Some(env) => env,
-                None => break,
-            }
-        };
-        // Adaptive window: what is queued right now is the batch (plus
-        // the request just taken), so latency under light load is one
-        // request and throughput under burst is one fsync per backlog —
-        // bounded by the ceiling. An explicit fixed window (the
-        // measurement seam) is honored as requested, ceiling included:
-        // harnesses exist to measure exactly the window they asked for.
-        let window = match max_batch {
-            Some(fixed) => fixed.max(1),
-            None => rx.len().saturating_add(1).clamp(1, MAX_GROUP_COMMIT_WINDOW),
-        };
-        let mut batch = Vec::with_capacity(window);
-        batch.push(first);
-        while batch.len() < window {
-            match rx.try_recv() {
-                Ok(env) => batch.push(env),
-                Err(_) => break,
-            }
-        }
-        n_batches += 1;
-        n_reqs += batch.len() as u64;
-        for env in batch {
-            let Envelope { request, reply, .. } = env;
-            // A barrier re-bases durable state (checkpoint, recover,
-            // load, …): settle the window before it runs so every reply
-            // reflects exactly what its own fsync covered — a mid-batch
-            // poisoning can then never be masked by a later trivial
-            // flush.
-            let barrier = request.is_barrier();
-            if barrier && !pending.is_empty() {
-                settle(&mut service, &mut pending);
-            }
-            let mutating = request.is_mutation();
-            let resp = service.call(request);
-            pending.push((reply, mutating, resp));
-            // And settle straight after it: a barrier's effect is durable
-            // by its own doing (snapshot written, file saved, server
-            // swapped), so its reply must never share a flush window
-            // with — and be downgraded by — later requests' failures.
-            if barrier {
-                settle(&mut service, &mut pending);
-            }
-        }
-        settle(&mut service, &mut pending);
+        self.answer(error.as_ref());
     }
-    // Senders are gone; flush whatever the last batch left behind, and
-    // end every tail subscription.
+
+    /// Sends every pending reply, turning each successful mutation into
+    /// `error` when there is one. A request that already failed (frozen
+    /// view, unknown OID) wrote nothing a flush could lose, and its own
+    /// diagnostic is the useful one.
+    fn answer(&mut self, error: Option<&ApiError>) {
+        for (reply, mutating, response) in self.pending.drain(..) {
+            let response = match error {
+                Some(err) if mutating && !response.is_error() => Response::Error(err.clone()),
+                _ => response,
+            };
+            let _ = reply.send(response);
+        }
+    }
+}
+
+/// Spawns a service onto its own thread running [`run_command_loop`] and
+/// returns the handle clients connect through. The loop exits (flushing
+/// any pending batch) when every handle and session is dropped.
+pub fn spawn_project_loop<E>(
+    service: ProjectService<E>,
+) -> (ProjectHandle, std::thread::JoinHandle<()>)
+where
+    E: ScriptExecutor + Default + Send + 'static,
+{
+    let (tx, rx) = unbounded();
+    let tail = service.tail_hub();
+    let join = std::thread::spawn(move || run_command_loop(service, &rx));
+    (
+        ProjectHandle {
+            tx,
+            next_session: Arc::new(AtomicU64::new(1)),
+            tail,
+        },
+        join,
+    )
+}
+
+/// The command loop behind [`spawn_project_loop`], for callers that run
+/// it on a thread they own or feed it a hand-built queue of
+/// [`Envelope`]s. Each batch is the backlog queued when it forms (see the
+/// module docs); it executes in one group-commit window that settles
+/// before any reply is sent. Returns once every sender is gone, after a
+/// final flush, with every tail subscription ended.
+pub fn run_command_loop<E>(mut service: ProjectService<E>, rx: &Receiver<Envelope>)
+where
+    E: ScriptExecutor + Default,
+{
+    let mut window = CommitWindow::open(&mut service);
+    while let Some(batch) = next_batch(rx, service.invocations_in_flight() > 0) {
+        if batch.is_empty() {
+            // A pump tick: absorb finished tool runs (the settle below
+            // journals them).
+            let _ = service.call(Request::PumpInvocations);
+        }
+        for Envelope { request, reply, .. } in batch {
+            window.execute(&mut service, request, reply, |service, request| {
+                Ok(service.call(request))
+            });
+        }
+        window.settle(&mut service);
+    }
     let _ = service.set_group_commit(false);
     service.tail_hub().close();
-    if std::env::var_os("DAMOCLES_LOOP_STATS").is_some() {
-        eprintln!(
-            "loop stats: {n_reqs} requests in {n_batches} batches (avg {:.1})",
-            n_reqs as f64 / n_batches.max(1) as f64
-        );
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1427,5 +1432,84 @@ mod tests {
                 other => panic!("unflushed mutation was acked: {other:?}"),
             }
         }
+    }
+    /// Executes `request` in `window` the way the dedicated loop does,
+    /// returning its reply receiver.
+    fn run_in(
+        window: &mut CommitWindow,
+        svc: &mut ProjectService,
+        request: Request,
+    ) -> Receiver<Response> {
+        let (reply, rx) = unbounded();
+        assert!(window.execute(svc, request, reply, |svc, request| Ok(svc.call(request))));
+        rx
+    }
+
+    /// A failed flush turns only *successful mutations* into the journal
+    /// error: a read in the same window answers, and a mutation that
+    /// already failed keeps its own diagnostic.
+    #[test]
+    fn failed_flush_downgrades_only_successful_mutations() {
+        let dir = std::env::temp_dir().join("damocles-svc-window-flush");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut svc: ProjectService = ProjectService::new();
+        svc.call(init_req());
+        assert!(matches!(
+            svc.call(Request::EnableJournal {
+                dir: dir.display().to_string(),
+                every: 1, // every flush folds into a checkpoint
+            }),
+            Response::Epoch { .. }
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let mut window = CommitWindow::open(&mut svc);
+        let created = run_in(&mut window, &mut svc, checkin("alpha", "HDL_model"));
+        let stat = run_in(&mut window, &mut svc, Request::Stat);
+        let ghost = run_in(
+            &mut window,
+            &mut svc,
+            Request::Connect {
+                from: Oid::new("ghost", "HDL_model", 1),
+                to: Oid::new("ghost", "schematic", 1),
+            },
+        );
+        window.settle(&mut svc);
+        let resp = created.recv().unwrap();
+        assert!(
+            matches!(resp, Response::Error(ApiError::Journal { .. })),
+            "unflushed mutation was acked: {resp:?}"
+        );
+        let resp = stat.recv().unwrap();
+        assert!(matches!(resp, Response::Stat { .. }), "{resp:?}");
+        let resp = ghost.recv().unwrap();
+        assert!(
+            matches!(resp, Response::Error(ApiError::UnknownOid { .. })),
+            "{resp:?}"
+        );
+    }
+
+    /// A service that died under a request (the fleet's panic path)
+    /// settles its window with the caller's error and no flush: pending
+    /// mutations and the dying request get it, reads still answer.
+    #[test]
+    fn a_window_whose_service_died_settles_with_the_callers_error() {
+        let mut svc: ProjectService = ProjectService::new();
+        svc.call(init_req());
+        let mut window = CommitWindow::open(&mut svc);
+        let created = run_in(&mut window, &mut svc, checkin("alpha", "HDL_model"));
+        let stat = run_in(&mut window, &mut svc, Request::Stat);
+        let poisoned = ApiError::ProjectPoisoned {
+            project: "demo".into(),
+        };
+        let (reply, died) = unbounded();
+        let survived = window.execute(&mut svc, checkin("beta", "HDL_model"), reply, |_, _| {
+            Err(poisoned.clone())
+        });
+        assert!(!survived);
+        assert!(window.is_empty());
+        assert_eq!(created.recv().unwrap(), Response::Error(poisoned.clone()));
+        assert!(matches!(stat.recv().unwrap(), Response::Stat { .. }));
+        assert_eq!(died.recv().unwrap(), Response::Error(poisoned));
     }
 }

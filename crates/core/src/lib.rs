@@ -55,9 +55,8 @@ pub use engine::api::{ApiError, Request, Response, SessionId};
 pub use engine::error::EngineError;
 pub use engine::server::{ProcessReport, ProjectServer};
 pub use engine::service::{
-    run_command_loop, run_command_loop_with_window, serve_listener, spawn_project_loop,
-    spawn_project_loop_with_window, ClientSession, ProjectHandle, ProjectService,
-    MAX_GROUP_COMMIT_WINDOW,
+    run_command_loop, serve_listener, spawn_project_loop, ClientSession, ProjectHandle,
+    ProjectService, MAX_GROUP_COMMIT_WINDOW,
 };
 pub use lang::ast::Blueprint;
 pub use lang::parser::parse;

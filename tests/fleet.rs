@@ -569,6 +569,44 @@ fn a_panic_poisons_one_project_not_the_fleet() {
     assert!(counters.activations.load(Ordering::Relaxed) >= 3);
 }
 
+/// A failed flush fails only that project's acked mutations (the fleet
+/// failure table in DESIGN.md): with its journal directory gone, one
+/// tenant's check-in gets the journal error while its pipelined read
+/// still answers, and a sibling on the same worker commits normally.
+#[test]
+fn a_failed_flush_fails_only_that_projects_mutations() {
+    let root = temp_dir("flush-failure");
+    let config = FleetConfig {
+        engine_workers: 1,
+        // Every flush folds into a checkpoint, which needs the directory.
+        checkpoint_every: 1,
+        ..FleetConfig::default()
+    };
+    let registry = ProjectRegistry::open(&root, SIMPLE, config).unwrap();
+    let (fleet, _join) = spawn_fleet::<NullExecutor>(registry);
+    let a = fleet.session();
+    let b = fleet.session();
+    assert!(!attach(&a, "a", true).is_error());
+    assert!(!attach(&b, "b", true).is_error());
+    // Activate both tenants, then take A's journal directory away.
+    assert!(matches!(a.call(Request::Stat), Response::Stat { .. }));
+    assert!(matches!(b.call(Request::Stat), Response::Stat { .. }));
+    std::fs::remove_dir_all(root.join("a")).unwrap();
+
+    let a_checkin = a.submit(checkin("A", "v1".into()));
+    let a_stat = a.submit(Request::Stat);
+    let b_checkin = b.submit(checkin("B", "v1".into()));
+    let resp = a_checkin.recv();
+    assert!(
+        matches!(resp, Some(Response::Error(ApiError::Journal { .. }))),
+        "unflushed mutation was acked: {resp:?}"
+    );
+    let resp = a_stat.recv();
+    assert!(matches!(resp, Some(Response::Stat { .. })), "{resp:?}");
+    let resp = b_checkin.recv();
+    assert!(matches!(resp, Some(Response::Created { .. })), "{resp:?}");
+}
+
 // ---------------------------------------------------------------------
 // Acceptance: 100 tenants, 8 slots, one listener
 // ---------------------------------------------------------------------
