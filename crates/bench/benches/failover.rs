@@ -35,7 +35,8 @@ use blueprint_core::engine::server::ProjectServer;
 use blueprint_core::engine::service::{
     serve_listener, serve_with, spawn_project_loop, ProjectService,
 };
-use damocles_tools::remote::{LeaderClient, ReconnectPolicy, RemoteWrapper, TailHandshake};
+use damocles_bench::{append_bench_json, bench_dir, config, smoke, target_enabled};
+use damocles_tools::remote::{spawn_tail_pump, LeaderClient, ReconnectPolicy, RemoteWrapper};
 
 const TRACKED: &str = r#"
     blueprint failoverbench
@@ -48,71 +49,11 @@ const TRACKED: &str = r#"
     endblueprint
 "#;
 
-fn bench_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("damocles-bench-failover-{tag}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn smoke() -> bool {
-    std::env::var_os("BENCH_SMOKE").is_some()
-}
-
-fn target_enabled(name: &str) -> bool {
-    std::env::var("BENCH_FILTER").map_or(true, |f| f.is_empty() || name.contains(&f))
-}
-
-fn append_bench_json(line: &str) {
-    if let Some(path) = std::env::var_os("BENCH_JSON") {
-        use std::io::Write as _;
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            let _ = writeln!(f, "{line}");
-        }
-    }
-}
-
-/// The reconnecting tail pump from `damocles_server --follow`, minus the
-/// retry loop: one connection, frames forwarded until the socket dies.
-fn spawn_pump(leader: String, handle: &FollowerHandle) {
-    let status = handle.status();
-    let feed = handle.feed();
-    std::thread::spawn(move || loop {
-        if status.promoted() {
-            return;
-        }
-        let (epoch, seq) = status.handshake_cursor();
-        let outcome = RemoteWrapper::connect(&leader, "pump")
-            .and_then(|wrapper| wrapper.tail_from(epoch, seq));
-        match outcome {
-            Ok(TailHandshake::Accepted { mut stream, .. }) => loop {
-                match stream.next_frame() {
-                    Ok(frame) => {
-                        if feed.send(FollowerMsg::Frame(frame)).is_err() {
-                            return;
-                        }
-                        if status.needs_reset() {
-                            break;
-                        }
-                    }
-                    Err(_) => return, // the bench injects LeaderGone itself
-                }
-            },
-            Ok(TailHandshake::Refused(_)) | Err(_) => {}
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    });
-}
-
 /// One leader + one caught-up TCP follower, ready to crash. Returns the
 /// follower handle, its front-door address, and a dead address standing
 /// in for the crashed leader.
 fn stand_up(trial: usize, seed_blocks: usize) -> (FollowerHandle, String, String) {
-    let dir = bench_dir(&format!("trial-{trial}"));
+    let dir = bench_dir(&format!("failover-trial-{trial}"));
     let mut service: ProjectService = ProjectService::new();
     assert!(!service
         .call(Request::Init {
@@ -147,7 +88,7 @@ fn stand_up(trial: usize, seed_blocks: usize) -> (FollowerHandle, String, String
             let _ = serve_with(front, || session.session(), Some(hub));
         });
     }
-    spawn_pump(leader_addr, &follower);
+    spawn_tail_pump(leader_addr, follower.feed(), follower.status());
 
     let writer = leader.session();
     for b in 0..seed_blocks {
@@ -194,7 +135,7 @@ fn repair(trial: usize, follower: &FollowerHandle, follower_addr: &str, dead: &s
         })
         .unwrap();
     let mut operator = RemoteWrapper::connect(follower_addr, "operator").unwrap();
-    let promoted_dir = bench_dir(&format!("promoted-{trial}"));
+    let promoted_dir = bench_dir(&format!("failover-promoted-{trial}"));
     match operator
         .request(&Request::Promote {
             dir: promoted_dir.display().to_string(),
@@ -233,8 +174,8 @@ fn bench_mttr(_c: &mut Criterion) {
     for trial in 0..trials {
         let (follower, follower_addr, dead) = stand_up(trial, seed_blocks);
         latencies.push(repair(trial, &follower, &follower_addr, &dead));
-        let _ = std::fs::remove_dir_all(bench_dir(&format!("trial-{trial}")));
-        let _ = std::fs::remove_dir_all(bench_dir(&format!("promoted-{trial}")));
+        let _ = std::fs::remove_dir_all(bench_dir(&format!("failover-trial-{trial}")));
+        let _ = std::fs::remove_dir_all(bench_dir(&format!("failover-promoted-{trial}")));
     }
     latencies.sort_unstable();
     let pick = |q: usize| latencies[(latencies.len() - 1) * q / 100];
@@ -252,18 +193,6 @@ fn bench_mttr(_c: &mut Criterion) {
         trials,
         cores
     ));
-}
-
-fn config() -> Criterion {
-    let (measure_ms, warm_ms, samples) = if smoke() {
-        (250, 80, 5)
-    } else {
-        (2_000, 400, 20)
-    };
-    Criterion::default()
-        .measurement_time(Duration::from_millis(measure_ms))
-        .warm_up_time(Duration::from_millis(warm_ms))
-        .sample_size(samples)
 }
 
 criterion_group! {

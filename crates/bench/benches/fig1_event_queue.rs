@@ -56,8 +56,7 @@ fn bench_wire_parse(c: &mut Criterion) {
 
 fn bench_end_to_end_event(c: &mut Criterion) {
     // post → queue → engine → property update, on the EDTC blueprint with a
-    // non-propagating event (pure per-event overhead), compiled dispatch vs
-    // the seed's AST-walking dispatch.
+    // non-propagating event (pure per-event overhead).
     let mut server = ProjectServer::new(edtc_blueprint()).unwrap();
     let hdl = server
         .checkin("CPU", "HDL_model", "bench", b"m".to_vec())
@@ -65,22 +64,6 @@ fn bench_end_to_end_event(c: &mut Criterion) {
     server.process_all().unwrap();
     let line = format!("postEvent hdl_sim up {hdl} \"good\"");
     c.bench_function("fig1/post_and_process_one_event", |b| {
-        b.iter(|| {
-            server.post_line(&line, "bench").unwrap();
-            let report = server.process_all().unwrap();
-            black_box(report)
-        });
-    });
-
-    let mut server = ProjectServer::new(edtc_blueprint())
-        .unwrap()
-        .with_ast_dispatch();
-    let hdl = server
-        .checkin("CPU", "HDL_model", "bench", b"m".to_vec())
-        .unwrap();
-    server.process_all().unwrap();
-    let line = format!("postEvent hdl_sim up {hdl} \"good\"");
-    c.bench_function("fig1/post_and_process_one_event_ast", |b| {
         b.iter(|| {
             server.post_line(&line, "bench").unwrap();
             let report = server.process_all().unwrap();

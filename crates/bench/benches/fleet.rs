@@ -30,6 +30,7 @@ use blueprint_core::engine::api::{Request, Response};
 use blueprint_core::engine::exec::NullExecutor;
 use blueprint_core::engine::fleet::{spawn_fleet, FleetConfig, FleetSession, ProjectRegistry};
 use blueprint_core::engine::service::{spawn_project_loop, ProjectService};
+use damocles_bench::{append_bench_json, bench_dir, config, smoke, target_enabled};
 use damocles_meta::{Direction, EventMessage, Oid};
 
 /// The tracked flow every tenant runs — the same shape the single-node
@@ -44,22 +45,6 @@ const TRACKED: &str = r#"
     view HDL_model endview
     endblueprint
 "#;
-
-fn bench_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("damocles-bench-fleet-{tag}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn smoke() -> bool {
-    std::env::var_os("BENCH_SMOKE").is_some()
-}
-
-/// `BENCH_FILTER` selects target families, as in the other bench files.
-fn target_enabled(name: &str) -> bool {
-    std::env::var("BENCH_FILTER").map_or(true, |f| f.is_empty() || name.contains(&f))
-}
 
 fn must_attach(session: &FleetSession, project: &str) {
     let resp = session.call(Request::Attach {
@@ -104,19 +89,6 @@ fn touch(session: &FleetSession, oid: &Oid) {
     assert!(matches!(resp, Response::Processed { .. }), "{resp:?}");
 }
 
-fn append_bench_json(line: &str) {
-    if let Some(path) = std::env::var_os("BENCH_JSON") {
-        use std::io::Write as _;
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            let _ = writeln!(f, "{line}");
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Routing overhead vs a dedicated ProjectHandle
 // ---------------------------------------------------------------------
@@ -129,7 +101,7 @@ fn bench_routing(c: &mut Criterion) {
 
     // Dedicated baseline: one journaled project behind its own command
     // loop, no router in the path.
-    let dir = bench_dir("routing-direct");
+    let dir = bench_dir("fleet-routing-direct");
     let mut service: ProjectService = ProjectService::new();
     assert!(!service
         .call(Request::Init {
@@ -150,7 +122,7 @@ fn bench_routing(c: &mut Criterion) {
 
     // The same project served through the fleet: router → worker inbox →
     // per-project settle → reply.
-    let root = bench_dir("routing-fleet");
+    let root = bench_dir("fleet-routing-fleet");
     let registry = ProjectRegistry::open(&root, TRACKED, FleetConfig::default()).unwrap();
     let (fleet, _fleet_join) = spawn_fleet::<NullExecutor>(registry);
     let session = fleet.session();
@@ -175,7 +147,7 @@ fn bench_activation(_c: &mut Criterion) {
         return;
     }
     let (seed_blocks, cycles) = if smoke() { (8, 40) } else { (64, 400) };
-    let root = bench_dir("activation");
+    let root = bench_dir("fleet-activation");
     let config = FleetConfig {
         engine_workers: 1,
         max_active: 1,
@@ -244,7 +216,7 @@ fn bench_throughput(c: &mut Criterion) {
     // evicts; the churn shape pays the LRU cycle on nearly every touch.
     let shapes: &[(&str, usize, usize)] = &[("resident_8_of_8", 8, 8), ("churn_100_of_8", 100, 8)];
     for &(series, tenants, max_active) in shapes {
-        let root = bench_dir(&format!("throughput-{series}"));
+        let root = bench_dir(&format!("fleet-throughput-{series}"));
         let config = FleetConfig {
             engine_workers: 4,
             max_active,
@@ -275,18 +247,6 @@ fn bench_throughput(c: &mut Criterion) {
         });
     }
     group.finish();
-}
-
-fn config() -> Criterion {
-    let (measure_ms, warm_ms, samples) = if smoke() {
-        (250, 80, 5)
-    } else {
-        (2_000, 400, 20)
-    };
-    Criterion::default()
-        .measurement_time(Duration::from_millis(measure_ms))
-        .warm_up_time(Duration::from_millis(warm_ms))
-        .sample_size(samples)
 }
 
 criterion_group! {

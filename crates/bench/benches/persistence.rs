@@ -23,6 +23,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
+use damocles_bench::{bench_dir, config};
 use damocles_meta::journal::{self, JournalWriter};
 use damocles_meta::{LinkClass, LinkKind, MetaDb, Oid, OidId, Value, Workspace};
 
@@ -62,16 +63,10 @@ fn build_db(oids: usize) -> (MetaDb, Vec<OidId>) {
     (db, ids)
 }
 
-fn bench_dir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("damocles-bench-persist");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 /// The seed durability path: full image + file write + fsync.
 fn bench_full_save(c: &mut Criterion) {
     let mut group = c.benchmark_group("persist/full_save");
-    let dir = bench_dir();
+    let dir = bench_dir("persist");
     for oids in sizes() {
         let (db, _) = build_db(oids);
         let path = dir.join(format!("full-{oids}.ddb"));
@@ -91,7 +86,7 @@ fn bench_full_save(c: &mut Criterion) {
 /// is mutated, drained and fsynced. Cost tracks the dirty set, not `oids`.
 fn bench_incremental_checkpoint(c: &mut Criterion) {
     let mut group = c.benchmark_group("persist/incremental_checkpoint");
-    let dir = bench_dir();
+    let dir = bench_dir("persist");
     for oids in sizes() {
         let (mut db, ids) = build_db(oids);
         db.attach_journal();
@@ -119,7 +114,7 @@ fn bench_incremental_checkpoint(c: &mut Criterion) {
 /// Raw buffered append throughput (no fsync): the per-op journal tax.
 fn bench_journal_append(c: &mut Criterion) {
     let mut group = c.benchmark_group("persist/journal_append");
-    let dir = bench_dir();
+    let dir = bench_dir("persist");
     for ops in [64usize, 512] {
         let (mut db, ids) = build_db(256);
         db.attach_journal();
@@ -171,19 +166,6 @@ fn bench_recover(c: &mut Criterion) {
         );
     }
     group.finish();
-}
-
-fn config() -> Criterion {
-    let smoke = std::env::var_os("BENCH_SMOKE").is_some();
-    let (measure_ms, warm_ms, samples) = if smoke {
-        (250, 80, 5)
-    } else {
-        (2_000, 400, 20)
-    };
-    Criterion::default()
-        .measurement_time(std::time::Duration::from_millis(measure_ms))
-        .warm_up_time(std::time::Duration::from_millis(warm_ms))
-        .sample_size(samples)
 }
 
 criterion_group! {

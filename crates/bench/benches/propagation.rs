@@ -31,12 +31,6 @@ fn bench_depth(c: &mut Criterion) {
             let mut server = populated_server(spec);
             b.iter(|| root_checkin(black_box(&mut server)));
         });
-        // The seed's AST-walking dispatch on the same design: the baseline
-        // the compiled path is measured against.
-        group.bench_with_input(BenchmarkId::new("strict_ast", stages), &spec, |b, spec| {
-            let mut server = populated_server(spec).with_ast_dispatch();
-            b.iter(|| root_checkin(black_box(&mut server)));
-        });
         group.bench_with_input(BenchmarkId::new("loosened", stages), &spec, |b, spec| {
             let mut server = loosened_server(spec);
             b.iter(|| root_checkin(black_box(&mut server)));
@@ -55,10 +49,6 @@ fn bench_fanout(c: &mut Criterion) {
         };
         group.bench_with_input(BenchmarkId::new("strict", fanout), &spec, |b, spec| {
             let mut server = populated_server(spec);
-            b.iter(|| root_checkin(black_box(&mut server)));
-        });
-        group.bench_with_input(BenchmarkId::new("strict_ast", fanout), &spec, |b, spec| {
-            let mut server = populated_server(spec).with_ast_dispatch();
             b.iter(|| root_checkin(black_box(&mut server)));
         });
     }

@@ -35,6 +35,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use blueprint_core::engine::api::{Request, Response};
 use blueprint_core::engine::server::ProjectServer;
 use blueprint_core::engine::service::{spawn_project_loop, ClientSession, ProjectService};
+use damocles_bench::{bench_dir, config};
 use damocles_meta::{persist, MetaDb, Workspace};
 
 /// Pipelined requests per measured iteration.
@@ -45,18 +46,11 @@ fn edtc_service() -> ProjectService {
     ProjectService::with_server(server)
 }
 
-fn bench_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("damocles-bench-throughput-{tag}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 /// An empty project image; `LoadProject`ing it resets database, journal
 /// and workspace, so every measured iteration sees the same steady
 /// state instead of an ever-growing database.
 fn empty_image_path() -> std::path::PathBuf {
-    let path = bench_dir("reset").join("empty.ddb");
+    let path = bench_dir("throughput-reset").join("empty.ddb");
     let image = persist::save_project(&MetaDb::new(), &Workspace::new("bench"));
     std::fs::write(&path, image).unwrap();
     path
@@ -66,7 +60,7 @@ fn empty_image_path() -> std::path::PathBuf {
 fn spawn(tag: &str, journaled: bool) -> ClientSession {
     let mut service = edtc_service();
     if journaled {
-        let dir = bench_dir(tag);
+        let dir = bench_dir(&format!("throughput-{tag}"));
         let resp = service.call(Request::EnableJournal {
             dir: dir.display().to_string(),
             // Never fold during a burst: measure append+fsync, not
@@ -136,19 +130,6 @@ fn bench_throughput(c: &mut Criterion) {
         });
     }
     group.finish();
-}
-
-fn config() -> Criterion {
-    let smoke = std::env::var_os("BENCH_SMOKE").is_some();
-    let (measure_ms, warm_ms, samples) = if smoke {
-        (250, 80, 5)
-    } else {
-        (2_000, 400, 20)
-    };
-    Criterion::default()
-        .measurement_time(std::time::Duration::from_millis(measure_ms))
-        .warm_up_time(std::time::Duration::from_millis(warm_ms))
-        .sample_size(samples)
 }
 
 criterion_group! {

@@ -69,6 +69,7 @@ use blueprint_core::engine::exec::{DetachedJob, ScriptExecutor, ToolCtx};
 use blueprint_core::engine::invoke::RetryPolicy;
 use blueprint_core::engine::server::ProjectServer;
 use blueprint_core::engine::service::{spawn_project_loop, ProjectService};
+use damocles_bench::{append_bench_json, config, smoke, target_enabled};
 use damocles_meta::{Direction, EventMessage, MetaError, Oid};
 use damocles_tools::tool::Tool;
 use damocles_tools::{FaultPlan, ToolExecutor};
@@ -192,14 +193,6 @@ fn bench_series(c: &mut Criterion, name: &str, exec_heavy: bool) {
     group.finish();
 }
 
-/// CI runs this bench once per PR summary file; `BENCH_FILTER` selects
-/// which target families run so each smoke file carries only its own
-/// series (`parallel_waves` for the sharding series, `exec_async` for
-/// the async-executor series). Unset = everything.
-fn target_enabled(name: &str) -> bool {
-    std::env::var("BENCH_FILTER").map_or(true, |f| f.is_empty() || name.contains(&f))
-}
-
 fn bench_parallel_waves(c: &mut Criterion) {
     if !target_enabled("parallel_waves") {
         return;
@@ -253,8 +246,7 @@ fn bench_phase_split(_c: &mut Criterion) {
     if !target_enabled("parallel_waves") {
         return;
     }
-    let smoke = std::env::var_os("BENCH_SMOKE").is_some();
-    let iters = if smoke { 3 } else { 20 };
+    let iters = if smoke() { 3 } else { 20 };
     for &workers in &[2usize, 4] {
         let (mut server, roots) = populated(workers, false);
         let (w0, a0) = server.wave_phase_ns();
@@ -442,21 +434,6 @@ fn bench_trace_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// Appends one result line to the `BENCH_JSON` file, matching the format
-/// the criterion harness emits.
-fn append_bench_json(line: &str) {
-    if let Some(path) = std::env::var_os("BENCH_JSON") {
-        use std::io::Write as _;
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            let _ = writeln!(f, "{line}");
-        }
-    }
-}
-
 /// The acceptance number behind "a retrying tool never wedges the command
 /// loop": run the `exec`-heavy storm through the session command loop
 /// with a rate-0.1 fault plan (detached checker, retries on backoff), and
@@ -468,8 +445,7 @@ fn bench_fault_latency(_c: &mut Criterion) {
     if !target_enabled("exec_async") {
         return;
     }
-    let smoke = std::env::var_os("BENCH_SMOKE").is_some();
-    let (rounds, probes_per_round) = if smoke { (2, 40) } else { (8, 250) };
+    let (rounds, probes_per_round) = if smoke() { (2, 40) } else { (8, 250) };
 
     let (server, roots) = populated_exec(checker_executor(FaultPlan::new(6, 0.1), true));
     let service = ProjectService::with_server(server);
@@ -540,19 +516,6 @@ fn bench_fault_latency(_c: &mut Criterion) {
         latencies.len(),
         cores
     ));
-}
-
-fn config() -> Criterion {
-    let smoke = std::env::var_os("BENCH_SMOKE").is_some();
-    let (measure_ms, warm_ms, samples) = if smoke {
-        (250, 80, 5)
-    } else {
-        (2_000, 400, 20)
-    };
-    Criterion::default()
-        .measurement_time(std::time::Duration::from_millis(measure_ms))
-        .warm_up_time(std::time::Duration::from_millis(warm_ms))
-        .sample_size(samples)
 }
 
 criterion_group! {

@@ -6,8 +6,9 @@
 //! drains a single queue carrying **both** kinds of input — decoded
 //! [`TailFrame`]s from the leader connection and client [`Envelope`]s
 //! from the follower's own front door — so tail application and read
-//! serving are serialized without locks, exactly like the leader's
-//! command loop:
+//! serving are serialized without locks. It runs the leader's own loop
+//! body ([`run_command_loop`] is the other user): the same batches, and
+//! from promotion on the same group-commit windows. Per message:
 //!
 //! * [`TailFrame::Reset`] → adopt the snapshot wholesale
 //!   ([`ProjectServer::adopt_replica_image`]), rebuild the link-tag map
@@ -24,11 +25,12 @@
 //!   before the first bootstrap with [`ApiError::Lagging`].
 //!
 //! The loop is transport-agnostic: frames arrive through the same
-//! channel whether a test hand-feeds them or the `damocles_server
-//! --follow` runtime pumps them from a `RemoteWrapper` tail stream. A
-//! lost leader connection degrades the follower to stale reads (loudly,
-//! via [`FollowerStatus`]); the pump reconnects and resumes from the
-//! cursor, and a divergent or garbled stream simply re-bootstraps.
+//! channel whether a test hand-feeds them or the tail pump
+//! (`damocles_tools::remote::spawn_tail_pump`, what `damocles_server
+//! --follow` runs) reads them off a TCP tail stream. A lost leader
+//! connection degrades the follower to stale reads (loudly, via
+//! [`FollowerStatus`]); the pump reconnects and resumes from the cursor,
+//! and a divergent or garbled stream simply re-bootstraps.
 //!
 //! # Terms, fencing and promotion
 //!
@@ -46,20 +48,21 @@
 //! above `cursor.epoch`, so the new reign never reuses a coordinate the
 //! old one published) under a term that must strictly exceed every term
 //! the stream has shown. From then on the loop serves the **full** request
-//! surface through its service — mutations journal locally, the hub
-//! republishes under the bumped term (re-parenting any subtree tailing
-//! this node), and frames still arriving from the old leader are refused
-//! as stale.
+//! surface through its service, exactly as a leader loop does —
+//! mutations group-commit to the local journal, detached tool runs are
+//! pumped, the hub republishes under the bumped term (re-parenting any
+//! subtree tailing this node), and frames still arriving from the old
+//! leader are refused as stale.
 //!
 //! [`TailHub`]: crate::engine::tail::TailHub
 //! [`Request::Promote`]: crate::engine::api::Request::Promote
 //!
 //! [`ProjectServer`]: crate::engine::server::ProjectServer
+//! [`run_command_loop`]: crate::engine::service::run_command_loop
 //! [`ProjectServer::adopt_replica_image`]: crate::engine::server::ProjectServer::adopt_replica_image
 //! [`ProjectServer::apply_replica_op`]: crate::engine::server::ProjectServer::apply_replica_op
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -67,9 +70,11 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use damocles_meta::journal;
 use damocles_meta::LinkId;
 
-use crate::engine::api::{ApiError, NodeRole, Request, Response, SessionId};
+use crate::engine::api::{ApiError, NodeRole, Request, Response};
 use crate::engine::exec::ScriptExecutor;
-use crate::engine::service::{loop_gone, Envelope, ProjectService, RequestSink};
+use crate::engine::service::{
+    run_batches, spawn_loop, ClientSession, Envelope, ProjectHandle, ProjectService,
+};
 use crate::engine::tail::TailFrame;
 
 /// One input to the follower loop: a stream element from the leader or a
@@ -89,6 +94,12 @@ pub enum FollowerMsg {
     /// Test/ops introspection: reply with the replica's full project
     /// image ([`crate::engine::server::ProjectServer::project_image`]).
     Inspect(Sender<String>),
+}
+
+impl From<Envelope> for FollowerMsg {
+    fn from(envelope: Envelope) -> Self {
+        FollowerMsg::Client(envelope)
+    }
 }
 
 /// Shared, observable replication state: the applied cursor, whether the
@@ -216,25 +227,21 @@ impl FollowerStatus {
 /// feeds the tail pump, and exposes replication status.
 #[derive(Debug, Clone)]
 pub struct FollowerHandle {
-    tx: Sender<FollowerMsg>,
-    next_session: Arc<AtomicU64>,
+    handle: ProjectHandle<FollowerMsg>,
     status: Arc<FollowerStatus>,
 }
 
 impl FollowerHandle {
-    /// Opens a new tagged client session (read-only surface).
-    pub fn session(&self) -> FollowerSession {
-        FollowerSession {
-            id: SessionId(self.next_session.fetch_add(1, Ordering::Relaxed)),
-            tx: self.tx.clone(),
-        }
+    /// Opens a new tagged client session (read-only until promotion).
+    pub fn session(&self) -> ClientSession<FollowerMsg> {
+        self.handle.session()
     }
 
     /// The input side for a tail pump: send [`FollowerMsg::Frame`] /
     /// [`FollowerMsg::LeaderGone`] as the leader connection produces
     /// them.
     pub fn feed(&self) -> Sender<FollowerMsg> {
-        self.tx.clone()
+        self.handle.tx.clone()
     }
 
     /// The shared replication status.
@@ -247,40 +254,8 @@ impl FollowerHandle {
     /// the leader. `None` when the loop is gone.
     pub fn image(&self) -> Option<String> {
         let (tx, rx) = unbounded();
-        self.tx.send(FollowerMsg::Inspect(tx)).ok()?;
+        self.handle.tx.send(FollowerMsg::Inspect(tx)).ok()?;
         rx.recv()
-    }
-}
-
-/// One client session at the follower loop — the follower-side
-/// counterpart of [`ClientSession`](crate::engine::service::ClientSession).
-#[derive(Debug, Clone)]
-pub struct FollowerSession {
-    id: SessionId,
-    tx: Sender<FollowerMsg>,
-}
-
-impl FollowerSession {
-    /// Submits a request and waits for its response.
-    pub fn call(&self, request: Request) -> Response {
-        self.submit(request)
-            .recv()
-            .unwrap_or_else(|| Response::Error(loop_gone()))
-    }
-}
-
-impl RequestSink for FollowerSession {
-    fn id(&self) -> SessionId {
-        self.id
-    }
-
-    fn submit(&self, request: Request) -> Receiver<Response> {
-        let (reply, rx) = unbounded();
-        let envelope = Envelope::new(self.id, request, reply.clone());
-        if self.tx.send(FollowerMsg::Client(envelope)).is_err() {
-            let _ = reply.send(Response::Error(loop_gone()));
-        }
-        rx
     }
 }
 
@@ -295,27 +270,26 @@ pub fn spawn_follower_loop<E>(
 where
     E: ScriptExecutor + Default + Send + 'static,
 {
-    let (tx, rx) = unbounded();
     let leader = leader.into();
     let status = Arc::new(FollowerStatus::default());
     let loop_status = Arc::clone(&status);
-    let join = std::thread::spawn(move || run_follower_loop(service, &rx, &leader, &loop_status));
-    (
-        FollowerHandle {
-            tx,
-            next_session: Arc::new(AtomicU64::new(1)),
-            status,
-        },
-        join,
-    )
+    let (handle, join) = spawn_loop(service, move |service, rx| {
+        run_follower_loop(service, rx, &leader, &loop_status);
+    });
+    (FollowerHandle { handle, status }, join)
 }
 
-/// The follower loop body: apply frames, answer reads, reject writes —
-/// until a `Promote` turns it into a leader loop. Exposed for callers
-/// that want the loop on a thread they own.
+/// The follower loop: apply frames, answer reads, reject writes — until a
+/// `Promote` turns it into a leader loop. It runs the dedicated loop's
+/// body: the promotion and every request after it execute in
+/// group-commit windows whose replies go out at the batch's settle, as
+/// on a leader; a replica's own replies go out at once. It returns once
+/// every sender is gone, after a final flush, with every tail
+/// subscription ended. Exposed for callers that want the loop on a
+/// thread they own.
 #[allow(clippy::too_many_lines)]
 pub fn run_follower_loop<E>(
-    mut service: ProjectService<E>,
+    service: ProjectService<E>,
     rx: &Receiver<FollowerMsg>,
     leader: &str,
     status: &FollowerStatus,
@@ -351,175 +325,161 @@ pub fn run_follower_loop<E>(
         }
         false
     };
-    while let Some(msg) = rx.recv() {
-        match msg {
-            FollowerMsg::Frame(TailFrame::Reset { epoch, term, image }) => {
-                if stale(term, seen_term, promoted, status) {
-                    continue;
-                }
-                let adopted = service
-                    .server_mut()
-                    .ok_or_else(|| "no blueprint loaded".to_string())
-                    .and_then(|srv| srv.adopt_replica_image(&image).map_err(|e| e.to_string()));
-                match adopted {
-                    Ok(_) => {
-                        let srv = service.server_mut().expect("adopted above");
-                        tags = srv.replica_link_tags();
-                        bootstrapped = true;
-                        cursor = (epoch, 0);
-                        seen_term = term;
-                        // Re-publish the bootstrap for our own subtree.
-                        hub.publish_enable(epoch, term, image);
-                        status.set(|st| {
-                            st.epoch = epoch;
-                            st.seq = 0;
-                            st.bootstrapped = true;
-                            st.leader_up = true;
-                            st.needs_reset = false;
-                            st.term = term;
-                        });
-                    }
-                    Err(reason) => {
-                        eprintln!("follower: snapshot bootstrap failed: {reason}");
-                        bootstrapped = false;
-                        // Our subtree must not trust a diverged image.
-                        hub.publish_disable();
-                        status.set(|st| {
-                            st.bootstrapped = false;
-                            st.needs_reset = true;
-                        });
-                    }
-                }
+    run_batches(service, rx, |service, window, msg| match msg {
+        FollowerMsg::Frame(TailFrame::Reset { epoch, term, image }) => {
+            if stale(term, seen_term, promoted, status) {
+                return;
             }
-            FollowerMsg::Frame(TailFrame::Epoch { epoch, term }) => {
-                if stale(term, seen_term, promoted, status) {
-                    continue;
-                }
-                if bootstrapped && term == seen_term {
-                    // The stream guarantees every record of the folded
-                    // epoch preceded this marker, so our image equals the
-                    // new snapshot; mirror the leader's re-tagging and
-                    // checkpoint our own stream (seamless: everything we
-                    // folded was republished first).
-                    let srv = service.server_mut().expect("bootstrapped");
+            let adopted = service
+                .server_mut()
+                .ok_or_else(|| "no blueprint loaded".to_string())
+                .and_then(|srv| srv.adopt_replica_image(&image).map_err(|e| e.to_string()));
+            match adopted {
+                Ok(_) => {
+                    let srv = service.server_mut().expect("adopted above");
                     tags = srv.replica_link_tags();
-                    let image = srv.project_image();
+                    bootstrapped = true;
                     cursor = (epoch, 0);
-                    hub.publish_checkpoint(epoch, term, image, true);
+                    seen_term = term;
+                    // Re-publish the bootstrap for our own subtree.
+                    hub.publish_enable(epoch, term, image);
                     status.set(|st| {
                         st.epoch = epoch;
                         st.seq = 0;
+                        st.bootstrapped = true;
+                        st.leader_up = true;
+                        st.needs_reset = false;
+                        st.term = term;
+                    });
+                }
+                Err(reason) => {
+                    eprintln!("follower: snapshot bootstrap failed: {reason}");
+                    bootstrapped = false;
+                    // Our subtree must not trust a diverged image.
+                    hub.publish_disable();
+                    status.set(|st| {
+                        st.bootstrapped = false;
+                        st.needs_reset = true;
+                    });
+                }
+            }
+        }
+        FollowerMsg::Frame(TailFrame::Epoch { epoch, term }) => {
+            if stale(term, seen_term, promoted, status) {
+                return;
+            }
+            if bootstrapped && term == seen_term {
+                // The stream guarantees every record of the folded
+                // epoch preceded this marker, so our image equals the
+                // new snapshot; mirror the leader's re-tagging and
+                // checkpoint our own stream (seamless: everything we
+                // folded was republished first).
+                let srv = service.server_mut().expect("bootstrapped");
+                tags = srv.replica_link_tags();
+                let image = srv.project_image();
+                cursor = (epoch, 0);
+                hub.publish_checkpoint(epoch, term, image, true);
+                status.set(|st| {
+                    st.epoch = epoch;
+                    st.seq = 0;
+                    st.leader_up = true;
+                });
+            }
+            // A marker from a NEWER term than the stream bootstrapped
+            // us into cannot be trusted as seamless — wait for the
+            // reset the new reign must send.
+        }
+        FollowerMsg::Frame(TailFrame::Record { epoch, term, line }) => {
+            if stale(term, seen_term, promoted, status) {
+                return;
+            }
+            if !bootstrapped || epoch != cursor.0 || term != seen_term {
+                // A frame from before a reset raced in, or a newer
+                // reign's record arrived without its bootstrap; the
+                // stream will re-bootstrap us.
+                return;
+            }
+            let applied = journal::decode_record(&line, cursor.1).and_then(|op| {
+                service
+                    .server_mut()
+                    .ok_or_else(|| "no blueprint loaded".to_string())
+                    .and_then(|srv| {
+                        srv.apply_replica_op(&op, &mut tags)
+                            .map_err(|e| e.to_string())
+                    })
+            });
+            match applied {
+                Ok(()) => {
+                    cursor.1 += 1;
+                    hub.publish_line(&line);
+                    status.set(|st| {
+                        st.seq = cursor.1;
                         st.leader_up = true;
                     });
                 }
-                // A marker from a NEWER term than the stream bootstrapped
-                // us into cannot be trusted as seamless — wait for the
-                // reset the new reign must send.
-            }
-            FollowerMsg::Frame(TailFrame::Record { epoch, term, line }) => {
-                if stale(term, seen_term, promoted, status) {
-                    continue;
-                }
-                if !bootstrapped || epoch != cursor.0 || term != seen_term {
-                    // A frame from before a reset raced in, or a newer
-                    // reign's record arrived without its bootstrap; the
-                    // stream will re-bootstrap us.
-                    continue;
-                }
-                let applied = journal::decode_record(&line, cursor.1).and_then(|op| {
-                    service
-                        .server_mut()
-                        .ok_or_else(|| "no blueprint loaded".to_string())
-                        .and_then(|srv| {
-                            srv.apply_replica_op(&op, &mut tags)
-                                .map_err(|e| e.to_string())
-                        })
-                });
-                match applied {
-                    Ok(()) => {
-                        cursor.1 += 1;
-                        hub.publish_line(&line);
-                        status.set(|st| {
-                            st.seq = cursor.1;
-                            st.leader_up = true;
-                        });
-                    }
-                    Err(reason) => {
-                        // Divergence (or a garbled stream): this image
-                        // cannot be repaired incrementally. Flag the
-                        // status so the pump drops its connection and
-                        // re-handshakes with the unservable sentinel
-                        // cursor, which the leader answers with a full
-                        // snapshot reset.
-                        eprintln!("follower: record {}/{} failed: {reason}", epoch, cursor.1);
-                        bootstrapped = false;
-                        hub.publish_disable();
-                        status.set(|st| {
-                            st.bootstrapped = false;
-                            st.needs_reset = true;
-                        });
-                    }
+                Err(reason) => {
+                    // Divergence (or a garbled stream): this image
+                    // cannot be repaired incrementally. Flag the
+                    // status so the pump drops its connection and
+                    // re-handshakes with the unservable sentinel
+                    // cursor, which the leader answers with a full
+                    // snapshot reset.
+                    eprintln!("follower: record {}/{} failed: {reason}", epoch, cursor.1);
+                    bootstrapped = false;
+                    hub.publish_disable();
+                    status.set(|st| {
+                        st.bootstrapped = false;
+                        st.needs_reset = true;
+                    });
                 }
             }
-            FollowerMsg::Frame(TailFrame::Ping) => {
-                if !promoted {
-                    status.set(|st| st.leader_up = true);
-                }
+        }
+        FollowerMsg::Frame(TailFrame::Ping) => {
+            if !promoted {
+                status.set(|st| st.leader_up = true);
             }
-            FollowerMsg::LeaderGone { reason } => {
-                if !promoted {
-                    eprintln!("follower: leader connection lost ({reason}); serving stale reads");
-                    status.set(|st| st.leader_up = false);
-                }
+        }
+        FollowerMsg::LeaderGone { reason } => {
+            if !promoted {
+                eprintln!("follower: leader connection lost ({reason}); serving stale reads");
+                status.set(|st| st.leader_up = false);
             }
-            FollowerMsg::Inspect(reply) => {
-                let image = service
-                    .server()
-                    .map(|srv| srv.project_image())
-                    .unwrap_or_default();
-                let _ = reply.send(image);
+        }
+        FollowerMsg::Inspect(reply) => {
+            let image = service
+                .server()
+                .map(|srv| srv.project_image())
+                .unwrap_or_default();
+            let _ = reply.send(image);
+        }
+        FollowerMsg::Client(envelope) => {
+            let (_, request, reply) = envelope.into_parts();
+            if !promoted && !matches!(request, Request::Promote { .. }) {
+                // A replica journals nothing, so no settle can change the
+                // reply: it goes out at once.
+                let response =
+                    follower_call(service, request, leader, bootstrapped, cursor, seen_term);
+                let _ = reply.send(response);
+                return;
             }
-            FollowerMsg::Client(envelope) => {
+            window.execute(service, request, reply, |service, request| {
                 if promoted {
                     // Full leader surface: the loop owns the service, so
                     // requests route straight through it (mutations
-                    // journal locally and republish via the hub).
-                    envelope.respond_with(|request| service.call(request));
-                    continue;
+                    // group-commit locally and republish via the hub).
+                    return Ok(service.call(request));
                 }
-                if let Request::Promote { .. } = &envelope.request {
-                    let (resp, now_leading) = promote(
-                        &mut service,
-                        &envelope.request,
-                        bootstrapped,
-                        cursor,
-                        seen_term,
-                        status,
-                    );
-                    if let Some((epoch, term)) = now_leading {
-                        promoted = true;
-                        seen_term = term;
-                        cursor = (epoch, 0);
-                    }
-                    envelope.respond(resp);
-                    continue;
+                let (resp, now_leading) =
+                    promote(service, &request, bootstrapped, cursor, seen_term, status);
+                if let Some((epoch, term)) = now_leading {
+                    promoted = true;
+                    seen_term = term;
+                    cursor = (epoch, 0);
                 }
-                // respond_with moves the request out of the envelope —
-                // no clone of (possibly payload-heavy) requests just to
-                // bounce them.
-                envelope.respond_with(|request| {
-                    follower_call(
-                        &mut service,
-                        request,
-                        leader,
-                        bootstrapped,
-                        cursor,
-                        seen_term,
-                    )
-                });
-            }
+                Ok(resp)
+            });
         }
-    }
+    });
 }
 
 /// Executes a [`Request::Promote`] against a (not yet promoted) follower
@@ -1045,5 +1005,76 @@ mod tests {
         assert_eq!(status.cursor(), (5, 0), "the stale record did not apply");
         drop((feed, handle));
         join.join().unwrap();
+    }
+
+    /// A promoted follower group-commits like a leader. One queued batch
+    /// bootstraps, promotes, checks in and asks for `stat`: the `stat`
+    /// runs in the check-in's window, before that window's flush, so it
+    /// still reports the promotion's record count (none). The promoted
+    /// directory then recovers to the image the follower served.
+    #[test]
+    fn promoted_follower_group_commits_its_windows() {
+        let dir = std::env::temp_dir().join("damocles-follower-group-commit");
+        let _ = std::fs::remove_dir_all(&dir);
+        let (tx, rx) = unbounded();
+        let client = |request| {
+            let (reply, reply_rx) = unbounded();
+            let session = crate::engine::api::SessionId(1);
+            tx.send(FollowerMsg::Client(Envelope::new(session, request, reply)))
+                .unwrap();
+            reply_rx
+        };
+        tx.send(FollowerMsg::Frame(TailFrame::Reset {
+            epoch: 3,
+            term: 1,
+            image: ProjectServer::from_source(SIMPLE).unwrap().project_image(),
+        }))
+        .unwrap();
+        let promoted = client(Request::Promote {
+            dir: dir.display().to_string(),
+            every: 1_000_000,
+            term: 2,
+        });
+        let created = client(Request::Checkin {
+            block: "cpu".into(),
+            view: "HDL_model".into(),
+            user: "amy".into(),
+            payload: vec![7],
+        });
+        let stat = client(Request::Stat);
+        let (image_tx, image_rx) = unbounded();
+        tx.send(FollowerMsg::Inspect(image_tx)).unwrap();
+        drop(tx);
+        let status = FollowerStatus::default();
+        let service: ProjectService =
+            ProjectService::with_server(ProjectServer::from_source(SIMPLE).unwrap());
+        run_follower_loop(service, &rx, "leader:4", &status);
+
+        assert_eq!(
+            promoted.recv().unwrap(),
+            Response::Promoted { epoch: 4, term: 2 }
+        );
+        assert!(status.promoted());
+        assert!(matches!(created.recv().unwrap(), Response::Created { .. }));
+        match stat.recv().unwrap() {
+            Response::Stat { stat } => assert_eq!(
+                stat.journal_records,
+                Some(0),
+                "the check-in was flushed before the window settled"
+            ),
+            other => panic!("{other:?}"),
+        }
+        let served = image_rx.recv().unwrap();
+        let mut recovered: ProjectService = ProjectService::new();
+        recovered.call(Request::Init {
+            source: SIMPLE.into(),
+        });
+        let resp = recovered.call(Request::Recover {
+            dir: dir.display().to_string(),
+            every: 1_000_000,
+        });
+        assert!(matches!(resp, Response::Recovered { .. }), "{resp:?}");
+        assert_eq!(recovered.server().unwrap().project_image(), served);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -256,10 +256,6 @@ pub struct ProjectServer<E = NullExecutor> {
     executor: E,
     /// Reusable inbox-drain buffer (see `EventQueue::drain_inbox_into`).
     inbox_buf: Vec<Posted>,
-    /// When true, events run through the seed's AST-walking engine path
-    /// instead of the compiled dispatch tables — kept for differential
-    /// testing and as the benches' baseline.
-    ast_dispatch: bool,
     /// Journal + checkpoint state (see [`ProjectServer::enable_journal`]).
     durability: Option<Durability>,
     /// The leadership term this server last journaled (or adopted a
@@ -370,7 +366,6 @@ impl<E: ScriptExecutor> ProjectServer<E> {
             seen_invoke_faults: (0, 0),
             executor,
             inbox_buf: Vec::new(),
-            ast_dispatch: false,
             durability: None,
             term: 1,
             fenced_by: None,
@@ -1113,20 +1108,6 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         self
     }
 
-    /// Routes events through the seed's AST-walking engine path instead of
-    /// the compiled dispatch tables (builder style) — the baseline side of
-    /// the differential tests and the `propagation`/`fig1_event_queue`
-    /// benches.
-    pub fn with_ast_dispatch(mut self) -> Self {
-        self.ast_dispatch = true;
-        self
-    }
-
-    /// Whether the AST-walking dispatch path is in force.
-    pub fn uses_ast_dispatch(&self) -> bool {
-        self.ast_dispatch
-    }
-
     /// Sets the wave worker count for [`ProjectServer::process_all`]
     /// (clamped to at least 1). With `n > 1` each drained batch of queued
     /// events executes as link-connected shards across `n` worker
@@ -1512,7 +1493,7 @@ impl<E: ScriptExecutor> ProjectServer<E> {
             drained?;
             // The sharded path takes the whole queued batch at once;
             // feedback events (wrapper posts) arrive for the next round.
-            if self.wave_workers > 1 && !self.ast_dispatch && !self.queue.is_empty() {
+            if self.wave_workers > 1 && !self.queue.is_empty() {
                 self.process_batch(report)?;
                 continue;
             }
@@ -1525,18 +1506,13 @@ impl<E: ScriptExecutor> ProjectServer<E> {
                 });
             }
             let seq = ev.seq;
-            let outcome = if self.ast_dispatch {
-                self.engine
-                    .process(&self.blueprint, &mut self.db, &mut self.audit, ev)?
-            } else {
-                self.engine.process_compiled_traced(
-                    &self.compiled,
-                    &mut self.db,
-                    &mut self.audit,
-                    &mut self.trace,
-                    ev,
-                )?
-            };
+            let outcome = self.engine.process_compiled_traced(
+                &self.compiled,
+                &mut self.db,
+                &mut self.audit,
+                &mut self.trace,
+                ev,
+            )?;
             report.absorb(ProcessReport {
                 events: 1,
                 deliveries: outcome.delivered,

@@ -18,7 +18,10 @@
 //!   adaptive: a batch is the backlog queued when it forms (at most
 //!   [`MAX_GROUP_COMMIT_WINDOW`]), so an idle client pays one fsync per
 //!   request and a burst shares one fsync. `CommitWindow` holds the
-//!   rule that settles a window's replies; the fleet worker
+//!   rule that settles a window's replies. One loop body runs it for
+//!   this loop and for the replication follower
+//!   ([`crate::engine::follower`]), whose handle and sessions are these
+//!   same types over the follower's inbox message; the fleet worker
 //!   ([`crate::engine::fleet`]) runs the same batches and windows, one
 //!   window per resident project.
 //! * [`serve_listener`] — a minimal line-framed TCP front door: one
@@ -637,40 +640,43 @@ impl Envelope {
         }
     }
 
-    /// Consumes the envelope, sending its reply — for loop
-    /// implementations outside this module (the follower's read-only
-    /// loop). A gone client is not an error.
+    /// Consumes the envelope, sending its reply — for routers that answer
+    /// without forwarding (the fleet). A gone client is not an error.
     pub fn respond(self, response: Response) {
         let _ = self.reply.send(response);
     }
 
-    /// Consumes the envelope, computing the reply from the **moved**
-    /// request — so outside loops never clone a payload-heavy request
-    /// just to answer it.
-    pub fn respond_with(self, f: impl FnOnce(Request) -> Response) {
-        let Envelope { request, reply, .. } = self;
-        let _ = reply.send(f(request));
-    }
-
-    /// Splits the envelope into its parts — for routers (the fleet) that
-    /// re-wrap the request before forwarding it to the serving loop.
+    /// Splits the envelope into its parts — for loops outside this module
+    /// (the fleet, the follower) that run the request in a window.
     pub fn into_parts(self) -> (SessionId, Request, Sender<Response>) {
         (self.session, self.request, self.reply)
     }
 }
 
 /// A cloneable handle to a running command loop; every client surface
-/// (shell adapter, TCP connection, test) opens sessions through it.
-#[derive(Debug, Clone)]
-pub struct ProjectHandle {
-    tx: Sender<Envelope>,
+/// (shell adapter, TCP connection, test) opens sessions through it. `M`
+/// is the loop's inbox message: [`Envelope`] for the dedicated loop,
+/// [`FollowerMsg`](crate::engine::follower::FollowerMsg) for a follower.
+#[derive(Debug)]
+pub struct ProjectHandle<M = Envelope> {
+    pub(crate) tx: Sender<M>,
     next_session: Arc<AtomicU64>,
     tail: Arc<TailHub>,
 }
 
-impl ProjectHandle {
+impl<M> Clone for ProjectHandle<M> {
+    fn clone(&self) -> Self {
+        ProjectHandle {
+            tx: self.tx.clone(),
+            next_session: Arc::clone(&self.next_session),
+            tail: Arc::clone(&self.tail),
+        }
+    }
+}
+
+impl<M: From<Envelope>> ProjectHandle<M> {
     /// Opens a new tagged session.
-    pub fn session(&self) -> ClientSession {
+    pub fn session(&self) -> ClientSession<M> {
         ClientSession {
             id: SessionId(self.next_session.fetch_add(1, Ordering::Relaxed)),
             tx: self.tx.clone(),
@@ -684,15 +690,25 @@ impl ProjectHandle {
     }
 }
 
-/// One client session at the command loop. Requests from all sessions are
+/// One client session at a command loop. Requests from all sessions are
 /// serialized in arrival order; each session's own requests stay ordered.
-#[derive(Debug, Clone)]
-pub struct ClientSession {
+/// `M` is the loop's inbox message, as for [`ProjectHandle`].
+#[derive(Debug)]
+pub struct ClientSession<M = Envelope> {
     id: SessionId,
-    tx: Sender<Envelope>,
+    tx: Sender<M>,
 }
 
-impl ClientSession {
+impl<M> Clone for ClientSession<M> {
+    fn clone(&self) -> Self {
+        ClientSession {
+            id: self.id,
+            tx: self.tx.clone(),
+        }
+    }
+}
+
+impl<M: From<Envelope>> ClientSession<M> {
     /// This session's id.
     pub fn id(&self) -> SessionId {
         self.id
@@ -706,11 +722,11 @@ impl ClientSession {
         let (reply, rx) = unbounded();
         let gone = self
             .tx
-            .send(Envelope {
+            .send(M::from(Envelope {
                 session: self.id,
                 request,
                 reply: reply.clone(),
-            })
+            }))
             .is_err();
         if gone {
             let _ = reply.send(Response::Error(loop_gone()));
@@ -887,9 +903,22 @@ pub fn spawn_project_loop<E>(
 where
     E: ScriptExecutor + Default + Send + 'static,
 {
+    spawn_loop(service, run_command_loop)
+}
+
+/// Runs `run` over `service` and a fresh inbox on a thread of its own;
+/// the returned handle feeds that inbox.
+pub(crate) fn spawn_loop<E, M>(
+    service: ProjectService<E>,
+    run: impl FnOnce(ProjectService<E>, &Receiver<M>) + Send + 'static,
+) -> (ProjectHandle<M>, std::thread::JoinHandle<()>)
+where
+    E: ScriptExecutor + Default + Send + 'static,
+    M: Send + 'static,
+{
     let (tx, rx) = unbounded();
     let tail = service.tail_hub();
-    let join = std::thread::spawn(move || run_command_loop(service, &rx));
+    let join = std::thread::spawn(move || run(service, &rx));
     (
         ProjectHandle {
             tx,
@@ -906,8 +935,28 @@ where
 /// module docs); it executes in one group-commit window that settles
 /// before any reply is sent. Returns once every sender is gone, after a
 /// final flush, with every tail subscription ended.
-pub fn run_command_loop<E>(mut service: ProjectService<E>, rx: &Receiver<Envelope>)
+pub fn run_command_loop<E>(service: ProjectService<E>, rx: &Receiver<Envelope>)
 where
+    E: ScriptExecutor + Default,
+{
+    run_batches(service, rx, |service, window, env: Envelope| {
+        window.execute(service, env.request, env.reply, |service, request| {
+            Ok(service.call(request))
+        });
+    });
+}
+
+/// The loop body the dedicated loop and the follower loop
+/// ([`crate::engine::follower::run_follower_loop`]) share: open the
+/// window, form batches (an empty one is the idle tool-run pump tick),
+/// hand every message to `handle`, which runs client requests in the
+/// window, settle after each batch, and on exit flush and end every tail
+/// subscription.
+pub(crate) fn run_batches<E, M>(
+    mut service: ProjectService<E>,
+    rx: &Receiver<M>,
+    mut handle: impl FnMut(&mut ProjectService<E>, &mut CommitWindow, M),
+) where
     E: ScriptExecutor + Default,
 {
     let mut window = CommitWindow::open(&mut service);
@@ -917,10 +966,8 @@ where
             // journals them).
             let _ = service.call(Request::PumpInvocations);
         }
-        for Envelope { request, reply, .. } in batch {
-            window.execute(&mut service, request, reply, |service, request| {
-                Ok(service.call(request))
-            });
+        for msg in batch {
+            handle(&mut service, &mut window, msg);
         }
         window.settle(&mut service);
     }
@@ -932,10 +979,9 @@ where
 // The line-framed TCP front door
 // ---------------------------------------------------------------------
 
-/// Anything a network connection can submit decoded requests to: the
-/// leader's [`ClientSession`] and the follower's
-/// [`FollowerSession`](crate::engine::follower::FollowerSession) both
-/// implement it, so [`serve_with`] front-doors either node kind.
+/// Anything a network connection can submit decoded requests to: a
+/// [`ClientSession`] of the dedicated or the follower loop, or a fleet
+/// session, so [`serve_with`] front-doors every node kind.
 pub trait RequestSink: Send + 'static {
     /// The session tag requests are submitted under.
     fn id(&self) -> SessionId;
@@ -943,7 +989,7 @@ pub trait RequestSink: Send + 'static {
     fn submit(&self, request: Request) -> Receiver<Response>;
 }
 
-impl RequestSink for ClientSession {
+impl<M: From<Envelope> + Send + 'static> RequestSink for ClientSession<M> {
     fn id(&self) -> SessionId {
         ClientSession::id(self)
     }

@@ -8,7 +8,9 @@
 //! result event, trigger a drain, query state — without linking the
 //! engine into the tool process, exactly the paper's process split. It
 //! is also the follower runtime's transport: [`RemoteWrapper::tail_from`]
-//! turns one connection into a live journal-tail stream.
+//! turns one connection into a live journal-tail stream, and
+//! [`spawn_tail_pump`] keeps a follower loop fed from one across leader
+//! loss.
 //!
 //! A bare [`RemoteWrapper`] dies with its socket. [`LeaderClient`] wraps
 //! it into a **leader-chasing** session for HA deployments (`DESIGN.md`
@@ -20,10 +22,14 @@
 
 use std::io::{self, BufRead, BufReader, Write as _};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use blueprint_core::engine::api::{ApiError, Request, Response};
+use blueprint_core::engine::follower::{FollowerMsg, FollowerStatus};
 use blueprint_core::engine::tail::TailFrame;
+use crossbeam::channel::Sender;
 use damocles_meta::EventMessage;
 
 /// Renders the protocol line a wrapper sends to post `message` as `user` —
@@ -361,6 +367,84 @@ impl TailStream {
     }
 }
 
+/// The tail pump's first retry delay; it doubles per failed round.
+const PUMP_RETRY_FIRST: Duration = Duration::from_millis(25);
+/// The tail pump's longest retry delay.
+const PUMP_RETRY_CAP: Duration = Duration::from_secs(1);
+
+/// Keeps a follower loop fed from `upstream`'s journal tail, on a thread
+/// of its own — the reconnecting pump `damocles_server --follow` runs.
+/// `upstream` is a leader's front door, or a fellow follower's for a
+/// replica tree; `feed` and `status` come from the follower's
+/// [`FollowerHandle`](blueprint_core::engine::follower::FollowerHandle).
+///
+/// Each round dials `upstream`, hands
+/// [`FollowerStatus::handshake_cursor`] to [`RemoteWrapper::tail_from`]
+/// and forwards every frame into `feed`. A failed dial, a refused
+/// handshake and a lost stream are reported as
+/// [`FollowerMsg::LeaderGone`] (the follower keeps serving stale reads);
+/// a replica that needs a snapshot reset drops the connection and
+/// re-handshakes. Retries wait 25 ms, doubling up to 1 s, and start over
+/// at 25 ms after every accepted handshake. The thread ends once the
+/// follower is promoted (the old stream is dead to a leader) or the loop
+/// behind `feed` is gone.
+pub fn spawn_tail_pump(
+    upstream: impl Into<String>,
+    feed: Sender<FollowerMsg>,
+    status: Arc<FollowerStatus>,
+) -> JoinHandle<()> {
+    let upstream = upstream.into();
+    std::thread::spawn(move || {
+        let mut retry = PUMP_RETRY_FIRST;
+        while !status.promoted() {
+            let (epoch, seq) = status.handshake_cursor();
+            let handshake = RemoteWrapper::connect(&upstream, "follower")
+                .and_then(|wrapper| wrapper.tail_from(epoch, seq));
+            let lost = match handshake {
+                Ok(TailHandshake::Accepted {
+                    position,
+                    mut stream,
+                }) => {
+                    eprintln!(
+                        "tailing {upstream} from ({epoch}, {seq}); upstream at `{}`",
+                        position.encode()
+                    );
+                    retry = PUMP_RETRY_FIRST;
+                    loop {
+                        match stream.next_frame() {
+                            Ok(frame) => {
+                                if feed.send(FollowerMsg::Frame(frame)).is_err()
+                                    || status.promoted()
+                                {
+                                    return;
+                                }
+                                if status.needs_reset() {
+                                    // Incremental frames cannot repair a
+                                    // diverged replica: re-handshake for a
+                                    // snapshot reset.
+                                    break None;
+                                }
+                            }
+                            Err(e) => break Some(format!("tail stream lost: {e}")),
+                        }
+                    }
+                }
+                Ok(TailHandshake::Refused(resp)) => {
+                    Some(format!("{upstream} refused the tail: {}", resp.encode()))
+                }
+                Err(e) => Some(format!("cannot tail {upstream}: {e}")),
+            };
+            if let Some(reason) = lost {
+                if feed.send(FollowerMsg::LeaderGone { reason }).is_err() {
+                    return;
+                }
+            }
+            std::thread::sleep(retry);
+            retry = (retry * 2).min(PUMP_RETRY_CAP);
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,5 +602,70 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    /// Joins a pump thread that must end within a few seconds.
+    fn joins_soon(pump: JoinHandle<()>) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !pump.is_finished() {
+            assert!(std::time::Instant::now() < deadline, "the pump did not end");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        pump.join().expect("the pump thread ended cleanly");
+    }
+
+    /// A dial nobody answers is reported as `LeaderGone` and retried; once
+    /// the loop behind the feed is gone, the next report fails and the
+    /// pump ends.
+    #[test]
+    fn tail_pump_reports_failed_dials_until_its_loop_is_gone() {
+        let dead = {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            listener.local_addr().unwrap().to_string()
+        };
+        let (feed, rx) = crossbeam::channel::unbounded();
+        let pump = spawn_tail_pump(dead, feed, Arc::default());
+        for _ in 0..2 {
+            match rx.recv_timeout(Duration::from_secs(5)) {
+                Ok(FollowerMsg::LeaderGone { reason }) => {
+                    assert!(reason.starts_with("cannot tail"), "{reason}");
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        drop(rx);
+        joins_soon(pump);
+    }
+
+    /// A refused handshake is reported as `LeaderGone` and retried until
+    /// the upstream accepts; then its frames reach the loop.
+    #[test]
+    fn tail_pump_retries_a_refused_handshake_until_accepted() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let upstream = std::thread::spawn(move || {
+            let refused = Response::Error(ApiError::NoProject);
+            let [_, mut tail] = [refused, Response::Tailing { epoch: 1, seq: 0 }].map(|reply| {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut line = String::new();
+                BufReader::new(&stream).read_line(&mut line).unwrap();
+                assert_eq!(line, "tailfrom 0 0\n");
+                writeln!(stream, "{}", reply.encode()).unwrap();
+                stream
+            });
+            writeln!(tail, "{}", TailFrame::Ping.encode()).unwrap();
+            tail
+        });
+        let (feed, rx) = crossbeam::channel::unbounded();
+        let pump = spawn_tail_pump(addr, feed, Arc::default());
+        let next = || rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(matches!(
+            next(),
+            FollowerMsg::LeaderGone { reason } if reason.contains("refused the tail")
+        ));
+        assert!(matches!(next(), FollowerMsg::Frame(TailFrame::Ping)));
+        drop(rx);
+        drop(upstream.join().unwrap());
+        joins_soon(pump);
     }
 }

@@ -16,11 +16,11 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use damocles::core::engine::api::{ApiError, NodeRole, Request, Response};
-use damocles::core::engine::follower::{spawn_follower_loop, FollowerHandle, FollowerMsg};
+use damocles::core::engine::follower::spawn_follower_loop;
 use damocles::core::engine::service::ProjectService;
 use damocles::core::engine::service::{serve_listener, serve_with, spawn_project_loop};
 use damocles::prelude::*;
-use damocles::tools::remote::{LeaderClient, ReconnectPolicy, RemoteWrapper, TailHandshake};
+use damocles::tools::remote::{spawn_tail_pump, LeaderClient, ReconnectPolicy, RemoteWrapper};
 use damocles_meta::Oid;
 
 const BLUEPRINT: &str = r#"
@@ -479,7 +479,7 @@ fn replica_tree_fans_out_through_a_follower() {
     }
 
     // Middle node A: follower loop + fan-out front door (Some(hub)).
-    let spawn_tree_follower = |upstream: String, tag: &'static str| {
+    let spawn_tree_follower = |upstream: String| {
         let service: ProjectService =
             ProjectService::with_server(ProjectServer::from_source(BLUEPRINT).unwrap());
         let hub = service.tail_hub();
@@ -492,11 +492,11 @@ fn replica_tree_fans_out_through_a_follower() {
                 let _ = serve_with(listener, || front.session(), Some(hub));
             });
         }
-        spawn_tree_pump(upstream, handle.clone(), tag);
+        spawn_tail_pump(upstream, handle.feed(), handle.status());
         (handle, addr)
     };
-    let (follower_a, addr_a) = spawn_tree_follower(leader_addr.clone(), "tree-a");
-    let (follower_b, _addr_b) = spawn_tree_follower(addr_a, "tree-b");
+    let (follower_a, addr_a) = spawn_tree_follower(leader_addr.clone());
+    let (follower_b, _addr_b) = spawn_tree_follower(addr_a);
 
     // Mutate the leader; the records must reach B *through* A.
     let mut writer = RemoteWrapper::connect(&leader_addr, "writer").expect("connect leader");
@@ -544,46 +544,4 @@ fn replica_tree_fans_out_through_a_follower() {
         "the leaf replica is byte-identical through the middle hop"
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The reconnecting tail pump (the `--follow` wiring), reusable against
-/// any upstream front door — leader or fellow follower.
-fn spawn_tree_pump(upstream: String, handle: FollowerHandle, tag: &'static str) {
-    let status = handle.status();
-    let feed = handle.feed();
-    std::thread::spawn(move || loop {
-        if status.promoted() {
-            return;
-        }
-        let (epoch, seq) = status.handshake_cursor();
-        let outcome = RemoteWrapper::connect(&upstream, tag)
-            .and_then(|wrapper| wrapper.tail_from(epoch, seq));
-        match outcome {
-            Ok(TailHandshake::Accepted { mut stream, .. }) => loop {
-                match stream.next_frame() {
-                    Ok(frame) => {
-                        if feed.send(FollowerMsg::Frame(frame)).is_err() {
-                            return;
-                        }
-                        if status.needs_reset() {
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        if feed
-                            .send(FollowerMsg::LeaderGone {
-                                reason: e.to_string(),
-                            })
-                            .is_err()
-                        {
-                            return;
-                        }
-                        break;
-                    }
-                }
-            },
-            Ok(TailHandshake::Refused(_)) | Err(_) => {}
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    });
 }

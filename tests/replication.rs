@@ -7,12 +7,12 @@ use std::net::TcpListener;
 use std::time::Duration;
 
 use damocles::core::engine::api::{ApiError, Request, Response};
-use damocles::core::engine::follower::{spawn_follower_loop, FollowerHandle, FollowerMsg};
+use damocles::core::engine::follower::{spawn_follower_loop, FollowerHandle};
 use damocles::core::engine::service::{
     serve_listener, serve_with, spawn_project_loop, ProjectService,
 };
 use damocles::prelude::*;
-use damocles::tools::remote::{RemoteWrapper, TailHandshake};
+use damocles::tools::remote::{spawn_tail_pump, RemoteWrapper};
 
 const SIMPLE: &str = r#"
     blueprint repl
@@ -60,7 +60,7 @@ fn spawn_follower(leader: std::net::SocketAddr) -> (FollowerHandle, std::net::So
     let service: ProjectService =
         ProjectService::with_server(ProjectServer::from_source(SIMPLE).unwrap());
     let (handle, _join) = spawn_follower_loop(service, leader.to_string());
-    spawn_pump(leader, handle.clone());
+    spawn_tail_pump(leader.to_string(), handle.feed(), handle.status());
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().unwrap();
     let front = handle.clone();
@@ -68,55 +68,6 @@ fn spawn_follower(leader: std::net::SocketAddr) -> (FollowerHandle, std::net::So
         let _ = serve_with(listener, || front.session(), None);
     });
     (handle, addr)
-}
-
-/// The tail pump: connect, handshake from the applied cursor, feed
-/// frames; on any failure report and retry.
-fn spawn_pump(leader: std::net::SocketAddr, handle: FollowerHandle) {
-    let status = handle.status();
-    let feed = handle.feed();
-    std::thread::spawn(move || loop {
-        let (epoch, seq) = status.handshake_cursor();
-        let outcome = RemoteWrapper::connect(leader, "follower")
-            .and_then(|wrapper| wrapper.tail_from(epoch, seq));
-        match outcome {
-            Ok(TailHandshake::Accepted { mut stream, .. }) => loop {
-                match stream.next_frame() {
-                    Ok(frame) => {
-                        if feed.send(FollowerMsg::Frame(frame)).is_err() {
-                            return; // follower loop gone
-                        }
-                        if status.needs_reset() {
-                            break; // reconnect for a snapshot reset
-                        }
-                    }
-                    Err(e) => {
-                        if feed
-                            .send(FollowerMsg::LeaderGone {
-                                reason: e.to_string(),
-                            })
-                            .is_err()
-                        {
-                            return;
-                        }
-                        break;
-                    }
-                }
-            },
-            Ok(TailHandshake::Refused(resp)) => {
-                if feed
-                    .send(FollowerMsg::LeaderGone {
-                        reason: format!("refused: {}", resp.encode()),
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            Err(_) => {}
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    });
 }
 
 /// The leader's committed stream position, via its own front door.
@@ -325,6 +276,43 @@ fn crashed_follower_rejoins_from_scratch() {
         Response::Stat { stat } => assert_eq!(stat.oids, 9),
         other => panic!("{other:?}"),
     }
+}
+
+/// Promotion ends the follower's tail pump: the old leader's stream is
+/// dead to a node that leads.
+#[test]
+fn promotion_ends_the_tail_pump() {
+    let dir = std::env::temp_dir().join("damocles-repl-promote-pump");
+    let leader_addr = spawn_leader(&dir);
+    let service: ProjectService =
+        ProjectService::with_server(ProjectServer::from_source(SIMPLE).unwrap());
+    let (follower, _join) = spawn_follower_loop(service, leader_addr.to_string());
+    let pump = spawn_tail_pump(leader_addr.to_string(), follower.feed(), follower.status());
+    let mut client = RemoteWrapper::connect(leader_addr, "writer").expect("connect leader");
+    let (epoch, seq) = leader_position(&mut client);
+    assert!(follower
+        .status()
+        .wait_applied(epoch, seq, Duration::from_secs(10)));
+    let resp = follower.session().call(Request::Promote {
+        dir: dir.join("promoted").display().to_string(),
+        every: 1_000_000,
+        term: 2,
+    });
+    assert!(
+        matches!(resp, Response::Promoted { term: 2, .. }),
+        "{resp:?}"
+    );
+    // The leader pings an idle stream every ~500 ms; the first frame
+    // after the promotion is the pump's last.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while !pump.is_finished() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the pump outlived the promotion"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    pump.join().expect("the pump thread ended cleanly");
 }
 
 /// A follower with no leader link yet answers reads with `Lagging` (not
