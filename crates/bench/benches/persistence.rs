@@ -11,8 +11,10 @@
 //! * `persist/full_save/{oids}` — `persist::save` + file write + fsync
 //!   (the seed's only durability path).
 //! * `persist/incremental_checkpoint/{oids}` — journal a 16-op dirty set:
-//!   mutate, drain, append, fsync. Same database sizes; near-constant.
-//! * `persist/journal_append/{ops}` — raw buffered append throughput.
+//!   mutate (recording each record), drain, append, fsync. Same database
+//!   sizes; near-constant.
+//! * `persist/journal_append/{ops}` — buffered append throughput of the
+//!   production path: record at mutation time, drain, append.
 //! * `persist/recover/{oids}` — `journal::recover` of snapshot + a 64-op
 //!   tail (cold-start latency after a crash).
 //!
@@ -89,8 +91,8 @@ fn bench_incremental_checkpoint(c: &mut Criterion) {
     let dir = bench_dir("persist");
     for oids in sizes() {
         let (mut db, ids) = build_db(oids);
-        db.attach_journal();
         let mut writer = JournalWriter::create(dir.join(format!("incr-{oids}.djl")), 1, 1).unwrap();
+        db.attach_journal(writer.record_count());
         let mut cursor = 0usize;
         group.throughput(Throughput::Elements(DIRTY_SET as u64));
         group.bench_with_input(BenchmarkId::from_parameter(oids), &(), |b, ()| {
@@ -101,24 +103,25 @@ fn bench_incremental_checkpoint(c: &mut Criterion) {
                         .unwrap();
                 }
                 cursor += 1;
-                let ops = db.drain_journal_ops();
-                writer.append_batch(&ops).unwrap();
+                let batch = db.drain_journal();
+                writer.append(&batch).unwrap();
                 writer.sync().unwrap();
-                black_box(ops.len())
+                black_box(batch.len())
             });
         });
     }
     group.finish();
 }
 
-/// Raw buffered append throughput (no fsync): the per-op journal tax.
+/// Buffered append throughput (no fsync): the per-op journal tax, from
+/// mutation to the file.
 fn bench_journal_append(c: &mut Criterion) {
     let mut group = c.benchmark_group("persist/journal_append");
     let dir = bench_dir("persist");
     for ops in [64usize, 512] {
         let (mut db, ids) = build_db(256);
-        db.attach_journal();
         let mut writer = JournalWriter::create(dir.join(format!("app-{ops}.djl")), 1, 1).unwrap();
+        db.attach_journal(writer.record_count());
         group.throughput(Throughput::Elements(ops as u64));
         group.bench_with_input(BenchmarkId::from_parameter(ops), &(), |b, ()| {
             b.iter(|| {
@@ -126,9 +129,9 @@ fn bench_journal_append(c: &mut Criterion) {
                     let id = ids[k % ids.len()];
                     db.set_prop(id, "drc", Value::Int(k as i64)).unwrap();
                 }
-                let drained = db.drain_journal_ops();
-                writer.append_batch(&drained).unwrap();
-                black_box(drained.len())
+                let batch = db.drain_journal();
+                writer.append(&batch).unwrap();
+                black_box(batch.len())
             });
         });
     }
@@ -142,17 +145,14 @@ fn bench_recover(c: &mut Criterion) {
         let (mut db, ids) = build_db(oids);
         let ws = Workspace::new("bench");
         let snapshot = journal::write_snapshot(&db, &ws, 1, 1);
-        db.attach_journal();
+        db.attach_journal(0);
         for k in 0..64usize {
             let id = ids[(k * 131) % ids.len()];
             db.set_prop(id, "uptodate", Value::Bool(k % 3 == 0))
                 .unwrap();
         }
-        let ops = db.drain_journal_ops();
         let mut tail = journal::encode_header(1, 1).into_bytes();
-        for (seq, op) in ops.iter().enumerate() {
-            tail.extend_from_slice(journal::encode_record(seq as u64, op).as_bytes());
-        }
+        tail.extend_from_slice(db.drain_journal().as_str().as_bytes());
         group.throughput(Throughput::Elements(oids as u64));
         group.bench_with_input(
             BenchmarkId::from_parameter(oids),

@@ -1062,10 +1062,17 @@ impl From<damocles_meta::WireDiag> for ApiError {
 /// `%` as `%25`. Crate-shared so the tail-frame codec cannot drift from
 /// the request codec.
 pub(crate) fn enc_str(s: &str) -> String {
+    let mut out = String::new();
+    enc_str_into(&mut out, s);
+    out
+}
+
+/// Appends [`enc_str`]`(s)` to `out`.
+pub(crate) fn enc_str_into(out: &mut String, s: &str) {
     if s.is_empty() {
-        "%".to_string()
+        out.push('%');
     } else {
-        damocles_meta::persist::escape(s)
+        damocles_meta::persist::escape_into(out, s);
     }
 }
 
@@ -1510,91 +1517,110 @@ impl Response {
     /// assert_eq!(resp.encode(), "err read-only 10.0.0.7:7425");
     /// ```
     pub fn encode(&self) -> String {
+        // Most replies fit: one allocation, as `format!` sized them.
+        let mut out = String::with_capacity(64);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends [`Response::encode`]`()` to `out` — the one encoder, so a
+    /// connection can render each reply straight into its write buffer.
+    /// A `text` reply (a `dump`, a `dot` graph) is escaped in place.
+    pub fn encode_into(&self, out: &mut String) {
+        // Writing into a `String` cannot fail.
+        let _ = self.write_into(out);
+    }
+
+    fn write_into(&self, out: &mut String) -> std::fmt::Result {
         use std::fmt::Write as _;
         match self {
-            Response::Ok => "ok".to_string(),
-            Response::Blueprint { name } => format!("blueprint {}", enc_str(name)),
-            Response::Created { oid } => format!("created {}", enc_oid(oid)),
+            Response::Ok => out.write_str("ok"),
+            Response::Blueprint { name } => write!(out, "blueprint {}", enc_str(name)),
+            Response::Created { oid } => write!(out, "created {}", enc_oid(oid)),
             Response::Processed {
                 events,
                 deliveries,
                 scripts,
                 emitted,
-            } => format!("processed {events} {deliveries} {scripts} {emitted}"),
-            Response::Refreshed { written } => format!("refreshed {written}"),
+            } => write!(out, "processed {events} {deliveries} {scripts} {emitted}"),
+            Response::Refreshed { written } => write!(out, "refreshed {written}"),
             Response::Props { oid, props } => {
-                let mut out = format!("props {} {}", enc_oid(oid), props.len());
+                write!(out, "props {} {}", enc_oid(oid), props.len())?;
                 for (name, value) in props {
-                    let _ = write!(out, " {} {}", enc_str(name), encode_value(value));
+                    write!(out, " {} {}", enc_str(name), encode_value(value))?;
                 }
-                out
+                Ok(())
             }
             Response::Hits { oids } => {
-                let mut out = format!("hits {}", oids.len());
+                write!(out, "hits {}", oids.len())?;
                 for oid in oids {
-                    let _ = write!(out, " {}", enc_oid(oid));
+                    write!(out, " {}", enc_oid(oid))?;
                 }
-                out
+                Ok(())
             }
             Response::Work { target, items } => {
-                let mut out = format!("work {} {}", enc_oid(target), items.len());
+                write!(out, "work {} {}", enc_oid(target), items.len())?;
                 for item in items {
-                    let _ = write!(
+                    write!(
                         out,
                         " {} {} {}",
                         enc_oid(&item.oid),
                         enc_str(&item.prop),
                         enc_opt_value(item.current.as_ref())
-                    );
+                    )?;
                 }
-                out
+                Ok(())
             }
             Response::ViewSummary { rows } => {
-                let mut out = format!("viewsummary {}", rows.len());
+                write!(out, "viewsummary {}", rows.len())?;
                 for r in rows {
-                    let _ = write!(
+                    write!(
                         out,
                         " {} {} {} {}",
                         enc_str(&r.view),
                         r.total,
                         r.satisfied,
                         r.untracked
-                    );
+                    )?;
                 }
-                out
+                Ok(())
             }
-            Response::Snapped { name, oids } => {
-                format!("snapped {} {oids}", enc_str(name))
-            }
+            Response::Snapped { name, oids } => write!(out, "snapped {} {oids}", enc_str(name)),
             Response::SnapshotList { entries } => {
-                let mut out = format!("snaplist {}", entries.len());
+                write!(out, "snaplist {}", entries.len())?;
                 for e in entries {
-                    let _ = write!(
+                    write!(
                         out,
                         " {} {} {} {}",
                         enc_str(&e.name),
                         e.oids,
                         e.links,
                         e.dangling
-                    );
+                    )?;
                 }
-                out
+                Ok(())
             }
-            Response::Epoch { epoch } => format!("epoch {epoch}"),
+            Response::Epoch { epoch } => write!(out, "epoch {epoch}"),
             Response::Recovered {
                 epoch,
                 snapshot_oids,
                 replayed_ops,
                 torn_tail,
                 stale_journal,
-            } => format!(
+            } => write!(
+                out,
                 "recovered {epoch} {snapshot_oids} {replayed_ops} {} {}",
                 enc_opt(torn_tail.as_deref()),
                 u8::from(*stale_journal)
             ),
-            Response::Loaded { oids } => format!("loaded {oids}"),
-            Response::Text { text } => format!("text {}", enc_str(text)),
-            Response::Audit { counters } => format!(
+            Response::Loaded { oids } => write!(out, "loaded {oids}"),
+            Response::Text { text } => {
+                out.push_str("text ");
+                enc_str_into(out, text);
+                Ok(())
+            }
+            Response::Audit { counters } => write!(
+                out,
                 "audit {} {} {} {} {} {} {} {} {} {} {} {}",
                 counters.deliveries,
                 counters.assignments,
@@ -1609,7 +1635,8 @@ impl Response {
                 counters.invoke_timeouts,
                 counters.invoke_exhaustions
             ),
-            Response::Stat { stat } => format!(
+            Response::Stat { stat } => write!(
+                out,
                 "stat {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
                 stat.oids,
                 stat.links,
@@ -1632,32 +1659,36 @@ impl Response {
                 stat.term,
                 stat.role,
             ),
-            Response::Promoted { epoch, term } => format!("promoted {epoch} {term}"),
-            Response::Tailing { epoch, seq } => format!("tailing {epoch} {seq}"),
+            Response::Promoted { epoch, term } => write!(out, "promoted {epoch} {term}"),
+            Response::Tailing { epoch, seq } => write!(out, "tailing {epoch} {seq}"),
             Response::Replayed {
                 epoch,
                 seq,
                 oids,
                 image,
-            } => format!("replayed {epoch} {seq} {oids} {}", enc_str(image)),
+            } => {
+                write!(out, "replayed {epoch} {seq} {oids} ")?;
+                enc_str_into(out, image);
+                Ok(())
+            }
             Response::Trace { records } => {
-                let mut out = format!("trace {}", records.len());
+                write!(out, "trace {}", records.len())?;
                 for rec in records {
-                    let _ = write!(out, " {}", enc_str(rec));
+                    write!(out, " {}", enc_str(rec))?;
                 }
-                out
+                Ok(())
             }
             Response::Attached { project, created } => {
-                format!("attached {} {}", enc_str(project), u8::from(*created))
+                write!(out, "attached {} {}", enc_str(project), u8::from(*created))
             }
             Response::Projects { entries } => {
-                let mut out = format!("projects {}", entries.len());
+                write!(out, "projects {}", entries.len())?;
                 for e in entries {
-                    let _ = write!(out, " {} {}", enc_str(&e.name), u8::from(e.active));
+                    write!(out, " {} {}", enc_str(&e.name), u8::from(e.active))?;
                 }
-                out
+                Ok(())
             }
-            Response::Error(e) => format!("err {}", e.encode()),
+            Response::Error(e) => write!(out, "err {}", e.encode()),
         }
     }
 

@@ -78,7 +78,7 @@ impl ToolCtx<'_> {
         // payload (LVS, simulation) would compute on missing data.
         if let Some(datum) = self.workspace.datum(id) {
             self.db
-                .record_extra(damocles_meta::journal::JournalOp::Data {
+                .record_extra(&damocles_meta::journal::JournalOp::Data {
                     oid: oid.clone(),
                     payload: datum.content.clone(),
                 });

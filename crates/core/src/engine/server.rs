@@ -481,7 +481,7 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         self.engine.invalidate_dispatch_cache();
         self.shard_map = None;
         if let Some(d) = self.durability.as_mut() {
-            self.db.attach_journal();
+            self.db.attach_journal(d.writer.record_count());
             d.force_checkpoint = true;
         }
     }
@@ -572,7 +572,7 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         let term = term.unwrap_or(on_disk_term);
         let (writer, image) =
             Self::write_checkpoint_files(&dir, epoch, term, &self.db, &self.workspace)?;
-        self.db.attach_journal();
+        self.db.attach_journal(writer.record_count());
         self.journal_poisoned = false;
         self.term = term;
         self.tail.publish_enable(epoch, term, image);
@@ -588,24 +588,15 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         // Events queued before this enable predate the journal: stamp them
         // with sequence numbers and record their acceptance now, so the
         // fresh journal's pending-work scan covers the whole queue.
-        let mut stamped = Vec::new();
-        {
-            let db = &self.db;
-            let mut next = self.next_event_seq;
-            for ev in self.queue.iter_mut() {
-                if ev.seq.is_some() {
-                    continue;
-                }
-                ev.seq = Some(next);
-                next += 1;
-                if let Some(op) = event_queued_op(db, ev) {
-                    stamped.push(op);
-                }
+        for ev in self.queue.iter_mut() {
+            if ev.seq.is_some() {
+                continue;
             }
-            self.next_event_seq = next;
-        }
-        for op in stamped {
-            self.db.record_extra(op);
+            ev.seq = Some(self.next_event_seq);
+            self.next_event_seq += 1;
+            if let Some(op) = event_queued_op(&self.db, ev) {
+                self.db.record_extra(&op);
+            }
         }
         self.journal_sync(None)?;
         Ok(epoch)
@@ -654,7 +645,7 @@ impl<E: ScriptExecutor> ProjectServer<E> {
     /// journal append is refused as stale-term. Returns the term this
     /// server held.
     ///
-    /// Any journal ops still buffered (group-commit window) are
+    /// Any journal records still buffered (group-commit window) are
     /// discarded un-appended: they were never acked as durable, and
     /// appending them under a deposed term could dual-commit against the
     /// new reign's journal.
@@ -670,7 +661,7 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         }
         self.term = current;
         self.fenced_by = Some(term);
-        let _discarded = self.db.drain_journal_ops();
+        let _discarded = self.db.drain_journal();
         if self.durability.take().is_some() {
             self.db.detach_journal();
             self.tail.publish_disable();
@@ -690,8 +681,9 @@ impl<E: ScriptExecutor> ProjectServer<E> {
     ///
     /// If journaling is already enabled, the committed on-disk state
     /// (snapshot + the journal's complete records) is published to the
-    /// new hub so subscribers can bootstrap; the in-memory op buffer, not
-    /// yet fsynced, is intentionally excluded and publishes at its flush.
+    /// new hub so subscribers can bootstrap; the in-memory record buffer,
+    /// not yet fsynced, is intentionally excluded and publishes at its
+    /// flush.
     ///
     /// # Errors
     ///
@@ -788,13 +780,13 @@ impl<E: ScriptExecutor> ProjectServer<E> {
                 reason: "journaling is not enabled (call enable_journal first)".to_string(),
             });
         }
-        // Buffered ops are already reflected in the live database; the
-        // fresh snapshot subsumes them. Dropping any here (or folding a
+        // Buffered records are already reflected in the live database;
+        // the fresh snapshot subsumes them. Dropping any here (or folding a
         // wholesale-adopted database) makes the rollover non-seamless for
         // tail subscribers: the stream never carried those changes, so a
         // caught-up follower must re-bootstrap rather than take the cheap
         // epoch marker.
-        let dropped_ops = self.db.drain_journal_ops().len();
+        let dropped = self.db.drain_journal().len();
         let (dir, epoch, term, adopted) = {
             let d = self.durability.as_ref().expect("checked above");
             (d.dir.clone(), d.epoch + 1, d.term, d.force_checkpoint)
@@ -810,36 +802,38 @@ impl<E: ScriptExecutor> ProjectServer<E> {
                     return Err(e);
                 }
             };
+        // Re-tag links in image order so tail ops and the snapshot agree,
+        // numbering records from the fresh journal's start.
+        self.db.attach_journal(writer.record_count());
+        let d = self.durability.as_mut().expect("checked above");
+        d.writer = writer;
+        d.epoch = epoch;
+        d.ops_since_checkpoint = 0;
+        d.force_checkpoint = false;
         // Work records — still-queued events, in-flight detached
         // invocations — have no snapshot representation: re-seed the fresh
         // journal with them so recovery from the new epoch still sees the
         // accepted-but-unfinished set. This stays consistent with the
         // buffered drop above: a terminal record dropped there had its
         // queued record leave the pending sets too.
-        let mut carried: Vec<JournalOp> = self
-            .queue
-            .iter()
-            .filter_map(|ev| event_queued_op(&self.db, ev))
-            .collect();
-        carried.extend(self.in_flight_ops.values().cloned());
-        let d = self.durability.as_mut().expect("checked above");
-        d.writer = writer;
-        d.epoch = epoch;
-        d.ops_since_checkpoint = 0;
-        d.force_checkpoint = false;
-        let reseeded = match Self::append_and_sync(d, &carried) {
-            Ok(batch) => batch,
-            Err(e) => {
-                self.poison_journal();
-                return Err(EngineError::Journal {
-                    reason: format!("checkpoint re-seed failed, durability disabled: {e}"),
-                });
+        for ev in self.queue.iter() {
+            if let Some(op) = event_queued_op(&self.db, ev) {
+                self.db.record_extra(&op);
             }
-        };
-        // Re-tag links in image order so tail ops and the snapshot agree.
-        self.db.attach_journal();
+        }
+        for op in self.in_flight_ops.values() {
+            self.db.record_extra(op);
+        }
+        let reseeded = self.db.drain_journal();
+        let d = self.durability.as_mut().expect("checked above");
+        if let Err(e) = Self::append_and_sync(d, &reseeded) {
+            self.poison_journal();
+            return Err(EngineError::Journal {
+                reason: format!("checkpoint re-seed failed, durability disabled: {e}"),
+            });
+        }
         self.tail
-            .publish_checkpoint(epoch, term, image, dropped_ops == 0 && !adopted);
+            .publish_checkpoint(epoch, term, image, dropped == 0 && !adopted);
         self.tail.publish_records(reseeded);
         Ok(epoch)
     }
@@ -941,11 +935,12 @@ impl<E: ScriptExecutor> ProjectServer<E> {
     }
 
     /// Records an optional server-level op (e.g. a payload record) in
-    /// order with the database's buffered ops, then — outside group-commit
-    /// mode — flushes everything to the journal. Under group commit the
-    /// ops stay buffered until the owner's [`ProjectServer::flush_journal`]
-    /// at the batch boundary. No-op without durability.
-    fn journal_sync(&mut self, extra: Option<JournalOp>) -> Result<(), EngineError> {
+    /// order with the database's buffered records, then — outside
+    /// group-commit mode — flushes everything to the journal. Under group
+    /// commit the records stay buffered until the owner's
+    /// [`ProjectServer::flush_journal`] at the batch boundary. No-op
+    /// without durability.
+    fn journal_sync(&mut self, extra: Option<&JournalOp>) -> Result<(), EngineError> {
         if self.durability.is_none() {
             return Ok(());
         }
@@ -962,7 +957,7 @@ impl<E: ScriptExecutor> ProjectServer<E> {
     }
 
     /// Enters or leaves group-commit mode. While on, operation boundaries
-    /// (`checkin`, `process_all`, …) buffer their journal ops in memory;
+    /// (`checkin`, `process_all`, …) buffer their journal records in memory;
     /// one [`ProjectServer::flush_journal`] appends and fsyncs the whole
     /// batch — the group-commit discipline that amortizes the
     /// ~per-sync-dominated durability cost across many requests. Leaving
@@ -998,11 +993,13 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         std::mem::take(&mut self.journal_poisoned)
     }
 
-    /// Appends all buffered journal ops and syncs once; folds into a
+    /// Appends all buffered journal records and syncs once; folds into a
     /// checkpoint when the policy says so. No-op without durability.
     ///
-    /// Failure semantics: an append/sync error **disables durability**
-    /// (poison) and surfaces the error. The drained ops cannot be retried —
+    /// Failure semantics: an append/sync error — including a batch the
+    /// writer refuses because its numbering does not continue the journal
+    /// — **disables durability** (poison) and surfaces the error. The
+    /// drained records cannot be retried —
     /// the failed write may have left a partial record on disk, and
     /// appending after it would turn a recoverable torn tail into mid-file
     /// corruption. Poisoning keeps the on-disk journal a valid prefix of
@@ -1013,10 +1010,10 @@ impl<E: ScriptExecutor> ProjectServer<E> {
     /// [`EngineError::Journal`] on append/sync/checkpoint failures.
     pub fn flush_journal(&mut self) -> Result<(), EngineError> {
         // A fenced server must never append again: even with durability
-        // already closed, any ops that slipped into the buffer are
+        // already closed, any records that slipped into the buffer are
         // refused loudly rather than silently dropped.
         if let Some(fence) = self.fenced_by {
-            if !self.db.drain_journal_ops().is_empty() {
+            if !self.db.drain_journal().is_empty() {
                 return Err(EngineError::Fenced {
                     term: self.term,
                     current: fence,
@@ -1031,23 +1028,17 @@ impl<E: ScriptExecutor> ProjectServer<E> {
             // The on-disk journal predates an adopt_project; fold first.
             self.checkpoint()?;
         }
-        let ops = self.db.drain_journal_ops();
-        if ops.is_empty() {
+        let batch = self.db.drain_journal();
+        if batch.is_empty() {
             return Ok(());
         }
         let d = self.durability.as_mut().expect("checked above");
-        let batch = match Self::append_and_sync(d, &ops) {
-            Ok(batch) => batch,
-            Err(e) => {
-                self.poison_journal();
-                return Err(EngineError::Journal {
-                    reason: format!("journal append failed, durability disabled: {e}"),
-                });
-            }
-        };
-        // The encoded batch supersedes the ops: free them before a
-        // checkpoint renders the whole image below.
-        drop(ops);
+        if let Err(e) = Self::append_and_sync(d, &batch) {
+            self.poison_journal();
+            return Err(EngineError::Journal {
+                reason: format!("journal append failed, durability disabled: {e}"),
+            });
+        }
         let appended = batch.len() as u64;
         // Publish to tail subscribers strictly AFTER the fsync: a record a
         // follower ever sees is on the leader's stable storage, so
@@ -1062,23 +1053,22 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         Ok(())
     }
 
-    /// Appends `ops` to the journal with one write and fsyncs it — the
-    /// one write path of both the group-commit flush and the checkpoint's
-    /// work re-seed. An empty batch neither writes nor syncs.
-    fn append_and_sync(
-        d: &mut Durability,
-        ops: &[JournalOp],
-    ) -> Result<RecordBatch, std::io::Error> {
-        let batch = d.writer.append_batch(ops)?;
+    /// Appends a drained record batch to the journal with one write and
+    /// fsyncs it — the one write path of both the group-commit flush and
+    /// the checkpoint's work re-seed. An empty batch neither writes nor
+    /// syncs.
+    fn append_and_sync(d: &mut Durability, batch: &RecordBatch) -> Result<(), std::io::Error> {
         if !batch.is_empty() {
+            d.writer.append(batch)?;
             d.writer.sync()?;
         }
-        Ok(batch)
+        Ok(())
     }
 
     /// Disables durability after a failed journal or snapshot write,
-    /// loudly: the recorder detaches (or the database would buffer ops
-    /// forever), the poison marker is set, and tail subscriptions end.
+    /// loudly: the recorder detaches with its buffered records (or the
+    /// database would buffer records forever), the poison marker is set,
+    /// and tail subscriptions end.
     fn poison_journal(&mut self) {
         self.durability = None;
         self.db.detach_journal();
@@ -1333,7 +1323,7 @@ impl<E: ScriptExecutor> ProjectServer<E> {
                 .map(|d| d.content.clone())
                 .unwrap_or_default(),
         });
-        self.journal_sync(data_op)?;
+        self.journal_sync(data_op.as_ref())?;
         Ok(oid)
     }
 
@@ -1532,7 +1522,7 @@ impl<E: ScriptExecutor> ProjectServer<E> {
             return;
         }
         if let Some(seq) = seq {
-            self.db.record_extra(JournalOp::EventDone { seq });
+            self.db.record_extra(&JournalOp::EventDone { seq });
         }
     }
 
@@ -1637,7 +1627,7 @@ impl<E: ScriptExecutor> ProjectServer<E> {
             origin: invocation.origin.clone(),
             event: invocation.event.clone(),
         });
-        if let Some(op) = queued_op.clone() {
+        if let Some(op) = &queued_op {
             self.db.record_extra(op);
         }
         let prepared = {
@@ -1655,7 +1645,7 @@ impl<E: ScriptExecutor> ProjectServer<E> {
                 // Queued and completed travel in one flush batch: an
                 // inline run never appears in-flight after recovery.
                 if self.durability.is_some() {
-                    self.db.record_extra(JournalOp::InvokeCompleted { id });
+                    self.db.record_extra(&JournalOp::InvokeCompleted { id });
                 }
                 for message in messages {
                     report.emitted += 1;
@@ -1721,7 +1711,7 @@ impl<E: ScriptExecutor> ProjectServer<E> {
             match outcome {
                 InvokeOutcome::Completed { messages, .. } => {
                     if self.durability.is_some() {
-                        self.db.record_extra(JournalOp::InvokeCompleted { id });
+                        self.db.record_extra(&JournalOp::InvokeCompleted { id });
                     }
                     for message in messages {
                         report.emitted += 1;
@@ -1731,7 +1721,7 @@ impl<E: ScriptExecutor> ProjectServer<E> {
                 InvokeOutcome::Failed { attempts, reason } => {
                     self.audit.note(AuditKind::InvokeExhausted);
                     if self.durability.is_some() {
-                        self.db.record_extra(JournalOp::InvokeFailed {
+                        self.db.record_extra(&JournalOp::InvokeFailed {
                             id,
                             attempts: u64::from(attempts),
                             reason: reason.clone(),
@@ -1765,7 +1755,7 @@ impl<E: ScriptExecutor> ProjectServer<E> {
             self.next_event_seq += 1;
             ev.seq = Some(seq);
             if let Some(op) = event_queued_op(&self.db, &ev) {
-                self.db.record_extra(op);
+                self.db.record_extra(&op);
             }
         }
         self.queue.enqueue(ev);
@@ -1831,7 +1821,7 @@ impl<E: ScriptExecutor> ProjectServer<E> {
                 seq: Some(seq),
             };
             if let Some(op) = event_queued_op(&self.db, &ev) {
-                self.db.record_extra(op);
+                self.db.record_extra(&op);
             }
             self.queue.enqueue(ev);
         }
@@ -2255,6 +2245,21 @@ mod tests {
         assert_eq!(reseeded.len(), 2, "{reseeded:?}");
         assert!(reseeded.iter().all(|l| l.contains(" evq ")), "{reseeded:?}");
         assert_eq!(hub_lines(&server), reseeded);
+
+        // The recorder was re-based with the fresh journal and recorded
+        // the re-seed itself: the next flush continues at the carried
+        // count.
+        server.process_all().unwrap();
+        server.flush_journal().unwrap();
+        let continued = file_lines(&dir);
+        assert_eq!(continued[..2], reseeded[..]);
+        assert!(continued.len() > 2, "{continued:?}");
+        for (seq, line) in continued.iter().enumerate() {
+            damocles_meta::journal::decode_record(line, seq as u64)
+                .unwrap_or_else(|e| panic!("record {seq}: {e}"));
+        }
+        assert_eq!(hub_lines(&server), continued);
+        assert_eq!(server.journal_records(), Some(continued.len() as u64));
     }
 
     #[test]

@@ -1059,12 +1059,15 @@ fn serve_connection<S: RequestSink>(stream: TcpStream, session: &S, tail: Option
     let (order_tx, order_rx) = unbounded::<Receiver<Response>>();
     let mut writer = stream;
     let write_thread = std::thread::spawn(move || {
+        // One line buffer for the connection: each reply is encoded
+        // straight into it.
+        let mut line = String::new();
         while let Some(reply) = order_rx.recv() {
             let response = reply.recv().unwrap_or_else(|| Response::Error(loop_gone()));
-            if writer
-                .write_all(format!("{}\n", response.encode()).as_bytes())
-                .is_err()
-            {
+            line.clear();
+            response.encode_into(&mut line);
+            line.push('\n');
+            if writer.write_all(line.as_bytes()).is_err() {
                 break;
             }
         }
@@ -1122,16 +1125,15 @@ fn serve_connection<S: RequestSink>(stream: TcpStream, session: &S, tail: Option
 
 /// Streams tail frames to one subscriber until its connection breaks or
 /// the hub ends the stream. Runs on the connection's own thread — the
-/// command loop is never blocked by a slow follower.
+/// command loop is never blocked by a slow follower. The frames of each
+/// wake-up are rendered from the hub's batches into one buffer, reused
+/// across wake-ups.
 fn stream_tail(hub: &TailHub, cursor: &mut TailCursor, out: &mut TcpStream) {
+    let mut buf = String::new();
     loop {
-        match hub.next_frames(cursor, std::time::Duration::from_millis(500)) {
-            Ok(frames) => {
-                let mut buf = String::new();
-                for frame in frames {
-                    buf.push_str(&frame.encode());
-                    buf.push('\n');
-                }
+        buf.clear();
+        match hub.next_wire(cursor, std::time::Duration::from_millis(500), &mut buf) {
+            Ok(()) => {
                 if out.write_all(buf.as_bytes()).is_err() {
                     return; // subscriber gone
                 }

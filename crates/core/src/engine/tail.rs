@@ -46,7 +46,7 @@
 //! follower republishes through its own hub under the bumped term, so
 //! replicas form a tree and a mid-tree promotion re-parents its subtree.
 
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use damocles_meta::journal::RecordBatch;
@@ -54,7 +54,7 @@ use damocles_meta::journal::RecordBatch;
 // The request codec's word helpers (`%` = empty string, shared
 // percent-escaping) — one implementation per crate, so the frame codec
 // cannot drift from the request codec.
-use crate::engine::api::{dec_str, enc_str};
+use crate::engine::api::{dec_str, enc_str_into};
 
 /// One element of a tail stream, in its line-framed wire form (see
 /// `PROTOCOL.md` §5).
@@ -108,13 +108,24 @@ impl TailFrame {
     /// assert_eq!(TailFrame::decode("tail-epoch 4 2"), Ok(frame));
     /// ```
     pub fn encode(&self) -> String {
+        let mut out = String::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends [`TailFrame::encode`]`()` to `out`.
+    fn encode_into(&self, out: &mut String) {
+        use std::fmt::Write as _;
         match self {
             TailFrame::Reset { epoch, term, image } => {
-                format!("tail-reset {epoch} {term} {}", enc_str(image))
+                let _ = write!(out, "tail-reset {epoch} {term} ");
+                enc_str_into(out, image);
             }
-            TailFrame::Record { epoch, term, line } => format!("tail-rec {epoch} {term} {line}"),
-            TailFrame::Epoch { epoch, term } => format!("tail-epoch {epoch} {term}"),
-            TailFrame::Ping => "tail-ping".to_string(),
+            TailFrame::Record { epoch, term, line } => record_frame(out, *epoch, *term, line),
+            TailFrame::Epoch { epoch, term } => {
+                let _ = write!(out, "tail-epoch {epoch} {term}");
+            }
+            TailFrame::Ping => out.push_str("tail-ping"),
         }
     }
 
@@ -176,6 +187,12 @@ impl TailFrame {
     }
 }
 
+/// Appends the wire form of a [`TailFrame::Record`] (no newline).
+fn record_frame(out: &mut String, epoch: u64, term: u64, line: &str) {
+    use std::fmt::Write as _;
+    let _ = write!(out, "tail-rec {epoch} {term} {line}");
+}
+
 /// A subscriber's position in the stream: the next record it expects is
 /// `seq` of `epoch`. A brand-new follower starts at `(0, 0)` and lets the
 /// first [`TailFrame::Reset`] place it.
@@ -224,21 +241,45 @@ impl TailState {
         self.committed = 0;
     }
 
-    /// Record frames from sequence `from` (< `committed`) to the end of
-    /// the epoch, sliced out of the stored batches.
-    fn frames_from(&self, from: u64) -> Vec<TailFrame> {
+    /// The record lines from sequence `from` (< `committed`) to the end
+    /// of the epoch, sliced out of the stored batches.
+    fn lines_from(&self, from: u64) -> impl Iterator<Item = &str> {
         let first = self.batches.partition_point(|(start, _)| *start <= from) - 1;
-        let mut frames = Vec::with_capacity((self.committed - from) as usize);
-        for (start, batch) in &self.batches[first..] {
-            let skip = from.saturating_sub(*start) as usize;
-            frames.extend((skip..batch.len()).map(|i| TailFrame::Record {
+        self.batches[first..]
+            .iter()
+            .flat_map(move |(start, batch)| {
+                let skip = from.saturating_sub(*start) as usize;
+                (skip..batch.len()).map(|i| batch.line(i))
+            })
+    }
+
+    /// Record frames from sequence `from` (< `committed`) to the end of
+    /// the epoch.
+    fn frames_from(&self, from: u64) -> Vec<TailFrame> {
+        self.lines_from(from)
+            .map(|line| TailFrame::Record {
                 epoch: self.epoch,
                 term: self.term,
-                line: batch.line(i).to_string(),
-            }));
-        }
-        frames
+                line: line.to_string(),
+            })
+            .collect()
     }
+
+    /// [`TailState::frames_from`] in wire form, appended to `out` straight
+    /// from the stored batches: one newline-terminated line per frame.
+    fn render_from(&self, from: u64, out: &mut String) {
+        for line in self.lines_from(from) {
+            record_frame(out, self.epoch, self.term, line);
+            out.push('\n');
+        }
+    }
+}
+
+/// What a subscriber is owed next: one frame, or the committed records
+/// from a sequence number on (read while the hub stays locked).
+enum Next<'a> {
+    Frame(TailFrame),
+    Records(MutexGuard<'a, TailState>, u64),
 }
 
 /// The shared publication point between one journaling leader and any
@@ -381,6 +422,39 @@ impl TailHub {
         cursor: &mut TailCursor,
         timeout: Duration,
     ) -> Result<Vec<TailFrame>, TailEnded> {
+        Ok(match self.next(cursor, timeout)? {
+            Next::Frame(frame) => vec![frame],
+            Next::Records(st, from) => st.frames_from(from),
+        })
+    }
+
+    /// [`TailHub::next_frames`] in wire form: appends the frames to `out`,
+    /// one newline-terminated line each. Record frames are rendered
+    /// straight from the committed batches, with no per-record copy in
+    /// between.
+    ///
+    /// # Errors
+    ///
+    /// As [`TailHub::next_frames`]; `out` is then unchanged.
+    pub fn next_wire(
+        &self,
+        cursor: &mut TailCursor,
+        timeout: Duration,
+        out: &mut String,
+    ) -> Result<(), TailEnded> {
+        match self.next(cursor, timeout)? {
+            Next::Frame(frame) => {
+                frame.encode_into(out);
+                out.push('\n');
+            }
+            Next::Records(st, from) => st.render_from(from, out),
+        }
+        Ok(())
+    }
+
+    /// The one catch-up decision behind [`TailHub::next_frames`] and
+    /// [`TailHub::next_wire`] (see the module docs).
+    fn next(&self, cursor: &mut TailCursor, timeout: Duration) -> Result<Next<'_>, TailEnded> {
         let mut st = self.state.lock().expect("tail hub lock");
         loop {
             if st.closed {
@@ -395,39 +469,39 @@ impl TailHub {
                     // already equals the new snapshot.
                     cursor.epoch = st.epoch;
                     cursor.seq = 0;
-                    return Ok(vec![TailFrame::Epoch {
+                    return Ok(Next::Frame(TailFrame::Epoch {
                         epoch: st.epoch,
                         term: st.term,
-                    }]);
+                    }));
                 }
                 cursor.epoch = st.epoch;
                 cursor.seq = 0;
-                return Ok(vec![TailFrame::Reset {
+                return Ok(Next::Frame(TailFrame::Reset {
                     epoch: st.epoch,
                     term: st.term,
                     image: st.snapshot.clone(),
-                }]);
+                }));
             }
             let committed = st.committed;
             if cursor.seq > committed {
                 // A position we never committed (foreign or future
                 // cursor): re-bootstrap rather than guess.
                 cursor.seq = 0;
-                return Ok(vec![TailFrame::Reset {
+                return Ok(Next::Frame(TailFrame::Reset {
                     epoch: st.epoch,
                     term: st.term,
                     image: st.snapshot.clone(),
-                }]);
+                }));
             }
             if cursor.seq < committed {
-                let frames = st.frames_from(cursor.seq);
+                let from = cursor.seq;
                 cursor.seq = committed;
-                return Ok(frames);
+                return Ok(Next::Records(st, from));
             }
             let (guard, wait) = self.wake.wait_timeout(st, timeout).expect("tail hub lock");
             st = guard;
             if wait.timed_out() {
-                return Ok(vec![TailFrame::Ping]);
+                return Ok(Next::Frame(TailFrame::Ping));
             }
         }
     }
@@ -451,8 +525,7 @@ mod tests {
 
     /// Records `seqs` encoded as one journal write.
     fn batch(seqs: std::ops::Range<u64>) -> RecordBatch {
-        let ops: Vec<JournalOp> = seqs.clone().map(op).collect();
-        RecordBatch::encode(seqs.start, &ops)
+        RecordBatch::from_lines(seqs.map(|seq| encode_record(seq, &op(seq))).collect())
     }
 
     fn record_lines(frames: &[TailFrame]) -> Vec<&str> {
@@ -485,6 +558,55 @@ mod tests {
             let expected: Vec<String> = (from..6).map(record_line).collect();
             assert_eq!(record_lines(&frames), expected, "from {from}");
             assert_eq!(cursor, TailCursor { epoch: 1, seq: 6 });
+        }
+    }
+
+    #[test]
+    fn wire_frames_render_straight_from_the_batches() {
+        let hub = TailHub::new();
+        hub.publish_enable(3, 2, "image with spaces\n".into());
+        hub.publish_records(batch(0..3));
+        hub.publish_records(batch(3..5));
+        hub.publish_line(&record_line(5));
+        let st = hub.state.lock().unwrap();
+        // Cursors at a batch start, inside a batch, and in the last batch.
+        for from in [0, 1, 3, 4, 5] {
+            let mut wire = String::from("kept|");
+            st.render_from(from, &mut wire);
+            let expected: String = st
+                .frames_from(from)
+                .iter()
+                .map(|frame| frame.encode() + "\n")
+                .collect();
+            assert_eq!(wire, format!("kept|{expected}"), "from {from}");
+        }
+        drop(st);
+        // The public form: the same lines, and one-frame answers as
+        // `encode` renders them.
+        let mut wire = String::new();
+        let mut cursor = TailCursor { epoch: 3, seq: 1 };
+        hub.next_wire(&mut cursor, Duration::from_millis(1), &mut wire)
+            .unwrap();
+        let expected: String = (1..6)
+            .map(|seq| format!("tail-rec 3 2 {}\n", record_line(seq)))
+            .collect();
+        assert_eq!(wire, expected);
+        assert_eq!(cursor, TailCursor { epoch: 3, seq: 6 });
+        for (mut cursor, frame) in [
+            (
+                TailCursor { epoch: 1, seq: 0 },
+                TailFrame::Reset {
+                    epoch: 3,
+                    term: 2,
+                    image: "image with spaces\n".into(),
+                },
+            ),
+            (TailCursor { epoch: 3, seq: 6 }, TailFrame::Ping),
+        ] {
+            let mut wire = String::new();
+            hub.next_wire(&mut cursor, Duration::from_millis(1), &mut wire)
+                .unwrap();
+            assert_eq!(wire, frame.encode() + "\n");
         }
     }
 

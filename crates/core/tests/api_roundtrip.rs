@@ -475,6 +475,10 @@ proptest! {
             )),
         };
         prop_assert_eq!(&back, &resp, "value roundtrip of `{}`", line);
-        prop_assert_eq!(back.encode(), line, "encoding is a fixed point");
+        prop_assert_eq!(back.encode(), line.clone(), "encoding is a fixed point");
+        // The connection writer's form appends after what the buffer holds.
+        let mut appended = String::from("prev\n");
+        resp.encode_into(&mut appended);
+        prop_assert_eq!(appended, format!("prev\n{line}"), "encode_into == encode");
     }
 }

@@ -9,13 +9,14 @@
 //! For randomized blueprints, design graphs and event streams, the paths
 //! are run side by side on cloned databases and held to the same
 //! [`ProcessOutcome`] (delivered count and script invocations), the same
-//! retained audit-record sequence, the same journal-op stream
-//! ([`MetaDb::drain_journal_ops`]) and the same final database image
-//! (`damocles_meta::persist::save`). The random graphs deliberately
-//! include raw links that bridge compile-time shard components, and a
-//! dedicated case runs disjoint instance chains of one view family —
-//! per-OID [`ShardMap`] groups that only exist with instance-level
-//! sharding — so both merge and split behaviour are exercised.
+//! retained audit-record sequence, the same journal bytes (the batch
+//! [`MetaDb::drain_journal`] hands the writer) and the same final
+//! database image (`damocles_meta::persist::save`). The random graphs
+//! deliberately include raw links that bridge compile-time shard
+//! components, and a dedicated case runs disjoint instance chains of one
+//! view family — per-OID [`ShardMap`] groups that only exist with
+//! instance-level sharding — so both merge and split behaviour are
+//! exercised.
 
 use blueprint_core::engine::audit::AuditLog;
 use blueprint_core::engine::compile::{CompiledBlueprint, ShardMap};
@@ -417,7 +418,7 @@ proptest! {
         };
         let compiled = CompiledBlueprint::compile(&bp);
         let (mut db_seq, ids) = build_db(&spec);
-        db_seq.attach_journal();
+        db_seq.attach_journal(0);
 
         // Sequential reference: one process_compiled call per event.
         let (seq_outcomes, seq_image, seq_records) = run_stream(
@@ -435,15 +436,11 @@ proptest! {
             &stream,
             &policy,
         );
-        let seq_journal: Vec<String> = db_seq
-            .drain_journal_ops()
-            .iter()
-            .map(|op| format!("{op:?}"))
-            .collect();
+        let seq_journal = db_seq.drain_journal();
 
         for workers in [1usize, 2, 4, 8] {
             let (mut db, ids) = build_db(&spec);
-            db.attach_journal();
+            db.attach_journal(0);
             let shards = ShardMap::build(&compiled, &db);
             let mut engine = RuntimeEngine::new(policy.clone());
             let mut audit = AuditLog::retaining();
@@ -479,14 +476,10 @@ proptest! {
                 .collect();
             let records: Vec<String> =
                 audit.records().iter().map(|r| format!("{r:?}")).collect();
-            let journal: Vec<String> = db
-                .drain_journal_ops()
-                .iter()
-                .map(|op| format!("{op:?}"))
-                .collect();
+            let journal = db.drain_journal();
             prop_assert_eq!(&outcomes, &seq_outcomes, "workers={}", workers);
             prop_assert_eq!(&records, &seq_records, "workers={}", workers);
-            prop_assert_eq!(&journal, &seq_journal, "workers={}", workers);
+            prop_assert_eq!(journal.as_str(), seq_journal.as_str(), "workers={}", workers);
             prop_assert_eq!(&persist::save(&db), &seq_image, "workers={}", workers);
         }
     }
@@ -495,7 +488,7 @@ proptest! {
     /// distinct per-OID shard groups, and — with random raw bridge links
     /// welding some chains together — the sharded path must still match
     /// sequential execution byte-for-byte at every worker count,
-    /// including the journal-op stream.
+    /// including the journal bytes.
     #[test]
     fn same_view_instance_chains_shard_apart_and_match_sequential(
         chains in 2usize..5,
@@ -545,7 +538,7 @@ proptest! {
         }
 
         let (mut db_seq, ids, _) = build_chains(chains, length, &bridges);
-        db_seq.attach_journal();
+        db_seq.attach_journal(0);
         let (seq_outcomes, seq_image, seq_records) = run_stream(
             |engine, db, audit, ev| {
                 let out = engine
@@ -561,15 +554,11 @@ proptest! {
             &stream,
             &policy,
         );
-        let seq_journal: Vec<String> = db_seq
-            .drain_journal_ops()
-            .iter()
-            .map(|op| format!("{op:?}"))
-            .collect();
+        let seq_journal = db_seq.drain_journal();
 
         for workers in [1usize, 2, 4, 8] {
             let (mut db, ids, _) = build_chains(chains, length, &bridges);
-            db.attach_journal();
+            db.attach_journal(0);
             let shards = ShardMap::build(&compiled, &db);
             let mut engine = RuntimeEngine::new(policy.clone());
             let mut audit = AuditLog::retaining();
@@ -605,14 +594,10 @@ proptest! {
                 .collect();
             let records: Vec<String> =
                 audit.records().iter().map(|r| format!("{r:?}")).collect();
-            let journal: Vec<String> = db
-                .drain_journal_ops()
-                .iter()
-                .map(|op| format!("{op:?}"))
-                .collect();
+            let journal = db.drain_journal();
             prop_assert_eq!(&outcomes, &seq_outcomes, "workers={}", workers);
             prop_assert_eq!(&records, &seq_records, "workers={}", workers);
-            prop_assert_eq!(&journal, &seq_journal, "workers={}", workers);
+            prop_assert_eq!(journal.as_str(), seq_journal.as_str(), "workers={}", workers);
             prop_assert_eq!(&persist::save(&db), &seq_image, "workers={}", workers);
         }
     }

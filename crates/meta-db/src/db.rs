@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use crate::arena::{Arena, ArenaIndex};
 use crate::error::MetaError;
 use crate::intern::{Sym, SymbolTable};
-use crate::journal::{JournalOp, JournalRecorder, MovedEnd};
+use crate::journal::{body, JournalOp, JournalRecorder, MovedEnd, RecordBatch};
 use crate::link::{Direction, Link, LinkClass, LinkId, LinkKind};
 use crate::oid::{BlockName, Oid, ViewType};
 use crate::property::{prop_shard, IndexDelta, PropIndex, PropertyMap, Value, PROP_INDEX_SHARDS};
@@ -227,7 +227,7 @@ impl MetaDb {
         self.by_view.entry(oid.view.clone()).or_default().insert(id);
         self.stats.created_oids += 1;
         if let Some(j) = self.journal.as_mut() {
-            j.record(JournalOp::CreateOid { oid });
+            j.record_with(|out| body::create(out, &oid));
         }
         Ok(id)
     }
@@ -269,9 +269,7 @@ impl MetaDb {
             }
         }
         if let Some(j) = self.journal.as_mut() {
-            j.record(JournalOp::DeleteOid {
-                oid: entry.oid.clone(),
-            });
+            j.record_with(|out| body::delete(out, &entry.oid));
         }
         Ok(entry)
     }
@@ -367,8 +365,8 @@ impl MetaDb {
     /// Sets a property on an object, returning the previous value.
     ///
     /// Maintains the `(property, value)` secondary index (see
-    /// [`MetaDb::where_prop_eq`]) and, when a journal is attached, emits a
-    /// [`JournalOp::SetProp`] record.
+    /// [`MetaDb::where_prop_eq`]) and, when a journal is attached, records
+    /// a `prop` record.
     pub fn set_prop(
         &mut self,
         id: OidId,
@@ -378,18 +376,13 @@ impl MetaDb {
         let entry = self.oids.get_mut(id).ok_or_else(|| stale(id))?;
         self.stats.prop_writes += 1;
         let old = entry.props.set(name, value.clone());
-        let oid = self.journal.is_some().then(|| entry.oid.clone());
+        if let Some(j) = self.journal.as_mut() {
+            j.record_with(|out| body::prop(out, &entry.oid, name, &value));
+        }
         if let Some(old_v) = &old {
             if *old_v != value {
                 self.prop_index.remove(name, old_v, id);
             }
-        }
-        if let Some(j) = self.journal.as_mut() {
-            j.record(JournalOp::SetProp {
-                oid: oid.expect("cloned when journaling"),
-                name: name.to_string(),
-                value: value.clone(),
-            });
         }
         self.prop_index.insert(name, value, id);
         Ok(old)
@@ -415,14 +408,10 @@ impl MetaDb {
     pub fn remove_prop(&mut self, id: OidId, name: &str) -> Result<Option<Value>, MetaError> {
         let entry = self.oids.get_mut(id).ok_or_else(|| stale(id))?;
         let old = entry.props.remove(name);
-        let oid = self.journal.is_some().then(|| entry.oid.clone());
         if let Some(old_v) = &old {
             self.prop_index.remove(name, old_v, id);
             if let Some(j) = self.journal.as_mut() {
-                j.record(JournalOp::RemoveProp {
-                    oid: oid.expect("cloned when journaling"),
-                    name: name.to_string(),
-                });
+                j.record_with(|out| body::unprop(out, &entry.oid, name));
             }
         }
         Ok(old)
@@ -434,24 +423,24 @@ impl MetaDb {
     }
 
     /// Applies a sharded batch's property writes, producing **exactly**
-    /// the journal-op stream, secondary index, counters and storage image
-    /// a serial [`MetaDb::set_prop`] replay in ascending batch order
-    /// would — but in three phases so the bulk of the work parallelizes:
+    /// the journal bytes, secondary index, counters and storage image a
+    /// serial [`MetaDb::set_prop`] replay in ascending batch order would —
+    /// but in three phases so the bulk of the work parallelizes:
     ///
     /// 1. **parallel storage phase** — one thread per lane writes its own
     ///    OIDs' property maps directly (lanes are shard-disjoint, so
     ///    [`crate::Arena::partition_mut`] hands each lane exclusive
     ///    references), collecting each write's displaced value as an
-    ///    [`IndexDelta`] bucketed by property-hash shard and pre-building
-    ///    the lane's [`JournalOp::SetProp`] records per run;
+    ///    [`IndexDelta`] bucketed by property-hash shard and rendering
+    ///    the `prop` record body of each write into a lane buffer;
     /// 2. **parallel index phase** — threads split the secondary index's
     ///    shard array with `chunks_mut` and fold in the matching delta
     ///    buckets (lane batches commute within a shard because lanes
     ///    write disjoint ids);
-    /// 3. **serial ordering phase** — the pre-built journal records are
-    ///    emitted in ascending batch order (cheap `Vec` moves — the only
-    ///    part of write application that is inherently order-dependent)
-    ///    and the write counter moves once.
+    /// 3. **serial ordering phase** — the rendered bodies are framed into
+    ///    journal records (sequence number and checksum) in ascending
+    ///    batch order — the only part of write application that is
+    ///    inherently order-dependent — and the write counter moves once.
     ///
     /// Falls back to the exact serial replay when parallelism cannot help
     /// (`workers <= 1`, or fewer than two lanes carry writes) or when any
@@ -494,7 +483,12 @@ impl MetaDb {
 
         let journaling = self.journal.is_some();
         struct LaneApplied {
-            runs: Vec<(usize, Vec<JournalOp>)>,
+            /// `(batch index, write count)` per run, in lane order.
+            runs: Vec<(usize, usize)>,
+            /// The lane's `prop` record bodies, one per write when
+            /// journaling, back to back; `ends[k]` is where body `k` ends.
+            bodies: String,
+            ends: Vec<usize>,
             deltas: Vec<Vec<IndexDelta<OidId>>>,
             writes: u64,
         }
@@ -509,23 +503,18 @@ impl MetaDb {
                         let mut deltas: Vec<Vec<IndexDelta<OidId>>> =
                             (0..PROP_INDEX_SHARDS).map(|_| Vec::new()).collect();
                         let mut runs = Vec::with_capacity(lane.runs.len());
+                        let (mut bodies, mut ends) = (String::new(), Vec::new());
                         let mut writes = 0u64;
                         for (index, run_writes) in lane.runs {
-                            let mut ops = Vec::new();
-                            if journaling {
-                                ops.reserve(run_writes.len());
-                            }
+                            runs.push((index, run_writes.len()));
                             for w in run_writes {
                                 let entry = lane_refs
                                     .get_mut(&w.id)
                                     .expect("partition covers every lane write");
                                 let old = entry.props.set(w.prop.clone(), w.value.clone());
                                 if journaling {
-                                    ops.push(JournalOp::SetProp {
-                                        oid: entry.oid.clone(),
-                                        name: w.prop.clone(),
-                                        value: w.value.clone(),
-                                    });
+                                    body::prop(&mut bodies, &entry.oid, &w.prop, &w.value);
+                                    ends.push(bodies.len());
                                 }
                                 deltas[prop_shard(&w.prop)].push(IndexDelta {
                                     id: w.id,
@@ -535,10 +524,11 @@ impl MetaDb {
                                 });
                                 writes += 1;
                             }
-                            runs.push((index, ops));
                         }
                         LaneApplied {
                             runs,
+                            bodies,
+                            ends,
                             deltas,
                             writes,
                         }
@@ -581,17 +571,24 @@ impl MetaDb {
             }
         });
 
-        // Phase 3: serial replay of the ordered deltas — journal records
-        // in ascending batch order, then the counters.
-        if journaling {
-            let mut ordered: Vec<(usize, Vec<JournalOp>)> =
-                applied.into_iter().flat_map(|lane| lane.runs).collect();
-            ordered.sort_unstable_by_key(|(index, _)| *index);
-            if let Some(j) = self.journal.as_mut() {
-                for (_, ops) in ordered {
-                    for op in ops {
-                        j.record(op);
-                    }
+        // Phase 3: the rendered bodies framed as journal records in
+        // ascending batch order, then the counters.
+        if let Some(j) = self.journal.as_mut() {
+            // `(batch index, lane, first body, body count)` per run.
+            let mut ordered = Vec::new();
+            for (lane_no, lane) in applied.iter().enumerate() {
+                let mut first = 0;
+                for &(index, count) in &lane.runs {
+                    ordered.push((index, lane_no, first, count));
+                    first += count;
+                }
+            }
+            ordered.sort_unstable_by_key(|&(index, ..)| index);
+            for (_, lane_no, first, count) in ordered {
+                let lane = &applied[lane_no];
+                for k in first..first + count {
+                    let start = if k == 0 { 0 } else { lane.ends[k - 1] };
+                    j.record_with(|out| out.push_str(&lane.bodies[start..lane.ends[k]]));
                 }
             }
         }
@@ -689,28 +686,12 @@ impl MetaDb {
             .links
             .push(id);
         self.stats.created_links += 1;
-        if self.journaling() {
-            let from_oid = self.oids[from].oid.clone();
-            let to_oid = self.oids[to].oid.clone();
-            let (class, kind, propagates) = {
-                let link = &self.links[id];
-                (
-                    link.class,
-                    link.kind.clone(),
-                    link.propagates.iter().cloned().collect(),
-                )
-            };
-            if let Some(j) = self.journal.as_mut() {
-                let tag = j.assign_tag(id);
-                j.record(JournalOp::AddLink {
-                    tag,
-                    from: from_oid,
-                    to: to_oid,
-                    class,
-                    kind,
-                    propagates,
-                });
-            }
+        if let Some(j) = self.journal.as_mut() {
+            let tag = j.assign_tag(id);
+            let (link, from, to) = (&self.links[id], &self.oids[from].oid, &self.oids[to].oid);
+            j.record_with(|out| {
+                body::link(out, tag, from, to, link.class, &link.kind, &link.propagates);
+            });
         }
         Ok(id)
     }
@@ -729,7 +710,7 @@ impl MetaDb {
         }
         if let Some(j) = self.journal.as_mut() {
             let tag = j.release_tag(id);
-            j.record(JournalOp::RemoveLink { tag });
+            j.record_with(|out| body::unlink(out, tag));
         }
         Ok(link)
     }
@@ -754,10 +735,7 @@ impl MetaDb {
             self.bump_topology(TopoDelta::Bridge { a, b });
             if let Some(j) = self.journal.as_mut() {
                 let tag = j.tag_of(id);
-                j.record(JournalOp::AllowEvent {
-                    tag,
-                    event: event.to_string(),
-                });
+                j.record_with(|out| body::allow(out, tag, event));
             }
         }
         Ok(fresh)
@@ -777,16 +755,11 @@ impl MetaDb {
             .links
             .get_mut(id)
             .ok_or(MetaError::StaleLink { link: id })?;
-        let old = link.props.set(name, value.clone());
         if let Some(j) = self.journal.as_mut() {
             let tag = j.tag_of(id);
-            j.record(JournalOp::SetLinkProp {
-                tag,
-                name: name.to_string(),
-                value,
-            });
+            j.record_with(|out| body::lprop(out, tag, name, &value));
         }
-        Ok(old)
+        Ok(link.props.set(name, value))
     }
 
     /// Removes a property from a link's annotation, returning its value.
@@ -799,10 +772,7 @@ impl MetaDb {
         if old.is_some() {
             if let Some(j) = self.journal.as_mut() {
                 let tag = j.tag_of(id);
-                j.record(JournalOp::RemoveLinkProp {
-                    tag,
-                    name: name.to_string(),
-                });
+                j.record_with(|out| body::unlprop(out, tag, name));
             }
         }
         Ok(old)
@@ -936,16 +906,10 @@ impl MetaDb {
             .expect("checked above")
             .links
             .push(link_id);
-        if self.journaling() {
-            let new_oid = self.oids[new].oid.clone();
-            if let Some(j) = self.journal.as_mut() {
-                let tag = j.tag_of(link_id);
-                j.record(JournalOp::MoveLinkEnd {
-                    tag,
-                    end: moved_end,
-                    new: new_oid,
-                });
-            }
+        if let Some(j) = self.journal.as_mut() {
+            let tag = j.tag_of(link_id);
+            let new = &self.oids[new].oid;
+            j.record_with(|out| body::move_end(out, tag, moved_end, new));
         }
         Ok(())
     }
@@ -980,9 +944,12 @@ impl MetaDb {
     // ------------------------------------------------------------------
 
     /// Attaches a journal recorder: from this point on, every mutating
-    /// method appends a [`JournalOp`] describing itself to an internal
-    /// buffer which the owner drains with [`MetaDb::drain_journal_ops`]
-    /// (typically into a [`crate::journal::JournalWriter`]).
+    /// method renders its journal record — numbered from `next_seq`, the
+    /// owning [`crate::journal::JournalWriter`]'s
+    /// [`record_count`](crate::journal::JournalWriter::record_count) — into
+    /// an internal buffer, which the owner drains with
+    /// [`MetaDb::drain_journal`] into
+    /// [`JournalWriter::append`](crate::journal::JournalWriter::append).
     ///
     /// Existing links are assigned journal tags in image order (the
     /// deterministic order [`MetaDb::links_in_image_order`] — the same order
@@ -991,22 +958,22 @@ impl MetaDb {
     /// pre-existing links across a snapshot boundary.
     ///
     /// Calling this on a database with a journal already attached re-bases
-    /// it: the op buffer is cleared and link tags are re-assigned — done by
-    /// checkpointing code right after writing a fresh snapshot.
+    /// it: the record buffer is cleared and link tags are re-assigned —
+    /// done by checkpointing code right after writing a fresh snapshot.
     ///
     /// Every link write routes through the mutator API
     /// ([`MetaDb::set_link_prop`] / [`MetaDb::allow_event`] / …; there is
     /// no raw `&mut Link` accessor), so no annotation write can bypass the
     /// op log.
-    pub fn attach_journal(&mut self) {
-        let mut recorder = JournalRecorder::default();
+    pub fn attach_journal(&mut self, next_seq: u64) {
+        let mut recorder = JournalRecorder::new(next_seq);
         for id in self.links_in_image_order() {
             recorder.assign_tag(id);
         }
         self.journal = Some(recorder);
     }
 
-    /// Detaches the journal recorder, discarding any undrained ops.
+    /// Detaches the journal recorder, discarding any undrained records.
     pub fn detach_journal(&mut self) {
         self.journal = None;
     }
@@ -1016,26 +983,40 @@ impl MetaDb {
         self.journal.is_some()
     }
 
-    /// Takes the buffered journal ops, leaving the recorder attached.
-    /// Returns an empty vec when no journal is attached.
-    pub fn drain_journal_ops(&mut self) -> Vec<JournalOp> {
+    /// Takes the buffered journal records, leaving the recorder attached
+    /// and numbering on. Returns an empty batch when no journal is
+    /// attached.
+    pub fn drain_journal(&mut self) -> RecordBatch {
         self.journal
             .as_mut()
             .map(JournalRecorder::drain)
             .unwrap_or_default()
     }
 
-    /// Number of buffered (undrained) journal ops.
+    /// [`MetaDb::drain_journal`], decoded — for tests and tools that
+    /// inspect what was recorded.
+    ///
+    /// # Panics
+    ///
+    /// When a buffered record fails to decode, which would be a bug in
+    /// the recorder.
+    pub fn drain_journal_ops(&mut self) -> Vec<JournalOp> {
+        self.drain_journal()
+            .decode()
+            .expect("the recorder renders valid records")
+    }
+
+    /// Number of buffered (undrained) journal records.
     pub fn journal_backlog(&self) -> usize {
         self.journal.as_ref().map_or(0, JournalRecorder::backlog)
     }
 
-    /// Appends a caller-supplied op (e.g. a server-level
-    /// [`JournalOp::Data`] payload record) to the journal buffer, keeping
+    /// Records a caller-supplied op (e.g. a server-level
+    /// [`JournalOp::Data`] payload record) in the journal buffer, keeping
     /// it ordered relative to the database mutations around it — essential
-    /// under group commit, where many operations' ops drain in one batch.
-    /// No-op when no journal is attached.
-    pub fn record_extra(&mut self, op: JournalOp) {
+    /// under group commit, where many operations' records drain in one
+    /// batch. No-op when no journal is attached.
+    pub fn record_extra(&mut self, op: &JournalOp) {
         if let Some(j) = self.journal.as_mut() {
             j.record(op);
         }
@@ -1397,7 +1378,7 @@ mod tests {
     fn journal_records_replay_to_identical_image() {
         use crate::journal::{self, JournalOp};
         let mut db = MetaDb::new();
-        db.attach_journal();
+        db.attach_journal(0);
         assert!(db.journaling());
         let a = db.create_oid(Oid::new("cpu", "HDL_model", 1)).unwrap();
         let b = db.create_oid(Oid::new("cpu", "schematic", 1)).unwrap();
@@ -1446,7 +1427,7 @@ mod tests {
     fn sharded_apply_matches_serial_replay() {
         fn seed() -> (MetaDb, Vec<OidId>) {
             let mut db = MetaDb::new();
-            db.attach_journal();
+            db.attach_journal(0);
             let ids: Vec<OidId> = ["a", "b", "c", "d"]
                 .iter()
                 .map(|b| db.create_oid(Oid::new(*b, "schematic", 1)).unwrap())
@@ -1486,10 +1467,12 @@ mod tests {
         parallel.apply_prop_writes_sharded(lanes(&ids), 4).unwrap();
         serial.apply_prop_writes_sharded(lanes(&ids2), 1).unwrap();
 
+        let journal = parallel.drain_journal();
+        assert_eq!(journal.len(), 7);
         assert_eq!(
-            parallel.drain_journal_ops(),
-            serial.drain_journal_ops(),
-            "journal-op stream is byte-identical (runs in batch order)"
+            journal,
+            serial.drain_journal(),
+            "journal bytes are identical (runs in batch order)"
         );
         assert_eq!(
             crate::persist::save(&parallel),

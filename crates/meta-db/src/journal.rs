@@ -15,9 +15,10 @@
 //!   file opens with a versioned header carrying the checkpoint *epoch* it
 //!   extends, and each record line carries a sequence number and an FNV-1a
 //!   checksum, so a torn tail (the crash case) is detected and cleanly
-//!   ignored. A batch of ops is encoded once into a [`RecordBatch`] and
-//!   written with one `write_all`; the caller keeps the batch to publish
-//!   the same bytes to replication followers.
+//!   ignored. Records are rendered once, when the mutation happens, into
+//!   the attached [`JournalRecorder`]'s [`RecordBatch`]; the writer puts
+//!   that buffer on disk with one `write_all`, and the caller keeps it to
+//!   publish the same bytes to replication followers.
 //! * [`recover`] — loads `snapshot + journal tail` and replays the tail
 //!   **through the normal [`MetaDb`] API**, so invariants (interned event
 //!   bitsets, version chains, the property index, link incidence) are
@@ -116,11 +117,14 @@ impl MovedEnd {
     }
 }
 
-/// One journaled mutation. Mirrors the mutating surface of [`MetaDb`]
-/// (`create_oid`, `delete_oid`, `set_prop`, `remove_prop`, `add_link_with`,
-/// `remove_link`, `allow_event`, `set_link_prop`, `remove_link_prop`,
-/// `move_link_end`) plus [`JournalOp::Data`] for workspace payloads, which
-/// the project server emits on check-in.
+/// One journaled mutation, in decoded form. Mirrors the mutating surface
+/// of [`MetaDb`] (`create_oid`, `delete_oid`, `set_prop`, `remove_prop`,
+/// `add_link_with`, `remove_link`, `allow_event`, `set_link_prop`,
+/// `remove_link_prop`, `move_link_end`) plus [`JournalOp::Data`] for
+/// workspace payloads, which the project server emits on check-in. The
+/// mutators render their records directly (see [`JournalRecorder`]);
+/// values of this type come from decoding — recovery, replication, replay
+/// — and from the server's work records.
 ///
 /// Links are referenced by a journal *tag*: a monotonically increasing
 /// 64-bit id assigned when the link is first journaled (either by its
@@ -281,19 +285,12 @@ impl JournalOp {
     }
 
     /// Appends [`JournalOp::encode`]`()` to `out` — the one encoder of
-    /// the op grammar, borrowing every field in place.
+    /// the op grammar, borrowing every field in place. The database-level
+    /// variants render through the same op-body functions the [`MetaDb`]
+    /// mutators call.
     pub fn encode_into(&self, out: &mut String) {
-        use persist::{encode_hex_into, encode_value_into, escape_into, push_oid, push_u64};
-        // `<keyword> <number>`, the opening of every tag/id/seq record.
-        let head = |out: &mut String, keyword: &str, n: u64| {
-            out.push_str(keyword);
-            push_u64(out, n);
-        };
-        // ` <escaped word>`.
-        let word = |out: &mut String, s: &str| {
-            out.push(' ');
-            escape_into(out, s);
-        };
+        use body::{head, word};
+        use persist::{encode_hex_into, push_oid, push_u64};
         // ` <count> <arg>…`: a length-prefixed argument list.
         let arg_list = |out: &mut String, args: &[String]| {
             out.push(' ');
@@ -303,26 +300,10 @@ impl JournalOp {
             }
         };
         match self {
-            JournalOp::CreateOid { oid } => {
-                out.push_str("create ");
-                push_oid(out, oid);
-            }
-            JournalOp::DeleteOid { oid } => {
-                out.push_str("delete ");
-                push_oid(out, oid);
-            }
-            JournalOp::SetProp { oid, name, value } => {
-                out.push_str("prop ");
-                push_oid(out, oid);
-                word(out, name);
-                out.push(' ');
-                encode_value_into(out, value);
-            }
-            JournalOp::RemoveProp { oid, name } => {
-                out.push_str("unprop ");
-                push_oid(out, oid);
-                word(out, name);
-            }
+            JournalOp::CreateOid { oid } => body::create(out, oid),
+            JournalOp::DeleteOid { oid } => body::delete(out, oid),
+            JournalOp::SetProp { oid, name, value } => body::prop(out, oid, name, value),
+            JournalOp::RemoveProp { oid, name } => body::unprop(out, oid, name),
             JournalOp::AddLink {
                 tag,
                 from,
@@ -330,33 +311,12 @@ impl JournalOp {
                 class,
                 kind,
                 propagates,
-            } => {
-                head(out, "link ", *tag);
-                out.push(' ');
-                persist::push_link_fields(out, from, to, *class, kind, propagates);
-            }
-            JournalOp::RemoveLink { tag } => head(out, "unlink ", *tag),
-            JournalOp::AllowEvent { tag, event } => {
-                head(out, "allow ", *tag);
-                word(out, event);
-            }
-            JournalOp::SetLinkProp { tag, name, value } => {
-                head(out, "lprop ", *tag);
-                word(out, name);
-                out.push(' ');
-                encode_value_into(out, value);
-            }
-            JournalOp::RemoveLinkProp { tag, name } => {
-                head(out, "unlprop ", *tag);
-                word(out, name);
-            }
-            JournalOp::MoveLinkEnd { tag, end, new } => {
-                head(out, "move ", *tag);
-                out.push(' ');
-                out.push_str(end.as_keyword());
-                out.push(' ');
-                push_oid(out, new);
-            }
+            } => body::link(out, *tag, from, to, *class, kind, propagates),
+            JournalOp::RemoveLink { tag } => body::unlink(out, *tag),
+            JournalOp::AllowEvent { tag, event } => body::allow(out, *tag, event),
+            JournalOp::SetLinkProp { tag, name, value } => body::lprop(out, *tag, name, value),
+            JournalOp::RemoveLinkProp { tag, name } => body::unlprop(out, *tag, name),
+            JournalOp::MoveLinkEnd { tag, end, new } => body::move_end(out, *tag, *end, new),
             JournalOp::Data { oid, payload } => {
                 out.push_str("data ");
                 push_oid(out, oid);
@@ -569,19 +529,133 @@ impl JournalOp {
     }
 }
 
-/// The in-database op buffer and link-tag allocator behind
-/// [`MetaDb::attach_journal`]. Mutators push ops here; the owner drains
-/// them into a [`JournalWriter`].
+/// Op-body renderers over borrowed fields, one per database-level op:
+/// [`JournalOp::encode_into`] and the [`MetaDb`] mutators both render
+/// through these, so a record made at mutation time and a decoded op
+/// re-encoded are the same bytes.
+pub(crate) mod body {
+    use super::MovedEnd;
+    use crate::link::{LinkClass, LinkKind};
+    use crate::oid::Oid;
+    use crate::persist::{self, encode_value_into, escape_into, push_oid, push_u64};
+    use crate::property::Value;
+
+    /// `<keyword><number>`, the opening of every tag/id/seq record.
+    pub(crate) fn head(out: &mut String, keyword: &str, n: u64) {
+        out.push_str(keyword);
+        push_u64(out, n);
+    }
+
+    /// ` <escaped word>`.
+    pub(crate) fn word(out: &mut String, s: &str) {
+        out.push(' ');
+        escape_into(out, s);
+    }
+
+    pub(crate) fn create(out: &mut String, oid: &Oid) {
+        out.push_str("create ");
+        push_oid(out, oid);
+    }
+
+    pub(crate) fn delete(out: &mut String, oid: &Oid) {
+        out.push_str("delete ");
+        push_oid(out, oid);
+    }
+
+    pub(crate) fn prop(out: &mut String, oid: &Oid, name: &str, value: &Value) {
+        out.push_str("prop ");
+        push_oid(out, oid);
+        word(out, name);
+        out.push(' ');
+        encode_value_into(out, value);
+    }
+
+    pub(crate) fn unprop(out: &mut String, oid: &Oid, name: &str) {
+        out.push_str("unprop ");
+        push_oid(out, oid);
+        word(out, name);
+    }
+
+    pub(crate) fn link<'a>(
+        out: &mut String,
+        tag: u64,
+        from: &Oid,
+        to: &Oid,
+        class: LinkClass,
+        kind: &LinkKind,
+        propagates: impl IntoIterator<Item = &'a String>,
+    ) {
+        head(out, "link ", tag);
+        out.push(' ');
+        persist::push_link_fields(out, from, to, class, kind, propagates);
+    }
+
+    pub(crate) fn unlink(out: &mut String, tag: u64) {
+        head(out, "unlink ", tag);
+    }
+
+    pub(crate) fn allow(out: &mut String, tag: u64, event: &str) {
+        head(out, "allow ", tag);
+        word(out, event);
+    }
+
+    pub(crate) fn lprop(out: &mut String, tag: u64, name: &str, value: &Value) {
+        head(out, "lprop ", tag);
+        word(out, name);
+        out.push(' ');
+        encode_value_into(out, value);
+    }
+
+    pub(crate) fn unlprop(out: &mut String, tag: u64, name: &str) {
+        head(out, "unlprop ", tag);
+        word(out, name);
+    }
+
+    pub(crate) fn move_end(out: &mut String, tag: u64, end: MovedEnd, new: &Oid) {
+        head(out, "move ", tag);
+        out.push(' ');
+        out.push_str(end.as_keyword());
+        out.push(' ');
+        push_oid(out, new);
+    }
+}
+
+/// The in-database record buffer and link-tag allocator behind
+/// [`MetaDb::attach_journal`]. Mutators render their records here as
+/// they happen, already framed with checksum and sequence number; the
+/// owner drains the buffer into [`JournalWriter::append`].
+///
+/// Invariant kept by the owner: the recorder's next sequence number is
+/// the writer's [`JournalWriter::record_count`] plus the buffered
+/// records. It is set from the writer whenever a recorder is attached,
+/// and a drained batch is either appended or dropped with the recorder
+/// re-attached or detached right after; [`JournalWriter::append`]
+/// refuses a batch that breaks it.
 #[derive(Debug, Clone, Default)]
 pub struct JournalRecorder {
-    ops: Vec<JournalOp>,
+    batch: RecordBatch,
+    next_seq: u64,
     tags: HashMap<LinkId, u64>,
     next_tag: u64,
 }
 
 impl JournalRecorder {
-    pub(crate) fn record(&mut self, op: JournalOp) {
-        self.ops.push(op);
+    /// A recorder whose first record is numbered `next_seq`.
+    pub(crate) fn new(next_seq: u64) -> Self {
+        JournalRecorder {
+            next_seq,
+            ..Self::default()
+        }
+    }
+
+    /// Frames one record whose op body `body` renders.
+    pub(crate) fn record_with(&mut self, body: impl FnOnce(&mut String)) {
+        self.batch.push_record(self.next_seq, body);
+        self.next_seq += 1;
+    }
+
+    pub(crate) fn record(&mut self, op: &JournalOp) {
+        self.record_with(|out| op.encode_into(out));
     }
 
     pub(crate) fn assign_tag(&mut self, id: LinkId) -> u64 {
@@ -604,12 +678,12 @@ impl JournalRecorder {
             .expect("every live link has a journal tag")
     }
 
-    pub(crate) fn drain(&mut self) -> Vec<JournalOp> {
-        std::mem::take(&mut self.ops)
+    pub(crate) fn drain(&mut self) -> RecordBatch {
+        std::mem::take(&mut self.batch)
     }
 
     pub(crate) fn backlog(&self) -> usize {
-        self.ops.len()
+        self.batch.len()
     }
 }
 
@@ -710,16 +784,21 @@ pub fn encode_record(seq: u64, op: &JournalOp) -> String {
     out
 }
 
-/// Appends [`encode_record`]`(seq, op)` to `out`. The record is rendered
-/// in place behind 16 reserved checksum bytes, which are back-patched
-/// once the covered `"<seq> <op…>"` bytes exist.
+/// Appends [`encode_record`]`(seq, op)` to `out`.
 pub fn encode_record_into(out: &mut String, seq: u64, op: &JournalOp) {
+    frame_record(out, seq, |out| op.encode_into(out));
+}
+
+/// Appends the record `<fnv1a-64 hex> <seq> <body>\n`, the op body
+/// rendered in place by `body` behind 16 reserved checksum bytes, which
+/// are back-patched once the covered `"<seq> <body>"` bytes exist.
+fn frame_record(out: &mut String, seq: u64, body: impl FnOnce(&mut String)) {
     let start = out.len();
     out.push_str("0000000000000000 ");
     let covered = out.len();
     persist::push_u64(out, seq);
     out.push(' ');
-    op.encode_into(out);
+    body(out);
     let digits = persist::hex_digits(fnv1a(&out.as_bytes()[covered..]));
     out.replace_range(
         start..start + digits.len(),
@@ -728,10 +807,11 @@ pub fn encode_record_into(out: &mut String, seq: u64, op: &JournalOp) {
     out.push('\n');
 }
 
-/// Encoded journal records exactly as one [`JournalWriter::append_batch`]
-/// wrote them: newline-terminated record lines in one buffer, plus where
-/// each line ends. The replication tail hub keeps these buffers as they
-/// are, so a follower receives the bytes that are on disk.
+/// Encoded journal records in one buffer: newline-terminated record
+/// lines plus where each line ends. A [`JournalRecorder`] renders them
+/// as mutations happen, [`JournalWriter::append`] writes the buffer as
+/// it is, and the replication tail hub keeps it, so a follower receives
+/// the bytes that are on disk.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecordBatch {
     text: String,
@@ -740,17 +820,10 @@ pub struct RecordBatch {
 }
 
 impl RecordBatch {
-    /// Encodes `ops` as records numbered from `first_seq`, into one buffer.
-    pub fn encode(first_seq: u64, ops: &[JournalOp]) -> Self {
-        let mut batch = RecordBatch {
-            text: String::with_capacity(64 * ops.len()),
-            ends: Vec::with_capacity(ops.len()),
-        };
-        for (seq, op) in (first_seq..).zip(ops) {
-            encode_record_into(&mut batch.text, seq, op);
-            batch.ends.push(batch.text.len());
-        }
-        batch
+    /// Appends record `seq`, its op body rendered by `body`.
+    fn push_record(&mut self, seq: u64, body: impl FnOnce(&mut String)) {
+        frame_record(&mut self.text, seq, body);
+        self.ends.push(self.text.len());
     }
 
     /// Wraps record lines as read back from a journal file: every
@@ -792,6 +865,29 @@ impl RecordBatch {
     pub fn line(&self, i: usize) -> &str {
         let start = if i == 0 { 0 } else { self.ends[i - 1] };
         &self.text[start..self.ends[i] - 1]
+    }
+
+    /// The sequence number the first record carries; `None` for an empty
+    /// batch or a first line without a numeric sequence field.
+    pub fn first_seq(&self) -> Option<u64> {
+        if self.is_empty() {
+            return None;
+        }
+        self.line(0).split(' ').nth(1)?.parse().ok()
+    }
+
+    /// Decodes every record, verifying checksums and dense numbering from
+    /// [`RecordBatch::first_seq`].
+    ///
+    /// # Errors
+    ///
+    /// A human-readable reason for the first record that fails
+    /// [`decode_record`].
+    pub fn decode(&self) -> Result<Vec<JournalOp>, String> {
+        let first = self.first_seq().unwrap_or(0);
+        (0..self.len())
+            .map(|i| decode_record(self.line(i), first + i as u64))
+            .collect()
     }
 }
 
@@ -1015,21 +1111,35 @@ impl JournalWriter {
         })
     }
 
-    /// Appends `ops` as consecutive records: the whole batch is encoded
-    /// into one buffer and written with one `write_all`, then returned so
-    /// the caller can publish the very bytes it put on disk. Buffered by
-    /// the OS until [`JournalWriter::sync`]. An empty batch writes nothing.
+    /// Appends `batch` — records a [`JournalRecorder`] numbered from this
+    /// journal's next sequence number — with one `write_all`, so the
+    /// caller can publish the very bytes it put on disk. Buffered by the
+    /// OS until [`JournalWriter::sync`]. An empty batch writes nothing.
     ///
     /// # Errors
     ///
-    /// File-system errors; the sequence does not advance then.
-    pub fn append_batch(&mut self, ops: &[JournalOp]) -> Result<RecordBatch, std::io::Error> {
-        let batch = RecordBatch::encode(self.seq, ops);
-        if !batch.is_empty() {
-            self.file.write_all(batch.as_str().as_bytes())?;
+    /// [`std::io::ErrorKind::InvalidInput`], with nothing written, when
+    /// the batch's first record is not numbered
+    /// [`JournalWriter::record_count`]; file-system errors. The sequence
+    /// does not advance on either.
+    pub fn append(&mut self, batch: &RecordBatch) -> Result<(), std::io::Error> {
+        if batch.is_empty() {
+            return Ok(());
         }
+        let first = batch.first_seq();
+        if first != Some(self.seq) {
+            let found = first.map_or_else(|| "no sequence number".to_string(), |s| s.to_string());
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "record batch starts at {found}, the journal's next sequence number is {}",
+                    self.seq
+                ),
+            ));
+        }
+        self.file.write_all(batch.as_str().as_bytes())?;
         self.seq += batch.len() as u64;
-        Ok(batch)
+        Ok(())
     }
 
     /// Forces appended records to stable storage.
@@ -1612,6 +1722,36 @@ mod tests {
                 reason: "simulation crashed\n(timeout)".into(),
             },
         ]
+    }
+
+    #[test]
+    fn writer_refuses_a_batch_numbered_from_another_seq() {
+        let dir = std::env::temp_dir().join(format!("damocles-writer-seq-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("journal.djl");
+        let mut writer = JournalWriter::create(&path, 1, 1).unwrap();
+        let recorded = |next_seq: u64| {
+            let mut recorder = JournalRecorder::new(next_seq);
+            for op in &sample_ops()[..2] {
+                recorder.record(op);
+            }
+            recorder.drain()
+        };
+        // A recorder attached at the wrong count, ahead of or behind the
+        // writer: refused, nothing written, the count unchanged.
+        for wrong in [1, 5] {
+            let err = writer.append(&recorded(wrong)).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+            assert_eq!(writer.record_count(), 0);
+            assert_eq!(fs::read_to_string(&path).unwrap(), encode_header(1, 1));
+        }
+        writer.append(&recorded(0)).unwrap();
+        assert_eq!(writer.record_count(), 2);
+        let err = writer.append(&recorded(0)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        let tail = parse_journal(&fs::read(&path).unwrap()).unwrap();
+        assert_eq!(tail.ops, sample_ops()[..2]);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! They pin one journal record per `JournalOp` variant and the
 //! `save_project` image of a small database, covering escapes (space,
 //! `%`, newline, tab, non-ASCII), empty and multi-event PROPAGATE sets,
-//! `data` hex, and work-queue records with arguments.
+//! `data` hex, and work-queue records with arguments. The same lines are
+//! what the `MetaDb` mutators record as they run.
 //!
 //! A deliberate format change must update these strings, and with them
 //! the version in the journal and image headers.
@@ -12,7 +13,7 @@ use damocles_meta::journal::{
     decode_record, encode_header, encode_record, encode_record_into, parse_journal, JournalOp,
     JournalWriter, MovedEnd, RecordBatch,
 };
-use damocles_meta::{persist, LinkClass, LinkKind, MetaDb, Oid, Value, Workspace};
+use damocles_meta::{persist, LinkClass, LinkKind, MetaDb, Oid, OidId, Value, Workspace};
 
 /// One op per variant, in the order the pinned records below number them.
 fn ops() -> Vec<JournalOp> {
@@ -225,14 +226,91 @@ fn appending_encoders_match_the_returning_ones() {
     }
     assert_eq!(out, format!("prefix|{}", RECORDS.concat()));
 
-    let ops = ops();
-    let batch = RecordBatch::encode(0, &ops);
+    // A recorder renders the same lines and splits its batch at them.
+    let mut db = MetaDb::new();
+    db.attach_journal(0);
+    for op in &ops() {
+        db.record_extra(op);
+    }
+    let batch = db.drain_journal();
     assert_eq!(batch.as_str(), RECORDS.concat());
     assert_eq!(batch.len(), RECORDS.len());
     for (i, expected) in RECORDS.iter().enumerate() {
         assert_eq!(batch.line(i), expected.trim_end_matches('\n'));
     }
+    assert_eq!(batch.first_seq(), Some(0));
+    assert_eq!(batch.decode(), Ok(ops()));
     assert_eq!(RecordBatch::from_lines(RECORDS.concat()), batch);
+}
+
+/// Every mutator records its line as it runs. Driven in the order of
+/// records 0–13, with recorders attached at the sequence number of the
+/// next pinned record, and followed by a `record_extra` of each
+/// server-level op (14–21), the drained batches are the pinned lines with
+/// dense sequence numbers — except that a live database keeps a
+/// PROPAGATE set sorted, so record 6 lists its pinned events in sorted
+/// order.
+#[test]
+fn mutators_record_the_pinned_lines() {
+    let cpu = Oid::new("cpu", "HDL_model", 12);
+    let sch = Oid::new("cpu", "schematic", 3);
+    let mut db = MetaDb::new();
+    // Seven links older than the recorders: the next new link is tag 7.
+    let pads: Vec<OidId> = (1..=8)
+        .map(|v| db.create_oid(Oid::new("pad", "v", v)).unwrap())
+        .collect();
+    for pair in pads.windows(2) {
+        db.add_link(pair[0], pair[1], LinkClass::Use, LinkKind::Composition)
+            .unwrap();
+    }
+    let alu = db.create_oid(Oid::new("alu", "HDL_model", 1)).unwrap();
+    let old_sch = db.create_oid(sch.clone()).unwrap();
+
+    db.attach_journal(0);
+    let c = db.create_oid(cpu).unwrap();
+    db.delete_oid(old_sch).unwrap();
+    let text = Value::Str("4 errors\n100% \tdone, naïve µ\u{a0}x".into());
+    db.set_prop(c, "sim result", text).unwrap();
+    db.set_prop(c, "drc", Value::Int(-42)).unwrap();
+    db.set_prop(c, "uptodate", Value::Bool(false)).unwrap();
+    db.remove_prop(c, "sim result").unwrap();
+    let mut journal = db.drain_journal().as_str().to_string();
+
+    // Attaching at 6 drops the re-created schematic's `create` record and
+    // re-tags the seven links 0–6.
+    let s = db.create_oid(sch).unwrap();
+    db.attach_journal(6);
+    let derive = db
+        .add_link_with(
+            c,
+            s,
+            LinkClass::Derive,
+            LinkKind::DeriveFrom,
+            ["outofdate", "nl sim", "100%"],
+        )
+        .unwrap();
+    let kind = LinkKind::Other("my kind".into());
+    let used = db
+        .add_link_with(s, c, LinkClass::Use, kind, Vec::<String>::new())
+        .unwrap();
+    db.remove_link(used).unwrap();
+    db.allow_event(derive, "lvs\tcheck").unwrap();
+    db.set_link_prop(derive, "weight", Value::Int(3)).unwrap();
+    db.remove_link_prop(derive, "weight").unwrap();
+    db.move_link_end(derive, c, alu).unwrap();
+    db.move_link_end(derive, s, s).unwrap();
+    for op in &ops()[14..] {
+        db.record_extra(op);
+    }
+    journal.push_str(db.drain_journal().as_str());
+
+    let mut expected: Vec<String> = RECORDS.iter().map(|r| r.to_string()).collect();
+    let mut sorted = decode_record(RECORDS[6], 6).unwrap();
+    if let JournalOp::AddLink { propagates, .. } = &mut sorted {
+        propagates.sort();
+    }
+    expected[6] = encode_record(6, &sorted);
+    assert_eq!(journal, expected.concat());
 }
 
 #[test]
@@ -242,19 +320,23 @@ fn batched_appends_write_the_pinned_bytes() {
     let path = dir.join("journal.djl");
     let ops = ops();
     let mut writer = JournalWriter::create(&path, 3, 2).unwrap();
-    let first = writer.append_batch(&ops[..10]).unwrap();
-    assert!(writer.append_batch(&[]).unwrap().is_empty());
-    let second = writer.append_batch(&ops[10..]).unwrap();
+    let mut db = MetaDb::new();
+    db.attach_journal(writer.record_count());
+    for op in &ops[..10] {
+        db.record_extra(op);
+    }
+    writer.append(&db.drain_journal()).unwrap();
+    // An empty batch writes nothing; the numbering continues across drains.
+    writer.append(&db.drain_journal()).unwrap();
+    for op in &ops[10..] {
+        db.record_extra(op);
+    }
+    writer.append(&db.drain_journal()).unwrap();
     writer.sync().unwrap();
     assert_eq!(writer.record_count(), ops.len() as u64);
 
     let bytes = std::fs::read_to_string(&path).unwrap();
     assert_eq!(bytes, encode_header(3, 2) + &RECORDS.concat());
-    // The returned batches are the file's record bytes, split at the write.
-    assert_eq!(
-        format!("{}{}", first.as_str(), second.as_str()),
-        RECORDS.concat()
-    );
     assert_eq!(parse_journal(bytes.as_bytes()).unwrap().ops, ops);
     let _ = std::fs::remove_dir_all(&dir);
 }

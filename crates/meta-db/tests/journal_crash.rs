@@ -145,7 +145,7 @@ proptest! {
     #[test]
     fn recovery_from_any_truncation_is_a_valid_prefix(cmds in cmds()) {
         let mut db = MetaDb::new();
-        db.attach_journal();
+        db.attach_journal(0);
         apply_cmds(&mut db, &cmds, 0);
         let ops: Vec<JournalOp> = db.drain_journal_ops();
 
@@ -229,7 +229,7 @@ proptest! {
     fn checkpoint_recover_matches_persist_save(setup in cmds(), tail in cmds()) {
         // State A: the checkpoint.
         let mut db = MetaDb::new();
-        db.attach_journal();
+        db.attach_journal(0);
         apply_cmds(&mut db, &setup, 0);
         let _ = db.drain_journal_ops();
         let ws = Workspace::new("w");
@@ -242,7 +242,7 @@ proptest! {
         // State B: more work lands in the journal tail. Re-attaching the
         // journal re-bases link tags in image order, exactly like the
         // server's checkpoint does after writing the snapshot.
-        db.attach_journal();
+        db.attach_journal(0);
         apply_cmds(&mut db, &tail, 6);
         let ops = db.drain_journal_ops();
         let bytes = journal_bytes(9, 4, &ops);
@@ -271,7 +271,7 @@ proptest! {
     #[test]
     fn stale_epoch_journal_is_ignored(setup in cmds()) {
         let mut db = MetaDb::new();
-        db.attach_journal();
+        db.attach_journal(0);
         apply_cmds(&mut db, &setup, 0);
         let ops = db.drain_journal_ops();
         // Snapshot at epoch 5 already CONTAINS the ops' effects; the
@@ -298,13 +298,13 @@ proptest! {
         journal_newer in any::<bool>(),
     ) {
         let mut db = MetaDb::new();
-        db.attach_journal();
+        db.attach_journal(0);
         apply_cmds(&mut db, &setup, 0);
         let _ = db.drain_journal_ops();
         let snapshot = journal::write_snapshot(&db, &Workspace::new("w"), 7, snap_term);
         prop_assert_eq!(journal::snapshot_term(&snapshot), snap_term);
 
-        db.attach_journal();
+        db.attach_journal(0);
         apply_cmds(&mut db, &tail, 9);
         let ops = db.drain_journal_ops();
         // Same epoch, different term: the one disagreement epochs can't
@@ -360,20 +360,17 @@ proptest! {
         batches in proptest::collection::vec(cmds(), 1..4)
     ) {
         let mut db = MetaDb::new();
-        db.attach_journal();
+        db.attach_journal(0);
         let epoch = 2;
         let snapshot = journal::write_snapshot(&MetaDb::new(), &Workspace::new("w"), epoch, 1);
         let mut bytes = encode_header(epoch, 1).into_bytes();
-        let mut seq = 0u64;
         // Byte length of the journal and the database image at each
-        // flushed batch boundary.
+        // flushed batch boundary. Each drained batch is appended as the
+        // recorder rendered it: its numbering continues across drains.
         let mut boundary_images = vec![(bytes.len(), persist::save(&MetaDb::new()))];
         for (i, batch) in batches.iter().enumerate() {
             apply_cmds(&mut db, batch, i as u32 * 7);
-            for op in db.drain_journal_ops() {
-                bytes.extend_from_slice(encode_record(seq, &op).as_bytes());
-                seq += 1;
-            }
+            bytes.extend_from_slice(db.drain_journal().as_str().as_bytes());
             boundary_images.push((bytes.len(), persist::save(&db)));
         }
 
