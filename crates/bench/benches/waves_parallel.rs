@@ -24,12 +24,12 @@
 //! * speedup requires hardware parallelism — on a single-core container
 //!   the sharded series instead price the overlay + epilogue overhead
 //!   (the JSON records the core count next to the numbers);
-//! * the write-heavy `waves/parallel` storm used to be the adverse case:
-//!   under PR 5 ~85% of its wall-clock was property-write application
-//!   replayed serially in the epilogue. PR 10's two-phase write pipeline
-//!   moves the arena writes and (hash-sharded) index maintenance into
-//!   the parallel phase, leaving only ordered journal-op replay + stats
-//!   serial — `bench_phase_split` reports the measured split. The
+//! * the write-heavy `waves/parallel` storm is the adverse case: every
+//!   delivery's product is a property write, and the epilogue replays
+//!   every write serially through `MetaDb::set_prop` in batch order —
+//!   the one write path, shared with the sequential drain.
+//!   `bench_phase_split` reports how the drain splits between the
+//!   parallel worker phase and that serial apply phase. The
 //!   `waves/exec_storm` series adds per-delivery tool-invocation
 //!   rendering (no epilogue cost), the workload shape sharding helps
 //!   most; `waves/instance_chains` is the single-family storm that
@@ -232,16 +232,15 @@ fn bench_instance_chains(c: &mut Criterion) {
     group.finish();
 }
 
-/// The Amdahl accounting behind PR 10 (not a criterion series): runs the
-/// write-heavy storm at several worker counts and reports how the drain's
-/// wall-clock splits between the worker phase (wave execution on the
-/// shard lanes) and the apply phase (write application + absorb),
-/// straight from [`ProjectServer::wave_phase_ns`]. Under PR 5 the apply
-/// phase was one serial `set_prop` replay — ~85% of this storm. The
-/// two-phase pipeline runs the arena writes and hash-sharded index
-/// maintenance inside the apply phase in parallel, leaving only ordered
-/// journal-op replay + stats serial, so the apply fraction (and with
-/// cores, its wall-clock) is the number this PR exists to shrink.
+/// The Amdahl accounting of the sharded path (not a criterion series):
+/// runs the write-heavy storm at several worker counts and reports how
+/// the drain's wall-clock splits between the worker phase (wave
+/// execution on the shard lanes, in parallel) and the apply phase,
+/// straight from [`ProjectServer::wave_phase_ns`]. The apply phase is
+/// serial: every overlay write replays through `MetaDb::set_prop` in
+/// batch order (storage, secondary index, journal record, counter), then
+/// the per-event audit and trace buffers are absorbed. Its fraction is
+/// the share of the drain that extra cores cannot shrink.
 fn bench_phase_split(_c: &mut Criterion) {
     if !target_enabled("parallel_waves") {
         return;

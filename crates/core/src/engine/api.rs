@@ -2328,6 +2328,21 @@ mod tests {
     }
 
     #[test]
+    fn hostile_hex_payloads_are_parse_errors() {
+        // An even-length word holding a multi-byte character, and signs
+        // (which `u8::from_str_radix` accepts): each is a parse error at
+        // the payload's position, not a panic or a silent decode.
+        for payload in ["0é0", "+f", "-f"] {
+            let e = Request::decode(&format!("checkin a HDL_model yves {payload}")).unwrap_err();
+            assert!(
+                matches!(e, ApiError::Parse { at: 25, .. }),
+                "{payload}: {e:?}"
+            );
+        }
+        assert!(Request::decode("checkin a HDL_model yves 0F").is_ok());
+    }
+
+    #[test]
     fn engine_errors_map_onto_the_taxonomy() {
         let e: ApiError = EngineError::Meta(MetaError::UnknownOid {
             oid: Oid::new("cpu", "v", 9),

@@ -24,9 +24,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use damocles_meta::{
-    Direction, LaneWrites, MetaDb, MetaError, Oid, OidId, PropWrite, PropertyMap, Sym, Value,
-};
+use damocles_meta::{Direction, MetaDb, MetaError, Oid, OidId, PropertyMap, Sym, Value};
 
 use crate::engine::audit::{AuditKind, AuditLog, AuditRecord};
 use crate::engine::compile::{CompiledBlueprint, ShardId, ShardMap};
@@ -136,7 +134,8 @@ pub struct RuntimeEngine {
     /// [`RuntimeEngine::batch_phase_ns`].
     batch_worker_ns: u64,
     /// Cumulative nanoseconds sharded batches spent in write application
-    /// (the epilogue: sharded storage/index writes + serial delta replay).
+    /// (the epilogue: the serial `set_prop` replay plus the audit and
+    /// trace absorb).
     batch_apply_ns: u64,
 }
 
@@ -331,9 +330,16 @@ struct OverlayStore<'a> {
     /// (events of one link-connected component are ordered on one lane).
     dirty: OidMap<PropertyMap>,
     /// Writes of the event currently executing, in wave order. Drained
-    /// per event into its [`EventRun`] and applied through
-    /// [`MetaDb::apply_prop_writes_sharded`] in the epilogue.
+    /// per event into its [`EventRun`] and replayed through
+    /// [`MetaDb::set_prop`] in the epilogue.
     writes: Vec<PropWrite>,
+}
+
+/// One overlay property write, as logged by an [`OverlayStore`].
+struct PropWrite {
+    id: OidId,
+    prop: String,
+    value: Value,
 }
 
 impl WaveStore for OverlayStore<'_> {
@@ -422,7 +428,7 @@ impl RuntimeEngine {
 
     /// Cumulative `(worker_ns, apply_ns)` phase split of every sharded
     /// batch this engine has run: time in the parallel wave phase vs time
-    /// in write application. `apply / (worker + apply)` is the serial-ish
+    /// in write application. `apply / (worker + apply)` is the serial
     /// fraction Amdahl charges the batch path — the number the phase-split
     /// bench reporter tracks across PRs.
     pub fn batch_phase_ns(&self) -> (u64, u64) {
@@ -1318,10 +1324,10 @@ impl RuntimeEngine {
     ///   clock (`base + index + 1`), so `$date` is position-dependent, not
     ///   schedule-dependent;
     /// * a **deterministic sequential epilogue** replays the write logs
-    ///   through the real database in ascending batch order — journal ops,
-    ///   secondary indices and counters land exactly as sequential
-    ///   execution would have produced them — and merges the audit buffers
-    ///   in the same order;
+    ///   through [`MetaDb::set_prop`] in ascending batch order — the one
+    ///   write path, so journal records, secondary index and counters land
+    ///   exactly as sequential execution would have produced them — and
+    ///   merges the audit buffers in the same order;
     /// * on a wave error, the epilogue applies the error event's partial
     ///   writes (the engine is an observer, not a transaction manager —
     ///   same contract as the sequential path), reports the error, and
@@ -1440,50 +1446,26 @@ impl RuntimeEngine {
             deferred.extend(output.leftover);
         }
         runs.sort_by_key(|run| run.index);
-        let err_index = runs
-            .iter()
-            .filter(|run| run.error.is_some())
-            .map(|run| run.index)
-            .min();
-        let mut applied_runs: Vec<EventRun> = Vec::with_capacity(runs.len());
-        for run in runs {
-            if err_index.is_some_and(|k| run.index > k) {
-                deferred.push((run.index, run.event));
-            } else {
-                applied_runs.push(run);
-            }
-        }
-
-        // All surviving runs' writes go through the sharded write
-        // pipeline in one pass: lanes are shard-disjoint by construction,
-        // so storage and index maintenance parallelize, while journal
-        // ops, counters and error semantics stay byte-identical to a
-        // serial set_prop replay in batch order.
-        let mut lane_writes: Vec<LaneWrites> =
-            (0..lane_count).map(|_| LaneWrites::default()).collect();
-        for run in &mut applied_runs {
-            let writes = std::mem::take(&mut run.writes);
-            lane_writes[run.lane].runs.push((run.index, writes));
-        }
-        let apply_err = db.apply_prop_writes_sharded(lane_writes, workers).err();
-        let apply_err_index = apply_err.as_ref().map(|(index, _)| *index);
-        let mut apply_error = apply_err.map(|(index, e)| (index, EngineError::from(e)));
-
         let mut batch = ShardedBatch::default();
         let mut processed = 0u64;
-        for run in applied_runs {
-            if batch.error.is_some() || apply_err_index.is_some_and(|k| run.index > k) {
+        for run in runs {
+            if batch.error.is_some() {
                 deferred.push((run.index, run.event));
                 continue;
             }
+            // Every write lands through `set_prop`, in batch order. The
+            // overlay checked liveness as it wrote, so a failure here is
+            // not expected; if one happens it is this run's error and
+            // later runs requeue, as on the sequential path.
+            let apply_e = run
+                .writes
+                .into_iter()
+                .try_for_each(|w| db.set_prop(w.id, &w.prop, w.value).map(drop))
+                .err();
             processed += 1;
             audit.absorb(run.audit);
             trace.absorb(run.trace);
-            let apply_e = match &apply_error {
-                Some((index, _)) if *index == run.index => apply_error.take().map(|(_, e)| e),
-                _ => None,
-            };
-            match run.error.or(apply_e) {
+            match run.error.or(apply_e.map(EngineError::from)) {
                 Some(e) => batch.error = Some(e),
                 None => batch.outcomes.push(run.outcome),
             }
@@ -1559,7 +1541,6 @@ impl RuntimeEngine {
             let stop = error.is_some();
             runs.push(EventRun {
                 index,
-                lane: lane_id,
                 event: ev,
                 writes,
                 audit,
@@ -1602,10 +1583,6 @@ struct LaneOutput {
 /// One executed event of a sharded batch, ready for the epilogue.
 struct EventRun {
     index: usize,
-    /// The worker lane that executed the event. Lanes hold disjoint OID
-    /// sets, which is what lets the epilogue apply all lanes' writes
-    /// through the parallel [`MetaDb::apply_prop_writes_sharded`] pass.
-    lane: usize,
     event: QueuedEvent,
     writes: Vec<PropWrite>,
     audit: AuditLog,

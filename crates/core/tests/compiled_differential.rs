@@ -10,8 +10,10 @@
 //! are run side by side on cloned databases and held to the same
 //! [`ProcessOutcome`] (delivered count and script invocations), the same
 //! retained audit-record sequence, the same journal bytes (the batch
-//! [`MetaDb::drain_journal`] hands the writer) and the same final
-//! database image (`damocles_meta::persist::save`). The random graphs
+//! [`MetaDb::drain_journal`] hands the writer), the same final
+//! database image (`damocles_meta::persist::save`) and, on the sharded
+//! cases, the same [`MetaDb::stats`] and secondary index (which the
+//! image does not hold). The random graphs
 //! deliberately include raw links that bridge compile-time shard
 //! components, and a dedicated case runs disjoint instance chains of one
 //! view family — per-OID [`ShardMap`] groups that only exist with
@@ -28,7 +30,7 @@ use blueprint_core::lang::ast::{
     ViewDef,
 };
 use blueprint_core::lang::diag::Span;
-use damocles_meta::{persist, Direction, LinkClass, LinkKind, MetaDb, Oid, OidId};
+use damocles_meta::{persist, Direction, LinkClass, LinkKind, MetaDb, Oid, OidId, Value};
 use proptest::prelude::*;
 
 const VIEWS: &[&str] = &["alpha", "beta", "gamma", "delta"];
@@ -224,7 +226,7 @@ fn events() -> impl Strategy<Value = Vec<EventSpec>> {
 
 /// A fixed two-view blueprint for the instance-chain cases: both chain
 /// views carry write-heavy rules so every delivery produces prop writes
-/// that the sharded apply pipeline must order exactly like sequential.
+/// that the sharded epilogue must replay exactly like sequential.
 fn chain_blueprint() -> Blueprint {
     let mut alpha = ViewDef::empty("alpha".to_string());
     alpha.rules.push(RuleDef {
@@ -326,6 +328,24 @@ type Observation = (u64, Vec<String>);
 /// Full-stream observation: per-event outcomes, final db image, audit trail.
 type StreamObservation = (Vec<Observation>, String, Vec<String>);
 
+/// `db`'s secondary index probed at every `(prop, value)` pair the
+/// `reference` image holds: `where_prop_eq`'s answer for each. The index
+/// is not in the persisted image, so the image check cannot see it.
+fn index_view(reference: &MetaDb, db: &MetaDb) -> Vec<(String, Value, Vec<OidId>)> {
+    let pairs: std::collections::BTreeSet<(String, Value)> = reference
+        .iter_oids()
+        .flat_map(|(_, entry)| entry.props.iter())
+        .map(|(name, value)| (name.to_string(), value.clone()))
+        .collect();
+    pairs
+        .into_iter()
+        .map(|(name, value)| {
+            let ids = db.where_prop_eq(&name, &value);
+            (name, value, ids)
+        })
+        .collect()
+}
+
 fn run_stream(
     process: impl Fn(&mut RuntimeEngine, &mut MetaDb, &mut AuditLog, QueuedEvent) -> Observation,
     db: &mut MetaDb,
@@ -403,8 +423,9 @@ proptest! {
     }
 
     /// The sharded batch path matches sequential compiled execution —
-    /// outcomes, merged audit-record sequence and persisted database image
-    /// byte-for-byte — at every worker count.
+    /// outcomes, merged audit-record sequence, journal bytes, persisted
+    /// database image, counters and secondary index — at every worker
+    /// count.
     #[test]
     fn sharded_batches_match_sequential_at_any_worker_count(
         bp in blueprint(),
@@ -437,6 +458,7 @@ proptest! {
             &policy,
         );
         let seq_journal = db_seq.drain_journal();
+        let seq_index = index_view(&db_seq, &db_seq);
 
         for workers in [1usize, 2, 4, 8] {
             let (mut db, ids) = build_db(&spec);
@@ -480,6 +502,8 @@ proptest! {
             prop_assert_eq!(&outcomes, &seq_outcomes, "workers={}", workers);
             prop_assert_eq!(&records, &seq_records, "workers={}", workers);
             prop_assert_eq!(journal.as_str(), seq_journal.as_str(), "workers={}", workers);
+            prop_assert_eq!(db.stats(), db_seq.stats(), "workers={}", workers);
+            prop_assert_eq!(&index_view(&db_seq, &db), &seq_index, "workers={}", workers);
             prop_assert_eq!(&persist::save(&db), &seq_image, "workers={}", workers);
         }
     }
@@ -488,7 +512,7 @@ proptest! {
     /// distinct per-OID shard groups, and — with random raw bridge links
     /// welding some chains together — the sharded path must still match
     /// sequential execution byte-for-byte at every worker count,
-    /// including the journal bytes.
+    /// including the journal bytes, counters and secondary index.
     #[test]
     fn same_view_instance_chains_shard_apart_and_match_sequential(
         chains in 2usize..5,
@@ -555,6 +579,7 @@ proptest! {
             &policy,
         );
         let seq_journal = db_seq.drain_journal();
+        let seq_index = index_view(&db_seq, &db_seq);
 
         for workers in [1usize, 2, 4, 8] {
             let (mut db, ids, _) = build_chains(chains, length, &bridges);
@@ -598,6 +623,8 @@ proptest! {
             prop_assert_eq!(&outcomes, &seq_outcomes, "workers={}", workers);
             prop_assert_eq!(&records, &seq_records, "workers={}", workers);
             prop_assert_eq!(journal.as_str(), seq_journal.as_str(), "workers={}", workers);
+            prop_assert_eq!(db.stats(), db_seq.stats(), "workers={}", workers);
+            prop_assert_eq!(&index_view(&db_seq, &db), &seq_index, "workers={}", workers);
             prop_assert_eq!(&persist::save(&db), &seq_image, "workers={}", workers);
         }
     }

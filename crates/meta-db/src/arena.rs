@@ -6,8 +6,6 @@
 //! stored in configurations, with staleness detectable after deletion (design
 //! data deletion is one of the tracked activity classes in Section 3.1).
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -218,56 +216,6 @@ impl<T> Arena<T> {
     }
 }
 
-impl<T> Arena<T> {
-    /// Splits the arena's live values into per-group maps of mutable
-    /// references for **partitioned parallel mutation**: each returned map
-    /// holds `&mut` references to exactly the addresses its group asked
-    /// for, and the maps borrow disjoint values, so the groups can be
-    /// moved onto separate threads and mutated concurrently.
-    ///
-    /// This is the storage half of the sharded write-application pipeline:
-    /// the wave scheduler proves (via the shard map) that worker lanes
-    /// touch disjoint OID sets; this method re-validates that claim and
-    /// hands each lane exclusive references to its own slots. One pass of
-    /// `iter_mut` distributes the references, so the whole construction is
-    /// safe Rust — the arena's `#![forbid(unsafe_code)]` guarantee holds.
-    ///
-    /// Returns `None` — and leaves the arena untouched — when any address
-    /// is stale or dead, or when two groups claim the same slot
-    /// (duplicates *within* one group are fine: the group gets one
-    /// reference per distinct address).
-    pub fn partition_mut(
-        &mut self,
-        groups: &[Vec<ArenaIndex<T>>],
-    ) -> Option<Vec<HashMap<ArenaIndex<T>, &mut T>>> {
-        let mut owner: HashMap<u32, usize> = HashMap::new();
-        for (group, ids) in groups.iter().enumerate() {
-            for id in ids {
-                let slot = self.slots.get(id.slot as usize)?;
-                if slot.generation != id.generation || slot.value.is_none() {
-                    return None;
-                }
-                match owner.entry(id.slot) {
-                    Entry::Vacant(vacant) => {
-                        vacant.insert(group);
-                    }
-                    Entry::Occupied(claimed) if *claimed.get() != group => return None,
-                    Entry::Occupied(_) => {}
-                }
-            }
-        }
-        let mut refs: Vec<HashMap<ArenaIndex<T>, &mut T>> =
-            groups.iter().map(|_| HashMap::new()).collect();
-        for (slot, s) in self.slots.iter_mut().enumerate() {
-            if let Some(&group) = owner.get(&(slot as u32)) {
-                let value = s.value.as_mut().expect("liveness checked above");
-                refs[group].insert(ArenaIndex::new(slot as u32, s.generation), value);
-            }
-        }
-        Some(refs)
-    }
-}
-
 impl<T> std::ops::Index<ArenaIndex<T>> for Arena<T> {
     type Output = T;
 
@@ -343,45 +291,6 @@ mod tests {
         let i = a.insert(());
         a.remove(i);
         let _panic = &a[i];
-    }
-
-    #[test]
-    fn partition_rejects_staleness_and_cross_group_overlap() {
-        let mut a = Arena::new();
-        let live = a.insert(10);
-        let other = a.insert(20);
-        let dead = a.insert(30);
-        a.remove(dead);
-        assert!(a.partition_mut(&[vec![live, dead]]).is_none(), "stale");
-        assert!(
-            a.partition_mut(&[vec![live, other], vec![other]]).is_none(),
-            "two groups claiming one slot must be rejected"
-        );
-        // Duplicates within a single group are fine: one ref per address.
-        let refs = a.partition_mut(&[vec![live, live], vec![other]]).unwrap();
-        assert_eq!(refs[0].len(), 1);
-        assert_eq!(refs[1].len(), 1);
-    }
-
-    #[test]
-    fn partition_allows_disjoint_parallel_writes() {
-        let mut a = Arena::new();
-        let ids: Vec<_> = (0..64).map(|i| a.insert(i)).collect();
-        let (left, right) = ids.split_at(32);
-        let groups = [left.to_vec(), right.to_vec()];
-        let refs = a.partition_mut(&groups).unwrap();
-        std::thread::scope(|scope| {
-            for (part, mut targets) in groups.iter().zip(refs) {
-                scope.spawn(move || {
-                    for id in part {
-                        **targets.get_mut(id).unwrap() += 100;
-                    }
-                });
-            }
-        });
-        for (i, &id) in ids.iter().enumerate() {
-            assert_eq!(a[id], i as i32 + 100);
-        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::intern::{Sym, SymbolTable};
 use crate::journal::{body, JournalOp, JournalRecorder, MovedEnd, RecordBatch};
 use crate::link::{Direction, Link, LinkClass, LinkId, LinkKind};
 use crate::oid::{BlockName, Oid, ViewType};
-use crate::property::{prop_shard, IndexDelta, PropIndex, PropertyMap, Value, PROP_INDEX_SHARDS};
+use crate::property::{PropIndex, PropertyMap, Value};
 
 /// Stable database address of an [`OidEntry`].
 pub type OidId = ArenaIndex<OidEntry>;
@@ -57,31 +57,6 @@ pub struct DbStats {
     pub prop_writes: u64,
 }
 
-/// One overlay property write, ready for batch application — what the
-/// engine's worker lanes log while executing waves against a copy-on-write
-/// overlay (see [`MetaDb::apply_prop_writes_sharded`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PropWrite {
-    /// The object written.
-    pub id: OidId,
-    /// The property name.
-    pub prop: String,
-    /// The value written.
-    pub value: Value,
-}
-
-/// One worker lane's property writes: the lane's event runs in ascending
-/// batch order, each run's writes in wave order. The caller guarantees
-/// different lanes touch **disjoint OID sets** (the wave scheduler's shard
-/// invariant) — which is what lets
-/// [`MetaDb::apply_prop_writes_sharded`] apply whole lanes concurrently.
-#[derive(Debug, Default)]
-pub struct LaneWrites {
-    /// `(batch index of the event run, its writes in wave order)`,
-    /// ascending by batch index.
-    pub runs: Vec<(usize, Vec<PropWrite>)>,
-}
-
 /// The DAMOCLES meta-database.
 ///
 /// Stores [`OidEntry`] and [`Link`] objects in generational arenas and keeps
@@ -120,9 +95,7 @@ pub struct MetaDb {
     /// that value`, maintained by [`MetaDb::set_prop`] /
     /// [`MetaDb::remove_prop`] / [`MetaDb::delete_oid`] and rebuilt for free
     /// on recovery because recovery replays those same methods. Powers
-    /// [`MetaDb::where_prop_eq`]. Sharded by property-name hash so the
-    /// batch write path ([`MetaDb::apply_prop_writes_sharded`]) can
-    /// maintain it in parallel.
+    /// [`MetaDb::where_prop_eq`].
     prop_index: PropIndex<OidId>,
     /// Attached journal recorder, if any (see [`MetaDb::attach_journal`]).
     journal: Option<JournalRecorder>,
@@ -420,200 +393,6 @@ impl MetaDb {
     /// The full property map of an object.
     pub fn props(&self, id: OidId) -> Result<&PropertyMap, MetaError> {
         Ok(&self.entry(id)?.props)
-    }
-
-    /// Applies a sharded batch's property writes, producing **exactly**
-    /// the journal bytes, secondary index, counters and storage image a
-    /// serial [`MetaDb::set_prop`] replay in ascending batch order would —
-    /// but in three phases so the bulk of the work parallelizes:
-    ///
-    /// 1. **parallel storage phase** — one thread per lane writes its own
-    ///    OIDs' property maps directly (lanes are shard-disjoint, so
-    ///    [`crate::Arena::partition_mut`] hands each lane exclusive
-    ///    references), collecting each write's displaced value as an
-    ///    [`IndexDelta`] bucketed by property-hash shard and rendering
-    ///    the `prop` record body of each write into a lane buffer;
-    /// 2. **parallel index phase** — threads split the secondary index's
-    ///    shard array with `chunks_mut` and fold in the matching delta
-    ///    buckets (lane batches commute within a shard because lanes
-    ///    write disjoint ids);
-    /// 3. **serial ordering phase** — the rendered bodies are framed into
-    ///    journal records (sequence number and checksum) in ascending
-    ///    batch order — the only part of write application that is
-    ///    inherently order-dependent — and the write counter moves once.
-    ///
-    /// Falls back to the exact serial replay when parallelism cannot help
-    /// (`workers <= 1`, or fewer than two lanes carry writes) or when any
-    /// target address is stale — the serial path reproduces the
-    /// historical error semantics to the write (partial application up to
-    /// the failing write).
-    ///
-    /// # Errors
-    ///
-    /// `Err((run_index, error))`: the batch index of the run whose write
-    /// failed, with earlier runs' writes (and the failing run's earlier
-    /// writes) applied — mirroring a serial replay that stopped there.
-    pub fn apply_prop_writes_sharded(
-        &mut self,
-        lanes: Vec<LaneWrites>,
-        workers: usize,
-    ) -> Result<(), (usize, MetaError)> {
-        let busy: Vec<LaneWrites> = lanes
-            .into_iter()
-            .filter(|lane| !lane.runs.is_empty())
-            .collect();
-        if workers <= 1 || busy.len() < 2 {
-            return self.apply_prop_writes_serial(busy);
-        }
-        let targets: Vec<Vec<OidId>> = busy
-            .iter()
-            .map(|lane| {
-                lane.runs
-                    .iter()
-                    .flat_map(|(_, writes)| writes.iter().map(|w| w.id))
-                    .collect()
-            })
-            .collect();
-        // A stale address (or a shard-map bug handing two lanes one OID)
-        // falls back to the serial replay, which reproduces the historical
-        // partial-application error semantics exactly.
-        let Some(refs) = self.oids.partition_mut(&targets) else {
-            return self.apply_prop_writes_serial(busy);
-        };
-
-        let journaling = self.journal.is_some();
-        struct LaneApplied {
-            /// `(batch index, write count)` per run, in lane order.
-            runs: Vec<(usize, usize)>,
-            /// The lane's `prop` record bodies, one per write when
-            /// journaling, back to back; `ends[k]` is where body `k` ends.
-            bodies: String,
-            ends: Vec<usize>,
-            deltas: Vec<Vec<IndexDelta<OidId>>>,
-            writes: u64,
-        }
-        // Phase 1: parallel storage writes, one thread per busy lane.
-        let mut applied: Vec<LaneApplied> = Vec::with_capacity(busy.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = busy
-                .into_iter()
-                .zip(refs)
-                .map(|(lane, mut lane_refs)| {
-                    scope.spawn(move || {
-                        let mut deltas: Vec<Vec<IndexDelta<OidId>>> =
-                            (0..PROP_INDEX_SHARDS).map(|_| Vec::new()).collect();
-                        let mut runs = Vec::with_capacity(lane.runs.len());
-                        let (mut bodies, mut ends) = (String::new(), Vec::new());
-                        let mut writes = 0u64;
-                        for (index, run_writes) in lane.runs {
-                            runs.push((index, run_writes.len()));
-                            for w in run_writes {
-                                let entry = lane_refs
-                                    .get_mut(&w.id)
-                                    .expect("partition covers every lane write");
-                                let old = entry.props.set(w.prop.clone(), w.value.clone());
-                                if journaling {
-                                    body::prop(&mut bodies, &entry.oid, &w.prop, &w.value);
-                                    ends.push(bodies.len());
-                                }
-                                deltas[prop_shard(&w.prop)].push(IndexDelta {
-                                    id: w.id,
-                                    name: w.prop,
-                                    old,
-                                    new: w.value,
-                                });
-                                writes += 1;
-                            }
-                        }
-                        LaneApplied {
-                            runs,
-                            bodies,
-                            ends,
-                            deltas,
-                            writes,
-                        }
-                    })
-                })
-                .collect();
-            for handle in handles {
-                applied.push(handle.join().expect("write-apply worker panicked"));
-            }
-        });
-
-        // Merge the lanes' delta buckets per index shard, in ascending
-        // lane order (any order is correct — lanes write disjoint ids —
-        // but a fixed order keeps internal map states deterministic).
-        let mut buckets: Vec<Vec<IndexDelta<OidId>>> =
-            (0..PROP_INDEX_SHARDS).map(|_| Vec::new()).collect();
-        let mut total_writes = 0u64;
-        for lane in &mut applied {
-            total_writes += lane.writes;
-            for (bucket, mut produced) in buckets.iter_mut().zip(lane.deltas.drain(..)) {
-                bucket.append(&mut produced);
-            }
-        }
-
-        // Phase 2: parallel index maintenance over disjoint shard chunks.
-        let threads = workers.clamp(1, PROP_INDEX_SHARDS);
-        let chunk = PROP_INDEX_SHARDS.div_ceil(threads);
-        let shards = self.prop_index.shards_mut();
-        std::thread::scope(|scope| {
-            for (shard_chunk, delta_chunk) in
-                shards.chunks_mut(chunk).zip(buckets.chunks_mut(chunk))
-            {
-                scope.spawn(move || {
-                    for (shard, deltas) in shard_chunk.iter_mut().zip(delta_chunk.iter_mut()) {
-                        for delta in deltas.drain(..) {
-                            shard.apply(delta);
-                        }
-                    }
-                });
-            }
-        });
-
-        // Phase 3: the rendered bodies framed as journal records in
-        // ascending batch order, then the counters.
-        if let Some(j) = self.journal.as_mut() {
-            // `(batch index, lane, first body, body count)` per run.
-            let mut ordered = Vec::new();
-            for (lane_no, lane) in applied.iter().enumerate() {
-                let mut first = 0;
-                for &(index, count) in &lane.runs {
-                    ordered.push((index, lane_no, first, count));
-                    first += count;
-                }
-            }
-            ordered.sort_unstable_by_key(|&(index, ..)| index);
-            for (_, lane_no, first, count) in ordered {
-                let lane = &applied[lane_no];
-                for k in first..first + count {
-                    let start = if k == 0 { 0 } else { lane.ends[k - 1] };
-                    j.record_with(|out| out.push_str(&lane.bodies[start..lane.ends[k]]));
-                }
-            }
-        }
-        self.stats.prop_writes += total_writes;
-        Ok(())
-    }
-
-    /// The serial fallback (and semantics reference) of
-    /// [`MetaDb::apply_prop_writes_sharded`]: a plain
-    /// [`MetaDb::set_prop`] replay in ascending batch order.
-    fn apply_prop_writes_serial(
-        &mut self,
-        lanes: Vec<LaneWrites>,
-    ) -> Result<(), (usize, MetaError)> {
-        let mut runs: Vec<(usize, Vec<PropWrite>)> =
-            lanes.into_iter().flat_map(|lane| lane.runs).collect();
-        runs.sort_unstable_by_key(|(index, _)| *index);
-        for (index, writes) in runs {
-            for w in writes {
-                if let Err(e) = self.set_prop(w.id, &w.prop, w.value) {
-                    return Err((index, e));
-                }
-            }
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1421,105 +1200,6 @@ mod tests {
             db.entry(c).unwrap().view_sym()
         );
         assert_eq!(db.view_sym_count(), 2);
-    }
-
-    #[test]
-    fn sharded_apply_matches_serial_replay() {
-        fn seed() -> (MetaDb, Vec<OidId>) {
-            let mut db = MetaDb::new();
-            db.attach_journal(0);
-            let ids: Vec<OidId> = ["a", "b", "c", "d"]
-                .iter()
-                .map(|b| db.create_oid(Oid::new(*b, "schematic", 1)).unwrap())
-                .collect();
-            db.set_prop(ids[0], "state", Value::from_atom("seed"))
-                .unwrap();
-            db.drain_journal_ops();
-            (db, ids)
-        }
-        fn lanes(ids: &[OidId]) -> Vec<LaneWrites> {
-            let w = |id: OidId, prop: &str, v: &str| PropWrite {
-                id,
-                prop: prop.into(),
-                value: Value::from_atom(v),
-            };
-            vec![
-                LaneWrites {
-                    runs: vec![
-                        (
-                            0,
-                            vec![w(ids[0], "state", "dirty"), w(ids[1], "state", "ok")],
-                        ),
-                        (2, vec![w(ids[0], "state", "clean"), w(ids[0], "drc", "ok")]),
-                    ],
-                },
-                LaneWrites {
-                    runs: vec![
-                        (1, vec![w(ids[2], "state", "ok")]),
-                        (3, vec![w(ids[3], "lvs", "bad"), w(ids[2], "lvs", "bad")]),
-                    ],
-                },
-            ]
-        }
-
-        let (mut parallel, ids) = seed();
-        let (mut serial, ids2) = seed();
-        parallel.apply_prop_writes_sharded(lanes(&ids), 4).unwrap();
-        serial.apply_prop_writes_sharded(lanes(&ids2), 1).unwrap();
-
-        let journal = parallel.drain_journal();
-        assert_eq!(journal.len(), 7);
-        assert_eq!(
-            journal,
-            serial.drain_journal(),
-            "journal bytes are identical (runs in batch order)"
-        );
-        assert_eq!(
-            crate::persist::save(&parallel),
-            crate::persist::save(&serial),
-            "persisted images agree"
-        );
-        assert_eq!(
-            parallel.stats().prop_writes,
-            serial.stats().prop_writes,
-            "write counters agree"
-        );
-        // The sharded path maintained the secondary index in parallel.
-        assert_eq!(
-            parallel.where_prop_eq("lvs", &Value::from_atom("bad")),
-            vec![ids[2], ids[3]]
-        );
-        assert_eq!(
-            parallel.where_prop_eq("state", &Value::from_atom("dirty")),
-            Vec::<OidId>::new(),
-            "displaced values are unindexed"
-        );
-    }
-
-    #[test]
-    fn sharded_apply_stale_target_reports_serial_error_position() {
-        let mut db = MetaDb::new();
-        let a = db.create_oid(Oid::new("a", "v", 1)).unwrap();
-        let b = db.create_oid(Oid::new("b", "v", 1)).unwrap();
-        db.delete_oid(b).unwrap();
-        let w = |id: OidId, prop: &str| PropWrite {
-            id,
-            prop: prop.into(),
-            value: Value::Bool(true),
-        };
-        let lanes = vec![
-            LaneWrites {
-                runs: vec![(0, vec![w(a, "first")])],
-            },
-            LaneWrites {
-                runs: vec![(1, vec![w(b, "stale")])],
-            },
-        ];
-        let (index, err) = db.apply_prop_writes_sharded(lanes, 4).unwrap_err();
-        assert_eq!(index, 1, "the failing run's batch index is reported");
-        assert!(matches!(err, MetaError::StaleOid { .. }));
-        // Serial semantics: writes before the failure landed.
-        assert_eq!(db.props(a).unwrap().get("first"), Some(&Value::Bool(true)));
     }
 
     #[test]

@@ -1766,6 +1766,28 @@ mod tests {
     }
 
     #[test]
+    fn checksummed_data_record_with_hostile_hex_is_an_error() {
+        // FNV-1a is no authenticator: a frame with a valid checksum
+        // reaches the op decoder, whose payload check must answer `Err`.
+        let frame = |body: &str| format!("{:016x} {body}", fnv1a(body.as_bytes()));
+        for payload in ["0é0", "+f"] {
+            let line = frame(&format!("0 data a,HDL_model,1 {payload}"));
+            assert_eq!(
+                decode_record(&line, 0).unwrap_err(),
+                "bad hex payload",
+                "{line}"
+            );
+        }
+        assert_eq!(
+            decode_record(&frame("0 data a,HDL_model,1 0f"), 0),
+            Ok(JournalOp::Data {
+                oid: Oid::new("a", "HDL_model", 1),
+                payload: vec![0x0f],
+            })
+        );
+    }
+
+    #[test]
     fn record_checksum_detects_flips() {
         let op = JournalOp::CreateOid {
             oid: Oid::new("cpu", "schematic", 1),

@@ -189,7 +189,9 @@ pub(crate) fn hex_digits(n: u64) -> [u8; 16] {
     digits
 }
 
-/// Inverse of [`encode_hex`].
+/// Inverse of [`encode_hex`]. Works on byte pairs and takes only the
+/// digits `0-9a-fA-F` (no sign), so any input string, ASCII or not,
+/// decodes or fails without panicking.
 ///
 /// # Errors
 ///
@@ -198,9 +200,13 @@ pub fn decode_hex(hex: &str) -> Result<Vec<u8>, String> {
     if !hex.len().is_multiple_of(2) {
         return Err("odd hex length".to_string());
     }
-    (0..hex.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).map_err(|_| "bad hex payload".to_string()))
+    let digit = |b: u8| char::from(b).to_digit(16);
+    hex.as_bytes()
+        .chunks_exact(2)
+        .map(|pair| match (digit(pair[0]), digit(pair[1])) {
+            (Some(hi), Some(lo)) => Ok((hi << 4 | lo) as u8),
+            _ => Err("bad hex payload".to_string()),
+        })
         .collect()
 }
 
@@ -560,6 +566,21 @@ mod tests {
             db2.get_prop(id2, "uptodate").unwrap(),
             Some(&Value::Bool(true))
         );
+    }
+
+    #[test]
+    fn project_image_refuses_hostile_hex_payloads() {
+        let mut db = MetaDb::new();
+        let mut ws = crate::workspace::Workspace::new("w");
+        ws.checkin(&mut db, "a", "HDL_model", "yves", vec![0x0f])
+            .unwrap();
+        let image = save_project(&db, &ws);
+        let clean = "data a,HDL_model,1 0f\n";
+        assert!(image.ends_with(clean), "{image}");
+        for payload in ["0é0", "+f"] {
+            let hostile = image.replace(clean, &format!("data a,HDL_model,1 {payload}\n"));
+            assert!(load_project(&hostile).is_err(), "{payload}");
+        }
     }
 
     #[test]

@@ -186,62 +186,30 @@ impl Extend<(String, Value)> for PropertyMap {
 }
 
 // ---------------------------------------------------------------------
-// The property-hash-sharded secondary index
+// The secondary index
 // ---------------------------------------------------------------------
 
-/// Number of property-name shards in a [`PropIndex`].
-///
-/// Fixed, not tunable: the shard of a name must be a pure function of the
-/// name so concurrently produced [`IndexDelta`] batches can be bucketed
-/// without coordination. Sixteen shards comfortably out-number any worker
-/// count the wave scheduler runs (workers chunk the shard array), while
-/// keeping the per-shard maps dense enough to stay cache-friendly.
-pub const PROP_INDEX_SHARDS: usize = 16;
-
-/// The shard a property name belongs to: FNV-1a over the name bytes,
-/// reduced modulo [`PROP_INDEX_SHARDS`]. Deterministic across runs and
-/// platforms (no `RandomState`), so shard routing never perturbs results.
-pub fn prop_shard(name: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in name.as_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
-    (h % PROP_INDEX_SHARDS as u64) as usize
-}
-
-/// One property write's effect on the secondary index, decoupled from the
-/// write itself so storage mutation and index maintenance can run in
-/// different phases (and on different threads). `old` is the value the
-/// storage write displaced — exactly what the serial path would have
-/// unindexed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexDelta<Id> {
-    /// The object the write landed on.
-    pub id: Id,
-    /// The property name (routes the delta via [`prop_shard`]).
-    pub name: String,
-    /// The displaced value, if the property existed.
-    pub old: Option<Value>,
-    /// The value written.
-    pub new: Value,
-}
-
-/// One shard of a [`PropIndex`]: `name → value → ids holding exactly that
-/// value`. All names mapping here share the same [`prop_shard`] bucket.
+/// The `(property, value) → ids` secondary index: `name → value → ids
+/// holding exactly that value`.
 #[derive(Debug, Clone)]
-pub struct PropIndexShard<Id> {
+pub struct PropIndex<Id> {
     by_name: HashMap<String, HashMap<Value, BTreeSet<Id>>>,
 }
 
-impl<Id> Default for PropIndexShard<Id> {
+impl<Id> Default for PropIndex<Id> {
     fn default() -> Self {
-        PropIndexShard {
+        PropIndex {
             by_name: HashMap::new(),
         }
     }
 }
 
-impl<Id: Ord + Copy> PropIndexShard<Id> {
+impl<Id: Ord + Copy> PropIndex<Id> {
+    /// Creates an empty index.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     /// Records that `id` now holds `value` for `name`.
     pub fn insert(&mut self, name: &str, value: Value, id: Id) {
         // `get_mut` first so the steady state (an already-indexed property
@@ -270,79 +238,11 @@ impl<Id: Ord + Copy> PropIndexShard<Id> {
         }
     }
 
-    /// Applies one displaced-value delta: unindex the old value (when it
-    /// differs), index the new — the same two steps the serial write path
-    /// performs inline.
-    pub fn apply(&mut self, delta: IndexDelta<Id>) {
-        if let Some(old) = &delta.old {
-            if *old != delta.new {
-                self.remove(&delta.name, old, delta.id);
-            }
-        }
-        self.insert(&delta.name, delta.new, delta.id);
-    }
-
     /// The ids holding exactly `value` for `name`, if any.
     pub fn get(&self, name: &str, value: &Value) -> Option<&BTreeSet<Id>> {
         self.by_name
             .get(name)
             .and_then(|by_value| by_value.get(value))
-    }
-}
-
-/// The `(property, value) → ids` secondary index, sharded by property-name
-/// hash so index maintenance parallelizes with the writes that feed it.
-///
-/// Correctness under sharded application rests on two facts:
-///
-/// * deltas for one property name always land in one shard
-///   ([`prop_shard`] is a pure function of the name), so a shard sees
-///   *every* operation affecting its names;
-/// * concurrent producers (wave worker lanes) write disjoint id sets, so
-///   within one `(name, value)` bucket their set inserts/removes commute
-///   — applying lane batches in any order yields the same index as the
-///   serial interleaving.
-#[derive(Debug, Clone)]
-pub struct PropIndex<Id> {
-    shards: Vec<PropIndexShard<Id>>,
-}
-
-impl<Id> Default for PropIndex<Id> {
-    fn default() -> Self {
-        PropIndex {
-            shards: (0..PROP_INDEX_SHARDS)
-                .map(|_| PropIndexShard::default())
-                .collect(),
-        }
-    }
-}
-
-impl<Id: Ord + Copy> PropIndex<Id> {
-    /// Creates an empty index with [`PROP_INDEX_SHARDS`] shards.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records that `id` now holds `value` for `name`.
-    pub fn insert(&mut self, name: &str, value: Value, id: Id) {
-        self.shards[prop_shard(name)].insert(name, value, id);
-    }
-
-    /// Drops `(id, value)` for `name`, pruning empty buckets.
-    pub fn remove(&mut self, name: &str, value: &Value, id: Id) {
-        self.shards[prop_shard(name)].remove(name, value, id);
-    }
-
-    /// The ids holding exactly `value` for `name`, if any.
-    pub fn get(&self, name: &str, value: &Value) -> Option<&BTreeSet<Id>> {
-        self.shards[prop_shard(name)].get(name, value)
-    }
-
-    /// The shard array, for parallel delta application: callers split it
-    /// with `chunks_mut` and hand each chunk (with the matching delta
-    /// buckets) to one thread — plain disjoint borrows, no unsafe.
-    pub fn shards_mut(&mut self) -> &mut [PropIndexShard<Id>] {
-        &mut self.shards
     }
 }
 
@@ -419,15 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn prop_shard_is_stable_and_in_range() {
-        for name in ["uptodate", "state", "sim_result", "", "a", "DRC"] {
-            let s = prop_shard(name);
-            assert!(s < PROP_INDEX_SHARDS);
-            assert_eq!(s, prop_shard(name), "routing must be deterministic");
-        }
-    }
-
-    #[test]
     fn prop_index_tracks_inserts_moves_and_removals() {
         let mut idx: PropIndex<u32> = PropIndex::new();
         idx.insert("drc", Value::from_atom("ok"), 1);
@@ -440,13 +331,10 @@ mod tests {
             .collect();
         assert_eq!(hits, vec![1, 2]);
 
-        // A displaced-value delta moves the id between buckets.
-        idx.shards_mut()[prop_shard("drc")].apply(IndexDelta {
-            id: 1,
-            name: "drc".to_string(),
-            old: Some(Value::from_atom("ok")),
-            new: Value::from_atom("bad"),
-        });
+        // An overwrite moves the id between buckets: unindex the old
+        // value, index the new.
+        idx.remove("drc", &Value::from_atom("ok"), 1);
+        idx.insert("drc", Value::from_atom("bad"), 1);
         assert_eq!(
             idx.get("drc", &Value::from_atom("ok")).unwrap().len(),
             1,
@@ -462,39 +350,5 @@ mod tests {
         idx.remove("drc", &Value::from_atom("ok"), 2);
         assert!(idx.get("drc", &Value::from_atom("ok")).is_none());
         assert!(idx.get("drc", &Value::from_atom("bad")).is_none());
-    }
-
-    #[test]
-    fn lane_batches_commute_within_a_shard() {
-        // Two "lanes" writing disjoint ids: applying their delta batches
-        // in either order yields the same index content.
-        let delta = |id: u32, v: &str| IndexDelta {
-            id,
-            name: "state".to_string(),
-            old: None,
-            new: Value::from_atom(v),
-        };
-        let lane_a = vec![delta(1, "ok"), delta(2, "bad")];
-        let lane_b = vec![delta(3, "ok"), delta(4, "bad")];
-        let build = |first: &[IndexDelta<u32>], second: &[IndexDelta<u32>]| {
-            let mut idx: PropIndex<u32> = PropIndex::new();
-            for d in first.iter().chain(second) {
-                idx.shards_mut()[prop_shard(&d.name)].apply(d.clone());
-            }
-            let ok: Vec<u32> = idx
-                .get("state", &Value::from_atom("ok"))
-                .unwrap()
-                .iter()
-                .copied()
-                .collect();
-            let bad: Vec<u32> = idx
-                .get("state", &Value::from_atom("bad"))
-                .unwrap()
-                .iter()
-                .copied()
-                .collect();
-            (ok, bad)
-        };
-        assert_eq!(build(&lane_a, &lane_b), build(&lane_b, &lane_a));
     }
 }

@@ -1,8 +1,10 @@
 //! Property tests on meta-database invariants: arena address stability,
-//! version-chain ordering, link incidence symmetry, wire-format round-trips.
+//! version-chain ordering, link incidence symmetry, wire-format round-trips,
+//! hex payload decoding.
 
 use std::collections::BTreeSet;
 
+use damocles_meta::persist::{decode_hex, encode_hex};
 use damocles_meta::{Arena, Direction, EventMessage, LinkClass, LinkKind, MetaDb, Oid, Value};
 use proptest::prelude::*;
 
@@ -241,5 +243,26 @@ proptest! {
         let vb = Value::from_atom(&b);
         prop_assert!(va.loose_eq(&va));
         prop_assert_eq!(va.loose_eq(&vb), vb.loose_eq(&va));
+    }
+
+    /// `decode_hex` returns, never panics, on any string; it accepts
+    /// exactly the even-length words of `0-9a-fA-F` (so a sign, a
+    /// multi-byte character or any other spelling `encode_hex` never
+    /// writes is refused) and inverts `encode_hex`.
+    #[test]
+    fn decode_hex_accepts_only_hex_digit_pairs(
+        word in prop_oneof!["[0-9a-fA-F+é€-]{0,12}", "\\PC{0,12}"],
+        bytes in proptest::collection::vec(any::<u8>(), 0..24),
+    ) {
+        let hex_word = word.len() % 2 == 0 && word.bytes().all(|b| b.is_ascii_hexdigit());
+        match decode_hex(&word) {
+            Ok(decoded) => {
+                prop_assert!(hex_word, "accepted {:?}", word);
+                prop_assert_eq!(encode_hex(&decoded), word.to_ascii_lowercase());
+            }
+            Err(_) => prop_assert!(!hex_word, "refused {:?}", word),
+        }
+        prop_assert!(decode_hex("+f").is_err());
+        prop_assert_eq!(decode_hex(&encode_hex(&bytes)), Ok(bytes));
     }
 }
