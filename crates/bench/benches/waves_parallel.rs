@@ -2,10 +2,10 @@
 //! threads (ISSUE 5).
 //!
 //! The design under measurement: `F` link-disjoint view families, each a
-//! `D`-stage derivation chain instantiated for `B` blocks. The compiler
-//! puts every family in its own shard component, so a batch of events
-//! that touches all families splits into `F` independent execution
-//! groups — the parallelism the worker pool exploits.
+//! `D`-stage derivation chain instantiated for `B` blocks. Every instance
+//! chain is its own shard group, so a batch of events that touches all
+//! families splits into `F × B` independent execution groups — the
+//! parallelism the wave lanes exploit.
 //!
 //! One measured iteration posts a `ckin` event at every family's root
 //! OIDs (pure property waves: no objects or links are created, so the
@@ -14,24 +14,25 @@
 //! `ProjectServer::set_wave_workers`:
 //!
 //! * `waves/parallel/workers_1` — the sequential compiled path;
-//! * `waves/parallel/workers_{2,4,8}` — the sharded batch path.
+//! * `waves/parallel/workers_{2,4,8}` — the waves run ahead on lanes,
+//!   and the drain loop lands each one.
 //!
-//! Interpretation: the sharded path is differentially proven
-//! byte-identical to sequential at any worker count (see
+//! Interpretation: lanes are differentially proven byte-identical to
+//! sequential at any worker count (see
 //! `crates/core/tests/compiled_differential.rs`), so these series
 //! measure pure wall-clock. Two caveats the JSON spells out:
 //!
 //! * speedup requires hardware parallelism — on a single-core container
-//!   the sharded series instead price the overlay + epilogue overhead
-//!   (the JSON records the core count next to the numbers);
+//!   the multi-worker series instead price the overlay + landing
+//!   overhead (the JSON records the core count next to the numbers);
 //! * the write-heavy `waves/parallel` storm is the adverse case: every
-//!   delivery's product is a property write, and the epilogue replays
-//!   every write serially through `MetaDb::set_prop` in batch order —
-//!   the one write path, shared with the sequential drain.
+//!   delivery's product is a property write, and landing replays every
+//!   write serially through `MetaDb::set_prop` in queue order — the one
+//!   write path, shared with the inline drain.
 //!   `bench_phase_split` reports how the drain splits between the
-//!   parallel worker phase and that serial apply phase. The
+//!   parallel lane phase and that serial landing phase. The
 //!   `waves/exec_storm` series adds per-delivery tool-invocation
-//!   rendering (no epilogue cost), the workload shape sharding helps
+//!   rendering (no landing cost), the workload shape sharding helps
 //!   most; `waves/instance_chains` is the single-family storm that
 //!   per-view-component sharding could not parallelize at all and
 //!   per-OID instance sharding can.
@@ -88,7 +89,7 @@ const CHAINS: usize = 64;
 /// carries a `let` so each delivery re-evaluates an expression — the
 /// compute the workers parallelize. With `exec_heavy`, every stale
 /// delivery also renders a tool invocation (the §3.3 automatic tool
-/// loop): pure worker-side compute with no epilogue write, the workload
+/// loop): pure worker-side compute with no landing write, the workload
 /// shape sharding helps most.
 fn family_blueprint_n(families: usize, exec_heavy: bool) -> String {
     use std::fmt::Write as _;
@@ -198,18 +199,18 @@ fn bench_parallel_waves(c: &mut Criterion) {
         return;
     }
     // Write-heavy tracking storm: every delivery's product is a property
-    // write, so the deterministic epilogue (serial write replay) bounds
-    // the speedup — the adverse case for sharding.
+    // write, so the landing (serial write replay) bounds the speedup —
+    // the adverse case for sharding.
     bench_series(c, "waves/parallel", false);
     // Tool-invocation storm: deliveries also render exec invocations —
-    // worker-side compute with no epilogue cost, the favourable case.
+    // worker-side compute with no landing cost, the favourable case.
     bench_series(c, "waves/exec_storm", true);
 }
 
 /// The instance-sharding storm (PR 10): ONE view family, `CHAINS`
-/// independent instance chains. Compile-time per-view-component sharding
-/// sees a single shard group here — the whole batch would run serial at
-/// any worker count. Per-OID union-find sharding gives one group per
+/// independent instance chains. Per-view-component sharding (deleted)
+/// saw a single shard group here — the whole batch ran serial at any
+/// worker count. Per-OID union-find sharding gives one group per
 /// chain, so this series isolates exactly the parallelism instance-level
 /// sharding unlocked.
 fn bench_instance_chains(c: &mut Criterion) {
@@ -232,15 +233,15 @@ fn bench_instance_chains(c: &mut Criterion) {
     group.finish();
 }
 
-/// The Amdahl accounting of the sharded path (not a criterion series):
+/// The Amdahl accounting of the wave lanes (not a criterion series):
 /// runs the write-heavy storm at several worker counts and reports how
-/// the drain's wall-clock splits between the worker phase (wave
-/// execution on the shard lanes, in parallel) and the apply phase,
-/// straight from [`ProjectServer::wave_phase_ns`]. The apply phase is
-/// serial: every overlay write replays through `MetaDb::set_prop` in
-/// batch order (storage, secondary index, journal record, counter), then
-/// the per-event audit and trace buffers are absorbed. Its fraction is
-/// the share of the drain that extra cores cannot shrink.
+/// the drain's wall-clock splits between the worker phase (waves run
+/// ahead on the shard lanes, in parallel) and the apply phase, straight
+/// from [`ProjectServer::wave_phase_ns`]. The apply phase is the drain
+/// loop landing each event, serially: its overlay writes replay through
+/// `MetaDb::set_prop` (storage, secondary index, journal record,
+/// counter), then its audit and trace buffers are absorbed. Its fraction
+/// is the share of the lane work that extra cores cannot shrink.
 fn bench_phase_split(_c: &mut Criterion) {
     if !target_enabled("parallel_waves") {
         return;

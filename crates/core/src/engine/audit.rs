@@ -292,11 +292,11 @@ impl AuditLog {
         self.summary = AuditSummary::default();
     }
 
-    /// A fresh, empty buffer with this log's retention setting — what each
-    /// wave worker records into during a sharded batch. Buffers come back
-    /// through [`AuditLog::absorb`] in the deterministic post-wave merge
-    /// order (ascending batch event index; within one event, wave order),
-    /// so the merged log is byte-identical to sequential execution's.
+    /// A fresh, empty buffer with this log's retention setting — what a
+    /// wave lane records one event into. Buffers come back through
+    /// [`AuditLog::absorb`] as the drain loop lands each event, in queue
+    /// order (within one event, wave order), so the merged log is
+    /// byte-identical to sequential execution's.
     pub fn buffer(&self) -> AuditLog {
         AuditLog {
             records: Vec::new(),

@@ -25,17 +25,11 @@
 //!   forward this event" for tooling and validation; the engine itself
 //!   keeps the exact per-link check, since links created through the raw
 //!   database API may forward events no template mentions;
-//! * continuous assignments are pre-merged per view in evaluation order;
-//! * the views are partitioned into **link-connected components**: two views
-//!   land in the same component exactly when a chain of `link_from` /
-//!   `use_link` templates connects them. Each component is a [`ShardId`]
-//!   stamped onto the view's [`DispatchTable`], so the parallel wave
-//!   scheduler resolves an OID's shard at dispatch-table-lookup cost — at
-//!   compile time, not per event. Links created outside the templates (raw
-//!   database links, adopted images) can bridge compile-time components;
-//!   the [`ShardMap`] overlays those runtime merges on the compiled
-//!   partition and is invalidated by the database's
-//!   [`topology stamp`](damocles_meta::MetaDb::topology_stamp).
+//! * continuous assignments are pre-merged per view in evaluation order.
+//!
+//! The wave lanes' partition is not compiled: [`ShardMap`] groups the live
+//! OIDs themselves by the links that can carry an event, and follows the
+//! database's [`topology stamp`](damocles_meta::MetaDb::topology_stamp).
 //!
 //! The compiled form owns its data (templates and expressions are cloned out
 //! of the AST), so the engine can hold it alongside the blueprint without
@@ -46,7 +40,7 @@ use std::sync::Arc;
 
 use damocles_meta::{Direction, MetaDb, OidId, Sym, SymSet, SymbolTable, TopoDelta};
 
-use crate::lang::ast::{Action, Blueprint, Expr, LinkSource, Template};
+use crate::lang::ast::{Action, Blueprint, Expr, Template};
 
 /// A per-event action list inlining up to four entries.
 ///
@@ -214,12 +208,9 @@ impl Dispatch {
     }
 }
 
-/// A link-connected component of the compiled blueprint's view graph — the
-/// compile-time unit of wave parallelism. Two OIDs whose views carry
-/// different (and runtime-unmerged, see [`ShardMap`]) shard ids can never
-/// reach each other inside one propagation wave through
-/// template-instantiated links, so their waves may execute on different
-/// worker threads.
+/// An execution group of the [`ShardMap`]: OIDs in different groups can
+/// never reach each other inside one propagation wave, so their waves may
+/// run on different wave lanes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ShardId(pub u32);
 
@@ -232,17 +223,9 @@ pub struct DispatchTable {
     /// Continuous assignments in evaluation order (`default`'s, then the
     /// view's own).
     lets: Vec<CompiledLet>,
-    /// The link-connected component this view belongs to (see
-    /// [`CompiledBlueprint::shard_of_table`]).
-    shard: ShardId,
 }
 
 impl DispatchTable {
-    /// The link-connected component this view's OIDs dispatch in.
-    pub fn shard(&self) -> ShardId {
-        self.shard
-    }
-
     /// The actions for an event, if any rule anywhere matches it.
     pub fn dispatch(&self, event: Sym) -> Option<&Dispatch> {
         self.dispatch.get(&event)
@@ -291,14 +274,6 @@ pub struct CompiledBlueprint {
     /// Union of every link template's PROPAGATE set: an event outside this
     /// set can never cross a template-instantiated link.
     propagate_union: SymSet,
-    /// The shard of OIDs whose view the blueprint does not declare. All
-    /// undeclared views share one component: the compiler cannot bound
-    /// which links their OIDs acquire, so they must not be split.
-    fallback_shard: ShardId,
-    /// Size of the shard id space (`views + 1`, the `+1` being the
-    /// undeclared-view component). Shard ids are union-find roots inside
-    /// this space, so they are stable but not dense.
-    shard_space: u32,
     /// Process-unique id of this compilation, used by the engine's per-view
     /// dispatch cache to detect blueprint swaps (`reinit`) without holding a
     /// reference.
@@ -407,31 +382,6 @@ impl CompiledBlueprint {
             tables.push(table);
         }
 
-        // Link-connected components over the view graph: every `link_from`
-        // template is an edge between the declaring view and its source
-        // view (`use_link` relates a view to itself — no edge). A source
-        // view the blueprint does not declare joins the undeclared-view
-        // component, since its OIDs are indistinguishable from any other
-        // undeclared view's. This runs after the table pass so forward
-        // references (`link_from` naming a later view) resolve.
-        let fallback_slot = tables.len() as u32;
-        let mut parent: Vec<u32> = (0..=fallback_slot).collect();
-        for (index, view) in bp.views.iter().enumerate() {
-            for link in &view.links {
-                if let LinkSource::View(source) = &link.source {
-                    let source_slot = view_index
-                        .get(source.as_str())
-                        .map_or(fallback_slot, |&i| i as u32);
-                    uf_union(&mut parent, index as u32, source_slot);
-                }
-            }
-        }
-        for (index, table) in tables.iter_mut().enumerate() {
-            table.shard = ShardId(uf_find(&mut parent, index as u32));
-        }
-        let fallback_shard = ShardId(uf_find(&mut parent, fallback_slot));
-        fallback.shard = fallback_shard;
-
         let arc_names = symbols.iter().map(|(_, name)| Arc::from(name)).collect();
         static GENERATION: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
         CompiledBlueprint {
@@ -443,8 +393,6 @@ impl CompiledBlueprint {
             default_index,
             link_templates,
             propagate_union,
-            fallback_shard,
-            shard_space: fallback_slot + 1,
             generation: GENERATION.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         }
     }
@@ -518,31 +466,6 @@ impl CompiledBlueprint {
     pub fn link_templates(&self) -> &[CompiledLinkTemplate] {
         &self.link_templates
     }
-
-    /// The link-connected component of the table at a
-    /// [`CompiledBlueprint::table_index_for_view`] index; `None` selects
-    /// the undeclared-view component.
-    pub fn shard_of_table(&self, index: Option<usize>) -> ShardId {
-        match index {
-            Some(i) => self.tables[i].shard,
-            None => self.fallback_shard,
-        }
-    }
-
-    /// The link-connected component of `view`'s OIDs.
-    pub fn shard_of_view(&self, view: &str) -> ShardId {
-        self.shard_of_table(self.table_index_for_view(view))
-    }
-
-    /// The shard of OIDs whose view the blueprint does not declare.
-    pub fn fallback_shard(&self) -> ShardId {
-        self.fallback_shard
-    }
-
-    /// Size of the shard id space (every [`ShardId`] is `< shard_space`).
-    pub fn shard_space(&self) -> u32 {
-        self.shard_space
-    }
 }
 
 /// Union-find `find` with path compression over a flat parent vector.
@@ -573,14 +496,11 @@ fn uf_union(parent: &mut [u32], a: u32, b: u32) -> bool {
 
 /// The runtime **instance-level** shard partition.
 ///
-/// The compiler proves that template-instantiated links never cross
-/// [`ShardId`] boundaries, but that partition is per *view component*: two
-/// disjoint instance chains of the same views land in one compile-time
-/// shard and serialize behind each other. A `ShardMap` instead runs a
-/// union-find over the **live OIDs themselves**, keyed by arena slot,
-/// folding in every live link that can carry at least one event (an empty
-/// PROPAGATE set carries nothing). The result is the finest partition with
-/// the invariant the parallel wave scheduler needs:
+/// A `ShardMap` runs a union-find over the **live OIDs themselves**, keyed
+/// by arena slot, folding in every live link that can carry at least one
+/// event (an empty PROPAGATE set carries nothing), so two disjoint
+/// instance chains of the same views land in different groups. The result
+/// is the finest partition with the invariant the wave lanes need:
 ///
 /// > a propagation wave anchored at an OID of group *g* can only ever
 /// > read or write OIDs of group *g*,
@@ -712,7 +632,7 @@ impl ShardMap {
     /// (correct: had they gained a propagating link, the map would be
     /// stale). A stale handle lands in group 0 — the wave executing there
     /// reports the same stale-OID error the sequential path would.
-    pub fn group_of(&self, _compiled: &CompiledBlueprint, db: &MetaDb, id: OidId) -> ShardId {
+    pub fn group_of(&self, db: &MetaDb, id: OidId) -> ShardId {
         if !db.is_live(id) {
             return ShardId(0);
         }
@@ -855,37 +775,6 @@ mod tests {
     }
 
     #[test]
-    fn link_templates_define_shard_components() {
-        // a <- b (template edge), c alone, plus an undeclared source.
-        let bp = parse(
-            r#"blueprint shards
-            view a endview
-            view b
-                link_from a propagates ev type derived
-            endview
-            view c endview
-            view d
-                link_from mystery propagates ev type derived
-            endview
-            endblueprint"#,
-        )
-        .unwrap();
-        let compiled = CompiledBlueprint::compile(&bp);
-        assert_eq!(compiled.shard_of_view("a"), compiled.shard_of_view("b"));
-        assert_ne!(compiled.shard_of_view("a"), compiled.shard_of_view("c"));
-        // `link_from mystery` joins d with the undeclared-view component,
-        // and unknown views resolve to that same component.
-        assert_eq!(compiled.shard_of_view("d"), compiled.fallback_shard());
-        assert_eq!(compiled.shard_of_view("ghost"), compiled.fallback_shard());
-        assert_eq!(compiled.shard_space(), 5);
-        // The tables carry their shard.
-        assert_eq!(
-            compiled.table_for_view("b").shard(),
-            compiled.shard_of_view("a")
-        );
-    }
-
-    #[test]
     fn shard_map_merges_on_raw_bridge_links_only() {
         use damocles_meta::{LinkClass, LinkKind, MetaDb, Oid};
         let bp = parse(
@@ -906,10 +795,7 @@ mod tests {
             .unwrap();
         let map = ShardMap::build(&compiled, &db);
         assert_eq!(map.merges(), 0);
-        assert_ne!(
-            map.group_of(&compiled, &db, a),
-            map.group_of(&compiled, &db, b)
-        );
+        assert_ne!(map.group_of(&db, a), map.group_of(&db, b));
         assert_eq!(map.group_count(), 2);
         assert!(map.is_current(&compiled, &db));
 
@@ -920,10 +806,7 @@ mod tests {
         let merged = ShardMap::build(&compiled, &db);
         assert_ne!(merged.generation(), map.generation());
         assert_eq!(merged.merges(), 1);
-        assert_eq!(
-            merged.group_of(&compiled, &db, a),
-            merged.group_of(&compiled, &db, b)
-        );
+        assert_eq!(merged.group_of(&db, a), merged.group_of(&db, b));
         assert_eq!(merged.group_count(), 1);
     }
 
@@ -957,14 +840,8 @@ mod tests {
         assert!(map.is_current(&compiled, &db));
         assert_eq!(map.incremental_updates(), 1);
         assert_eq!(map.merges(), 1);
-        assert_eq!(
-            map.group_of(&compiled, &db, a),
-            map.group_of(&compiled, &db, c)
-        );
-        assert_ne!(
-            map.group_of(&compiled, &db, a),
-            map.group_of(&compiled, &db, b)
-        );
+        assert_eq!(map.group_of(&db, a), map.group_of(&db, c));
+        assert_ne!(map.group_of(&db, a), map.group_of(&db, b));
         assert_eq!(map.group_count(), 2, "{{a,c}} and {{b}}");
 
         // Severing topology cannot be patched into a union-find.
@@ -972,10 +849,7 @@ mod tests {
         assert!(!map.try_update(&compiled, &db));
         let rebuilt = ShardMap::build(&compiled, &db);
         assert_eq!(rebuilt.incremental_updates(), 0);
-        assert_ne!(
-            rebuilt.group_of(&compiled, &db, a),
-            rebuilt.group_of(&compiled, &db, c)
-        );
+        assert_ne!(rebuilt.group_of(&db, a), rebuilt.group_of(&db, c));
         assert_eq!(rebuilt.group_count(), 3);
     }
 
@@ -991,7 +865,7 @@ mod tests {
         .unwrap();
         let compiled = CompiledBlueprint::compile(&bp);
         let mut db = MetaDb::new();
-        // Two instance chains over the SAME views: compile-time sharding
+        // Two instance chains over the SAME views: per-view sharding
         // would serialize them; instance-level sharding must not.
         let a1 = db.create_oid(Oid::new("x", "a", 1)).unwrap();
         let b1 = db.create_oid(Oid::new("x", "b", 1)).unwrap();
@@ -1002,13 +876,10 @@ mod tests {
         db.add_link_with(a2, b2, LinkClass::Derive, LinkKind::DeriveFrom, ["ev"])
             .unwrap();
         let map = ShardMap::build(&compiled, &db);
-        assert_eq!(
-            map.group_of(&compiled, &db, a1),
-            map.group_of(&compiled, &db, b1)
-        );
+        assert_eq!(map.group_of(&db, a1), map.group_of(&db, b1));
         assert_ne!(
-            map.group_of(&compiled, &db, a1),
-            map.group_of(&compiled, &db, a2),
+            map.group_of(&db, a1),
+            map.group_of(&db, a2),
             "disjoint chains of one view family get their own groups"
         );
         assert_eq!(map.group_count(), 2);

@@ -85,21 +85,6 @@ impl EventQueue {
         self.stats.high_water = self.stats.high_water.max(self.queue.len());
     }
 
-    /// Puts events back at the FRONT of the queue, preserving their order
-    /// (the first element of `events` dequeues first again). Used by the
-    /// sharded batch path when an error truncates a batch: the events the
-    /// sequential path would never have reached return to the queue
-    /// exactly as if they had not been taken.
-    pub fn requeue_front(&mut self, events: impl DoubleEndedIterator<Item = QueuedEvent>) {
-        for ev in events.rev() {
-            self.queue.push_front(ev);
-            // They were already counted at their original enqueue; undo
-            // the dequeue accounting of the batch take.
-            self.stats.dequeued = self.stats.dequeued.saturating_sub(1);
-        }
-        self.stats.high_water = self.stats.high_water.max(self.queue.len());
-    }
-
     /// Read-only walk of the waiting events, front to back — the durable
     /// queue uses this to re-journal still-pending work at a checkpoint.
     pub fn iter(&self) -> impl Iterator<Item = &QueuedEvent> {

@@ -123,20 +123,17 @@ pub struct RuntimeEngine {
     pub policy: Policy,
     clock: u64,
     scratch: WaveScratch,
-    /// Per-worker scratches for the sharded batch path
-    /// ([`RuntimeEngine::process_batch_sharded`]): each worker thread owns
-    /// one for the batch, keeping the allocation-free steady state per
-    /// worker. Grown lazily to the requested worker count and reused
-    /// across batches.
+    /// Per-worker scratches for the wave lanes
+    /// ([`RuntimeEngine::run_lanes`]): each worker thread owns one for the
+    /// batch, keeping the allocation-free steady state per worker. Grown
+    /// lazily to the requested worker count and reused across batches.
     worker_scratches: Vec<WaveScratch>,
-    /// Cumulative nanoseconds sharded batches spent in the parallel wave
-    /// phase (worker execution) — the phase-split observability half of
-    /// [`RuntimeEngine::batch_phase_ns`].
-    batch_worker_ns: u64,
-    /// Cumulative nanoseconds sharded batches spent in write application
-    /// (the epilogue: the serial `set_prop` replay plus the audit and
-    /// trace absorb).
-    batch_apply_ns: u64,
+    /// Cumulative nanoseconds spent running waves ahead on lanes — the
+    /// worker half of [`RuntimeEngine::lane_phase_ns`].
+    lane_ns: u64,
+    /// Cumulative nanoseconds spent landing lane results (the serial
+    /// `set_prop` replay plus the audit and trace absorb).
+    land_ns: u64,
 }
 
 impl Default for RuntimeEngine {
@@ -203,12 +200,12 @@ struct CompiledWaveItem {
 /// * [`DirectStore`] — `&mut MetaDb`; writes land (and journal)
 ///   immediately. The sequential path.
 /// * [`OverlayStore`] — `&MetaDb` plus a private copy-on-write property
-///   overlay and an ordered write log. Worker threads of a sharded batch
-///   run on this: the shared database is only ever read, each worker's
-///   writes are visible to its own later reads (waves read what they just
-///   assigned), and the logs replay through the real database in the
-///   deterministic post-wave epilogue — so journal ops, indices and
-///   counters are byte-identical to sequential execution.
+///   overlay and an ordered write log. Wave lanes run on this: the shared
+///   database is only ever read, each lane's writes are visible to its
+///   own later reads (waves read what they just assigned), and each
+///   event's log replays through the real database when the drain loop
+///   lands it — so journal ops, indices and counters are byte-identical
+///   to inline execution.
 ///
 /// Only property writes mutate the database inside a wave (links and OIDs
 /// change between waves), which is what makes the overlay complete.
@@ -320,8 +317,8 @@ impl std::hash::Hasher for OidHasher {
 
 type OidMap<V> = HashMap<OidId, V, std::hash::BuildHasherDefault<OidHasher>>;
 
-/// The per-worker store of a sharded batch: shared read-only database,
-/// copy-on-write property overlay, ordered write log.
+/// The per-lane store of [`RuntimeEngine::run_lanes`]: shared read-only
+/// database, copy-on-write property overlay, ordered write log.
 struct OverlayStore<'a> {
     db: &'a MetaDb,
     /// Sparse per-OID overlays holding only the props this worker has
@@ -330,12 +327,13 @@ struct OverlayStore<'a> {
     /// (events of one link-connected component are ordered on one lane).
     dirty: OidMap<PropertyMap>,
     /// Writes of the event currently executing, in wave order. Drained
-    /// per event into its [`EventRun`] and replayed through
-    /// [`MetaDb::set_prop`] in the epilogue.
+    /// per event into its [`LaneRun`] and replayed through
+    /// [`MetaDb::set_prop`] when it lands.
     writes: Vec<PropWrite>,
 }
 
 /// One overlay property write, as logged by an [`OverlayStore`].
+#[derive(Debug)]
 struct PropWrite {
     id: OidId,
     prop: String,
@@ -415,8 +413,8 @@ impl RuntimeEngine {
             clock: 0,
             scratch: WaveScratch::default(),
             worker_scratches: Vec::new(),
-            batch_worker_ns: 0,
-            batch_apply_ns: 0,
+            lane_ns: 0,
+            land_ns: 0,
         }
     }
 
@@ -426,13 +424,14 @@ impl RuntimeEngine {
         self.clock
     }
 
-    /// Cumulative `(worker_ns, apply_ns)` phase split of every sharded
-    /// batch this engine has run: time in the parallel wave phase vs time
-    /// in write application. `apply / (worker + apply)` is the serial
-    /// fraction Amdahl charges the batch path — the number the phase-split
-    /// bench reporter tracks across PRs.
-    pub fn batch_phase_ns(&self) -> (u64, u64) {
-        (self.batch_worker_ns, self.batch_apply_ns)
+    /// Cumulative `(worker_ns, apply_ns)` phase split of the wave lanes:
+    /// time running waves ahead ([`RuntimeEngine::run_lanes`]) vs time
+    /// landing their results ([`RuntimeEngine::apply_lane_run`]).
+    /// `apply / (worker + apply)` is the serial fraction Amdahl charges
+    /// the lanes — the number the phase-split bench reporter tracks.
+    /// Inline waves count in neither.
+    pub fn lane_phase_ns(&self) -> (u64, u64) {
+        (self.lane_ns, self.land_ns)
     }
 
     /// Drops the cached per-view dispatch resolutions. Must be called when
@@ -878,9 +877,9 @@ impl RuntimeEngine {
     }
 
     /// Resets the scratch and enqueues the wave's root item for `ev`.
-    /// `args` is passed separately so the sequential path can move the
-    /// event's arguments (no per-event allocation) while the lane path —
-    /// which must keep the event intact for error requeueing — clones.
+    /// `args` is passed separately so the inline path can move the
+    /// event's arguments (no per-event allocation) while a lane — which
+    /// only borrows the still-queued event — clones.
     fn seed_wave(
         compiled: &CompiledBlueprint,
         scratch: &mut WaveScratch,
@@ -1301,94 +1300,68 @@ impl RuntimeEngine {
     }
 
     // ------------------------------------------------------------------
-    // Sharded batch path
+    // Wave lanes: waves run ahead, the drain loop lands them
     // ------------------------------------------------------------------
 
-    /// Processes a batch of design events as N parallel shards —
-    /// observationally identical to running [`RuntimeEngine::process_compiled`]
-    /// over the batch in order, for *any* worker count (the sharded
-    /// differential property test holds outcomes, merged audit and the
-    /// persisted database image byte-identical across `n ∈ {1, 2, 4, 8}`
-    /// and the sequential path).
+    /// Runs the waves of a batch of queued events ahead on worker lanes,
+    /// without landing anything: the database, audit log and trace are
+    /// only read. The drain loop then lands each result in queue order
+    /// through [`RuntimeEngine::apply_lane_run`], so every event still
+    /// passes through the one per-event contract (land, record done,
+    /// dispatch wrappers) before the next.
     ///
-    /// How the equivalence is engineered:
-    ///
-    /// * events are **grouped by execution shard** ([`ShardMap::group_of`]
+    /// * Events are **grouped by execution shard** ([`ShardMap::group_of`]
     ///   of their anchor OID). The shard invariant — no allowing link ever
     ///   crosses group boundaries — means an event's wave reads and writes
-    ///   only its own group's OIDs, so groups are independent;
-    /// * each group runs on one worker lane in batch order; workers execute
-    ///   waves against an overlay store (shared read-only database +
-    ///   private copy-on-write overlay), recording per-event write logs and
-    ///   per-event audit buffers. Each event carries its sequential logical
-    ///   clock (`base + index + 1`), so `$date` is position-dependent, not
-    ///   schedule-dependent;
-    /// * a **deterministic sequential epilogue** replays the write logs
-    ///   through [`MetaDb::set_prop`] in ascending batch order — the one
-    ///   write path, so journal records, secondary index and counters land
-    ///   exactly as sequential execution would have produced them — and
-    ///   merges the audit buffers in the same order;
-    /// * on a wave error, the epilogue applies the error event's partial
-    ///   writes (the engine is an observer, not a transaction manager —
-    ///   same contract as the sequential path), reports the error, and
-    ///   returns every later event in [`ShardedBatch::unprocessed`] so the
-    ///   caller can requeue them untouched.
+    ///   only its own group's OIDs, so groups are independent.
+    /// * Each group runs on one lane in batch order, against an overlay
+    ///   store (shared read-only database + private copy-on-write
+    ///   overlay), so later events of a group see earlier events' writes.
+    ///   Each event carries the clock it will land under
+    ///   (`clock + index + 1`), so `$date` is position-dependent, not
+    ///   schedule-dependent.
+    /// * A lane stops at its first wave error; the events after it get no
+    ///   result.
     ///
-    /// Worker parallelism never changes results — only wall-clock time.
-    pub fn process_batch_sharded(
-        &mut self,
-        compiled: &CompiledBlueprint,
-        shards: &ShardMap,
-        db: &mut MetaDb,
-        audit: &mut AuditLog,
-        events: Vec<QueuedEvent>,
-        workers: usize,
-    ) -> ShardedBatch {
-        let mut trace = TraceLog::disabled();
-        self.process_batch_sharded_traced(compiled, shards, db, audit, &mut trace, events, workers)
-    }
-
-    /// [`RuntimeEngine::process_batch_sharded`] with an execution trace.
+    /// A result stays valid only while nothing but the landing of earlier
+    /// results changes what waves read; the caller voids the rest when a
+    /// wrapper dispatch changes the database.
     ///
-    /// Workers buffer trace records per event (like their audit buffers)
-    /// and the sequential epilogue absorbs them in ascending batch order,
-    /// so the merged trace is deterministic for any worker count. Records
-    /// from this path carry the worker lane and execution shard of each
-    /// event; when `trace` is disabled the path is byte-for-byte the
-    /// untraced one (no shard lookups, no buffering).
+    /// Returns one slot per event, in batch order: the event's [`LaneRun`],
+    /// or `None` where the event must run inline — every slot when the
+    /// batch spans fewer than two shard groups or `workers < 2`.
     #[allow(clippy::too_many_arguments)]
-    pub fn process_batch_sharded_traced(
+    pub fn run_lanes<'e>(
         &mut self,
         compiled: &CompiledBlueprint,
         shards: &ShardMap,
-        db: &mut MetaDb,
-        audit: &mut AuditLog,
-        trace: &mut TraceLog,
-        events: Vec<QueuedEvent>,
+        db: &MetaDb,
+        audit: &AuditLog,
+        trace: &TraceLog,
+        events: impl IntoIterator<Item = &'e QueuedEvent>,
         workers: usize,
-    ) -> ShardedBatch {
-        let base_clock = self.clock;
-        if events.is_empty() {
-            return ShardedBatch::default();
-        }
-
+    ) -> Vec<Option<LaneRun>> {
         // Group by execution shard, preserving batch order inside a group.
-        let mut groups: BTreeMap<ShardId, Vec<(usize, QueuedEvent)>> = BTreeMap::new();
+        let mut groups: BTreeMap<ShardId, Vec<(usize, &QueuedEvent)>> = BTreeMap::new();
+        let mut slots = Vec::new();
         for (index, ev) in events.into_iter().enumerate() {
-            let group = shards.group_of(compiled, db, ev.delivery.anchor());
+            let group = shards.group_of(db, ev.delivery.anchor());
             groups.entry(group).or_default().push((index, ev));
+            slots.push(None);
+        }
+        if groups.len() < 2 || workers < 2 {
+            return slots;
         }
 
         // Deterministic greedy lane assignment: groups in shard-id order,
         // each to the least-loaded lane.
-        let lane_count = workers.clamp(1, groups.len().max(1));
-        let mut lanes: Vec<Vec<(usize, QueuedEvent)>> =
-            (0..lane_count).map(|_| Vec::new()).collect();
+        let lane_count = workers.min(groups.len());
+        let mut lanes: Vec<Vec<(usize, &QueuedEvent)>> = vec![Vec::new(); lane_count];
         let mut load = vec![0usize; lane_count];
         for (_, group) in groups {
             let lane = (0..lane_count)
                 .min_by_key(|&l| (load[l], l))
-                .expect("lane_count >= 1");
+                .expect("lane_count >= 2");
             load[lane] += group.len();
             lanes[lane].extend(group);
         }
@@ -1402,11 +1375,7 @@ impl RuntimeEngine {
                 .resize_with(lane_count, WaveScratch::default);
         }
         let mut pool = std::mem::take(&mut self.worker_scratches);
-        let audit_proto: &AuditLog = audit;
-        let trace_proto: &TraceLog = trace;
         let engine: &RuntimeEngine = self;
-        let shared_db: &MetaDb = db;
-        let mut outputs: Vec<LaneOutput> = Vec::with_capacity(lane_count);
         let worker_start = std::time::Instant::now();
         std::thread::scope(|scope| {
             let handles: Vec<_> = lanes
@@ -1415,71 +1384,24 @@ impl RuntimeEngine {
                 .zip(pool.iter_mut())
                 .map(|((lane_id, lane), scratch)| {
                     scope.spawn(move || {
-                        engine.run_lane(
-                            compiled,
-                            shared_db,
-                            audit_proto,
-                            trace_proto,
-                            shards,
-                            lane_id,
-                            lane,
-                            scratch,
-                            base_clock,
-                        )
+                        engine.run_lane(compiled, db, audit, trace, shards, lane_id, lane, scratch)
                     })
                 })
                 .collect();
             for handle in handles {
-                outputs.push(handle.join().expect("wave worker panicked"));
+                for (index, run) in handle.join().expect("wave worker panicked") {
+                    slots[index] = Some(run);
+                }
             }
         });
         self.worker_scratches = pool;
-        self.batch_worker_ns += worker_start.elapsed().as_nanos() as u64;
-
-        // Deterministic epilogue. Runs up to (and including) the first
-        // wave error apply; later ones requeue untouched.
-        let apply_start = std::time::Instant::now();
-        let mut runs: Vec<EventRun> = Vec::new();
-        let mut deferred: Vec<(usize, QueuedEvent)> = Vec::new();
-        for output in outputs {
-            runs.extend(output.runs);
-            deferred.extend(output.leftover);
-        }
-        runs.sort_by_key(|run| run.index);
-        let mut batch = ShardedBatch::default();
-        let mut processed = 0u64;
-        for run in runs {
-            if batch.error.is_some() {
-                deferred.push((run.index, run.event));
-                continue;
-            }
-            // Every write lands through `set_prop`, in batch order. The
-            // overlay checked liveness as it wrote, so a failure here is
-            // not expected; if one happens it is this run's error and
-            // later runs requeue, as on the sequential path.
-            let apply_e = run
-                .writes
-                .into_iter()
-                .try_for_each(|w| db.set_prop(w.id, &w.prop, w.value).map(drop))
-                .err();
-            processed += 1;
-            audit.absorb(run.audit);
-            trace.absorb(run.trace);
-            match run.error.or(apply_e.map(EngineError::from)) {
-                Some(e) => batch.error = Some(e),
-                None => batch.outcomes.push(run.outcome),
-            }
-        }
-        self.clock = base_clock + processed;
-        deferred.sort_by_key(|(index, _)| *index);
-        batch.unprocessed = deferred.into_iter().map(|(_, ev)| ev).collect();
-        self.batch_apply_ns += apply_start.elapsed().as_nanos() as u64;
-        batch
+        self.lane_ns += worker_start.elapsed().as_nanos() as u64;
+        slots
     }
 
-    /// One worker's share of a sharded batch: executes its events in batch
-    /// order against an overlay store, stopping at the first error (the
-    /// epilogue decides what the authoritative batch error is).
+    /// One worker's share of [`RuntimeEngine::run_lanes`]: executes its
+    /// events in batch order against an overlay store, stopping at the
+    /// first error.
     #[allow(clippy::too_many_arguments)]
     fn run_lane(
         &self,
@@ -1489,23 +1411,21 @@ impl RuntimeEngine {
         trace_proto: &TraceLog,
         shards: &ShardMap,
         lane_id: usize,
-        lane: Vec<(usize, QueuedEvent)>,
+        lane: Vec<(usize, &QueuedEvent)>,
         scratch: &mut WaveScratch,
-        base_clock: u64,
-    ) -> LaneOutput {
+    ) -> Vec<(usize, LaneRun)> {
         let mut store = OverlayStore {
             db,
             dirty: OidMap::default(),
             writes: Vec::new(),
         };
         let mut runs = Vec::with_capacity(lane.len());
-        let mut iter = lane.into_iter();
-        for (index, ev) in iter.by_ref() {
-            let clock = base_clock + index as u64 + 1;
+        for (index, ev) in lane {
+            let clock = self.clock + index as u64 + 1;
             let mut audit = audit_proto.buffer();
             let mut trace = trace_proto.buffer();
             if trace.enabled() {
-                let shard = shards.group_of(compiled, db, ev.delivery.anchor());
+                let shard = shards.group_of(db, ev.delivery.anchor());
                 if let Ok(target) = db.oid(ev.delivery.anchor()) {
                     trace.push(TraceRecord::Begin {
                         event: ev.event.clone(),
@@ -1518,9 +1438,7 @@ impl RuntimeEngine {
                 }
             }
             let mut outcome = ProcessOutcome::default();
-            // The event stays intact for error requeueing, so the lane
-            // clones its arguments into the wave.
-            Self::seed_wave(compiled, scratch, &ev, ev.args.clone());
+            Self::seed_wave(compiled, scratch, ev, ev.args.clone());
             let result = self.run_wave(
                 compiled,
                 &mut store,
@@ -1536,54 +1454,66 @@ impl RuntimeEngine {
                     delivered: outcome.delivered,
                 });
             }
-            let writes = std::mem::take(&mut store.writes);
             let error = result.err();
             let stop = error.is_some();
-            runs.push(EventRun {
+            runs.push((
                 index,
-                event: ev,
-                writes,
-                audit,
-                trace,
-                outcome,
-                error,
-            });
+                LaneRun {
+                    writes: std::mem::take(&mut store.writes),
+                    audit,
+                    trace,
+                    outcome,
+                    error,
+                },
+            ));
             if stop {
                 break;
             }
         }
-        LaneOutput {
-            runs,
-            leftover: iter.collect(),
+        runs
+    }
+
+    /// Lands one [`LaneRun`], the result of the event at the front of the
+    /// batch: replays its property writes through [`MetaDb::set_prop`] in
+    /// wave order — the one write path, so journal records, secondary
+    /// index and counters land exactly as the inline wave would have
+    /// written them — absorbs its audit and trace buffers, and advances
+    /// the clock by one event. The counterpart of
+    /// [`RuntimeEngine::process_compiled_traced`] for a wave that already
+    /// ran.
+    ///
+    /// # Errors
+    ///
+    /// The wave's own error, else the first failing write. As on the
+    /// inline path, what landed before the error is kept.
+    pub fn apply_lane_run(
+        &mut self,
+        db: &mut MetaDb,
+        audit: &mut AuditLog,
+        trace: &mut TraceLog,
+        run: LaneRun,
+    ) -> Result<ProcessOutcome, EngineError> {
+        let apply_start = std::time::Instant::now();
+        self.clock += 1;
+        let landed = run
+            .writes
+            .into_iter()
+            .try_for_each(|w| db.set_prop(w.id, &w.prop, w.value).map(drop));
+        audit.absorb(run.audit);
+        trace.absorb(run.trace);
+        self.land_ns += apply_start.elapsed().as_nanos() as u64;
+        match run.error {
+            Some(e) => Err(e),
+            None => landed.map(|()| run.outcome).map_err(EngineError::from),
         }
     }
 }
 
-/// The result of one sharded batch (see
-/// [`RuntimeEngine::process_batch_sharded`]).
-#[derive(Debug, Default)]
-pub struct ShardedBatch {
-    /// Per-event outcomes, in batch order, for every event that executed
-    /// (all of them when `error` is `None`).
-    pub outcomes: Vec<ProcessOutcome>,
-    /// The first error in batch order, if any. Writes the erroring wave
-    /// performed before failing are applied, as on the sequential path.
-    pub error: Option<EngineError>,
-    /// Events after the erroring one, untouched and in order — the caller
-    /// requeues them at the front of its queue.
-    pub unprocessed: Vec<QueuedEvent>,
-}
-
-/// What one worker lane produced.
-struct LaneOutput {
-    runs: Vec<EventRun>,
-    leftover: Vec<(usize, QueuedEvent)>,
-}
-
-/// One executed event of a sharded batch, ready for the epilogue.
-struct EventRun {
-    index: usize,
-    event: QueuedEvent,
+/// One event's wave as a lane ran it ahead (see
+/// [`RuntimeEngine::run_lanes`]), waiting for
+/// [`RuntimeEngine::apply_lane_run`] to land it.
+#[derive(Debug)]
+pub struct LaneRun {
     writes: Vec<PropWrite>,
     audit: AuditLog,
     trace: TraceLog,

@@ -8,7 +8,7 @@
 //! events those wrappers post back into the queue — the automatic tool
 //! invocation loop of Section 3.3.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -29,7 +29,7 @@ use crate::engine::invoke::{
 };
 use crate::engine::policy::{Policy, PolicyViolation, Strictness};
 use crate::engine::queue::{EventQueue, Posted};
-use crate::engine::runtime::RuntimeEngine;
+use crate::engine::runtime::{LaneRun, RuntimeEngine};
 use crate::engine::tail::TailHub;
 use crate::engine::template;
 use crate::engine::trace::{TraceLog, TraceRecord};
@@ -280,10 +280,10 @@ pub struct ProjectServer<E = NullExecutor> {
     /// (see [`crate::engine::tail`]). Shared with the service layer so
     /// the hub survives `Init` server swaps.
     tail: Arc<TailHub>,
-    /// Worker threads for the sharded wave path (see
-    /// [`ProjectServer::set_wave_workers`]); `1` = sequential.
+    /// Worker threads for the wave lanes (see
+    /// [`ProjectServer::set_wave_workers`]); `1` = every wave inline.
     wave_workers: usize,
-    /// Cached shard partition for the parallel wave path, rebuilt when the
+    /// Cached shard partition for the wave lanes, rebuilt when the
     /// blueprint generation or the database's link topology moves (a
     /// `Connect` that bridges two previously-disjoint components bumps the
     /// topology stamp and thereby the shard-map generation).
@@ -1099,18 +1099,12 @@ impl<E: ScriptExecutor> ProjectServer<E> {
     }
 
     /// Sets the wave worker count for [`ProjectServer::process_all`]
-    /// (clamped to at least 1). With `n > 1` each drained batch of queued
-    /// events executes as link-connected shards across `n` worker
-    /// threads; `1` keeps the sequential path. Results are identical
-    /// either way — the sharded path is differentially tested against the
-    /// sequential one — so this knob trades threads for wall-clock only.
-    ///
-    /// Within one parallel batch, wrapper invocations are dispatched
-    /// after the whole batch's waves, in event order — and with a
-    /// detached executor their results re-enter the queue in that same
-    /// dispatch order (the pool's ordered harvest, see
-    /// [`crate::engine::invoke`]), so the final image matches the
-    /// sequential path even though tool runs overlap freely.
+    /// (clamped to at least 1). With `n > 1` the waves of the queued
+    /// events run ahead as link-connected shards on up to `n` worker
+    /// lanes; `1` runs every wave inline. Either way the drain loop then
+    /// handles one event at a time — land its wave, record it done,
+    /// dispatch its wrappers — so results are identical at every worker
+    /// count, and this knob trades threads for wall-clock only.
     pub fn set_wave_workers(&mut self, workers: usize) {
         self.wave_workers = workers.max(1);
     }
@@ -1120,11 +1114,11 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         self.wave_workers
     }
 
-    /// Cumulative `(worker_ns, apply_ns)` phase split of the sharded wave
-    /// batches this server has run — see
-    /// [`RuntimeEngine::batch_phase_ns`].
+    /// Cumulative `(worker_ns, apply_ns)` phase split of the wave lanes
+    /// this server has run: lane time and landing time — see
+    /// [`RuntimeEngine::lane_phase_ns`].
     pub fn wave_phase_ns(&self) -> (u64, u64) {
-        self.engine.batch_phase_ns()
+        self.engine.lane_phase_ns()
     }
 
     // ------------------------------------------------------------------
@@ -1167,7 +1161,7 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         self.invoker.wait_harvest(timeout)
     }
 
-    /// The shard partition the parallel wave path would use right now.
+    /// The shard partition the wave lanes would use right now.
     /// A stale cached [`ShardMap`] is first offered the database's
     /// topology delta log ([`ShardMap::try_update`]) — mid-session
     /// `Connect`/`PROPAGATE` growth patches in as pure union-find merges;
@@ -1465,10 +1459,22 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         Ok(report)
     }
 
-    /// The shared drain: folds landed results and the wrapper inbox into
-    /// the queue, then processes events (sequentially or sharded) until
-    /// the queue is empty. Never waits on in-flight detached work.
+    /// The drain loop: folds landed results and the wrapper inbox into
+    /// the queue, then handles the queued events one at a time until the
+    /// queue is empty — trip the runaway guard before taking an event,
+    /// land its wave, record its `EventDone`, dispatch its wrappers.
+    /// Never waits on in-flight detached work.
+    ///
+    /// With more than one wave worker, the lanes first run the waves of
+    /// the queued events ahead ([`RuntimeEngine::run_lanes`]); landing one
+    /// of those results ([`RuntimeEngine::apply_lane_run`]) stands in for
+    /// running the wave inline. The results stay aligned with the queue
+    /// front because everything else enqueues at the back. A dispatch
+    /// that changes what a wave reads voids the results still ahead, and
+    /// the rest of that batch runs inline.
     fn drain_round(&mut self, report: &mut ProcessReport) -> Result<(), EngineError> {
+        // One slot per event of the current lane batch, front first.
+        let mut ahead: VecDeque<Option<LaneRun>> = VecDeque::new();
         loop {
             self.absorb_finished(report)?;
             // Reuse one inbox buffer across polls instead of allocating a
@@ -1481,35 +1487,61 @@ impl<E: ScriptExecutor> ProjectServer<E> {
                 .try_for_each(|posted| self.enqueue_lenient(&posted.message, &posted.user));
             self.inbox_buf = inbox;
             drained?;
-            // The sharded path takes the whole queued batch at once;
-            // feedback events (wrapper posts) arrive for the next round.
-            if self.wave_workers > 1 && !self.queue.is_empty() {
-                self.process_batch(report)?;
-                continue;
-            }
-            let Some(ev) = self.queue.dequeue() else {
+            if self.queue.is_empty() {
                 return Ok(());
-            };
+            }
             if report.events >= self.max_events_per_drain {
                 return Err(EngineError::Runaway {
                     processed: report.events,
                 });
             }
+            if ahead.is_empty() && self.wave_workers > 1 && self.queue.len() > 1 {
+                let allowance = self.max_events_per_drain - report.events;
+                let batch =
+                    usize::try_from(allowance).map_or(usize::MAX, |a| a.min(self.queue.len()));
+                self.shard_map();
+                let shards = self.shard_map.as_ref().expect("refreshed above");
+                ahead = self
+                    .engine
+                    .run_lanes(
+                        &self.compiled,
+                        shards,
+                        &self.db,
+                        &self.audit,
+                        &self.trace,
+                        self.queue.iter().take(batch),
+                        self.wave_workers,
+                    )
+                    .into();
+            }
+            let ev = self.queue.dequeue().expect("queue checked non-empty");
             let seq = ev.seq;
-            let outcome = self.engine.process_compiled_traced(
-                &self.compiled,
-                &mut self.db,
-                &mut self.audit,
-                &mut self.trace,
-                ev,
-            )?;
+            let outcome = match ahead.pop_front().flatten() {
+                Some(run) => {
+                    self.engine
+                        .apply_lane_run(&mut self.db, &mut self.audit, &mut self.trace, run)
+                }
+                None => self.engine.process_compiled_traced(
+                    &self.compiled,
+                    &mut self.db,
+                    &mut self.audit,
+                    &mut self.trace,
+                    ev,
+                ),
+            }?;
             report.absorb(ProcessReport {
                 events: 1,
                 deliveries: outcome.delivered,
                 ..Default::default()
             });
             self.mark_event_done(seq);
+            let wave_inputs = (self.db.stats(), self.db.topology_stamp());
             self.dispatch_invocations(outcome.invocations, report)?;
+            // Property sets and removals, OID and link churn, and
+            // PROPAGATE growth all move one of the two stamps.
+            if (self.db.stats(), self.db.topology_stamp()) != wave_inputs {
+                ahead.iter_mut().for_each(|run| *run = None);
+            }
         }
     }
 
@@ -1524,73 +1556,6 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         if let Some(seq) = seq {
             self.db.record_extra(&JournalOp::EventDone { seq });
         }
-    }
-
-    /// One sharded round of `process_all`: takes every queued event as a
-    /// batch, runs it across the wave worker pool, then dispatches the
-    /// wrapper invocations in event order. On a wave error the untouched
-    /// tail of the batch returns to the queue front, exactly as if the
-    /// sequential loop had stopped there.
-    fn process_batch(&mut self, report: &mut ProcessReport) -> Result<(), EngineError> {
-        let allowance = self.max_events_per_drain.saturating_sub(report.events);
-        if allowance == 0 {
-            return Err(EngineError::Runaway {
-                processed: report.events,
-            });
-        }
-        let mut events = Vec::with_capacity(self.queue.len().min(allowance as usize));
-        while (events.len() as u64) < allowance {
-            match self.queue.dequeue() {
-                Some(ev) => events.push(ev),
-                None => break,
-            }
-        }
-        // Durable-queue bookkeeping: the batch consumes its events, so
-        // capture their sequence stamps first; only the applied prefix is
-        // marked done (a requeued tail keeps its stamps and stays pending).
-        let seqs: Vec<Option<u64>> = events.iter().map(|ev| ev.seq).collect();
-        // Refresh the shard partition if the blueprint or the link
-        // topology changed since the last batch; it is then taken out and
-        // put back so the engine can borrow the database mutably.
-        self.shard_map();
-        let shards = self.shard_map.take().expect("refreshed above");
-        let batch = self.engine.process_batch_sharded_traced(
-            &self.compiled,
-            &shards,
-            &mut self.db,
-            &mut self.audit,
-            &mut self.trace,
-            events,
-            self.wave_workers,
-        );
-        self.shard_map = Some(shards);
-        let applied = batch.outcomes.len();
-        let mut invocations = Vec::new();
-        for outcome in batch.outcomes {
-            report.absorb(ProcessReport {
-                events: 1,
-                deliveries: outcome.delivered,
-                ..Default::default()
-            });
-            invocations.extend(outcome.invocations);
-        }
-        for seq in seqs.into_iter().take(applied).flatten() {
-            self.mark_event_done(Some(seq));
-        }
-        if let Some(error) = batch.error {
-            // The sequential loop dispatches each pre-error event's
-            // invocations before reaching the erroring event; do the same
-            // for the batch's applied prefix, THEN surface the error.
-            // Order matters for the queue too: executor-posted messages
-            // append to the (drained) queue first, and the untouched tail
-            // then returns to the front — exactly the sequential order
-            // `[unreached events…, wrapper messages…]`.
-            let dispatched = self.dispatch_invocations(invocations, report);
-            self.queue.requeue_front(batch.unprocessed.into_iter());
-            dispatched?;
-            return Err(error);
-        }
-        self.dispatch_invocations(invocations, report)
     }
 
     /// Runs collected `exec`/`notify` invocations through the script
@@ -2049,8 +2014,8 @@ mod tests {
 
     #[test]
     fn runaway_guard_trips() {
-        // Self-feeding executor: every netlister run checks in a new
-        // schematic, which runs the netlister again, forever.
+        // Self-feeding executor: every netlister run checks in two new
+        // schematics, each of which runs the netlister again, forever.
         #[derive(Debug, Default)]
         struct SelfFeeding;
         impl ScriptExecutor for SelfFeeding {
@@ -2059,20 +2024,31 @@ mod tests {
                 _inv: &crate::engine::exec::ScriptInvocation,
                 ctx: &mut ToolCtx<'_>,
             ) -> Vec<EventMessage> {
-                let (_, oid) = ctx
-                    .create_versioned("cpu", "schematic", "netlister", b"n".to_vec())
-                    .unwrap();
-                vec![EventMessage::new("ckin", Direction::Up, oid)]
+                ["cpu", "alu"]
+                    .into_iter()
+                    .map(|block| {
+                        let (_, oid) = ctx
+                            .create_versioned(block, "schematic", "netlister", b"n".to_vec())
+                            .unwrap();
+                        EventMessage::new("ckin", Direction::Up, oid)
+                    })
+                    .collect()
             }
         }
-        let bp = parser::parse(SIMPLE).unwrap();
-        let mut server = ProjectServer::with_executor(bp, SelfFeeding).unwrap();
-        server.max_events_per_drain = 50;
-        server
-            .checkin("cpu", "schematic", "yves", b"s1".to_vec())
-            .unwrap();
-        let err = server.process_all().unwrap_err();
-        assert!(matches!(err, EngineError::Runaway { processed: 50 }));
+        for workers in [1, 2, 4] {
+            let bp = parser::parse(SIMPLE).unwrap();
+            let mut server = ProjectServer::with_executor(bp, SelfFeeding).unwrap();
+            server.set_wave_workers(workers);
+            server.max_events_per_drain = 50;
+            server
+                .checkin("cpu", "schematic", "yves", b"s1".to_vec())
+                .unwrap();
+            let err = server.process_all().unwrap_err();
+            assert!(matches!(err, EngineError::Runaway { processed: 50 }));
+            // 1 + 2 × 50 events queued, 50 processed: the guard trips
+            // before taking the 51st, which stays queued.
+            assert_eq!(server.pending_events(), 51, "workers={workers}");
+        }
     }
 
     #[test]

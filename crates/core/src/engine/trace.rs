@@ -23,11 +23,12 @@
 //! * **Zero cost when off.** Retention is off by default; every hot-path
 //!   hook is guarded by [`TraceLog::enabled`], so a disabled trace costs
 //!   one branch per potential record and allocates nothing.
-//! * **Deterministic sharded merge.** Worker lanes trace into per-event
-//!   buffers ([`TraceLog::buffer`]) that the sequential epilogue absorbs
-//!   in batch order ([`TraceLog::absorb`]) — a sharded drain yields the
-//!   same record *content* as a sequential one, with the lane and shard
-//!   ids filled in on each event's `begin` record.
+//! * **Deterministic lane merge.** Wave lanes trace into per-event
+//!   buffers ([`TraceLog::buffer`]) that the drain loop absorbs as it
+//!   lands each event ([`TraceLog::absorb`]) — a drain at any worker count
+//!   yields the same record *content* as a sequential one, with the lane
+//!   and shard ids filled in on the `begin` record of each event a lane
+//!   ran.
 //!
 //! Records use the protocol's word codec (`PROTOCOL.md` §1), so a trace
 //! streams through [`Response::Trace`](crate::engine::api::Response) and
@@ -330,8 +331,8 @@ impl TraceLog {
         }
     }
 
-    /// Appends a per-event buffer's records. The sharded epilogue calls
-    /// this in batch order, so the merged trace is ordered by event, not
+    /// Appends a per-event buffer's records. The drain loop calls this as
+    /// it lands each event, so the merged trace is ordered by event, not
     /// by worker completion time.
     pub fn absorb(&mut self, buffer: TraceLog) {
         if self.retain {

@@ -2,29 +2,29 @@
 //!
 //! 1. The compiled dispatch path must be observationally identical to the
 //!    seed's AST-walking path.
-//! 2. The sharded batch path ([`RuntimeEngine::process_batch_sharded`])
-//!    must be observationally identical to sequential compiled execution
-//!    at **every** worker count (`n ∈ {1, 2, 4, 8}`).
+//! 2. Waves run ahead on lanes ([`RuntimeEngine::run_lanes`]) and landed
+//!    in batch order ([`RuntimeEngine::apply_lane_run`]) must be
+//!    observationally identical to sequential compiled execution at
+//!    **every** worker count (`n ∈ {1, 2, 4, 8}`).
 //!
 //! For randomized blueprints, design graphs and event streams, the paths
 //! are run side by side on cloned databases and held to the same
 //! [`ProcessOutcome`] (delivered count and script invocations), the same
 //! retained audit-record sequence, the same journal bytes (the batch
 //! [`MetaDb::drain_journal`] hands the writer), the same final
-//! database image (`damocles_meta::persist::save`) and, on the sharded
+//! database image (`damocles_meta::persist::save`) and, on the lane
 //! cases, the same [`MetaDb::stats`] and secondary index (which the
-//! image does not hold). The random graphs
-//! deliberately include raw links that bridge compile-time shard
-//! components, and a dedicated case runs disjoint instance chains of one
-//! view family — per-OID [`ShardMap`] groups that only exist with
-//! instance-level sharding — so both merge and split behaviour are
-//! exercised.
+//! image does not hold). The random graphs link OIDs of any views with
+//! raw links, and a dedicated case runs disjoint instance chains of one
+//! view family, some welded by raw bridge links, so both merged and
+//! split [`ShardMap`] groups are exercised.
 
 use blueprint_core::engine::audit::AuditLog;
 use blueprint_core::engine::compile::{CompiledBlueprint, ShardMap};
 use blueprint_core::engine::event::QueuedEvent;
 use blueprint_core::engine::policy::Policy;
 use blueprint_core::engine::runtime::RuntimeEngine;
+use blueprint_core::engine::trace::TraceLog;
 use blueprint_core::lang::ast::{
     Action, Blueprint, Expr, LetDef, LinkDef, LinkSource, PropertyDef, RuleDef, Template, Transfer,
     ViewDef,
@@ -226,7 +226,7 @@ fn events() -> impl Strategy<Value = Vec<EventSpec>> {
 
 /// A fixed two-view blueprint for the instance-chain cases: both chain
 /// views carry write-heavy rules so every delivery produces prop writes
-/// that the sharded epilogue must replay exactly like sequential.
+/// that landing a lane run must replay exactly like sequential.
 fn chain_blueprint() -> Blueprint {
     let mut alpha = ViewDef::empty("alpha".to_string());
     alpha.rules.push(RuleDef {
@@ -346,6 +346,49 @@ fn index_view(reference: &MetaDb, db: &MetaDb) -> Vec<(String, Value, Vec<OidId>
         .collect()
 }
 
+/// Runs `events` as the drain loop does above one worker: the lanes run
+/// every wave ahead, then each event in order lands its lane run, or runs
+/// inline when it has none. Checks that the lanes ran every event when the
+/// batch spans two or more shard groups.
+fn run_batch(
+    engine: &mut RuntimeEngine,
+    compiled: &CompiledBlueprint,
+    db: &mut MetaDb,
+    audit: &mut AuditLog,
+    events: Vec<QueuedEvent>,
+    workers: usize,
+) -> Vec<Observation> {
+    let shards = ShardMap::build(compiled, db);
+    let groups: std::collections::BTreeSet<_> = events
+        .iter()
+        .map(|ev| shards.group_of(db, ev.delivery.anchor()))
+        .collect();
+    let mut trace = TraceLog::disabled();
+    let runs = engine.run_lanes(compiled, &shards, db, audit, &trace, &events, workers);
+    assert_eq!(runs.len(), events.len());
+    if workers > 1 && groups.len() > 1 {
+        assert!(
+            runs.iter().all(Option::is_some),
+            "lenient policy: every wave ran ahead"
+        );
+    }
+    events
+        .into_iter()
+        .zip(runs)
+        .map(|(ev, run)| {
+            let out = match run {
+                Some(run) => engine.apply_lane_run(db, audit, &mut trace, run),
+                None => engine.process_compiled(compiled, db, audit, ev),
+            }
+            .expect("lenient policy");
+            (
+                out.delivered,
+                out.invocations.iter().map(|i| format!("{i:?}")).collect(),
+            )
+        })
+        .collect()
+}
+
 fn run_stream(
     process: impl Fn(&mut RuntimeEngine, &mut MetaDb, &mut AuditLog, QueuedEvent) -> Observation,
     db: &mut MetaDb,
@@ -422,10 +465,10 @@ proptest! {
         prop_assert_eq!(ast_image, compiled_image);
     }
 
-    /// The sharded batch path matches sequential compiled execution —
-    /// outcomes, merged audit-record sequence, journal bytes, persisted
-    /// database image, counters and secondary index — at every worker
-    /// count.
+    /// Waves run ahead on lanes and landed in batch order match
+    /// sequential compiled execution — outcomes, merged audit-record
+    /// sequence, journal bytes, persisted database image, counters and
+    /// secondary index — at every worker count.
     #[test]
     fn sharded_batches_match_sequential_at_any_worker_count(
         bp in blueprint(),
@@ -463,7 +506,6 @@ proptest! {
         for workers in [1usize, 2, 4, 8] {
             let (mut db, ids) = build_db(&spec);
             db.attach_journal(0);
-            let shards = ShardMap::build(&compiled, &db);
             let mut engine = RuntimeEngine::new(policy.clone());
             let mut audit = AuditLog::retaining();
             let events: Vec<QueuedEvent> = stream
@@ -475,27 +517,8 @@ proptest! {
                         .with_arg(arg.clone())
                 })
                 .collect();
-            let batch = engine.process_batch_sharded(
-                &compiled,
-                &shards,
-                &mut db,
-                &mut audit,
-                events,
-                workers,
-            );
-            prop_assert!(batch.error.is_none(), "lenient policy: {:?}", batch.error);
-            prop_assert!(batch.unprocessed.is_empty());
-
-            let outcomes: Vec<Observation> = batch
-                .outcomes
-                .iter()
-                .map(|out| {
-                    (
-                        out.delivered,
-                        out.invocations.iter().map(|i| format!("{i:?}")).collect(),
-                    )
-                })
-                .collect();
+            let outcomes =
+                run_batch(&mut engine, &compiled, &mut db, &mut audit, events, workers);
             let records: Vec<String> =
                 audit.records().iter().map(|r| format!("{r:?}")).collect();
             let journal = db.drain_journal();
@@ -510,7 +533,7 @@ proptest! {
 
     /// Disjoint instance chains of a *single* view family must land in
     /// distinct per-OID shard groups, and — with random raw bridge links
-    /// welding some chains together — the sharded path must still match
+    /// welding some chains together — the lanes must still match
     /// sequential execution byte-for-byte at every worker count,
     /// including the journal bytes, counters and secondary index.
     #[test]
@@ -537,12 +560,12 @@ proptest! {
             // could never have told them apart.
             let heads: Vec<_> = per_chain
                 .iter()
-                .map(|chain| shards.group_of(&compiled, &db_probe, chain[0]))
+                .map(|chain| shards.group_of(&db_probe, chain[0]))
                 .collect();
             for (ci, chain) in per_chain.iter().enumerate() {
                 for id in chain {
                     prop_assert_eq!(
-                        shards.group_of(&compiled, &db_probe, *id),
+                        shards.group_of(&db_probe, *id),
                         heads[ci],
                         "chain {} is internally split", ci
                     );
@@ -554,8 +577,8 @@ proptest! {
             // Bridged chains must share a group.
             for &(a, b) in &effective {
                 prop_assert_eq!(
-                    shards.group_of(&compiled, &db_probe, per_chain[a][length - 1]),
-                    shards.group_of(&compiled, &db_probe, per_chain[b][0]),
+                    shards.group_of(&db_probe, per_chain[a][length - 1]),
+                    shards.group_of(&db_probe, per_chain[b][0]),
                     "bridge {}->{} not merged", a, b
                 );
             }
@@ -584,7 +607,6 @@ proptest! {
         for workers in [1usize, 2, 4, 8] {
             let (mut db, ids, _) = build_chains(chains, length, &bridges);
             db.attach_journal(0);
-            let shards = ShardMap::build(&compiled, &db);
             let mut engine = RuntimeEngine::new(policy.clone());
             let mut audit = AuditLog::retaining();
             let events: Vec<QueuedEvent> = stream
@@ -596,27 +618,8 @@ proptest! {
                         .with_arg(arg.clone())
                 })
                 .collect();
-            let batch = engine.process_batch_sharded(
-                &compiled,
-                &shards,
-                &mut db,
-                &mut audit,
-                events,
-                workers,
-            );
-            prop_assert!(batch.error.is_none(), "lenient policy: {:?}", batch.error);
-            prop_assert!(batch.unprocessed.is_empty());
-
-            let outcomes: Vec<Observation> = batch
-                .outcomes
-                .iter()
-                .map(|out| {
-                    (
-                        out.delivered,
-                        out.invocations.iter().map(|i| format!("{i:?}")).collect(),
-                    )
-                })
-                .collect();
+            let outcomes =
+                run_batch(&mut engine, &compiled, &mut db, &mut audit, events, workers);
             let records: Vec<String> =
                 audit.records().iter().map(|r| format!("{r:?}")).collect();
             let journal = db.drain_journal();

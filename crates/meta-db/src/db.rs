@@ -55,6 +55,8 @@ pub struct DbStats {
     pub created_links: u64,
     /// Property writes performed through [`MetaDb::set_prop`].
     pub prop_writes: u64,
+    /// Properties removed through [`MetaDb::remove_prop`].
+    pub prop_removals: u64,
 }
 
 /// The DAMOCLES meta-database.
@@ -382,6 +384,7 @@ impl MetaDb {
         let entry = self.oids.get_mut(id).ok_or_else(|| stale(id))?;
         let old = entry.props.remove(name);
         if let Some(old_v) = &old {
+            self.stats.prop_removals += 1;
             self.prop_index.remove(name, old_v, id);
             if let Some(j) = self.journal.as_mut() {
                 j.record_with(|out| body::unprop(out, &entry.oid, name));
@@ -1116,6 +1119,8 @@ mod tests {
         db.add_link(a, b, LinkClass::Use, LinkKind::Composition)
             .unwrap();
         db.set_prop(a, "x", Value::Int(1)).unwrap();
+        db.remove_prop(a, "x").unwrap();
+        db.remove_prop(a, "x").unwrap();
         db.delete_oid(b).unwrap();
         let s = db.stats();
         assert_eq!(s.live_oids, 1);
@@ -1123,6 +1128,10 @@ mod tests {
         assert_eq!(s.created_oids, 2);
         assert_eq!(s.created_links, 1);
         assert_eq!(s.prop_writes, 1);
+        assert_eq!(
+            s.prop_removals, 1,
+            "removing a missing property is no removal"
+        );
     }
 
     #[test]

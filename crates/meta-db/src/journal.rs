@@ -1788,6 +1788,23 @@ mod tests {
     }
 
     #[test]
+    fn checksummed_prop_record_with_a_signed_escape_is_an_error() {
+        // `escape` never writes a sign, so a `%+f` escape is refused even
+        // in a correctly checksummed record.
+        let frame = |body: &str| format!("{:016x} {body}", fnv1a(body.as_bytes()));
+        let line = frame("0 prop a,HDL_model,1 sim_result s:%+f");
+        assert_eq!(decode_record(&line, 0).unwrap_err(), "bad escape %+f");
+        assert_eq!(
+            decode_record(&frame("0 prop a,HDL_model,1 sim_result s:%0A"), 0),
+            Ok(JournalOp::SetProp {
+                oid: Oid::new("a", "HDL_model", 1),
+                name: "sim_result".to_string(),
+                value: Value::Str("\n".to_string()),
+            })
+        );
+    }
+
+    #[test]
     fn record_checksum_detects_flips() {
         let op = JournalOp::CreateOid {
             oid: Oid::new("cpu", "schematic", 1),

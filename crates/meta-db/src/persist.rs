@@ -140,7 +140,9 @@ fn push_prop_line(out: &mut String, keyword: &str, name: &str, value: &Value) {
     out.push('\n');
 }
 
-/// Inverse of [`escape`].
+/// Inverse of [`escape`]. Each `%` takes exactly two hex digits
+/// (`0-9a-fA-F`, as [`decode_hex`] does), so a sign or any other spelling
+/// [`escape`] never writes is refused.
 ///
 /// # Errors
 ///
@@ -152,9 +154,10 @@ pub fn unescape(s: &str) -> Result<String, String> {
         if c == '%' {
             let hi = chars.next().ok_or("truncated escape")?;
             let lo = chars.next().ok_or("truncated escape")?;
-            let code = u8::from_str_radix(&format!("{hi}{lo}"), 16)
-                .map_err(|_| format!("bad escape %{hi}{lo}"))?;
-            out.push(code as char);
+            match (hi.to_digit(16), lo.to_digit(16)) {
+                (Some(h), Some(l)) => out.push(char::from((h << 4 | l) as u8)),
+                _ => return Err(format!("bad escape %{hi}{lo}")),
+            }
         } else {
             out.push(c);
         }
@@ -581,6 +584,23 @@ mod tests {
             let hostile = image.replace(clean, &format!("data a,HDL_model,1 {payload}\n"));
             assert!(load_project(&hostile).is_err(), "{payload}");
         }
+    }
+
+    #[test]
+    fn unescape_takes_only_hex_digits() {
+        assert_eq!(unescape("a%20b%0a%25"), Ok("a b\n%".to_string()));
+        for bad in ["%+f", "%-1", "%0x", "%é0", "%2", "%"] {
+            assert!(unescape(bad).is_err(), "{bad}");
+        }
+        // A sign-prefixed escape in a string value is a refused image line.
+        let mut db = MetaDb::new();
+        let a = db.create_oid(Oid::new("b", "v", 1)).unwrap();
+        db.set_prop(a, "p", Value::Str("\n".into())).unwrap();
+        let image = save_project(&db, &crate::workspace::Workspace::new("w"));
+        assert!(image.contains("prop p s:%0A\n"), "{image}");
+        assert!(load_project(&image).is_ok());
+        let hostile = image.replace("s:%0A", "s:%+f");
+        assert!(load_project(&hostile).is_err(), "{hostile}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use std::collections::BTreeSet;
 
-use damocles_meta::persist::{decode_hex, encode_hex};
+use damocles_meta::persist::{decode_hex, encode_hex, escape, unescape};
 use damocles_meta::{Arena, Direction, EventMessage, LinkClass, LinkKind, MetaDb, Oid, Value};
 use proptest::prelude::*;
 
@@ -249,6 +249,33 @@ proptest! {
     /// exactly the even-length words of `0-9a-fA-F` (so a sign, a
     /// multi-byte character or any other spelling `encode_hex` never
     /// writes is refused) and inverts `encode_hex`.
+    /// `persist::unescape` returns, never panics, on any string; it
+    /// accepts exactly the words whose every `%` is followed by two hex
+    /// digits, and inverts `escape`.
+    #[test]
+    fn unescape_takes_only_hex_digit_escapes(
+        word in prop_oneof!["[%0-9a-fA-F+é-]{0,12}", "\\PC{0,12}"],
+        text in "\\PC{0,16}",
+    ) {
+        let mut valid = true;
+        let mut rest = word.as_str();
+        while let Some(at) = rest.find('%') {
+            match rest.as_bytes().get(at + 1..at + 3) {
+                Some(digits) if digits.iter().all(u8::is_ascii_hexdigit) => {
+                    rest = &rest[at + 3..];
+                }
+                _ => {
+                    valid = false;
+                    break;
+                }
+            }
+        }
+        prop_assert_eq!(unescape(&word).is_ok(), valid, "{:?}", word);
+        prop_assert!(unescape("%+f").is_err());
+        prop_assert!(unescape("%-1").is_err());
+        prop_assert_eq!(unescape(&escape(&text)), Ok(text));
+    }
+
     #[test]
     fn decode_hex_accepts_only_hex_digit_pairs(
         word in prop_oneof!["[0-9a-fA-F+é€-]{0,12}", "\\PC{0,12}"],

@@ -1,9 +1,14 @@
-//! Parallel wave sharding (ISSUE 5): the component-partitioned batch
-//! path through the public server/service surface.
+//! Wave lanes through the public server/service surface: the waves of
+//! queued events run ahead on shard-disjoint lanes, and the drain loop
+//! lands each one before dispatching its wrappers.
 //!
-//! * worker count never changes results — a 4-worker server and a
-//!   sequential server fed the same activity stream end with
-//!   byte-identical persist images and identical audit counters;
+//! * worker count never changes results — servers at 1, 2, 4 and 8
+//!   workers fed the same activity stream end with byte-identical
+//!   persist images and audit counters; with database-writing inline
+//!   wrappers, also the same project image, retained audit sequence,
+//!   journal bytes and queue (the worker-count differential tests below);
+//! * a wrapper dispatch that changes nothing a wave reads keeps the lane
+//!   results ahead of it;
 //! * a mid-session link that bridges two previously-disjoint components
 //!   invalidates the shard map (the generation moves with the database's
 //!   topology stamp), merges the groups, and propagation crosses the
@@ -17,8 +22,8 @@ use blueprint_core::engine::service::ProjectService;
 use damocles::prelude::*;
 
 /// Two link-disjoint view families (`a_*`, `b_*`) under the usual
-/// ckin/outofdate tracking rules: the compiler must put them in different
-/// shards, so their waves can run on different workers.
+/// ckin/outofdate tracking rules: every instance chain is its own shard
+/// group, so their waves can run on different lanes.
 const TWO_FAMILIES: &str = r#"
     blueprint families
     view default
@@ -107,11 +112,6 @@ fn every_instance_chain_occupies_its_own_shard_group() {
     server.set_wave_workers(4);
     let pairs = populate(&mut server, 2);
     server.process_all().unwrap();
-    let compiled = server.compiled();
-    let a = compiled.shard_of_view("a_src");
-    let b = compiled.shard_of_view("b_src");
-    assert_ne!(a, b, "compile-time components must separate the families");
-    assert_eq!(compiled.shard_of_view("a_der"), a, "template edge unions");
     let map = server.shard_map().clone();
     let ids: Vec<(damocles_meta::OidId, damocles_meta::OidId)> = pairs
         .iter()
@@ -122,28 +122,23 @@ fn every_instance_chain_occupies_its_own_shard_group() {
             )
         })
         .collect();
-    let (compiled, db) = (server.compiled(), server.db());
+    let db = server.db();
     // Chain-mates share a group; each connect link merged two singletons.
     for (src, der) in &ids {
-        assert_eq!(
-            map.group_of(compiled, db, *src),
-            map.group_of(compiled, db, *der)
-        );
+        assert_eq!(map.group_of(db, *src), map.group_of(db, *der));
     }
     assert_eq!(map.merges(), 4, "one union per chain's connect link");
     // The instance-level win: 4 disjoint chains → 4 execution groups,
-    // even though the compiler only sees 2 view components.
-    let groups: std::collections::BTreeSet<_> = ids
-        .iter()
-        .map(|(src, _)| map.group_of(compiled, db, *src))
-        .collect();
+    // though they instantiate only 2 view families.
+    let groups: std::collections::BTreeSet<_> =
+        ids.iter().map(|(src, _)| map.group_of(db, *src)).collect();
     assert_eq!(groups.len(), 4, "disjoint same-view chains must separate");
     assert_eq!(map.group_count(), 4);
 }
 
 /// A wrapper tool that, when invoked, relates its origin OID to the
 /// latest `b_src` version with a PROPAGATE-carrying link — the
-/// mid-session raw bridge between the two compile-time components.
+/// mid-session raw bridge between two shard groups.
 #[derive(Debug, Default)]
 struct BridgeBuilder;
 
@@ -212,8 +207,8 @@ fn mid_session_bridge_invalidates_shard_map_and_propagates() {
     let a_der = server.db().resolve(&Oid::new("a0", "a_der", 1)).unwrap();
     let b_src = server.db().resolve(&Oid::new("b0", "b_src", 1)).unwrap();
     assert_eq!(
-        map.group_of(server.compiled(), server.db(), a_der),
-        map.group_of(server.compiled(), server.db(), b_src),
+        map.group_of(server.db(), a_der),
+        map.group_of(server.db(), b_src),
         "bridged chains share one group"
     );
 
@@ -280,8 +275,8 @@ fn propagate_growth_and_repoint_update_union_find_incrementally() {
     assert!(map.try_update(&compiled, &db));
     assert_eq!(map.incremental_updates(), 1, "quiet link absorbed");
     assert_ne!(
-        map.group_of(&compiled, &db, a_der),
-        map.group_of(&compiled, &db, b_src),
+        map.group_of(&db, a_der),
+        map.group_of(&db, b_src),
         "a link carrying nothing must not merge"
     );
     db.allow_event(quiet, "outofdate").unwrap();
@@ -292,8 +287,8 @@ fn propagate_growth_and_repoint_update_union_find_incrementally() {
     );
     assert_eq!(map.incremental_updates(), 2);
     assert_eq!(
-        map.group_of(&compiled, &db, a_src),
-        map.group_of(&compiled, &db, b_der),
+        map.group_of(&db, a_src),
+        map.group_of(&db, b_der),
         "the grown link merges the two chains end to end"
     );
 
@@ -305,8 +300,8 @@ fn propagate_growth_and_repoint_update_union_find_incrementally() {
     assert!(map.try_update(&compiled, &db), "repoint patches in");
     assert_eq!(map.incremental_updates(), 3);
     assert_eq!(
-        map.group_of(&compiled, &db, b_src),
-        map.group_of(&compiled, &db, late),
+        map.group_of(&db, b_src),
+        map.group_of(&db, late),
         "the repointed link's new endpoint joins the group"
     );
 
@@ -316,8 +311,8 @@ fn propagate_growth_and_repoint_update_union_find_incrementally() {
     let rebuilt = ShardMap::build(&compiled, &db);
     assert_eq!(rebuilt.incremental_updates(), 0);
     assert_ne!(
-        rebuilt.group_of(&compiled, &db, a_src),
-        rebuilt.group_of(&compiled, &db, b_src),
+        rebuilt.group_of(&db, a_src),
+        rebuilt.group_of(&db, b_src),
         "the rebuilt map separates the un-bridged chains again"
     );
 }
@@ -377,9 +372,8 @@ fn wave_workers_thread_through_the_protocol() {
 }
 
 /// Error-path parity with the sequential loop: when a later event in the
-/// batch errors, the applied prefix's wrapper invocations still dispatch
-/// (the sequential loop would have run them before reaching the error),
-/// and the untouched tail returns to the queue.
+/// batch errors, the earlier events' wrapper invocations still dispatch,
+/// and the events after the error stay queued.
 #[test]
 fn batch_error_still_dispatches_prefix_invocations() {
     let source = TWO_FAMILIES.replace(
@@ -426,4 +420,255 @@ fn batch_error_still_dispatches_prefix_invocations() {
     assert_eq!(sequential.0, vec!["a0,a_src,1".to_string()]);
     assert_eq!(sequential, sharded, "error-path divergence between modes");
     assert_eq!(sharded.1, 1, "the unreached event must be requeued");
+}
+
+/// The worker counts every differential test below compares.
+const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// The automated flow of `tests/tooling.rs`: every checkin drives inline
+/// tool runs that write the database and post events back.
+const AUTOMATED: &str = r#"
+blueprint automated
+view default
+    property uptodate default true
+    when ckin do uptodate = true; post outofdate down done
+    when outofdate do uptodate = false done
+endview
+view HDL_model
+    property sim_result default bad
+    when hdl_sim do sim_result = $arg done
+    when ckin do exec synthesizer "$oid" done
+endview
+view schematic
+    property nl_sim_res default bad
+    link_from HDL_model move propagates outofdate type derived
+    use_link move propagates outofdate
+    when nl_sim do nl_sim_res = $arg done
+    when ckin do exec netlister "$oid"; exec layout_gen "$oid" done
+endview
+view netlist
+    property sim_result default bad
+    link_from schematic move propagates nl_sim, outofdate type derived
+    when nl_sim do sim_result = $arg done
+    when ckin do exec simulator "$oid" done
+endview
+view layout
+    property drc_result default bad
+    property lvs_result default not_equiv
+    let state = ($drc_result == good) and ($lvs_result == is_equiv) and ($uptodate == true)
+    link_from schematic move propagates lvs, outofdate type equivalence
+    when drc do drc_result = $arg done
+    when lvs do lvs_result = $arg done
+    when ckin do exec drc "$oid"; exec lvs "$oid" done
+endview
+endblueprint
+"#;
+
+/// An [`AUTOMATED`] server with the standard inline tools at `workers`
+/// wave workers, after the first flow: the CPU model (with a REG
+/// submodule) checked in and drained.
+fn automated_after_first_flow(workers: usize, audit: bool) -> ProjectServer<ToolExecutor> {
+    let bp = parse(AUTOMATED).unwrap();
+    let mut server =
+        ProjectServer::with_executor(bp, ToolExecutor::standard(FaultPlan::never())).unwrap();
+    if audit {
+        server = server.with_audit_retention();
+    }
+    server.set_wave_workers(workers);
+    let hdl = damocles::tools::design_data::hdl_source("CPU", 1, &["REG"], false);
+    server.checkin("CPU", "HDL_model", "yves", hdl).unwrap();
+    server.process_all().unwrap();
+    server
+}
+
+/// Checks in a model in a block no link reaches, so the batch spans at
+/// least two shard groups and the lanes run.
+fn checkin_unlinked_block(server: &mut ProjectServer<ToolExecutor>) {
+    let hdl = damocles::tools::design_data::hdl_source("ALU", 1, &[], false);
+    server.checkin("ALU", "HDL_model", "yves", hdl).unwrap();
+}
+
+/// Asserts every entry equals the one-worker entry.
+fn assert_worker_count_invariant<T: PartialEq + std::fmt::Debug>(what: &str, seen: &[T]) {
+    for (workers, other) in WORKER_COUNTS.iter().zip(seen).skip(1) {
+        assert_eq!(&seen[0], other, "{what} differs at {workers} workers");
+    }
+}
+
+/// (a) A wrapper that writes the database runs before the next event's
+/// wave reads it: the netlister of a schematic checkin moves the netlist
+/// link to a new version before a queued `nl_sim` propagates over it.
+/// The `nl_sim` wave a lane ran ahead saw the old link, so the dispatch
+/// must void it.
+#[test]
+fn worker_count_never_changes_the_project_image() {
+    let images: Vec<String> = WORKER_COUNTS
+        .iter()
+        .map(|&workers| {
+            let mut server = automated_after_first_flow(workers, false);
+            server
+                .checkin("CPU", "schematic", "yves", b"cell CPU v2".to_vec())
+                .unwrap();
+            server
+                .post_line("postEvent nl_sim down CPU,schematic,2 \"late\"", "t")
+                .unwrap();
+            checkin_unlinked_block(&mut server);
+            server.process_all().unwrap();
+            damocles_meta::persist::save_project(server.db(), server.workspace())
+        })
+        .collect();
+    assert_worker_count_invariant("project image", &images);
+}
+
+/// (b) The retained audit sequence: each event's wrappers, and the events
+/// they post, land between it and the next event's wave.
+#[test]
+fn worker_count_never_changes_the_retained_audit_sequence() {
+    let trails: Vec<Vec<String>> = WORKER_COUNTS
+        .iter()
+        .map(|&workers| {
+            let mut server = automated_after_first_flow(workers, true);
+            for target in ["CPU,schematic,1", "REG,schematic,1"] {
+                server
+                    .post_line(&format!("postEvent ckin up {target}"), "t")
+                    .unwrap();
+            }
+            checkin_unlinked_block(&mut server);
+            server.process_all().unwrap();
+            server
+                .audit()
+                .records()
+                .iter()
+                .map(|r| format!("{r:?}"))
+                .collect()
+        })
+        .collect();
+    assert!(!trails[0].is_empty());
+    assert_worker_count_invariant("audit trail", &trails);
+}
+
+/// (c) The journal: each event's `evdone` and wrapper records follow its
+/// own property writes, before the next event's.
+#[test]
+fn worker_count_never_changes_the_journal_bytes() {
+    let journals: Vec<String> = WORKER_COUNTS
+        .iter()
+        .map(|&workers| {
+            let dir = std::env::temp_dir().join(format!("damocles-sharded-journal-{workers}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let bp = parse(AUTOMATED).unwrap();
+            let mut server = ProjectServer::with_executor(bp, RecordingExecutor::new()).unwrap();
+            server.set_wave_workers(workers);
+            server.enable_journal(&dir, 1_000_000).unwrap();
+            for block in ["CPU", "REG", "ALU", "FPU"] {
+                server
+                    .checkin(block, "HDL_model", "yves", block.as_bytes().to_vec())
+                    .unwrap();
+            }
+            server.process_all().unwrap();
+            drop(server);
+            let journal = std::fs::read_to_string(dir.join("journal.djl")).unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            journal
+        })
+        .collect();
+    assert_worker_count_invariant("journal", &journals);
+}
+
+/// A wrapper that removes the `flag` property of the OID its argument
+/// names, and changes nothing else.
+#[derive(Debug, Default)]
+struct FlagStripper;
+
+impl ScriptExecutor for FlagStripper {
+    fn execute(
+        &mut self,
+        inv: &blueprint_core::engine::exec::ScriptInvocation,
+        ctx: &mut ToolCtx<'_>,
+    ) -> Vec<EventMessage> {
+        let target: Oid = inv.args[0].parse().unwrap();
+        let id = ctx.db.resolve(&target).unwrap();
+        ctx.db.remove_prop(id, "flag").unwrap();
+        Vec::new()
+    }
+}
+
+/// (d) A property removal is a change a later wave reads: the lane that
+/// ran the reading event ahead saw the property, so its result must not
+/// land.
+#[test]
+fn a_wrapper_removing_a_property_voids_the_lanes_ahead() {
+    const STRIP: &str = r#"
+        blueprint strip
+        view v
+            property flag default raised
+            when strip do exec stripper "$arg" done
+            when read do seen = $flag done
+        endview
+        endblueprint
+    "#;
+    let images: Vec<String> = WORKER_COUNTS
+        .iter()
+        .map(|&workers| {
+            let bp = parse(STRIP).unwrap();
+            let mut server = ProjectServer::with_executor(bp, FlagStripper).unwrap();
+            server.set_wave_workers(workers);
+            for block in ["a", "b"] {
+                server.create_object(Oid::new(block, "v", 1)).unwrap();
+            }
+            server
+                .post_line("postEvent strip up a,v,1 \"b,v,1\"", "t")
+                .unwrap();
+            server.post_line("postEvent read up b,v,1", "t").unwrap();
+            server.process_all().unwrap();
+            let (a, b) = (Oid::new("a", "v", 1), Oid::new("b", "v", 1));
+            assert_eq!(server.prop(&b, "flag"), None, "workers={workers}");
+            assert_ne!(
+                server.prop(&b, "seen"),
+                server.prop(&a, "flag"),
+                "the read ran before the removal at workers={workers}"
+            );
+            damocles_meta::persist::save(server.db())
+        })
+        .collect();
+    assert_worker_count_invariant("image", &images);
+}
+
+/// (e) With [`NullExecutor`](blueprint_core::engine::exec::NullExecutor)
+/// a dispatch changes nothing, so an exec storm keeps every lane result:
+/// each wave of the storm's drain ran on a lane.
+#[test]
+fn dispatches_that_change_nothing_keep_the_lanes() {
+    use blueprint_core::engine::trace::TraceRecord;
+    let source = TWO_FAMILIES.replace(
+        "view a_src endview",
+        "view a_src\n        when probe do exec checker \"$oid\"; exec linter \"$oid\" done\n    endview",
+    );
+    for workers in [2usize, 4, 8] {
+        let mut server = ProjectServer::from_source(&source).unwrap();
+        server.set_wave_workers(workers);
+        populate(&mut server, 6);
+        server.process_all().unwrap();
+        server.set_trace_retention(true);
+        for i in 0..6 {
+            server
+                .post_line(&format!("postEvent probe up a{i},a_src,1"), "t")
+                .unwrap();
+        }
+        let report = server.process_all().unwrap();
+        assert_eq!((report.events, report.scripts), (6, 12));
+        let lanes: Vec<Option<u64>> = server
+            .take_trace()
+            .into_iter()
+            .filter_map(|record| match record {
+                TraceRecord::Begin { lane, .. } => Some(lane),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(lanes.len(), 6);
+        assert!(
+            lanes.iter().all(Option::is_some),
+            "an inline wave at workers={workers}: {lanes:?}"
+        );
+    }
 }
