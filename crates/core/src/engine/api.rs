@@ -218,21 +218,12 @@ pub enum Request {
     Audit,
     /// Server statistics (database size, queue depth, journal state).
     Stat,
-    /// Set the wave worker count: `ProcessAll` executes each drained
-    /// batch as link-connected shards across this many worker threads
-    /// (`1` = sequential). Results are identical at any count; the knob
-    /// trades threads for wall-clock. Survives `Init` server swaps, like
-    /// group-commit mode.
-    SetWaveWorkers {
-        /// Worker threads (clamped to at least 1).
-        workers: u64,
-    },
     /// Set the retry policy for detached tool invocations: how many times
     /// a failed attempt is retried, the exponential backoff between
     /// attempts, and the per-attempt wall-clock budget. With `script:
     /// None` this sets the default policy; with `Some(name)` it overrides
     /// the policy for that script only. Survives `Init` server swaps,
-    /// like wave workers.
+    /// like group-commit mode.
     SetRetryPolicy {
         /// The script (tool) the policy applies to; `None` = the default
         /// policy for scripts without an override.
@@ -533,8 +524,8 @@ pub struct ServerStat {
     pub journal_epoch: Option<u64>,
     /// Ops appended since the last checkpoint, when journaling.
     pub journal_records: Option<u64>,
-    /// Wave worker threads `ProcessAll` shards batches across (1 =
-    /// sequential).
+    /// Wave worker threads `ProcessAll` runs queued waves ahead on: 1
+    /// (every wave inline) unless `DAMOCLES_WAVE_WORKERS` names a count.
     pub wave_workers: u64,
     /// Detached invocations waiting for a worker.
     pub pending_invocations: u64,
@@ -1306,7 +1297,6 @@ impl Request {
             Request::Dot => "dot".to_string(),
             Request::Audit => "audit".to_string(),
             Request::Stat => "stat".to_string(),
-            Request::SetWaveWorkers { workers } => format!("waveworkers {workers}"),
             Request::SetRetryPolicy {
                 script,
                 max_retries,
@@ -1445,9 +1435,6 @@ impl Request {
             "dot" => Request::Dot,
             "audit" => Request::Audit,
             "stat" => Request::Stat,
-            "waveworkers" => Request::SetWaveWorkers {
-                workers: c.u64("a worker count")?,
-            },
             "retry" => Request::SetRetryPolicy {
                 script: c.parse_with("a script (`-` = default policy)", dec_opt)?,
                 max_retries: c.u64("a retry count")?,
@@ -2117,7 +2104,6 @@ mod tests {
                 every: 1024,
             },
             Request::Stat,
-            Request::SetWaveWorkers { workers: 4 },
             Request::SetRetryPolicy {
                 script: None,
                 max_retries: 5,

@@ -60,18 +60,15 @@ impl ProcessReport {
 
 /// The wave worker count new servers start with: the
 /// `DAMOCLES_WAVE_WORKERS` environment variable when it parses (floored
-/// at 1), else the machine's available hardware parallelism. Sharded
-/// waves are byte-identical to sequential execution at every worker
-/// count, so parallelism is the default; `workers 1` (shell) or
-/// `--wave-workers 1` (server binary) is the sequential opt-out, and the
-/// environment knob lets CI force the parallel path on any suite.
-pub fn default_wave_workers() -> usize {
-    if let Ok(raw) = std::env::var("DAMOCLES_WAVE_WORKERS") {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+/// at 1), else 1, so every wave runs inline. On a 2-vCPU host no measured
+/// batch pays for the lanes (DESIGN §9), so they are opt-in, and the
+/// variable is the one way to ask for them: every server a process builds
+/// starts here, leader, follower and fleet tenant alike.
+fn default_wave_workers() -> usize {
+    std::env::var("DAMOCLES_WAVE_WORKERS")
+        .ok()
+        .and_then(|raw| raw.trim().parse::<usize>().ok())
+        .map_or(1, |n| n.max(1))
 }
 
 /// Snapshot file name inside a durability directory.
@@ -1104,7 +1101,9 @@ impl<E: ScriptExecutor> ProjectServer<E> {
     /// lanes; `1` runs every wave inline. Either way the drain loop then
     /// handles one event at a time — land its wave, record it done,
     /// dispatch its wrappers — so results are identical at every worker
-    /// count, and this knob trades threads for wall-clock only.
+    /// count, and this knob trades threads for wall-clock only. A new
+    /// server starts at 1 unless `DAMOCLES_WAVE_WORKERS` names a count;
+    /// this method is how tests and benches pick one per server.
     pub fn set_wave_workers(&mut self, workers: usize) {
         self.wave_workers = workers.max(1);
     }

@@ -84,12 +84,9 @@ pub struct ProjectService<E: ScriptExecutor = NullExecutor> {
     snapshots: BTreeMap<String, Configuration>,
     /// Group-commit mode, inherited by servers created via `Init`.
     group_commit: bool,
-    /// Wave worker count, inherited by servers created via `Init` (see
-    /// [`ProjectServer::set_wave_workers`]).
-    wave_workers: usize,
     /// Retry policies set so far, in application order (`None` = the
     /// default policy), re-applied to servers created via `Init` — like
-    /// wave workers, a policy outlives the server it was set on.
+    /// group-commit mode, a policy outlives the server it was set on.
     retry_policies: Vec<(Option<String>, RetryPolicy)>,
     /// The replication tail hub, shared across `Init` server swaps so a
     /// tailer's subscription survives by address (it observes a
@@ -110,7 +107,6 @@ impl<E: ScriptExecutor + Default> ProjectService<E> {
             server: None,
             snapshots: BTreeMap::new(),
             group_commit: false,
-            wave_workers: crate::engine::server::default_wave_workers(),
             retry_policies: Vec::new(),
             tail: Arc::new(TailHub::new()),
         }
@@ -121,7 +117,6 @@ impl<E: ScriptExecutor + Default> ProjectService<E> {
     /// stay live.
     pub fn with_server(server: ProjectServer<E>) -> Self {
         let tail = server.tail_hub();
-        let wave_workers = server.wave_workers();
         let (default_policy, overrides) = server.retry_policies();
         let mut retry_policies = vec![(None, default_policy)];
         retry_policies.extend(overrides.into_iter().map(|(s, p)| (Some(s), p)));
@@ -129,18 +124,8 @@ impl<E: ScriptExecutor + Default> ProjectService<E> {
             server: Some(server),
             snapshots: BTreeMap::new(),
             group_commit: false,
-            wave_workers,
             retry_policies,
             tail,
-        }
-    }
-
-    /// Sets the wave worker count on the current server and on any server
-    /// a later `Init` creates (see [`ProjectServer::set_wave_workers`]).
-    pub fn set_wave_workers(&mut self, workers: usize) {
-        self.wave_workers = workers.max(1);
-        if let Some(server) = self.server.as_mut() {
-            server.set_wave_workers(workers);
         }
     }
 
@@ -273,7 +258,6 @@ impl<E: ScriptExecutor + Default> ProjectService<E> {
                 let bp = parser::parse(&source).map_err(EngineError::Parse)?;
                 let mut server = ProjectServer::with_executor(bp, E::default())?;
                 let _ = server.set_group_commit(self.group_commit);
-                server.set_wave_workers(self.wave_workers);
                 for (script, policy) in &self.retry_policies {
                     server.set_retry_policy(script.as_deref(), *policy);
                 }
@@ -533,10 +517,6 @@ impl<E: ScriptExecutor + Default> ProjectService<E> {
                         role: NodeRole::Leader,
                     },
                 })
-            }
-            Request::SetWaveWorkers { workers } => {
-                self.set_wave_workers(workers.max(1) as usize);
-                Ok(Response::Ok)
             }
             Request::SetRetryPolicy {
                 script,

@@ -121,11 +121,6 @@ fn request() -> impl Strategy<Value = Request> {
         Just(Request::Dot).boxed(),
         Just(Request::Audit).boxed(),
         Just(Request::Stat).boxed(),
-        any::<u32>()
-            .prop_map(|workers| Request::SetWaveWorkers {
-                workers: u64::from(workers),
-            })
-            .boxed(),
         (
             opt_text(),
             any::<u32>(),

@@ -11,7 +11,7 @@
 //! accepted as sugar for `post`.
 //!
 //! ```console
-//! $ damocles_server edtc.bp --listen 127.0.0.1:7425 --journal ./dura --wave-workers 4
+//! $ damocles_server edtc.bp --listen 127.0.0.1:7425 --journal ./dura
 //! listening on 127.0.0.1:7425
 //! $ printf 'checkin CPU HDL_model yves 6d6f64756c65\nprocess\n' | nc 127.0.0.1 7425
 //! created CPU,HDL_model,1
@@ -23,11 +23,9 @@
 //! batch takes exactly what is queued when it forms, so an idle client
 //! pays one fsync of latency while a burst amortizes one append+fsync
 //! across the whole backlog — a reply in hand always means the effect is
-//! durable. There is no batch-size knob to tune. Each `process` drain is
-//! sharded across wave worker threads — hardware parallelism by default
-//! (sharded waves are byte-identical to sequential execution);
-//! `--wave-workers N` overrides the count and `--wave-workers 1` opts
-//! back into sequential draining (see `DESIGN.md` §9).
+//! durable. There is no batch-size knob to tune. Each `process` drain
+//! runs its waves inline unless `DAMOCLES_WAVE_WORKERS=N` asks every
+//! server in the process for N wave lanes (see `DESIGN.md` §9).
 //!
 //! **Follower** (`--follow <leader-addr>`): a read-only replica. It
 //! connects to a journaling leader, bootstraps from the leader's
@@ -73,7 +71,7 @@ use blueprint_core::engine::service::{
 use damocles_tools::remote::spawn_tail_pump;
 
 const USAGE: &str = "usage: damocles_server <blueprint.bp> [--listen <addr>] \
-                     [--journal <dir>] [--every <ops>] [--wave-workers <n>] \
+                     [--journal <dir>] [--every <ops>] \
                      [--retry <retries,base_ms,mult,timeout_ms>] \
                      [--follow <leader-addr>] [--replay-until <epoch,seq>] \
                      [--fleet <root>] [--engine-workers <n>] [--max-active <m>]";
@@ -84,7 +82,6 @@ fn main() {
     let mut listen = "127.0.0.1:7425".to_string();
     let mut journal_dir: Option<String> = None;
     let mut every: u64 = DEFAULT_CHECKPOINT_EVERY;
-    let mut wave_workers: Option<usize> = None;
     let mut retry: Option<[u64; 4]> = None;
     let mut follow: Option<String> = None;
     let mut replay_until: Option<(u64, u64)> = None;
@@ -107,16 +104,6 @@ fn main() {
                     eprintln!("error: --every needs a number\n{USAGE}");
                     std::process::exit(2);
                 })
-            }
-            "--wave-workers" => {
-                wave_workers = Some(
-                    value_of(&mut args, "--wave-workers")
-                        .parse()
-                        .unwrap_or_else(|_| {
-                            eprintln!("error: --wave-workers needs a number\n{USAGE}");
-                            std::process::exit(2);
-                        }),
-                )
             }
             "--retry" => {
                 let spec = value_of(&mut args, "--retry");
@@ -294,21 +281,6 @@ fn main() {
             ),
             other => {
                 eprintln!("error: unexpected retry response {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    // Without the flag the service defaults to hardware parallelism
-    // (or `DAMOCLES_WAVE_WORKERS`); an explicit value always wins, and
-    // `--wave-workers 1` is the sequential opt-out.
-    if let Some(workers) = wave_workers {
-        match service.call(Request::SetWaveWorkers {
-            workers: workers.max(1) as u64,
-        }) {
-            Response::Ok => eprintln!("wave sharding across {workers} workers"),
-            other => {
-                eprintln!("error: unexpected waveworkers response {other:?}");
                 std::process::exit(2);
             }
         }

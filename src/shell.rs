@@ -303,11 +303,6 @@ pub fn parse_command(line: &str) -> Result<Request, ApiError> {
         "dot" => Ok(Request::Dot),
         "audit" => Ok(Request::Audit),
         "stat" => Ok(Request::Stat),
-        "workers" => Ok(Request::SetWaveWorkers {
-            workers: words.parse_with("a wave worker count", |w| {
-                w.parse::<u64>().map_err(|_| "not a number".to_string())
-            })?,
-        }),
         "retry" => {
             let script = match word(&mut words, "a script name (`-` = default policy)")?.as_str() {
                 "-" => None,
@@ -685,8 +680,6 @@ commands:
   save <file>                         persist database + payloads
   load <file>                         restore database + payloads
   stat                                server statistics
-  workers <n>                         shard waves across n worker threads
-                                      (default: hardware parallelism; 1 = sequential)
   retry <script|-> <n> <ms> <m> <ms>  tool retry policy: retries, base
                                       delay, backoff multiplier, timeout
                                       (`-` sets the default policy)

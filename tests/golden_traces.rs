@@ -22,8 +22,8 @@ use damocles::flows::{DesignSpec, EDTC_LOOSENED_SOURCE, EDTC_SOURCE};
 /// trace, one encoded record per line.
 fn traced_run(source: &str, steps: &[Step]) -> String {
     let mut server = ProjectServer::from_source(source).expect("scenario blueprint parses");
-    // The fixtures pin the sequential trace shape (`lane: None`), so the
-    // hardware-parallel default must be opted out of here.
+    // The fixtures pin the sequential trace shape (`lane: None`), so a
+    // `DAMOCLES_WAVE_WORKERS` count in the environment is overridden here.
     server.set_wave_workers(1);
     server.set_trace_retention(true);
     play(&mut server, steps).expect("scenario plays cleanly");
