@@ -1,41 +1,24 @@
-//! Experiment WAVES-PARALLEL — sharded propagation waves across worker
-//! threads (ISSUE 5).
+//! Experiment WAVES-PARALLEL — propagation wave storms through the
+//! drain loop.
 //!
 //! The design under measurement: `F` link-disjoint view families, each a
-//! `D`-stage derivation chain instantiated for `B` blocks. Every instance
-//! chain is its own shard group, so a batch of events that touches all
-//! families splits into `F × B` independent execution groups — the
-//! parallelism the wave lanes exploit.
+//! `D`-stage derivation chain instantiated for `B` blocks, so a batch of
+//! events that touches all families holds `F × B` independent waves.
 //!
 //! One measured iteration posts a `ckin` event at every family's root
 //! OIDs (pure property waves: no objects or links are created, so the
 //! database is identical across iterations and series) and drains the
-//! queue with `process_all`. Series differ only in
-//! `ProjectServer::set_wave_workers`:
+//! queue with `process_all`. Every wave runs inline, so each series has
+//! one worker; the ids keep their `workers/1` suffix so numbers stay
+//! comparable with the summaries recorded when wave lanes existed
+//! (`BENCH_pr5.json`, `BENCH_pr10.json`):
 //!
-//! * `waves/parallel/workers_1` — the sequential compiled path;
-//! * `waves/parallel/workers_{2,4,8}` — the waves run ahead on lanes,
-//!   and the drain loop lands each one.
-//!
-//! Interpretation: lanes are differentially proven byte-identical to
-//! sequential at any worker count (see
-//! `crates/core/tests/compiled_differential.rs`), so these series
-//! measure pure wall-clock. Two caveats the JSON spells out:
-//!
-//! * speedup requires hardware parallelism — on a single-core container
-//!   the multi-worker series instead price the overlay + landing
-//!   overhead (the JSON records the core count next to the numbers);
-//! * the write-heavy `waves/parallel` storm is the adverse case: every
-//!   delivery's product is a property write, and landing replays every
-//!   write serially through `MetaDb::set_prop` in queue order — the one
-//!   write path, shared with the inline drain.
-//!   `bench_phase_split` reports how the drain splits between the
-//!   parallel lane phase and that serial landing phase. The
-//!   `waves/exec_storm` series adds per-delivery tool-invocation
-//!   rendering (no landing cost), the workload shape sharding helps
-//!   most; `waves/instance_chains` is the single-family storm that
-//!   per-view-component sharding could not parallelize at all and
-//!   per-OID instance sharding can.
+//! * `waves/parallel/workers/1` — the write-heavy tracking storm: every
+//!   delivery's product is a property write;
+//! * `waves/exec_storm/workers/1` — deliveries also render a tool
+//!   invocation;
+//! * `waves/instance_chains/workers/1` — one view family, `CHAINS`
+//!   independent instance chains.
 //!
 //! The `waves/exec_async` series (PR 6) swaps the rendering-only executor
 //! for a real tool boundary: the same `exec`-heavy storm runs once with
@@ -86,11 +69,9 @@ const BLOCKS: usize = 16;
 const CHAINS: usize = 64;
 
 /// A blueprint of `families` disjoint derivation chains. Every stage
-/// carries a `let` so each delivery re-evaluates an expression — the
-/// compute the workers parallelize. With `exec_heavy`, every stale
-/// delivery also renders a tool invocation (the §3.3 automatic tool
-/// loop): pure worker-side compute with no landing write, the workload
-/// shape sharding helps most.
+/// carries a `let` so each delivery re-evaluates an expression. With
+/// `exec_heavy`, every stale delivery also renders a tool invocation (the
+/// §3.3 automatic tool loop).
 fn family_blueprint_n(families: usize, exec_heavy: bool) -> String {
     use std::fmt::Write as _;
     let outofdate_rule = if exec_heavy {
@@ -127,15 +108,9 @@ fn family_blueprint(exec_heavy: bool) -> String {
 
 /// Builds the populated server: `blocks` chains per family, each
 /// `STAGES` deep, and returns the root OID names events target.
-fn populated_n(
-    families: usize,
-    blocks: usize,
-    workers: usize,
-    exec_heavy: bool,
-) -> (ProjectServer, Vec<String>) {
+fn populated_n(families: usize, blocks: usize, exec_heavy: bool) -> (ProjectServer, Vec<String>) {
     let mut server = ProjectServer::from_source(&family_blueprint_n(families, exec_heavy))
         .expect("blueprint parses");
-    server.set_wave_workers(workers);
     let mut roots = Vec::new();
     for f in 0..families {
         for b in 0..blocks {
@@ -157,8 +132,8 @@ fn populated_n(
     (server, roots)
 }
 
-fn populated(workers: usize, exec_heavy: bool) -> (ProjectServer, Vec<String>) {
-    populated_n(FAMILIES, BLOCKS, workers, exec_heavy)
+fn populated(exec_heavy: bool) -> (ProjectServer, Vec<String>) {
+    populated_n(FAMILIES, BLOCKS, exec_heavy)
 }
 
 /// One measured iteration: a batch of root `ckin` events (one per chain,
@@ -177,20 +152,10 @@ fn bench_series(c: &mut Criterion, name: &str, exec_heavy: bool) {
     // Elements = wave deliveries per iteration: every chain delivers at
     // each of its stages.
     group.throughput(Throughput::Elements((FAMILIES * BLOCKS * STAGES) as u64));
-    for &workers in &[1usize, 2, 4, 8] {
-        let (mut server, roots) = populated(workers, exec_heavy);
-        // Sanity: per-OID sharding puts every instance chain — not just
-        // every view family — in its own group, and every chain link is
-        // one recorded union.
-        if workers > 1 {
-            let map = server.shard_map();
-            assert_eq!(map.group_count() as usize, FAMILIES * BLOCKS);
-            assert_eq!(map.merges() as usize, FAMILIES * BLOCKS * (STAGES - 1));
-        }
-        group.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, _| {
-            b.iter(|| black_box(storm(&mut server, &roots)));
-        });
-    }
+    let (mut server, roots) = populated(exec_heavy);
+    group.bench_with_input(BenchmarkId::new("workers", 1), &1, |b, _| {
+        b.iter(|| black_box(storm(&mut server, &roots)));
+    });
     group.finish();
 }
 
@@ -199,74 +164,25 @@ fn bench_parallel_waves(c: &mut Criterion) {
         return;
     }
     // Write-heavy tracking storm: every delivery's product is a property
-    // write, so the landing (serial write replay) bounds the speedup —
-    // the adverse case for sharding.
+    // write.
     bench_series(c, "waves/parallel", false);
-    // Tool-invocation storm: deliveries also render exec invocations —
-    // worker-side compute with no landing cost, the favourable case.
+    // Tool-invocation storm: deliveries also render exec invocations.
     bench_series(c, "waves/exec_storm", true);
 }
 
-/// The instance-sharding storm (PR 10): ONE view family, `CHAINS`
-/// independent instance chains. Per-view-component sharding (deleted)
-/// saw a single shard group here — the whole batch ran serial at any
-/// worker count. Per-OID union-find sharding gives one group per
-/// chain, so this series isolates exactly the parallelism instance-level
-/// sharding unlocked.
+/// The single-family storm: ONE view family, `CHAINS` independent
+/// instance chains.
 fn bench_instance_chains(c: &mut Criterion) {
     if !target_enabled("parallel_waves") {
         return;
     }
     let mut group = c.benchmark_group("waves/instance_chains");
     group.throughput(Throughput::Elements((CHAINS * STAGES) as u64));
-    for &workers in &[1usize, 2, 4, 8] {
-        let (mut server, roots) = populated_n(1, CHAINS, workers, false);
-        if workers > 1 {
-            let map = server.shard_map();
-            assert_eq!(map.group_count() as usize, CHAINS);
-            assert_eq!(map.merges() as usize, CHAINS * (STAGES - 1));
-        }
-        group.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, _| {
-            b.iter(|| black_box(storm(&mut server, &roots)));
-        });
-    }
+    let (mut server, roots) = populated_n(1, CHAINS, false);
+    group.bench_with_input(BenchmarkId::new("workers", 1), &1, |b, _| {
+        b.iter(|| black_box(storm(&mut server, &roots)));
+    });
     group.finish();
-}
-
-/// The Amdahl accounting of the wave lanes (not a criterion series):
-/// runs the write-heavy storm at several worker counts and reports how
-/// the drain's wall-clock splits between the worker phase (waves run
-/// ahead on the shard lanes, in parallel) and the apply phase, straight
-/// from [`ProjectServer::wave_phase_ns`]. The apply phase is the drain
-/// loop landing each event, serially: its overlay writes replay through
-/// `MetaDb::set_prop` (storage, secondary index, journal record,
-/// counter), then its audit and trace buffers are absorbed. Its fraction
-/// is the share of the lane work that extra cores cannot shrink.
-fn bench_phase_split(_c: &mut Criterion) {
-    if !target_enabled("parallel_waves") {
-        return;
-    }
-    let iters = if smoke() { 3 } else { 20 };
-    for &workers in &[2usize, 4] {
-        let (mut server, roots) = populated(workers, false);
-        let (w0, a0) = server.wave_phase_ns();
-        for _ in 0..iters {
-            black_box(storm(&mut server, &roots));
-        }
-        let (w1, a1) = server.wave_phase_ns();
-        let (worker_ns, apply_ns) = (w1 - w0, a1 - a0);
-        let total = (worker_ns + apply_ns).max(1);
-        let apply_frac = apply_ns as f64 / total as f64;
-        println!(
-            "waves/phase_split/workers_{workers}: worker {worker_ns} ns, \
-             apply {apply_ns} ns ({:.1}% of drain) over {iters} storms",
-            apply_frac * 100.0
-        );
-        append_bench_json(&format!(
-            "{{\"id\":\"waves/phase_split/workers_{workers}\",\"worker_ns\":{worker_ns},\
-             \"apply_ns\":{apply_ns},\"apply_fraction\":{apply_frac:.4},\"storms\":{iters}}}"
-        ));
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -398,38 +314,31 @@ fn bench_async_executor(c: &mut Criterion) {
 }
 
 /// Execution-trace overhead (PR 7): the write-heavy storm with tracing
-/// disabled vs. retaining, at 1 worker (sequential drain) and 4 workers
-/// (per-lane trace buffers + deterministic absorb). `trace_off` must sit
-/// within noise of `waves/parallel` at the same worker count — a
-/// disabled `TraceLog` is one branch per would-be record.
+/// disabled vs. retaining. `trace_off_w1` must sit within noise of
+/// `waves/parallel/workers/1` — a disabled `TraceLog` is one branch per
+/// would-be record.
 fn bench_trace_overhead(c: &mut Criterion) {
     if !target_enabled("trace_overhead") {
         return;
     }
     let mut group = c.benchmark_group("waves/trace_overhead");
     group.throughput(Throughput::Elements((FAMILIES * BLOCKS * STAGES) as u64));
-    for &workers in &[1usize, 4] {
-        for retaining in [false, true] {
-            let label = format!(
-                "{}_w{workers}",
-                if retaining { "trace_on" } else { "trace_off" }
-            );
-            let (mut server, roots) = populated(workers, false);
-            server.set_trace_retention(retaining);
-            group.bench_with_input(BenchmarkId::new("mode", &label), &label, |b, _| {
-                b.iter(|| {
-                    let deliveries = black_box(storm(&mut server, &roots));
-                    // Drain like `trace get` would; otherwise retained
-                    // records accumulate across iterations and the series
-                    // measures allocator growth, not tracing.
-                    let records = server.take_trace();
-                    if retaining {
-                        assert!(!records.is_empty());
-                    }
-                    black_box(records.len() as u64) + deliveries
-                });
+    for (label, retaining) in [("trace_off_w1", false), ("trace_on_w1", true)] {
+        let (mut server, roots) = populated(false);
+        server.set_trace_retention(retaining);
+        group.bench_with_input(BenchmarkId::new("mode", label), &label, |b, _| {
+            b.iter(|| {
+                let deliveries = black_box(storm(&mut server, &roots));
+                // Drain like `trace get` would; otherwise retained records
+                // accumulate across iterations and the series measures
+                // allocator growth, not tracing.
+                let records = server.take_trace();
+                if retaining {
+                    assert!(!records.is_empty());
+                }
+                black_box(records.len() as u64) + deliveries
             });
-        }
+        });
     }
     group.finish();
 }
@@ -521,6 +430,6 @@ fn bench_fault_latency(_c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_parallel_waves, bench_instance_chains, bench_async_executor, bench_trace_overhead, bench_fault_latency, bench_phase_split
+    targets = bench_parallel_waves, bench_instance_chains, bench_async_executor, bench_trace_overhead, bench_fault_latency
 }
 criterion_main!(benches);

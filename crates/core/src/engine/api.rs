@@ -524,8 +524,9 @@ pub struct ServerStat {
     pub journal_epoch: Option<u64>,
     /// Ops appended since the last checkpoint, when journaling.
     pub journal_records: Option<u64>,
-    /// Wave worker threads `ProcessAll` runs queued waves ahead on: 1
-    /// (every wave inline) unless `DAMOCLES_WAVE_WORKERS` names a count.
+    /// Wave worker threads: always 1, since every wave runs inline. The
+    /// field keeps its place on the `stat` line, so the wire form does
+    /// not move.
     pub wave_workers: u64,
     /// Detached invocations waiting for a worker.
     pub pending_invocations: u64,

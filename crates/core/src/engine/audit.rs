@@ -159,9 +159,6 @@ impl AuditRecord {
 }
 
 /// Aggregate counters over an [`AuditLog`].
-///
-/// Summaries are additive: merging per-worker wave buffers sums them (see
-/// [`AuditLog::absorb`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AuditSummary {
     /// Rule-executing deliveries.
@@ -189,24 +186,6 @@ pub struct AuditSummary {
     pub invoke_timeouts: u64,
     /// Detached invocations that exhausted their whole retry budget.
     pub invoke_exhaustions: u64,
-}
-
-impl AuditSummary {
-    /// Adds another summary's counters into this one.
-    pub fn add(&mut self, other: &AuditSummary) {
-        self.deliveries += other.deliveries;
-        self.assignments += other.assignments;
-        self.reevaluations += other.reevaluations;
-        self.scripts += other.scripts;
-        self.posts += other.posts;
-        self.propagations += other.propagations;
-        self.cycle_skips += other.cycle_skips;
-        self.depth_truncations += other.depth_truncations;
-        self.templates += other.templates;
-        self.invoke_retries += other.invoke_retries;
-        self.invoke_timeouts += other.invoke_timeouts;
-        self.invoke_exhaustions += other.invoke_exhaustions;
-    }
 }
 
 /// An append-only audit log with optional record retention.
@@ -292,28 +271,6 @@ impl AuditLog {
         self.summary = AuditSummary::default();
     }
 
-    /// A fresh, empty buffer with this log's retention setting — what a
-    /// wave lane records one event into. Buffers come back through
-    /// [`AuditLog::absorb`] as the drain loop lands each event, in queue
-    /// order (within one event, wave order), so the merged log is
-    /// byte-identical to sequential execution's.
-    pub fn buffer(&self) -> AuditLog {
-        AuditLog {
-            records: Vec::new(),
-            retain: self.retain,
-            summary: AuditSummary::default(),
-        }
-    }
-
-    /// Merges a worker buffer into this log: counters are summed and
-    /// retained records appended in the buffer's order.
-    pub fn absorb(&mut self, mut buffer: AuditLog) {
-        self.summary.add(&buffer.summary);
-        if self.retain {
-            self.records.append(&mut buffer.records);
-        }
-    }
-
     /// Retained records matching a predicate.
     pub fn filtered<'a>(
         &'a self,
@@ -388,10 +345,6 @@ mod tests {
         assert_eq!(log.summary().invoke_timeouts, 1);
         assert_eq!(log.summary().invoke_exhaustions, 1);
         assert!(log.records().is_empty());
-
-        let mut main = AuditLog::counters_only();
-        main.absorb(log);
-        assert_eq!(main.summary().invoke_retries, 2);
     }
 
     #[test]

@@ -27,9 +27,11 @@
 //!   database API may forward events no template mentions;
 //! * continuous assignments are pre-merged per view in evaluation order.
 //!
-//! The wave lanes' partition is not compiled: [`ShardMap`] groups the live
-//! OIDs themselves by the links that can carry an event, and follows the
+//! The shard partition is not compiled: [`ShardMap`] groups the live OIDs
+//! themselves by the links that can carry an event, and follows the
 //! database's [`topology stamp`](damocles_meta::MetaDb::topology_stamp).
+//! It is an analysis the benchmark reads; the engine runs every wave
+//! inline and never consults it.
 //!
 //! The compiled form owns its data (templates and expressions are cloned out
 //! of the AST), so the engine can hold it alongside the blueprint without
@@ -208,9 +210,8 @@ impl Dispatch {
     }
 }
 
-/// An execution group of the [`ShardMap`]: OIDs in different groups can
-/// never reach each other inside one propagation wave, so their waves may
-/// run on different wave lanes.
+/// A group of the [`ShardMap`]: OIDs in different groups can never reach
+/// each other inside one propagation wave.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ShardId(pub u32);
 
@@ -500,7 +501,7 @@ fn uf_union(parent: &mut [u32], a: u32, b: u32) -> bool {
 /// by arena slot, folding in every live link that can carry at least one
 /// event (an empty PROPAGATE set carries nothing), so two disjoint
 /// instance chains of the same views land in different groups. The result
-/// is the finest partition with the invariant the wave lanes need:
+/// is the finest partition with this invariant:
 ///
 /// > a propagation wave anchored at an OID of group *g* can only ever
 /// > read or write OIDs of group *g*,
@@ -517,6 +518,11 @@ fn uf_union(parent: &mut [u32], a: u32, b: u32) -> bool {
 /// costs O(deltas), not a rescan of every link. Only severing changes
 /// (link removal or repointing away) force a full rebuild, because a
 /// union-find cannot un-merge.
+///
+/// Nothing in the drain reads the map: waves run inline. It stays as an
+/// analysis of how independent a project's waves are (the benchmark
+/// reports [`ShardMap::group_count`] and
+/// [`ShardMap::incremental_updates`]).
 #[derive(Debug, Clone)]
 pub struct ShardMap {
     /// Union-find parents over OID arena slots, seeded identity and
@@ -630,8 +636,7 @@ impl ShardMap {
     /// The execution group of an OID: the union-find root of its arena
     /// slot. OIDs created after the map was built are singleton groups
     /// (correct: had they gained a propagating link, the map would be
-    /// stale). A stale handle lands in group 0 — the wave executing there
-    /// reports the same stale-OID error the sequential path would.
+    /// stale). A stale handle lands in group 0.
     pub fn group_of(&self, db: &MetaDb, id: OidId) -> ShardId {
         if !db.is_live(id) {
             return ShardId(0);

@@ -25,10 +25,6 @@ use crate::lang::ast::{Expr, Segment, Template};
 pub struct EvalCtx<'a> {
     /// Properties of the current OID.
     pub props: &'a PropertyMap,
-    /// A sparse write overlay shadowing `props`, when rules run against a
-    /// worker's copy-on-write store (parallel wave shards): a property
-    /// present here wins over `props`. `None` on the direct path.
-    pub overlay: Option<&'a PropertyMap>,
     /// The current OID triplet.
     pub oid: &'a Oid,
     /// Event being processed.
@@ -42,13 +38,6 @@ pub struct EvalCtx<'a> {
 }
 
 impl<'a> EvalCtx<'a> {
-    /// A property read through the overlay, then the base map.
-    fn prop(&self, name: &str) -> Option<&Value> {
-        self.overlay
-            .and_then(|o| o.get(name))
-            .or_else(|| self.props.get(name))
-    }
-
     /// Resolves a `$name` reference.
     pub fn lookup(&self, name: &str) -> Value {
         match name {
@@ -67,12 +56,14 @@ impl<'a> EvalCtx<'a> {
             "args" => Value::Str(self.args.join(" ")),
             "user" => Value::Str(self.user.to_string()),
             "owner" => self
-                .prop("owner")
+                .props
+                .get("owner")
                 .cloned()
                 .unwrap_or_else(|| Value::Str(self.user.to_string())),
             "date" => Value::Int(self.date as i64),
             prop => self
-                .prop(prop)
+                .props
+                .get(prop)
                 .cloned()
                 .unwrap_or_else(|| Value::Str(String::new())),
         }
@@ -131,7 +122,6 @@ mod tests {
     fn ctx<'a>(props: &'a PropertyMap, oid: &'a Oid, args: &'a [String]) -> EvalCtx<'a> {
         EvalCtx {
             props,
-            overlay: None,
             oid,
             event: "ckin",
             args,

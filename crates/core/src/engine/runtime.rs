@@ -21,13 +21,13 @@
 //! `(OID, event)` pair so cyclic link graphs terminate; the paper is silent
 //! on cycles, so this is a documented deviation (see DESIGN.md §7).
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use damocles_meta::{Direction, MetaDb, MetaError, Oid, OidId, PropertyMap, Sym, Value};
+use damocles_meta::{Direction, MetaDb, OidId, Sym};
 
 use crate::engine::audit::{AuditKind, AuditLog, AuditRecord};
-use crate::engine::compile::{CompiledBlueprint, ShardId, ShardMap};
+use crate::engine::compile::CompiledBlueprint;
 use crate::engine::error::EngineError;
 use crate::engine::eval::EvalCtx;
 use crate::engine::event::{Delivery, QueuedEvent};
@@ -123,17 +123,6 @@ pub struct RuntimeEngine {
     pub policy: Policy,
     clock: u64,
     scratch: WaveScratch,
-    /// Per-worker scratches for the wave lanes
-    /// ([`RuntimeEngine::run_lanes`]): each worker thread owns one for the
-    /// batch, keeping the allocation-free steady state per worker. Grown
-    /// lazily to the requested worker count and reused across batches.
-    worker_scratches: Vec<WaveScratch>,
-    /// Cumulative nanoseconds spent running waves ahead on lanes — the
-    /// worker half of [`RuntimeEngine::lane_phase_ns`].
-    lane_ns: u64,
-    /// Cumulative nanoseconds spent landing lane results (the serial
-    /// `set_prop` replay plus the audit and trace absorb).
-    land_ns: u64,
 }
 
 impl Default for RuntimeEngine {
@@ -190,221 +179,6 @@ struct CompiledWaveItem {
     depth: u32,
 }
 
-// ---------------------------------------------------------------------
-// Wave stores: the database surface one propagation wave runs against
-// ---------------------------------------------------------------------
-
-/// The exact database surface the compiled wave loop needs, factored out
-/// so one generic loop serves both execution modes:
-///
-/// * [`DirectStore`] — `&mut MetaDb`; writes land (and journal)
-///   immediately. The sequential path.
-/// * [`OverlayStore`] — `&MetaDb` plus a private copy-on-write property
-///   overlay and an ordered write log. Wave lanes run on this: the shared
-///   database is only ever read, each lane's writes are visible to its
-///   own later reads (waves read what they just assigned), and each
-///   event's log replays through the real database when the drain loop
-///   lands it — so journal ops, indices and counters are byte-identical
-///   to inline execution.
-///
-/// Only property writes mutate the database inside a wave (links and OIDs
-/// change between waves), which is what makes the overlay complete.
-trait WaveStore {
-    /// Errors if the handle is stale (the liveness probe at delivery).
-    fn probe(&self, id: OidId) -> Result<(), MetaError>;
-    /// The OID triplet behind a handle.
-    fn oid(&self, id: OidId) -> Result<&Oid, MetaError>;
-    /// The database-interned view symbol of an OID.
-    fn view_sym(&self, id: OidId) -> Result<Sym, MetaError>;
-    /// The property view of an OID: the base map plus an optional sparse
-    /// write overlay that shadows it (see [`EvalCtx::overlay`]). The
-    /// direct path has no overlay; the worker path returns its private
-    /// written-props map so no base map is ever cloned.
-    fn props(&self, id: OidId) -> Result<(&PropertyMap, Option<&PropertyMap>), MetaError>;
-    /// Writes a property, returning the previous value — overlay-aware.
-    fn set_prop(&mut self, id: OidId, name: &str, value: Value)
-        -> Result<Option<Value>, MetaError>;
-    /// [`WaveStore::set_prop`] for callers that discard the previous
-    /// value (the counters-only audit path) — lets the overlay skip the
-    /// base-map lookup that exists only to report `old`.
-    fn set_prop_quiet(&mut self, id: OidId, name: &str, value: Value) -> Result<(), MetaError> {
-        self.set_prop(id, name, value).map(|_| ())
-    }
-    /// Appends the OIDs reachable from `id` over allowing links.
-    fn neighbors_into(
-        &self,
-        id: OidId,
-        dir: Direction,
-        event: Option<&str>,
-        out: &mut Vec<OidId>,
-    ) -> Result<(), MetaError>;
-}
-
-/// The sequential store: writes go straight to the database.
-struct DirectStore<'a> {
-    db: &'a mut MetaDb,
-}
-
-impl WaveStore for DirectStore<'_> {
-    fn probe(&self, id: OidId) -> Result<(), MetaError> {
-        self.db.entry(id).map(|_| ())
-    }
-
-    fn oid(&self, id: OidId) -> Result<&Oid, MetaError> {
-        self.db.oid(id)
-    }
-
-    fn view_sym(&self, id: OidId) -> Result<Sym, MetaError> {
-        Ok(self.db.entry(id)?.view_sym())
-    }
-
-    fn props(&self, id: OidId) -> Result<(&PropertyMap, Option<&PropertyMap>), MetaError> {
-        Ok((&self.db.entry(id)?.props, None))
-    }
-
-    fn set_prop(
-        &mut self,
-        id: OidId,
-        name: &str,
-        value: Value,
-    ) -> Result<Option<Value>, MetaError> {
-        self.db.set_prop(id, name, value)
-    }
-
-    fn neighbors_into(
-        &self,
-        id: OidId,
-        dir: Direction,
-        event: Option<&str>,
-        out: &mut Vec<OidId>,
-    ) -> Result<(), MetaError> {
-        self.db.neighbors_into(id, dir, event, out)
-    }
-}
-
-/// A minimal multiply-xor hasher for the overlay's `OidId` keys: arena
-/// indices are small and already well-distributed, so SipHash's collision
-/// resistance buys nothing on this internal, attacker-free map — but its
-/// cost lands on every property read of every worker wave.
-#[derive(Debug, Default)]
-struct OidHasher(u64);
-
-impl std::hash::Hasher for OidHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.0 = (self.0 ^ u64::from(n)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 ^= self.0 >> 29;
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 ^= self.0 >> 29;
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-}
-
-type OidMap<V> = HashMap<OidId, V, std::hash::BuildHasherDefault<OidHasher>>;
-
-/// The per-lane store of [`RuntimeEngine::run_lanes`]: shared read-only
-/// database, copy-on-write property overlay, ordered write log.
-struct OverlayStore<'a> {
-    db: &'a MetaDb,
-    /// Sparse per-OID overlays holding only the props this worker has
-    /// written (never a clone of the base map). Lives for the worker's
-    /// whole batch lane so later events see earlier events' writes
-    /// (events of one link-connected component are ordered on one lane).
-    dirty: OidMap<PropertyMap>,
-    /// Writes of the event currently executing, in wave order. Drained
-    /// per event into its [`LaneRun`] and replayed through
-    /// [`MetaDb::set_prop`] when it lands.
-    writes: Vec<PropWrite>,
-}
-
-/// One overlay property write, as logged by an [`OverlayStore`].
-#[derive(Debug)]
-struct PropWrite {
-    id: OidId,
-    prop: String,
-    value: Value,
-}
-
-impl WaveStore for OverlayStore<'_> {
-    fn probe(&self, id: OidId) -> Result<(), MetaError> {
-        self.db.entry(id).map(|_| ())
-    }
-
-    fn oid(&self, id: OidId) -> Result<&Oid, MetaError> {
-        self.db.oid(id)
-    }
-
-    fn view_sym(&self, id: OidId) -> Result<Sym, MetaError> {
-        Ok(self.db.entry(id)?.view_sym())
-    }
-
-    fn props(&self, id: OidId) -> Result<(&PropertyMap, Option<&PropertyMap>), MetaError> {
-        Ok((&self.db.entry(id)?.props, self.dirty.get(&id)))
-    }
-
-    fn set_prop(
-        &mut self,
-        id: OidId,
-        name: &str,
-        value: Value,
-    ) -> Result<Option<Value>, MetaError> {
-        // The previous value the direct path would have reported: this
-        // worker's last write if any, else the base map's.
-        let base_old = match self.dirty.get(&id) {
-            Some(overlay) if overlay.get(name).is_some() => None,
-            _ => self.db.entry(id)?.props.get(name).cloned(),
-        };
-        let overlay = self.dirty.entry(id).or_default();
-        let old = overlay.set(name, value.clone()).or(base_old);
-        self.writes.push(PropWrite {
-            id,
-            prop: name.to_string(),
-            value,
-        });
-        Ok(old)
-    }
-
-    fn set_prop_quiet(&mut self, id: OidId, name: &str, value: Value) -> Result<(), MetaError> {
-        // Liveness check only on the first write to this OID; `old` is
-        // not needed, so neither is the base map.
-        if !self.dirty.contains_key(&id) {
-            self.db.entry(id)?;
-        }
-        self.dirty.entry(id).or_default().set(name, value.clone());
-        self.writes.push(PropWrite {
-            id,
-            prop: name.to_string(),
-            value,
-        });
-        Ok(())
-    }
-
-    fn neighbors_into(
-        &self,
-        id: OidId,
-        dir: Direction,
-        event: Option<&str>,
-        out: &mut Vec<OidId>,
-    ) -> Result<(), MetaError> {
-        self.db.neighbors_into(id, dir, event, out)
-    }
-}
-
 impl RuntimeEngine {
     /// Creates an engine with the given policy.
     pub fn new(policy: Policy) -> Self {
@@ -412,9 +186,6 @@ impl RuntimeEngine {
             policy,
             clock: 0,
             scratch: WaveScratch::default(),
-            worker_scratches: Vec::new(),
-            lane_ns: 0,
-            land_ns: 0,
         }
     }
 
@@ -422,16 +193,6 @@ impl RuntimeEngine {
     /// to rules as `$date`.
     pub fn clock(&self) -> u64 {
         self.clock
-    }
-
-    /// Cumulative `(worker_ns, apply_ns)` phase split of the wave lanes:
-    /// time running waves ahead ([`RuntimeEngine::run_lanes`]) vs time
-    /// landing their results ([`RuntimeEngine::apply_lane_run`]).
-    /// `apply / (worker + apply)` is the serial fraction Amdahl charges
-    /// the lanes — the number the phase-split bench reporter tracks.
-    /// Inline waves count in neither.
-    pub fn lane_phase_ns(&self) -> (u64, u64) {
-        (self.lane_ns, self.land_ns)
     }
 
     /// Drops the cached per-view dispatch resolutions. Must be called when
@@ -445,10 +206,6 @@ impl RuntimeEngine {
         // Generations start at 1, so 0 forces a refill on the next wave.
         self.scratch.view_cache.clear();
         self.scratch.view_cache_gen = 0;
-        for scratch in &mut self.worker_scratches {
-            scratch.view_cache.clear();
-            scratch.view_cache_gen = 0;
-        }
     }
 
     /// Processes one design event to completion (the full propagation wave).
@@ -607,7 +364,6 @@ impl RuntimeEngine {
                 let entry = db.entry(id)?;
                 let ctx = EvalCtx {
                     props: &entry.props,
-                    overlay: None,
                     oid: &oid,
                     event: &item.event,
                     args: &item.args,
@@ -642,7 +398,6 @@ impl RuntimeEngine {
                 let entry = db.entry(id)?;
                 let ctx = EvalCtx {
                     props: &entry.props,
-                    overlay: None,
                     oid: &oid,
                     event: &item.event,
                     args: &item.args,
@@ -664,7 +419,6 @@ impl RuntimeEngine {
             let entry = db.entry(id)?;
             let ctx = EvalCtx {
                 props: &entry.props,
-                overlay: None,
                 oid: &oid,
                 event: &item.event,
                 args: &item.args,
@@ -702,7 +456,6 @@ impl RuntimeEngine {
                 let entry = db.entry(id)?;
                 let ctx = EvalCtx {
                     props: &entry.props,
-                    overlay: None,
                     oid: &oid,
                     event: &item.event,
                     args: &item.args,
@@ -835,13 +588,12 @@ impl RuntimeEngine {
         db: &mut MetaDb,
         audit: &mut AuditLog,
         trace: &mut TraceLog,
-        mut ev: QueuedEvent,
+        ev: QueuedEvent,
     ) -> Result<ProcessOutcome, EngineError> {
         self.clock += 1;
         let clock = self.clock;
         let mut outcome = ProcessOutcome::default();
         let mut scratch = std::mem::take(&mut self.scratch);
-        let args = std::mem::take(&mut ev.args);
         if trace.enabled() {
             if let Ok(target) = db.oid(ev.delivery.anchor()) {
                 trace.push(TraceRecord::Begin {
@@ -854,12 +606,10 @@ impl RuntimeEngine {
                 });
             }
         }
-        Self::seed_wave(compiled, &mut scratch, &ev, args);
-        let QueuedEvent { user, .. } = ev;
-        let mut store = DirectStore { db };
+        let user = Self::seed_wave(compiled, &mut scratch, ev);
         let result = self.run_wave(
             compiled,
-            &mut store,
+            db,
             audit,
             trace,
             &user,
@@ -876,16 +626,14 @@ impl RuntimeEngine {
         result.map(|()| outcome)
     }
 
-    /// Resets the scratch and enqueues the wave's root item for `ev`.
-    /// `args` is passed separately so the inline path can move the
-    /// event's arguments (no per-event allocation) while a lane — which
-    /// only borrows the still-queued event — clones.
+    /// Resets the scratch and enqueues the wave's root item for `ev`,
+    /// moving the event's arguments into it rather than cloning them.
+    /// Returns the posting user.
     fn seed_wave(
         compiled: &CompiledBlueprint,
         scratch: &mut WaveScratch,
-        ev: &QueuedEvent,
-        args: Vec<String>,
-    ) {
+        ev: QueuedEvent,
+    ) -> String {
         scratch.visited.clear();
         scratch.work.clear();
         scratch.extra_map.clear();
@@ -895,20 +643,21 @@ impl RuntimeEngine {
             name,
             direction: ev.direction,
             delivery: ev.delivery,
-            args: if args.is_empty() {
+            args: if ev.args.is_empty() {
                 empty_args()
             } else {
-                args.into()
+                ev.args.into()
             },
             depth: 0,
         });
+        ev.user
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn run_wave<S: WaveStore>(
+    fn run_wave(
         &self,
         compiled: &CompiledBlueprint,
-        store: &mut S,
+        db: &mut MetaDb,
         audit: &mut AuditLog,
         trace: &mut TraceLog,
         user: &str,
@@ -920,11 +669,11 @@ impl RuntimeEngine {
             match item.delivery {
                 Delivery::Target(id) => {
                     self.deliver_compiled(
-                        compiled, store, audit, trace, user, &item, id, scratch, outcome, clock,
+                        compiled, db, audit, trace, user, &item, id, scratch, outcome, clock,
                     )?;
                 }
                 Delivery::PropagateFrom(id) => {
-                    self.propagate_compiled(store, audit, trace, &item, id, scratch)?;
+                    self.propagate_compiled(db, audit, trace, &item, id, scratch)?;
                 }
             }
         }
@@ -936,10 +685,10 @@ impl RuntimeEngine {
     /// (including audit-record order) so the two paths stay differentially
     /// testable.
     #[allow(clippy::too_many_arguments)]
-    fn deliver_compiled<S: WaveStore>(
+    fn deliver_compiled(
         &self,
         compiled: &CompiledBlueprint,
-        store: &mut S,
+        db: &mut MetaDb,
         audit: &mut AuditLog,
         trace: &mut TraceLog,
         user: &str,
@@ -951,11 +700,11 @@ impl RuntimeEngine {
     ) -> Result<(), EngineError> {
         let ev_name: &str = &item.name;
         // Probe liveness first, as the interpreted path does.
-        store.probe(id)?;
+        db.entry(id)?;
         if self.policy.cycle_guard && !scratch.visited.insert((id, item.event)) {
             audit_record(audit, AuditKind::CycleSkipped, || {
                 Ok(AuditRecord::CycleSkipped {
-                    oid: store.oid(id)?.clone(),
+                    oid: db.oid(id)?.clone(),
                     event: ev_name.to_string(),
                 })
             })?;
@@ -966,16 +715,16 @@ impl RuntimeEngine {
             // Resolve the dispatch table through the per-view cache: the
             // database interned the view name at OID creation, so the
             // steady state is one Vec index instead of a string hash.
-            let view_sym = store.view_sym(id)?;
+            let view_sym = db.entry(id)?.view_sym();
             let table_index = {
-                let oid = store.oid(id)?;
+                let oid = db.oid(id)?;
                 scratch.table_index(compiled, view_sym, oid.view.as_str())
             };
-            if table_index.is_none() && store.oid(id)?.view.as_str() != "default" {
+            if table_index.is_none() && db.oid(id)?.view.as_str() != "default" {
                 match self.policy.unknown_views {
                     Strictness::Reject => {
                         return Err(PolicyViolation::UnknownView {
-                            view: store.oid(id)?.view.to_string(),
+                            view: db.oid(id)?.view.to_string(),
                             event: ev_name.to_string(),
                         }
                         .into());
@@ -983,7 +732,7 @@ impl RuntimeEngine {
                     Strictness::Observe => {
                         audit_record(audit, AuditKind::UnmatchedEvent, || {
                             Ok(AuditRecord::UnmatchedEvent {
-                                oid: store.oid(id)?.clone(),
+                                oid: db.oid(id)?.clone(),
                                 event: ev_name.to_string(),
                             })
                         })?;
@@ -999,7 +748,7 @@ impl RuntimeEngine {
             match self.policy.unmatched_events {
                 Strictness::Reject => {
                     return Err(PolicyViolation::UnmatchedEvent {
-                        view: store.oid(id)?.view.to_string(),
+                        view: db.oid(id)?.view.to_string(),
                         event: ev_name.to_string(),
                     }
                     .into());
@@ -1007,7 +756,7 @@ impl RuntimeEngine {
                 Strictness::Observe => {
                     audit_record(audit, AuditKind::UnmatchedEvent, || {
                         Ok(AuditRecord::UnmatchedEvent {
-                            oid: store.oid(id)?.clone(),
+                            oid: db.oid(id)?.clone(),
                             event: ev_name.to_string(),
                         })
                     })?;
@@ -1018,12 +767,12 @@ impl RuntimeEngine {
 
         audit_record(audit, AuditKind::Delivered, || {
             Ok(AuditRecord::Delivered {
-                oid: store.oid(id)?.clone(),
+                oid: db.oid(id)?.clone(),
                 event: ev_name.to_string(),
             })
         })?;
         if trace.enabled() {
-            let oid = store.oid(id)?.clone();
+            let oid = db.oid(id)?.clone();
             trace.push(TraceRecord::Deliver {
                 view: oid.view.to_string(),
                 oid,
@@ -1036,12 +785,10 @@ impl RuntimeEngine {
         if let Some(d) = dispatch {
             for assign in d.assigns.iter() {
                 let value = {
-                    let (props, overlay) = store.props(id)?;
-                    let oid = store.oid(id)?;
+                    let entry = db.entry(id)?;
                     let ctx = EvalCtx {
-                        props,
-                        overlay,
-                        oid,
+                        props: &entry.props,
+                        oid: &entry.oid,
                         event: ev_name,
                         args: &item.args,
                         user,
@@ -1051,21 +798,21 @@ impl RuntimeEngine {
                 };
                 if trace.enabled() {
                     trace.push(TraceRecord::Write {
-                        oid: store.oid(id)?.clone(),
+                        oid: db.oid(id)?.clone(),
                         prop: assign.prop.clone(),
                         value: value.clone(),
                     });
                 }
                 if audit.enabled() {
-                    let old = store.set_prop(id, &assign.prop, value.clone())?;
+                    let old = db.set_prop(id, &assign.prop, value.clone())?;
                     audit.push(AuditRecord::Assigned {
-                        oid: store.oid(id)?.clone(),
+                        oid: db.oid(id)?.clone(),
                         prop: assign.prop.clone(),
                         old,
                         new: value,
                     });
                 } else {
-                    store.set_prop_quiet(id, &assign.prop, value)?;
+                    db.set_prop(id, &assign.prop, value)?;
                     audit.note(AuditKind::Assigned);
                 }
             }
@@ -1075,12 +822,10 @@ impl RuntimeEngine {
         if self.policy.eager_lets {
             for let_def in table.lets() {
                 let value = {
-                    let (props, overlay) = store.props(id)?;
-                    let oid = store.oid(id)?;
+                    let entry = db.entry(id)?;
                     let ctx = EvalCtx {
-                        props,
-                        overlay,
-                        oid,
+                        props: &entry.props,
+                        oid: &entry.oid,
                         event: ev_name,
                         args: &item.args,
                         user,
@@ -1090,20 +835,20 @@ impl RuntimeEngine {
                 };
                 if trace.enabled() {
                     trace.push(TraceRecord::Write {
-                        oid: store.oid(id)?.clone(),
+                        oid: db.oid(id)?.clone(),
                         prop: let_def.name.clone(),
                         value: value.clone(),
                     });
                 }
                 if audit.enabled() {
-                    store.set_prop(id, &let_def.name, value.clone())?;
+                    db.set_prop(id, &let_def.name, value.clone())?;
                     audit.push(AuditRecord::Reevaluated {
-                        oid: store.oid(id)?.clone(),
+                        oid: db.oid(id)?.clone(),
                         name: let_def.name.clone(),
                         value,
                     });
                 } else {
-                    store.set_prop_quiet(id, &let_def.name, value)?;
+                    db.set_prop(id, &let_def.name, value)?;
                     audit.note(AuditKind::Reevaluated);
                 }
             }
@@ -1113,12 +858,10 @@ impl RuntimeEngine {
             // 3. exec rules (collected; the server dispatches them post-wave).
             for exec in d.execs.iter() {
                 let invocation = {
-                    let (props, overlay) = store.props(id)?;
-                    let oid = store.oid(id)?;
+                    let entry = db.entry(id)?;
                     let ctx = EvalCtx {
-                        props,
-                        overlay,
-                        oid,
+                        props: &entry.props,
+                        oid: &entry.oid,
                         event: ev_name,
                         args: &item.args,
                         user,
@@ -1129,7 +872,7 @@ impl RuntimeEngine {
                             script: "notify".to_string(),
                             args: vec![ctx.render(&exec.script)],
                             notify: true,
-                            origin: oid.to_string(),
+                            origin: entry.oid.to_string(),
                             event: ev_name.to_string(),
                         }
                     } else {
@@ -1137,7 +880,7 @@ impl RuntimeEngine {
                             script: ctx.render(&exec.script),
                             args: exec.args.iter().map(|a| ctx.render(a)).collect(),
                             notify: false,
-                            origin: oid.to_string(),
+                            origin: entry.oid.to_string(),
                             event: ev_name.to_string(),
                         }
                     }
@@ -1152,7 +895,7 @@ impl RuntimeEngine {
                 if trace.enabled() {
                     trace.push(TraceRecord::Invoke {
                         script: invocation.script.clone(),
-                        origin: store.oid(id)?.clone(),
+                        origin: db.oid(id)?.clone(),
                         event: ev_name.to_string(),
                     });
                 }
@@ -1167,12 +910,10 @@ impl RuntimeEngine {
                 let rendered_args: Arc<[String]> = if post.args.is_empty() {
                     empty_args()
                 } else {
-                    let (props, overlay) = store.props(id)?;
-                    let oid = store.oid(id)?;
+                    let entry = db.entry(id)?;
                     let ctx = EvalCtx {
-                        props,
-                        overlay,
-                        oid,
+                        props: &entry.props,
+                        oid: &entry.oid,
                         event: ev_name,
                         args: &item.args,
                         user,
@@ -1186,7 +927,7 @@ impl RuntimeEngine {
                 };
                 audit_record(audit, AuditKind::EventPosted, || {
                     Ok(AuditRecord::EventPosted {
-                        from: store.oid(id)?.clone(),
+                        from: db.oid(id)?.clone(),
                         event: post_name.to_string(),
                         direction: post.direction,
                         to_view: post.to_view.clone(),
@@ -1205,7 +946,7 @@ impl RuntimeEngine {
                         // Targeted post: one hop through an allowing link to
                         // OIDs of the named view; rules run there.
                         scratch.neighbors.clear();
-                        store.neighbors_into(
+                        db.neighbors_into(
                             id,
                             post.direction,
                             Some(post_name),
@@ -1213,18 +954,18 @@ impl RuntimeEngine {
                         )?;
                         for i in 0..scratch.neighbors.len() {
                             let next = scratch.neighbors[i];
-                            if store.oid(next)?.view.as_str() == target_view.as_str() {
+                            if db.oid(next)?.view.as_str() == target_view.as_str() {
                                 audit_record(audit, AuditKind::Propagated, || {
                                     Ok(AuditRecord::Propagated {
-                                        from: store.oid(id)?.clone(),
-                                        to: store.oid(next)?.clone(),
+                                        from: db.oid(id)?.clone(),
+                                        to: db.oid(next)?.clone(),
                                         event: post_name.to_string(),
                                     })
                                 })?;
                                 if trace.enabled() {
                                     trace.push(TraceRecord::Fire {
-                                        from: store.oid(id)?.clone(),
-                                        to: store.oid(next)?.clone(),
+                                        from: db.oid(id)?.clone(),
+                                        to: db.oid(next)?.clone(),
                                         event: post_name.to_string(),
                                     });
                                 }
@@ -1254,15 +995,15 @@ impl RuntimeEngine {
         }
 
         // 5. propagate the delivered event itself.
-        self.propagate_compiled(store, audit, trace, item, id, scratch)?;
+        self.propagate_compiled(db, audit, trace, item, id, scratch)?;
         Ok(())
     }
 
     /// Compiled-path counterpart of [`RuntimeEngine::propagate`]: crosses
     /// every allowing link out of `id` using the reusable neighbor buffer.
-    fn propagate_compiled<S: WaveStore>(
+    fn propagate_compiled(
         &self,
-        store: &mut S,
+        db: &MetaDb,
         audit: &mut AuditLog,
         trace: &mut TraceLog,
         item: &CompiledWaveItem,
@@ -1270,20 +1011,20 @@ impl RuntimeEngine {
         scratch: &mut WaveScratch,
     ) -> Result<(), EngineError> {
         scratch.neighbors.clear();
-        store.neighbors_into(id, item.direction, Some(&item.name), &mut scratch.neighbors)?;
+        db.neighbors_into(id, item.direction, Some(&item.name), &mut scratch.neighbors)?;
         for i in 0..scratch.neighbors.len() {
             let next = scratch.neighbors[i];
             audit_record(audit, AuditKind::Propagated, || {
                 Ok(AuditRecord::Propagated {
-                    from: store.oid(id)?.clone(),
-                    to: store.oid(next)?.clone(),
+                    from: db.oid(id)?.clone(),
+                    to: db.oid(next)?.clone(),
                     event: item.name.to_string(),
                 })
             })?;
             if trace.enabled() {
                 trace.push(TraceRecord::Fire {
-                    from: store.oid(id)?.clone(),
-                    to: store.oid(next)?.clone(),
+                    from: db.oid(id)?.clone(),
+                    to: db.oid(next)?.clone(),
                     event: item.name.to_string(),
                 });
             }
@@ -1298,227 +1039,6 @@ impl RuntimeEngine {
         }
         Ok(())
     }
-
-    // ------------------------------------------------------------------
-    // Wave lanes: waves run ahead, the drain loop lands them
-    // ------------------------------------------------------------------
-
-    /// Runs the waves of a batch of queued events ahead on worker lanes,
-    /// without landing anything: the database, audit log and trace are
-    /// only read. The drain loop then lands each result in queue order
-    /// through [`RuntimeEngine::apply_lane_run`], so every event still
-    /// passes through the one per-event contract (land, record done,
-    /// dispatch wrappers) before the next.
-    ///
-    /// * Events are **grouped by execution shard** ([`ShardMap::group_of`]
-    ///   of their anchor OID). The shard invariant — no allowing link ever
-    ///   crosses group boundaries — means an event's wave reads and writes
-    ///   only its own group's OIDs, so groups are independent.
-    /// * Each group runs on one lane in batch order, against an overlay
-    ///   store (shared read-only database + private copy-on-write
-    ///   overlay), so later events of a group see earlier events' writes.
-    ///   Each event carries the clock it will land under
-    ///   (`clock + index + 1`), so `$date` is position-dependent, not
-    ///   schedule-dependent.
-    /// * A lane stops at its first wave error; the events after it get no
-    ///   result.
-    ///
-    /// A result stays valid only while nothing but the landing of earlier
-    /// results changes what waves read; the caller voids the rest when a
-    /// wrapper dispatch changes the database.
-    ///
-    /// Returns one slot per event, in batch order: the event's [`LaneRun`],
-    /// or `None` where the event must run inline — every slot when the
-    /// batch spans fewer than two shard groups or `workers < 2`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_lanes<'e>(
-        &mut self,
-        compiled: &CompiledBlueprint,
-        shards: &ShardMap,
-        db: &MetaDb,
-        audit: &AuditLog,
-        trace: &TraceLog,
-        events: impl IntoIterator<Item = &'e QueuedEvent>,
-        workers: usize,
-    ) -> Vec<Option<LaneRun>> {
-        // Group by execution shard, preserving batch order inside a group.
-        let mut groups: BTreeMap<ShardId, Vec<(usize, &QueuedEvent)>> = BTreeMap::new();
-        let mut slots = Vec::new();
-        for (index, ev) in events.into_iter().enumerate() {
-            let group = shards.group_of(db, ev.delivery.anchor());
-            groups.entry(group).or_default().push((index, ev));
-            slots.push(None);
-        }
-        if groups.len() < 2 || workers < 2 {
-            return slots;
-        }
-
-        // Deterministic greedy lane assignment: groups in shard-id order,
-        // each to the least-loaded lane.
-        let lane_count = workers.min(groups.len());
-        let mut lanes: Vec<Vec<(usize, &QueuedEvent)>> = vec![Vec::new(); lane_count];
-        let mut load = vec![0usize; lane_count];
-        for (_, group) in groups {
-            let lane = (0..lane_count)
-                .min_by_key(|&l| (load[l], l))
-                .expect("lane_count >= 2");
-            load[lane] += group.len();
-            lanes[lane].extend(group);
-        }
-        for lane in &mut lanes {
-            lane.sort_by_key(|(index, _)| *index);
-        }
-
-        // Per-worker scratches, taken out of the engine for the scope.
-        if self.worker_scratches.len() < lane_count {
-            self.worker_scratches
-                .resize_with(lane_count, WaveScratch::default);
-        }
-        let mut pool = std::mem::take(&mut self.worker_scratches);
-        let engine: &RuntimeEngine = self;
-        let worker_start = std::time::Instant::now();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = lanes
-                .into_iter()
-                .enumerate()
-                .zip(pool.iter_mut())
-                .map(|((lane_id, lane), scratch)| {
-                    scope.spawn(move || {
-                        engine.run_lane(compiled, db, audit, trace, shards, lane_id, lane, scratch)
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (index, run) in handle.join().expect("wave worker panicked") {
-                    slots[index] = Some(run);
-                }
-            }
-        });
-        self.worker_scratches = pool;
-        self.lane_ns += worker_start.elapsed().as_nanos() as u64;
-        slots
-    }
-
-    /// One worker's share of [`RuntimeEngine::run_lanes`]: executes its
-    /// events in batch order against an overlay store, stopping at the
-    /// first error.
-    #[allow(clippy::too_many_arguments)]
-    fn run_lane(
-        &self,
-        compiled: &CompiledBlueprint,
-        db: &MetaDb,
-        audit_proto: &AuditLog,
-        trace_proto: &TraceLog,
-        shards: &ShardMap,
-        lane_id: usize,
-        lane: Vec<(usize, &QueuedEvent)>,
-        scratch: &mut WaveScratch,
-    ) -> Vec<(usize, LaneRun)> {
-        let mut store = OverlayStore {
-            db,
-            dirty: OidMap::default(),
-            writes: Vec::new(),
-        };
-        let mut runs = Vec::with_capacity(lane.len());
-        for (index, ev) in lane {
-            let clock = self.clock + index as u64 + 1;
-            let mut audit = audit_proto.buffer();
-            let mut trace = trace_proto.buffer();
-            if trace.enabled() {
-                let shard = shards.group_of(db, ev.delivery.anchor());
-                if let Ok(target) = db.oid(ev.delivery.anchor()) {
-                    trace.push(TraceRecord::Begin {
-                        event: ev.event.clone(),
-                        target: target.clone(),
-                        user: ev.user.clone(),
-                        clock,
-                        lane: Some(lane_id as u64),
-                        shard: Some(u64::from(shard.0)),
-                    });
-                }
-            }
-            let mut outcome = ProcessOutcome::default();
-            Self::seed_wave(compiled, scratch, ev, ev.args.clone());
-            let result = self.run_wave(
-                compiled,
-                &mut store,
-                &mut audit,
-                &mut trace,
-                &ev.user,
-                scratch,
-                &mut outcome,
-                clock,
-            );
-            if trace.enabled() {
-                trace.push(TraceRecord::End {
-                    delivered: outcome.delivered,
-                });
-            }
-            let error = result.err();
-            let stop = error.is_some();
-            runs.push((
-                index,
-                LaneRun {
-                    writes: std::mem::take(&mut store.writes),
-                    audit,
-                    trace,
-                    outcome,
-                    error,
-                },
-            ));
-            if stop {
-                break;
-            }
-        }
-        runs
-    }
-
-    /// Lands one [`LaneRun`], the result of the event at the front of the
-    /// batch: replays its property writes through [`MetaDb::set_prop`] in
-    /// wave order — the one write path, so journal records, secondary
-    /// index and counters land exactly as the inline wave would have
-    /// written them — absorbs its audit and trace buffers, and advances
-    /// the clock by one event. The counterpart of
-    /// [`RuntimeEngine::process_compiled_traced`] for a wave that already
-    /// ran.
-    ///
-    /// # Errors
-    ///
-    /// The wave's own error, else the first failing write. As on the
-    /// inline path, what landed before the error is kept.
-    pub fn apply_lane_run(
-        &mut self,
-        db: &mut MetaDb,
-        audit: &mut AuditLog,
-        trace: &mut TraceLog,
-        run: LaneRun,
-    ) -> Result<ProcessOutcome, EngineError> {
-        let apply_start = std::time::Instant::now();
-        self.clock += 1;
-        let landed = run
-            .writes
-            .into_iter()
-            .try_for_each(|w| db.set_prop(w.id, &w.prop, w.value).map(drop));
-        audit.absorb(run.audit);
-        trace.absorb(run.trace);
-        self.land_ns += apply_start.elapsed().as_nanos() as u64;
-        match run.error {
-            Some(e) => Err(e),
-            None => landed.map(|()| run.outcome).map_err(EngineError::from),
-        }
-    }
-}
-
-/// One event's wave as a lane ran it ahead (see
-/// [`RuntimeEngine::run_lanes`]), waiting for
-/// [`RuntimeEngine::apply_lane_run`] to land it.
-#[derive(Debug)]
-pub struct LaneRun {
-    writes: Vec<PropWrite>,
-    audit: AuditLog,
-    trace: TraceLog,
-    outcome: ProcessOutcome,
-    error: Option<EngineError>,
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! events those wrappers post back into the queue — the automatic tool
 //! invocation loop of Section 3.3.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -29,7 +29,7 @@ use crate::engine::invoke::{
 };
 use crate::engine::policy::{Policy, PolicyViolation, Strictness};
 use crate::engine::queue::{EventQueue, Posted};
-use crate::engine::runtime::{LaneRun, RuntimeEngine};
+use crate::engine::runtime::RuntimeEngine;
 use crate::engine::tail::TailHub;
 use crate::engine::template;
 use crate::engine::trace::{TraceLog, TraceRecord};
@@ -56,19 +56,6 @@ impl ProcessReport {
         self.scripts += other.scripts;
         self.emitted += other.emitted;
     }
-}
-
-/// The wave worker count new servers start with: the
-/// `DAMOCLES_WAVE_WORKERS` environment variable when it parses (floored
-/// at 1), else 1, so every wave runs inline. On a 2-vCPU host no measured
-/// batch pays for the lanes (DESIGN §9), so they are opt-in, and the
-/// variable is the one way to ask for them: every server a process builds
-/// starts here, leader, follower and fleet tenant alike.
-fn default_wave_workers() -> usize {
-    std::env::var("DAMOCLES_WAVE_WORKERS")
-        .ok()
-        .and_then(|raw| raw.trim().parse::<usize>().ok())
-        .map_or(1, |n| n.max(1))
 }
 
 /// Snapshot file name inside a durability directory.
@@ -277,13 +264,11 @@ pub struct ProjectServer<E = NullExecutor> {
     /// (see [`crate::engine::tail`]). Shared with the service layer so
     /// the hub survives `Init` server swaps.
     tail: Arc<TailHub>,
-    /// Worker threads for the wave lanes (see
-    /// [`ProjectServer::set_wave_workers`]); `1` = every wave inline.
-    wave_workers: usize,
-    /// Cached shard partition for the wave lanes, rebuilt when the
-    /// blueprint generation or the database's link topology moves (a
-    /// `Connect` that bridges two previously-disjoint components bumps the
-    /// topology stamp and thereby the shard-map generation).
+    /// Cached shard partition ([`ProjectServer::shard_map`]), built on
+    /// first request and patched or rebuilt when the blueprint
+    /// generation or the database's link topology moves (a `Connect`
+    /// that bridges two previously-disjoint components bumps the topology
+    /// stamp and thereby the shard-map generation).
     shard_map: Option<ShardMap>,
     /// The async invocation pool running detached tool runs (see
     /// [`crate::engine::invoke`]); inline executors never touch it.
@@ -369,7 +354,6 @@ impl<E: ScriptExecutor> ProjectServer<E> {
             group_commit: false,
             journal_poisoned: false,
             tail: Arc::new(TailHub::new()),
-            wave_workers: default_wave_workers(),
             shard_map: None,
             invoker: Invoker::default(),
             in_flight_ops: BTreeMap::new(),
@@ -422,7 +406,6 @@ impl<E: ScriptExecutor> ProjectServer<E> {
                 let entry = self.db.entry(id)?;
                 let ctx = EvalCtx {
                     props: &entry.props,
-                    overlay: None,
                     oid: &entry.oid,
                     event: "refresh",
                     args: &[],
@@ -1095,29 +1078,11 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         self
     }
 
-    /// Sets the wave worker count for [`ProjectServer::process_all`]
-    /// (clamped to at least 1). With `n > 1` the waves of the queued
-    /// events run ahead as link-connected shards on up to `n` worker
-    /// lanes; `1` runs every wave inline. Either way the drain loop then
-    /// handles one event at a time — land its wave, record it done,
-    /// dispatch its wrappers — so results are identical at every worker
-    /// count, and this knob trades threads for wall-clock only. A new
-    /// server starts at 1 unless `DAMOCLES_WAVE_WORKERS` names a count;
-    /// this method is how tests and benches pick one per server.
-    pub fn set_wave_workers(&mut self, workers: usize) {
-        self.wave_workers = workers.max(1);
-    }
-
-    /// The wave worker count in force.
-    pub fn wave_workers(&self) -> usize {
-        self.wave_workers
-    }
-
-    /// Cumulative `(worker_ns, apply_ns)` phase split of the wave lanes
-    /// this server has run: lane time and landing time — see
-    /// [`RuntimeEngine::lane_phase_ns`].
+    /// The `(worker_ns, apply_ns)` phase split the deleted wave lanes
+    /// reported. Every wave runs inline, so both are always 0; the
+    /// benchmark package still reads it.
     pub fn wave_phase_ns(&self) -> (u64, u64) {
-        self.engine.lane_phase_ns()
+        (0, 0)
     }
 
     // ------------------------------------------------------------------
@@ -1160,14 +1125,15 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         self.invoker.wait_harvest(timeout)
     }
 
-    /// The shard partition the wave lanes would use right now.
-    /// A stale cached [`ShardMap`] is first offered the database's
-    /// topology delta log ([`ShardMap::try_update`]) — mid-session
-    /// `Connect`/`PROPAGATE` growth patches in as pure union-find merges;
-    /// only severing changes (or delta-log truncation, or a blueprint
-    /// swap) pay for a full rebuild. Also the observability hook for
-    /// tests and tooling (group count, runtime merges, incremental
-    /// updates, generation).
+    /// The project's shard partition right now: the groups of OIDs that
+    /// no propagation wave crosses between. It is an analysis the
+    /// benchmark reads (group count, runtime merges, incremental updates,
+    /// generation); the drain never asks for it, so it costs nothing
+    /// until something does. A stale cached [`ShardMap`] is first offered
+    /// the database's topology delta log ([`ShardMap::try_update`]) —
+    /// mid-session `Connect`/`PROPAGATE` growth patches in as pure
+    /// union-find merges; only severing changes (or delta-log truncation,
+    /// or a blueprint swap) pay for a full rebuild.
     pub fn shard_map(&mut self) -> &ShardMap {
         let updated = match self.shard_map.as_mut() {
             Some(map) => map.try_update(&self.compiled, &self.db),
@@ -1461,19 +1427,10 @@ impl<E: ScriptExecutor> ProjectServer<E> {
     /// The drain loop: folds landed results and the wrapper inbox into
     /// the queue, then handles the queued events one at a time until the
     /// queue is empty — trip the runaway guard before taking an event,
-    /// land its wave, record its `EventDone`, dispatch its wrappers.
+    /// run its wave inline, record its `EventDone`, dispatch its
+    /// wrappers, so the next wave reads what those wrappers wrote.
     /// Never waits on in-flight detached work.
-    ///
-    /// With more than one wave worker, the lanes first run the waves of
-    /// the queued events ahead ([`RuntimeEngine::run_lanes`]); landing one
-    /// of those results ([`RuntimeEngine::apply_lane_run`]) stands in for
-    /// running the wave inline. The results stay aligned with the queue
-    /// front because everything else enqueues at the back. A dispatch
-    /// that changes what a wave reads voids the results still ahead, and
-    /// the rest of that batch runs inline.
     fn drain_round(&mut self, report: &mut ProcessReport) -> Result<(), EngineError> {
-        // One slot per event of the current lane batch, front first.
-        let mut ahead: VecDeque<Option<LaneRun>> = VecDeque::new();
         loop {
             self.absorb_finished(report)?;
             // Reuse one inbox buffer across polls instead of allocating a
@@ -1494,53 +1451,22 @@ impl<E: ScriptExecutor> ProjectServer<E> {
                     processed: report.events,
                 });
             }
-            if ahead.is_empty() && self.wave_workers > 1 && self.queue.len() > 1 {
-                let allowance = self.max_events_per_drain - report.events;
-                let batch =
-                    usize::try_from(allowance).map_or(usize::MAX, |a| a.min(self.queue.len()));
-                self.shard_map();
-                let shards = self.shard_map.as_ref().expect("refreshed above");
-                ahead = self
-                    .engine
-                    .run_lanes(
-                        &self.compiled,
-                        shards,
-                        &self.db,
-                        &self.audit,
-                        &self.trace,
-                        self.queue.iter().take(batch),
-                        self.wave_workers,
-                    )
-                    .into();
-            }
             let ev = self.queue.dequeue().expect("queue checked non-empty");
             let seq = ev.seq;
-            let outcome = match ahead.pop_front().flatten() {
-                Some(run) => {
-                    self.engine
-                        .apply_lane_run(&mut self.db, &mut self.audit, &mut self.trace, run)
-                }
-                None => self.engine.process_compiled_traced(
-                    &self.compiled,
-                    &mut self.db,
-                    &mut self.audit,
-                    &mut self.trace,
-                    ev,
-                ),
-            }?;
+            let outcome = self.engine.process_compiled_traced(
+                &self.compiled,
+                &mut self.db,
+                &mut self.audit,
+                &mut self.trace,
+                ev,
+            )?;
             report.absorb(ProcessReport {
                 events: 1,
                 deliveries: outcome.delivered,
                 ..Default::default()
             });
             self.mark_event_done(seq);
-            let wave_inputs = (self.db.stats(), self.db.topology_stamp());
             self.dispatch_invocations(outcome.invocations, report)?;
-            // Property sets and removals, OID and link churn, and
-            // PROPAGATE growth all move one of the two stamps.
-            if (self.db.stats(), self.db.topology_stamp()) != wave_inputs {
-                ahead.iter_mut().for_each(|run| *run = None);
-            }
         }
     }
 
@@ -2034,20 +1960,17 @@ mod tests {
                     .collect()
             }
         }
-        for workers in [1, 2, 4] {
-            let bp = parser::parse(SIMPLE).unwrap();
-            let mut server = ProjectServer::with_executor(bp, SelfFeeding).unwrap();
-            server.set_wave_workers(workers);
-            server.max_events_per_drain = 50;
-            server
-                .checkin("cpu", "schematic", "yves", b"s1".to_vec())
-                .unwrap();
-            let err = server.process_all().unwrap_err();
-            assert!(matches!(err, EngineError::Runaway { processed: 50 }));
-            // 1 + 2 × 50 events queued, 50 processed: the guard trips
-            // before taking the 51st, which stays queued.
-            assert_eq!(server.pending_events(), 51, "workers={workers}");
-        }
+        let bp = parser::parse(SIMPLE).unwrap();
+        let mut server = ProjectServer::with_executor(bp, SelfFeeding).unwrap();
+        server.max_events_per_drain = 50;
+        server
+            .checkin("cpu", "schematic", "yves", b"s1".to_vec())
+            .unwrap();
+        let err = server.process_all().unwrap_err();
+        assert!(matches!(err, EngineError::Runaway { processed: 50 }));
+        // 1 + 2 × 50 events queued, 50 processed: the guard trips before
+        // taking the 51st, which stays queued.
+        assert_eq!(server.pending_events(), 51);
     }
 
     #[test]

@@ -52,7 +52,7 @@
 //! last-writer-wins property updates in the paper's flows.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -496,7 +496,9 @@ impl<E: ScriptExecutor + Default> ProjectService<E> {
                         pending_events: server.pending_events() as u64,
                         journal_epoch: server.journal_epoch(),
                         journal_records: server.journal_records(),
-                        wave_workers: server.wave_workers() as u64,
+                        // Every wave runs inline; the field keeps its
+                        // place on the wire.
+                        wave_workers: 1,
                         pending_invocations: inv.pending,
                         running_invocations: inv.running,
                         retrying_invocations: inv.retrying,
@@ -1023,6 +1025,12 @@ pub fn serve_with<S: RequestSink>(
     }
 }
 
+/// The longest request line a connection may send, in bytes before its
+/// newline: room for the hex of an 8 MiB check-in payload. A longer line
+/// gets one `err` reply and the connection closes, so a client that never
+/// sends a newline cannot grow the server's memory without bound.
+pub const MAX_LINE_BYTES: usize = 16 << 20;
+
 /// One connection's read-decode-execute-reply loop, switching into tail
 /// streaming after a successful `tailfrom` handshake.
 fn serve_connection<S: RequestSink>(stream: TcpStream, session: &S, tail: Option<Arc<TailHub>>) {
@@ -1053,9 +1061,29 @@ fn serve_connection<S: RequestSink>(stream: TcpStream, session: &S, tail: Option
         }
     });
     let mut tail_cursor: Option<TailCursor> = None;
-    let reader = BufReader::new(read_half);
-    for line in reader.lines() {
-        let Ok(line) = line else {
+    let mut reader = BufReader::new(read_half);
+    // One line buffer for the connection, reused across lines.
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap tells a line that is too long from one
+        // that just fits.
+        let cap = MAX_LINE_BYTES as u64 + 1;
+        match reader.by_ref().take(cap).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.len() > MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+            let (tx, rx) = unbounded();
+            let _ = tx.send(Response::Error(ApiError::Parse {
+                at: MAX_LINE_BYTES as u64,
+                found: format!("a line longer than {MAX_LINE_BYTES} bytes"),
+                expected: format!("a newline within {MAX_LINE_BYTES} bytes"),
+            }));
+            let _ = order_tx.send(rx);
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
             break;
         };
         let trimmed = line.trim();

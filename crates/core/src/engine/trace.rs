@@ -3,9 +3,9 @@
 //!
 //! An [`AuditLog`](crate::engine::audit::AuditLog) answers "how many
 //! deliveries/writes happened"; a [`TraceLog`] answers "in what order, on
-//! which object, fired by which link, on which worker lane" — the record a
-//! time-travel debugger replays next to a journal cursor. Each processed
-//! event contributes a bracketed run of [`TraceRecord`]s:
+//! which object, fired by which link" — the record a time-travel debugger
+//! replays next to a journal cursor. Each processed event contributes a
+//! bracketed run of [`TraceRecord`]s:
 //!
 //! ```text
 //! begin ckin cpu,HDL_model,2 yves 7 - -
@@ -23,12 +23,10 @@
 //! * **Zero cost when off.** Retention is off by default; every hot-path
 //!   hook is guarded by [`TraceLog::enabled`], so a disabled trace costs
 //!   one branch per potential record and allocates nothing.
-//! * **Deterministic lane merge.** Wave lanes trace into per-event
-//!   buffers ([`TraceLog::buffer`]) that the drain loop absorbs as it
-//!   lands each event ([`TraceLog::absorb`]) — a drain at any worker count
-//!   yields the same record *content* as a sequential one, with the lane
-//!   and shard ids filled in on the `begin` record of each event a lane
-//!   ran.
+//! * **One order.** Every wave runs inline in queue order, so the trace
+//!   is the drain's execution order. The `begin` record's lane and shard
+//!   words are always `-` (wave lanes wrote `+<n>` there, and such
+//!   traces still decode).
 //!
 //! Records use the protocol's word codec (`PROTOCOL.md` §1), so a trace
 //! streams through [`Response::Trace`](crate::engine::api::Response) and
@@ -52,9 +50,11 @@ pub enum TraceRecord {
         user: String,
         /// The engine clock stamped on this wave.
         clock: u64,
-        /// Worker lane that ran the wave (`None` on the sequential path).
+        /// Worker lane that ran the wave: always `None`, since every wave
+        /// runs inline. Traces captured from servers that had wave lanes
+        /// carry `Some` here.
         lane: Option<u64>,
-        /// Shard group of the anchor (`None` on the sequential path).
+        /// Shard group of the anchor: always `None`, as `lane`.
         shard: Option<u64>,
     },
     /// A dispatch table fired: `oid` (of view `view`) executed its rules
@@ -255,8 +255,7 @@ impl TraceRecord {
 
 /// The execution trace log: an ordered capture of [`TraceRecord`]s with
 /// the audit log's retention discipline — off by default, one branch per
-/// potential record when off, per-worker buffering with a deterministic
-/// merge when sharded.
+/// potential record when off.
 #[derive(Debug, Clone, Default)]
 pub struct TraceLog {
     records: Vec<TraceRecord>,
@@ -319,25 +318,6 @@ impl TraceLog {
     /// Whether nothing has been captured.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// An empty log with this log's retention mode — what each worker
-    /// lane traces one event into ([`TraceLog::absorb`] merges them back
-    /// deterministically).
-    pub fn buffer(&self) -> TraceLog {
-        TraceLog {
-            records: Vec::new(),
-            retain: self.retain,
-        }
-    }
-
-    /// Appends a per-event buffer's records. The drain loop calls this as
-    /// it lands each event, so the merged trace is ordered by event, not
-    /// by worker completion time.
-    pub fn absorb(&mut self, buffer: TraceLog) {
-        if self.retain {
-            self.records.extend(buffer.records);
-        }
     }
 }
 
@@ -444,31 +424,10 @@ mod tests {
     }
 
     #[test]
-    fn buffers_absorb_in_call_order() {
-        let mut log = TraceLog::retaining();
-        let mut a = log.buffer();
-        let mut b = log.buffer();
-        assert!(a.enabled() && b.enabled());
-        b.push(TraceRecord::End { delivered: 2 });
-        a.push(TraceRecord::End { delivered: 1 });
-        log.absorb(a);
-        log.absorb(b);
-        assert_eq!(
-            log.records(),
-            &[
-                TraceRecord::End { delivered: 1 },
-                TraceRecord::End { delivered: 2 }
-            ]
-        );
-    }
-
-    #[test]
     fn disabling_drops_records() {
         let mut log = TraceLog::retaining();
         log.push(TraceRecord::End { delivered: 1 });
         log.set_retaining(false);
         assert!(log.is_empty() && !log.enabled());
-        let buf = log.buffer();
-        assert!(!buf.enabled(), "buffers inherit the disabled mode");
     }
 }

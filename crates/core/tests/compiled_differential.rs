@@ -1,30 +1,26 @@
-//! Differential property tests of the engine's execution modes.
+//! Differential property tests of the engine's two interpreters.
 //!
-//! 1. The compiled dispatch path must be observationally identical to the
-//!    seed's AST-walking path.
-//! 2. Waves run ahead on lanes ([`RuntimeEngine::run_lanes`]) and landed
-//!    in batch order ([`RuntimeEngine::apply_lane_run`]) must be
-//!    observationally identical to sequential compiled execution at
-//!    **every** worker count (`n ∈ {1, 2, 4, 8}`).
+//! The compiled dispatch path ([`RuntimeEngine::process_compiled`], the
+//! one the server drains through) must be observationally identical to
+//! the seed's AST walker ([`RuntimeEngine::process`], kept as the
+//! reference). For randomized blueprints, design graphs and event
+//! streams, the two run side by side on cloned databases and are held to
+//! the same [`ProcessOutcome`](blueprint_core::engine::runtime::ProcessOutcome)
+//! (delivered count and script invocations), the same retained
+//! audit-record sequence, the same journal bytes (the batch
+//! [`MetaDb::drain_journal`] hands the writer), the same
+//! [`MetaDb::stats`] and secondary index (which the image does not hold)
+//! and the same final database image (`damocles_meta::persist::save`).
 //!
-//! For randomized blueprints, design graphs and event streams, the paths
-//! are run side by side on cloned databases and held to the same
-//! [`ProcessOutcome`] (delivered count and script invocations), the same
-//! retained audit-record sequence, the same journal bytes (the batch
-//! [`MetaDb::drain_journal`] hands the writer), the same final
-//! database image (`damocles_meta::persist::save`) and, on the lane
-//! cases, the same [`MetaDb::stats`] and secondary index (which the
-//! image does not hold). The random graphs link OIDs of any views with
-//! raw links, and a dedicated case runs disjoint instance chains of one
-//! view family, some welded by raw bridge links, so both merged and
-//! split [`ShardMap`] groups are exercised.
+//! A second property builds disjoint instance chains of one view family,
+//! some welded by raw bridge links, and checks that [`ShardMap`] keeps
+//! every unbridged chain in a group of its own and merges bridged ones.
 
 use blueprint_core::engine::audit::AuditLog;
 use blueprint_core::engine::compile::{CompiledBlueprint, ShardMap};
 use blueprint_core::engine::event::QueuedEvent;
 use blueprint_core::engine::policy::Policy;
 use blueprint_core::engine::runtime::RuntimeEngine;
-use blueprint_core::engine::trace::TraceLog;
 use blueprint_core::lang::ast::{
     Action, Blueprint, Expr, LetDef, LinkDef, LinkSource, PropertyDef, RuleDef, Template, Transfer,
     ViewDef,
@@ -224,50 +220,14 @@ fn events() -> impl Strategy<Value = Vec<EventSpec>> {
     )
 }
 
-/// A fixed two-view blueprint for the instance-chain cases: both chain
-/// views carry write-heavy rules so every delivery produces prop writes
-/// that landing a lane run must replay exactly like sequential.
+/// The two-view family every instance chain draws from.
 fn chain_blueprint() -> Blueprint {
-    let mut alpha = ViewDef::empty("alpha".to_string());
-    alpha.rules.push(RuleDef {
-        event: "ev0".to_string(),
-        actions: vec![
-            Action::Assign {
-                prop: "p0".to_string(),
-                value: Template::var("arg"),
-            },
-            Action::Assign {
-                prop: "state".to_string(),
-                value: Template::parse_interpolated("$event by $user"),
-            },
-        ],
-        span: Span::default(),
-    });
-    alpha.rules.push(RuleDef {
-        event: "ckin".to_string(),
-        actions: vec![Action::Assign {
-            prop: "state".to_string(),
-            value: Template::lit("fresh"),
-        }],
-        span: Span::default(),
-    });
-    let mut beta = ViewDef::empty("beta".to_string());
-    beta.rules.push(RuleDef {
-        event: "ev0".to_string(),
-        actions: vec![
-            Action::Assign {
-                prop: "p1".to_string(),
-                value: Template::var("arg"),
-            },
-            Action::Notify {
-                message: Template::parse_interpolated("chain hit $oid"),
-            },
-        ],
-        span: Span::default(),
-    });
     Blueprint {
         name: "chaintest".to_string(),
-        views: vec![alpha, beta],
+        views: vec![
+            ViewDef::empty("alpha".to_string()),
+            ViewDef::empty("beta".to_string()),
+        ],
         span: Span::default(),
     }
 }
@@ -280,9 +240,8 @@ fn build_chains(
     chains: usize,
     length: usize,
     bridges: &[(usize, usize)],
-) -> (MetaDb, Vec<OidId>, Vec<Vec<OidId>>) {
+) -> (MetaDb, Vec<Vec<OidId>>) {
     let mut db = MetaDb::new();
-    let mut all = Vec::new();
     let mut per_chain = Vec::new();
     for c in 0..chains {
         let mut ids = Vec::new();
@@ -292,7 +251,6 @@ fn build_chains(
                 .create_oid(Oid::new(format!("c{c}n{i}"), view, 1))
                 .expect("fresh oid");
             ids.push(id);
-            all.push(id);
         }
         for pair in ids.windows(2) {
             db.add_link_with(
@@ -320,7 +278,7 @@ fn build_chains(
         )
         .expect("bridge endpoints live");
     }
-    (db, all, per_chain)
+    (db, per_chain)
 }
 
 /// Per-event observation: delivered count and debug-rendered invocations.
@@ -342,49 +300,6 @@ fn index_view(reference: &MetaDb, db: &MetaDb) -> Vec<(String, Value, Vec<OidId>
         .map(|(name, value)| {
             let ids = db.where_prop_eq(&name, &value);
             (name, value, ids)
-        })
-        .collect()
-}
-
-/// Runs `events` as the drain loop does above one worker: the lanes run
-/// every wave ahead, then each event in order lands its lane run, or runs
-/// inline when it has none. Checks that the lanes ran every event when the
-/// batch spans two or more shard groups.
-fn run_batch(
-    engine: &mut RuntimeEngine,
-    compiled: &CompiledBlueprint,
-    db: &mut MetaDb,
-    audit: &mut AuditLog,
-    events: Vec<QueuedEvent>,
-    workers: usize,
-) -> Vec<Observation> {
-    let shards = ShardMap::build(compiled, db);
-    let groups: std::collections::BTreeSet<_> = events
-        .iter()
-        .map(|ev| shards.group_of(db, ev.delivery.anchor()))
-        .collect();
-    let mut trace = TraceLog::disabled();
-    let runs = engine.run_lanes(compiled, &shards, db, audit, &trace, &events, workers);
-    assert_eq!(runs.len(), events.len());
-    if workers > 1 && groups.len() > 1 {
-        assert!(
-            runs.iter().all(Option::is_some),
-            "lenient policy: every wave ran ahead"
-        );
-    }
-    events
-        .into_iter()
-        .zip(runs)
-        .map(|(ev, run)| {
-            let out = match run {
-                Some(run) => engine.apply_lane_run(db, audit, &mut trace, run),
-                None => engine.process_compiled(compiled, db, audit, ev),
-            }
-            .expect("lenient policy");
-            (
-                out.delivered,
-                out.invocations.iter().map(|i| format!("{i:?}")).collect(),
-            )
         })
         .collect()
 }
@@ -412,8 +327,9 @@ fn run_stream(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Both dispatch paths produce identical outcomes, audit sequences and
-    /// database state on randomized blueprints, graphs and event streams.
+    /// Both dispatch paths produce identical outcomes, audit sequences,
+    /// journal bytes, counters, secondary index and database image on
+    /// randomized blueprints, graphs and event streams.
     #[test]
     fn compiled_path_matches_ast_path(
         bp in blueprint(),
@@ -428,6 +344,7 @@ proptest! {
         };
 
         let (mut db_ast, ids) = build_db(&spec);
+        db_ast.attach_journal(0);
         let mut db_compiled = db_ast.clone();
         let compiled = CompiledBlueprint::compile(&bp);
 
@@ -462,92 +379,24 @@ proptest! {
 
         prop_assert_eq!(ast_outcomes, compiled_outcomes);
         prop_assert_eq!(ast_records, compiled_records);
+        prop_assert_eq!(db_ast.drain_journal(), db_compiled.drain_journal());
+        prop_assert_eq!(db_ast.stats(), db_compiled.stats());
+        prop_assert_eq!(index_view(&db_ast, &db_compiled), index_view(&db_ast, &db_ast));
         prop_assert_eq!(ast_image, compiled_image);
     }
 
-    /// Waves run ahead on lanes and landed in batch order match
-    /// sequential compiled execution — outcomes, merged audit-record
-    /// sequence, journal bytes, persisted database image, counters and
-    /// secondary index — at every worker count.
+    /// Disjoint instance chains of a *single* view family land in
+    /// distinct per-OID shard groups, and random raw bridge links merge
+    /// the chains they weld.
     #[test]
-    fn sharded_batches_match_sequential_at_any_worker_count(
-        bp in blueprint(),
-        spec in graph(),
-        stream in events(),
-        shallow in any::<bool>(),
-    ) {
-        let policy = Policy {
-            max_post_depth: if shallow { 1 } else { 64 },
-            ..Policy::default()
-        };
-        let compiled = CompiledBlueprint::compile(&bp);
-        let (mut db_seq, ids) = build_db(&spec);
-        db_seq.attach_journal(0);
-
-        // Sequential reference: one process_compiled call per event.
-        let (seq_outcomes, seq_image, seq_records) = run_stream(
-            |engine, db, audit, ev| {
-                let out = engine
-                    .process_compiled(&compiled, db, audit, ev)
-                    .expect("lenient policy");
-                (
-                    out.delivered,
-                    out.invocations.iter().map(|i| format!("{i:?}")).collect(),
-                )
-            },
-            &mut db_seq,
-            &ids,
-            &stream,
-            &policy,
-        );
-        let seq_journal = db_seq.drain_journal();
-        let seq_index = index_view(&db_seq, &db_seq);
-
-        for workers in [1usize, 2, 4, 8] {
-            let (mut db, ids) = build_db(&spec);
-            db.attach_journal(0);
-            let mut engine = RuntimeEngine::new(policy.clone());
-            let mut audit = AuditLog::retaining();
-            let events: Vec<QueuedEvent> = stream
-                .iter()
-                .map(|(event_idx, up, target, arg)| {
-                    let dir = if *up { Direction::Up } else { Direction::Down };
-                    let id = ids[target % ids.len()];
-                    QueuedEvent::target(EVENTS[*event_idx], dir, id, "difftest")
-                        .with_arg(arg.clone())
-                })
-                .collect();
-            let outcomes =
-                run_batch(&mut engine, &compiled, &mut db, &mut audit, events, workers);
-            let records: Vec<String> =
-                audit.records().iter().map(|r| format!("{r:?}")).collect();
-            let journal = db.drain_journal();
-            prop_assert_eq!(&outcomes, &seq_outcomes, "workers={}", workers);
-            prop_assert_eq!(&records, &seq_records, "workers={}", workers);
-            prop_assert_eq!(journal.as_str(), seq_journal.as_str(), "workers={}", workers);
-            prop_assert_eq!(db.stats(), db_seq.stats(), "workers={}", workers);
-            prop_assert_eq!(&index_view(&db_seq, &db), &seq_index, "workers={}", workers);
-            prop_assert_eq!(&persist::save(&db), &seq_image, "workers={}", workers);
-        }
-    }
-
-    /// Disjoint instance chains of a *single* view family must land in
-    /// distinct per-OID shard groups, and — with random raw bridge links
-    /// welding some chains together — the lanes must still match
-    /// sequential execution byte-for-byte at every worker count,
-    /// including the journal bytes, counters and secondary index.
-    #[test]
-    fn same_view_instance_chains_shard_apart_and_match_sequential(
+    fn same_view_instance_chains_shard_apart(
         chains in 2usize..5,
         length in 2usize..5,
         bridges in proptest::collection::vec((0usize..4, 0usize..4), 0..3),
-        stream in events(),
     ) {
-        let bp = chain_blueprint();
-        let policy = Policy::default();
-        let compiled = CompiledBlueprint::compile(&bp);
+        let compiled = CompiledBlueprint::compile(&chain_blueprint());
 
-        let (db_probe, _, per_chain) = build_chains(chains, length, &bridges);
+        let (db_probe, per_chain) = build_chains(chains, length, &bridges);
         let effective: Vec<(usize, usize)> = bridges
             .iter()
             .map(|&(a, b)| (a % chains, b % chains))
@@ -582,53 +431,6 @@ proptest! {
                     "bridge {}->{} not merged", a, b
                 );
             }
-        }
-
-        let (mut db_seq, ids, _) = build_chains(chains, length, &bridges);
-        db_seq.attach_journal(0);
-        let (seq_outcomes, seq_image, seq_records) = run_stream(
-            |engine, db, audit, ev| {
-                let out = engine
-                    .process_compiled(&compiled, db, audit, ev)
-                    .expect("lenient policy");
-                (
-                    out.delivered,
-                    out.invocations.iter().map(|i| format!("{i:?}")).collect(),
-                )
-            },
-            &mut db_seq,
-            &ids,
-            &stream,
-            &policy,
-        );
-        let seq_journal = db_seq.drain_journal();
-        let seq_index = index_view(&db_seq, &db_seq);
-
-        for workers in [1usize, 2, 4, 8] {
-            let (mut db, ids, _) = build_chains(chains, length, &bridges);
-            db.attach_journal(0);
-            let mut engine = RuntimeEngine::new(policy.clone());
-            let mut audit = AuditLog::retaining();
-            let events: Vec<QueuedEvent> = stream
-                .iter()
-                .map(|(event_idx, up, target, arg)| {
-                    let dir = if *up { Direction::Up } else { Direction::Down };
-                    let id = ids[target % ids.len()];
-                    QueuedEvent::target(EVENTS[*event_idx], dir, id, "difftest")
-                        .with_arg(arg.clone())
-                })
-                .collect();
-            let outcomes =
-                run_batch(&mut engine, &compiled, &mut db, &mut audit, events, workers);
-            let records: Vec<String> =
-                audit.records().iter().map(|r| format!("{r:?}")).collect();
-            let journal = db.drain_journal();
-            prop_assert_eq!(&outcomes, &seq_outcomes, "workers={}", workers);
-            prop_assert_eq!(&records, &seq_records, "workers={}", workers);
-            prop_assert_eq!(journal.as_str(), seq_journal.as_str(), "workers={}", workers);
-            prop_assert_eq!(db.stats(), db_seq.stats(), "workers={}", workers);
-            prop_assert_eq!(&index_view(&db_seq, &db), &seq_index, "workers={}", workers);
-            prop_assert_eq!(&persist::save(&db), &seq_image, "workers={}", workers);
         }
     }
 }

@@ -1,16 +1,20 @@
 //! Mutation properties for the decoders a socket or a follower's tail
 //! stream reaches: `Request::decode`, `Response::decode`,
-//! `TailFrame::decode`, `JournalOp::decode` and `journal::decode_record`.
+//! `TailFrame::decode`, `JournalOp::decode`, `journal::decode_record`,
+//! `TraceRecord::decode` (clients and `damocles_inspect --trace` read
+//! trace lines) and `EventMessage::parse_wire` (a raw `postEvent` line on
+//! a connection).
 //!
 //! The seeds are real encodings: the requests and replies of a journaled
 //! session driven through [`ProjectService`], the tail hub's wire lines
 //! for that session, and the journal records and op bodies those lines
 //! carry (plus the invocation ops, which a session without detached tools
-//! never writes, rendered by the same encoder). A small seeded mutator
-//! stacks one to three edits on a seed — a bit flip, a truncation, a
-//! splice with another seed's suffix, an inserted hostile byte, a number
-//! swapped for an out-of-range or signed one, a deleted byte — and the
-//! property is:
+//! never writes, rendered by the same encoder), the trace records of the
+//! session's `trace get` reply and its posted event messages. A small
+//! seeded mutator stacks one to three edits on a seed — a bit flip, a
+//! truncation, a splice with another seed's suffix, an inserted hostile
+//! byte, a number swapped for an out-of-range or signed one, a deleted
+//! byte — and the property is:
 //!
 //! * the decoder never panics;
 //! * when it returns `Ok(v)`, decoding the encoding of `v` returns
@@ -28,6 +32,7 @@ use std::time::Duration;
 use blueprint_core::engine::api::{Request, Response, TraceMode};
 use blueprint_core::engine::service::ProjectService;
 use blueprint_core::engine::tail::{TailCursor, TailFrame};
+use blueprint_core::engine::trace::TraceRecord;
 use damocles_meta::journal::{decode_record, encode_record, JournalOp};
 use damocles_meta::{Direction, EventMessage, Oid};
 
@@ -196,6 +201,12 @@ struct Seeds {
     tail_frames: Vec<String>,
     /// The op bodies of the streamed records, plus the invocation ops.
     op_bodies: Vec<String>,
+    /// The records of the `trace get` reply, plus a `begin` line with a
+    /// lane and a shard.
+    trace_records: Vec<String>,
+    /// The posted event messages in `postEvent` wire form, plus one with
+    /// quoted, escaped and empty arguments.
+    wire_messages: Vec<String>,
 }
 
 /// The session runs once; every test mutates its own share of it.
@@ -364,9 +375,31 @@ fn record_session() -> Seeds {
     let mut tail_frames = Vec::new();
     let mut responses = Vec::new();
     let mut request_lines = Vec::new();
+    let mut trace_records = vec![TraceRecord::Begin {
+        event: "ckin".into(),
+        target: oid("cpu", "src", 2),
+        user: "ann lee".into(),
+        clock: 9,
+        lane: Some(1),
+        shard: Some(3),
+    }
+    .encode()];
+    let mut wire_messages = vec![
+        EventMessage::new("sim", Direction::Down, oid("cpu", "der", 1))
+            .with_arg("say \"hi\" \\ now")
+            .with_arg("")
+            .to_string(),
+    ];
     for request in requests {
         request_lines.push(request.encode());
-        responses.push(svc.call(request).encode());
+        if let Request::Post { message, .. } = &request {
+            wire_messages.push(message.to_string());
+        }
+        let response = svc.call(request);
+        if let Response::Trace { records } = &response {
+            trace_records.extend(records.iter().cloned());
+        }
+        responses.push(response.encode());
         let mut wire = String::new();
         while hub
             .next_wire(&mut cursor, Duration::from_millis(1), &mut wire)
@@ -410,6 +443,8 @@ fn record_session() -> Seeds {
         responses,
         tail_frames,
         op_bodies,
+        trace_records,
+        wire_messages,
     }
 }
 
@@ -490,5 +525,36 @@ fn decode_record_survives_rechecksummed_mutants() {
             let payload = line.strip_suffix('\n').unwrap().split_once(' ').unwrap().1;
             payload.to_string()
         },
+    );
+}
+
+#[test]
+fn trace_record_decode_survives_mutants() {
+    let seeds = &session().trace_records;
+    for kind in ["begin ", "deliver ", "write ", "fire ", "end "] {
+        assert!(
+            seeds.iter().any(|s| s.starts_with(kind)),
+            "{kind}: {seeds:?}"
+        );
+    }
+    holds(
+        "TraceRecord::decode",
+        6,
+        seeds,
+        TraceRecord::decode,
+        TraceRecord::encode,
+    );
+}
+
+#[test]
+fn event_message_parse_wire_survives_mutants() {
+    let seeds = &session().wire_messages;
+    assert!(seeds.len() >= 3, "{seeds:?}");
+    holds(
+        "EventMessage::parse_wire",
+        7,
+        seeds,
+        EventMessage::parse_wire,
+        EventMessage::to_string,
     );
 }

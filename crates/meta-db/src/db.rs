@@ -673,7 +673,7 @@ impl MetaDb {
         };
         // Conservative delta: merge the new end with the surviving end.
         // The old end stays merged too — a coarser partition is still a
-        // correct partition (waves just share a lane they need not).
+        // correct partition (two groups just stay merged that need not).
         let other = if moved_end == MovedEnd::From {
             link.to
         } else {

@@ -24,8 +24,7 @@
 //! pays one fsync of latency while a burst amortizes one append+fsync
 //! across the whole backlog — a reply in hand always means the effect is
 //! durable. There is no batch-size knob to tune. Each `process` drain
-//! runs its waves inline unless `DAMOCLES_WAVE_WORKERS=N` asks every
-//! server in the process for N wave lanes (see `DESIGN.md` §9).
+//! runs every event's wave inline, in queue order (see `DESIGN.md` §9).
 //!
 //! **Follower** (`--follow <leader-addr>`): a read-only replica. It
 //! connects to a journaling leader, bootstraps from the leader's

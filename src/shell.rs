@@ -590,12 +590,11 @@ fn render(shown: &Presented, response: Response) -> ShellOutput {
                 _ => "off".to_string(),
             };
             let mut out = format!(
-                "oids={} links={} pending={} journal={journal} workers={} \
+                "oids={} links={} pending={} journal={journal} \
                  inv_pending={} inv_running={} inv_retrying={} inv_failed={}",
                 stat.oids,
                 stat.links,
                 stat.pending_events,
-                stat.wave_workers,
                 stat.pending_invocations,
                 stat.running_invocations,
                 stat.retrying_invocations,

@@ -180,6 +180,46 @@ fn raw_postevent_lines_work_over_the_wire() {
     }
 }
 
+/// A line longer than `MAX_LINE_BYTES` with no newline gets one `err`
+/// reply, then the server closes that connection; a connection opened
+/// before it keeps working.
+#[test]
+fn an_over_long_line_gets_one_error_and_a_close() {
+    use damocles::core::engine::service::MAX_LINE_BYTES;
+    use std::io::{BufRead, BufReader, Read, Write};
+
+    let addr = spawn_server(edtc_service());
+    let mut bystander = std::net::TcpStream::connect(addr).unwrap();
+    let mut bystander_lines = BufReader::new(bystander.try_clone().unwrap());
+    bystander.write_all(b"stat\n").unwrap();
+    let mut line = String::new();
+    bystander_lines.read_line(&mut line).unwrap();
+    assert!(line.starts_with("stat "), "{line:?}");
+
+    let mut hostile = std::net::TcpStream::connect(addr).unwrap();
+    // A server that waits for the newline fails the read instead of
+    // hanging the test.
+    hostile
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    hostile.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]).unwrap();
+    let mut reply = String::new();
+    hostile.read_to_string(&mut reply).unwrap();
+    let (first, rest) = reply.split_once('\n').expect("one reply line");
+    assert_eq!(rest, "", "nothing after the error, then EOF");
+    match Response::decode(first).unwrap() {
+        Response::Error(damocles::core::ApiError::Parse { at, .. }) => {
+            assert_eq!(at, MAX_LINE_BYTES as u64);
+        }
+        other => panic!("{other:?}"),
+    }
+
+    bystander.write_all(b"stat\n").unwrap();
+    line.clear();
+    bystander_lines.read_line(&mut line).unwrap();
+    assert!(line.starts_with("stat "), "{line:?}");
+}
+
 #[test]
 fn sessions_see_their_requests_in_order_and_batches_commit_atomically() {
     let dir = std::env::temp_dir().join("damocles-api-protocol-order");

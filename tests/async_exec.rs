@@ -175,22 +175,6 @@ fn detached_matches_inline_when_fault_free() {
     assert_eq!(persist::save(inline_s.db()), persist::save(detached_s.db()));
 }
 
-/// Sharding the drain across wave workers must not reorder what the
-/// engine observes: per-event dispatch order is preserved, so a sharded
-/// drain with faults and retries converges to the sequential image.
-/// This closes the PR 5 caveat where `process_all` deferred executor
-/// dispatch to the end of each sharded batch.
-#[test]
-fn sharded_dispatch_preserves_per_event_order() {
-    let image_with_workers = |workers: usize| {
-        let mut s = detached_server(23, 0.3);
-        s.set_wave_workers(workers);
-        run_flow(&mut s, 3);
-        persist::save(s.db())
-    };
-    assert_eq!(image_with_workers(1), image_with_workers(4));
-}
-
 // ---------------------------------------------------------------------
 // Acceptance: a fault storm never wedges the command loop
 // ---------------------------------------------------------------------

@@ -22,9 +22,6 @@ use damocles::flows::{DesignSpec, EDTC_LOOSENED_SOURCE, EDTC_SOURCE};
 /// trace, one encoded record per line.
 fn traced_run(source: &str, steps: &[Step]) -> String {
     let mut server = ProjectServer::from_source(source).expect("scenario blueprint parses");
-    // The fixtures pin the sequential trace shape (`lane: None`), so a
-    // `DAMOCLES_WAVE_WORKERS` count in the environment is overridden here.
-    server.set_wave_workers(1);
     server.set_trace_retention(true);
     play(&mut server, steps).expect("scenario plays cleanly");
     let lines: Vec<String> = server
@@ -88,7 +85,6 @@ fn edtc_walkthrough_trace_is_golden() {
     // The §3.4 walkthrough: model + schematic, derive link, a second
     // model version invalidating downstream, then a sim result.
     let mut server = ProjectServer::from_source(EDTC_SOURCE).expect("EDTC parses");
-    server.set_wave_workers(1); // fixture pins the sequential trace shape
     server.set_trace_retention(true);
     let steps = [
         Step::checkin("CPU", "HDL_model", "yves", b"module cpu v1"),
@@ -171,45 +167,4 @@ fn generated_design_trace_is_golden() {
         ],
     );
     assert_golden("generated_tiny", &got);
-}
-
-#[test]
-fn sequential_and_sharded_traces_tell_the_same_story() {
-    // The sharded wave path stamps lane/shard on `begin` records but
-    // must deliver the same causal steps. Compare with lanes scrubbed.
-    let steps = [
-        Step::checkin("CPU", "HDL_model", "yves", b"v1"),
-        Step::checkin("GPU", "HDL_model", "ada", b"v1"),
-        Step::checkin("DSP", "HDL_model", "lin", b"v1"),
-        Step::ProcessAll,
-    ];
-    let sequential = traced_run(EDTC_SOURCE, &steps);
-
-    let mut server = ProjectServer::from_source(EDTC_SOURCE).unwrap();
-    server.set_trace_retention(true);
-    server.set_wave_workers(3);
-    play(&mut server, &steps).unwrap();
-    let sharded: Vec<String> = server
-        .take_trace()
-        .iter()
-        .map(|r| match r {
-            TraceRecord::Begin {
-                event,
-                target,
-                user,
-                clock,
-                ..
-            } => TraceRecord::Begin {
-                event: event.clone(),
-                target: target.clone(),
-                user: user.clone(),
-                clock: *clock,
-                lane: None,
-                shard: None,
-            }
-            .encode(),
-            other => other.encode(),
-        })
-        .collect();
-    assert_eq!(sequential.trim_end(), sharded.join("\n"));
 }
