@@ -17,14 +17,24 @@
 //!   production path: record at mutation time, drain, append.
 //! * `persist/recover/{oids}` — `journal::recover` of snapshot + a 64-op
 //!   tail (cold-start latency after a crash).
+//! * `persist/growing_project/4000` — one group-commit window of a
+//!   project that only grows, through a journaled `ProjectServer`:
+//!   16 new-version check-ins, a `process`, the flush and any checkpoint
+//!   the fold policy calls for. The stream is 4,000 check-ins of 64-byte
+//!   payloads across 512 blocks, the one
+//!   `tests/durability.rs::a_growing_project_checkpoints_within_twice_its_journal`
+//!   runs; after its last window it starts over on a fresh server.
 //!
 //! Smoke mode for CI: set `BENCH_SMOKE=1` to shrink measurement windows;
 //! set `BENCH_JSON=<file>` (vendored-criterion feature) to append results
 //! as JSON lines — that is how `BENCH_pr2.json` is produced.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
+use std::cell::Cell;
 use std::hint::black_box;
 
+use blueprint_core::engine::api::DEFAULT_CHECKPOINT_EVERY;
+use blueprint_core::engine::server::ProjectServer;
 use damocles_bench::{bench_dir, config};
 use damocles_meta::journal::{self, JournalWriter};
 use damocles_meta::{LinkClass, LinkKind, MetaDb, Oid, OidId, Value, Workspace};
@@ -168,9 +178,64 @@ fn bench_recover(c: &mut Criterion) {
     group.finish();
 }
 
+const GROWING: &str = r#"
+    blueprint growing
+    view default
+        property uptodate default false
+        when ckin do uptodate = true done
+    endview
+    view HDL_model endview
+    endblueprint
+"#;
+
+/// Check-ins in the growing project's stream, 16 to a window.
+const CHECKINS: usize = 4_000;
+const WINDOW: usize = 16;
+
+/// One window of the growing project's stream per iteration; the server
+/// and its position in the stream carry over between iterations.
+fn bench_growing_project(c: &mut Criterion) {
+    let mut group = c.benchmark_group("persist/growing_project");
+    let dir = bench_dir("persist-growing");
+    let start = || {
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut server = ProjectServer::from_source(GROWING).unwrap();
+        server
+            .enable_journal(&dir, DEFAULT_CHECKPOINT_EVERY)
+            .unwrap();
+        server.set_group_commit(true).unwrap();
+        (server, 0)
+    };
+    let slot = Cell::new(None);
+    group.throughput(Throughput::Elements(WINDOW as u64));
+    group.bench_function(BenchmarkId::from_parameter(CHECKINS), |b| {
+        b.iter_batched(
+            || match slot.take() {
+                Some((server, next)) if next < CHECKINS => (server, next),
+                _ => start(),
+            },
+            |(mut server, next): (ProjectServer, usize)| {
+                for i in next..next + WINDOW {
+                    let block = format!("blk{}", i % 512);
+                    let payload = format!("{i:064}").into_bytes();
+                    server
+                        .checkin(&block, "HDL_model", "yves", payload)
+                        .unwrap();
+                }
+                server.process_all().unwrap();
+                server.flush_journal().unwrap();
+                slot.set(Some((server, next + WINDOW)));
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_full_save, bench_incremental_checkpoint, bench_journal_append, bench_recover
+    targets = bench_full_save, bench_incremental_checkpoint, bench_journal_append, bench_recover,
+        bench_growing_project
 }
 criterion_main!(benches);

@@ -71,9 +71,12 @@ impl fmt::Display for SessionId {
 // Requests
 // ---------------------------------------------------------------------
 
-/// Default checkpoint fold interval (ops) for `EnableJournal`/`Recover`
-/// when a front-end lets the user omit it — shared by the shell and the
-/// `damocles_server` binary so the two front doors fold identically.
+/// Default record floor of the checkpoint fold policy for
+/// `EnableJournal`/`Recover` when a front-end lets the user omit it —
+/// shared by the shell and the `damocles_server` binary so the two front
+/// doors fold identically. A journal folds into a fresh snapshot once it
+/// holds at least this many records *and* at least as many record bytes
+/// as the last snapshot (`DESIGN.md` §3).
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 1024;
 
 /// One typed command to a project server — the union of every operation a
@@ -188,7 +191,8 @@ pub enum Request {
     EnableJournal {
         /// Durability directory (server-side path).
         dir: String,
-        /// Checkpoint fold interval in ops.
+        /// Record floor of the checkpoint fold policy (see
+        /// [`DEFAULT_CHECKPOINT_EVERY`]).
         every: u64,
     },
     /// Fold the journal into a fresh snapshot now.
@@ -197,7 +201,7 @@ pub enum Request {
     Recover {
         /// Durability directory (server-side path).
         dir: String,
-        /// Checkpoint fold interval after recovery.
+        /// Record floor of the checkpoint fold policy after recovery.
         every: u64,
     },
     /// Persist database + payloads to a file (server-side path).
@@ -273,7 +277,7 @@ pub enum Request {
         /// Durability directory for the promoted node's own journal
         /// (server-side path).
         dir: String,
-        /// Checkpoint fold interval in ops.
+        /// Record floor of the checkpoint fold policy.
         every: u64,
         /// The new leadership term; must strictly exceed every term this
         /// node has observed.

@@ -73,7 +73,9 @@ use std::sync::{Arc, Mutex};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-use crate::engine::api::{ApiError, ProjectEntry, Request, Response, SessionId};
+use crate::engine::api::{
+    ApiError, ProjectEntry, Request, Response, SessionId, DEFAULT_CHECKPOINT_EVERY,
+};
 use crate::engine::compile::CompiledBlueprint;
 use crate::engine::exec::ScriptExecutor;
 use crate::engine::server::{ProjectServer, SNAPSHOT_FILE};
@@ -96,8 +98,9 @@ pub struct FleetConfig {
     /// Ceiling on simultaneously pinned (resident or evicting) projects;
     /// beyond it the least-recently-used resident is evicted.
     pub max_active: usize,
-    /// `checkpoint_every` handed to each project's journal (fold the
-    /// journal into a snapshot every this many records).
+    /// `checkpoint_every` handed to each project's journal: the record
+    /// floor of the fold policy (a journal folds into a snapshot once it
+    /// holds this many records and outgrows the last snapshot).
     pub checkpoint_every: u64,
     /// Requests parked per project while it waits for a slot or an
     /// eviction to finish; past it the router answers
@@ -110,7 +113,7 @@ impl Default for FleetConfig {
         FleetConfig {
             engine_workers: 4,
             max_active: 64,
-            checkpoint_every: 1024,
+            checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
             park_limit: 1024,
         }
     }

@@ -73,13 +73,30 @@ struct Durability {
     epoch: u64,
     /// Leadership term the journal is written under (see `fence_term`).
     term: u64,
-    /// Fold the journal into a fresh snapshot after this many appended ops.
+    /// The fold policy's record floor: no fold before this many records.
     checkpoint_every: u64,
+    /// Records flushed since the last checkpoint.
     ops_since_checkpoint: u64,
+    /// Record bytes flushed since the last checkpoint.
+    bytes_since_checkpoint: u64,
+    /// Length of the image the last checkpoint wrote.
+    image_len: u64,
     /// Set when the database was swapped wholesale (`adopt_project`): the
     /// journal on disk no longer describes the in-memory state, so the next
     /// sync point must checkpoint before appending anything.
     force_checkpoint: bool,
+}
+
+impl Durability {
+    /// The fold policy: a flush folds the journal once it holds at least
+    /// `checkpoint_every` records *and* at least as many record bytes as
+    /// the last image, so checkpoint writes stay within about twice the
+    /// journal's bytes however large the project grows (DESIGN §3). The
+    /// checkpoint's own work re-seed counts toward neither.
+    fn fold_due(&self) -> bool {
+        self.ops_since_checkpoint >= self.checkpoint_every
+            && self.bytes_since_checkpoint >= self.image_len
+    }
 }
 
 fn journal_io(e: std::io::Error) -> EngineError {
@@ -474,7 +491,8 @@ impl<E: ScriptExecutor> ProjectServer<E> {
     /// fresh journal) under `dir`, attaches a journal recorder to the
     /// database, and from then on appends every mutation's op record at
     /// each server operation boundary, folding the journal into a fresh
-    /// snapshot every `checkpoint_every` ops (and on
+    /// snapshot once it holds at least `checkpoint_every` records and at
+    /// least as many record bytes as the last snapshot (and on
     /// [`ProjectServer::checkpoint`]). Returns the checkpoint epoch.
     ///
     /// The durability cost between checkpoints scales with the mutation
@@ -555,6 +573,7 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         self.db.attach_journal(writer.record_count());
         self.journal_poisoned = false;
         self.term = term;
+        let image_len = image.len() as u64;
         self.tail.publish_enable(epoch, term, image);
         self.durability = Some(Durability {
             dir,
@@ -563,6 +582,8 @@ impl<E: ScriptExecutor> ProjectServer<E> {
             term,
             checkpoint_every: checkpoint_every.max(1),
             ops_since_checkpoint: 0,
+            bytes_since_checkpoint: 0,
+            image_len,
             force_checkpoint: false,
         });
         // Events queued before this enable predate the journal: stamp them
@@ -789,6 +810,8 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         d.writer = writer;
         d.epoch = epoch;
         d.ops_since_checkpoint = 0;
+        d.bytes_since_checkpoint = 0;
+        d.image_len = image.len() as u64;
         d.force_checkpoint = false;
         // Work records — still-queued events, in-flight detached
         // invocations — have no snapshot representation: re-seed the fresh
@@ -1019,15 +1042,15 @@ impl<E: ScriptExecutor> ProjectServer<E> {
                 reason: format!("journal append failed, durability disabled: {e}"),
             });
         }
-        let appended = batch.len() as u64;
+        d.ops_since_checkpoint += batch.len() as u64;
+        d.bytes_since_checkpoint += batch.as_str().len() as u64;
+        let fold = d.fold_due();
         // Publish to tail subscribers strictly AFTER the fsync: a record a
         // follower ever sees is on the leader's stable storage, so
         // replication can never run ahead of durability. The hub keeps
         // the written buffer itself, so followers get the bytes on disk.
         self.tail.publish_records(batch);
-        let d = self.durability.as_mut().expect("checked above");
-        d.ops_since_checkpoint += appended;
-        if d.ops_since_checkpoint >= d.checkpoint_every {
+        if fold {
             self.checkpoint()?;
         }
         Ok(())
@@ -2093,6 +2116,109 @@ mod tests {
         let mut fresh = ProjectServer::from_source(SIMPLE).unwrap();
         fresh.recover_journal(&dir, 8).unwrap();
         assert_eq!(damocles_meta::persist::save(fresh.db()), image);
+
+        // Bytes alone never fold: every 4 KiB check-in flushes more
+        // bytes than the small image holds, and the journal folds at the
+        // first flush that reaches the 64-record floor.
+        let dir = temp_dir("fold-floor");
+        let mut server = ProjectServer::from_source(SIMPLE).unwrap();
+        let epoch = server.enable_journal(&dir, 64).unwrap();
+        let mut journal = JournalBytes::open(&dir);
+        let mut checkins = 0;
+        while server.journal_epoch() == Some(epoch) {
+            server
+                .checkin(
+                    &format!("b{checkins}"),
+                    "HDL_model",
+                    "yves",
+                    vec![b'x'; 4096],
+                )
+                .unwrap();
+            checkins += 1;
+            let (records, bytes) = journal.records();
+            assert!(bytes > journal.image, "{bytes} vs {}", journal.image);
+            let folded = server.journal_epoch() != Some(epoch);
+            assert_eq!(folded, records >= 64, "{records} records");
+        }
+        assert!(checkins > 1, "{checkins}");
+
+        // Records alone never fold either: at a floor of one record, a
+        // flush folds exactly when the bytes flushed since the last
+        // checkpoint reach the image it wrote. The unprocessed check-ins
+        // leave `ckin` events queued, so each fold re-seeds the fresh
+        // journal with their records, and those do not count.
+        let dir = temp_dir("fold-bytes");
+        let mut server = ProjectServer::from_source(SIMPLE).unwrap();
+        server.enable_journal(&dir, 1).unwrap();
+        for i in 0..16 {
+            server
+                .checkin(&format!("big{i}"), "HDL_model", "yves", vec![b'x'; 512])
+                .unwrap();
+        }
+        server.process_all().unwrap();
+        server.checkpoint().unwrap();
+        let mut journal = JournalBytes::open(&dir);
+        assert_eq!(journal.records(), (0, 0));
+        let (mut folds, mut reseed_would_fold) = (0, false);
+        for i in 0..400 {
+            let epoch = server.journal_epoch();
+            server
+                .checkin(&format!("s{i}"), "HDL_model", "yves", b"v".to_vec())
+                .unwrap();
+            let (_, bytes) = journal.records();
+            let flushed = bytes - journal.reseed;
+            let folded = server.journal_epoch() != epoch;
+            assert_eq!(
+                folded,
+                flushed >= journal.image,
+                "check-in {i}: {flushed} bytes flushed against a {}-byte image",
+                journal.image
+            );
+            reseed_would_fold |= !folded && bytes >= journal.image;
+            if folded {
+                folds += 1;
+                journal = JournalBytes::open(&dir);
+                assert!(journal.reseed > 0, "queued events were re-seeded");
+            }
+        }
+        assert!(folds >= 2, "{folds}");
+        assert!(reseed_would_fold, "a re-seed large enough to matter");
+    }
+
+    /// One journal file as it grows, read through a handle opened right
+    /// after a checkpoint: a fold renames a fresh journal into place, so
+    /// the handle keeps seeing the epoch's whole journal, the batch
+    /// that triggered the fold included.
+    struct JournalBytes {
+        file: std::fs::File,
+        /// Length of the snapshot the journal extends.
+        image: u64,
+        /// Record bytes the checkpoint's work re-seed wrote.
+        reseed: u64,
+    }
+
+    impl JournalBytes {
+        fn open(dir: &Path) -> Self {
+            let image = std::fs::metadata(dir.join(SNAPSHOT_FILE)).unwrap().len();
+            let file = std::fs::File::open(dir.join(JOURNAL_FILE)).unwrap();
+            let mut journal = JournalBytes {
+                file,
+                image,
+                reseed: 0,
+            };
+            journal.reseed = journal.records().1;
+            journal
+        }
+
+        /// Records in the journal and their bytes, header excluded.
+        fn records(&mut self) -> (u64, u64) {
+            use std::io::{Read, Seek};
+            let mut text = String::new();
+            self.file.rewind().unwrap();
+            self.file.read_to_string(&mut text).unwrap();
+            let records = text.split_once('\n').map_or("", |(_header, rest)| rest);
+            (records.lines().count() as u64, records.len() as u64)
+        }
     }
 
     /// The tail hub's record lines of the current epoch, from sequence 0.

@@ -32,8 +32,9 @@
 //!   records from sequence 0.
 //!
 //! The hub retains only the current epoch's records (bounded by the
-//! checkpoint fold policy) plus one `(epoch, final-count)` pair for the
-//! marker optimization — memory stays O(checkpoint interval), never
+//! checkpoint fold policy: about one snapshot's worth of record bytes,
+//! or fewer than its record floor) plus one `(epoch, final-count)` pair
+//! for the marker optimization — memory stays O(snapshot), never
 //! O(history).
 //!
 //! # Terms

@@ -64,12 +64,26 @@ use crate::lang::token::{Keyword, Token, TokenKind};
 /// ```
 pub fn parse(source: &str) -> Result<Blueprint, ParseError> {
     let tokens = lex(source)?;
-    Parser { tokens, pos: 0 }.blueprint()
+    Parser {
+        tokens,
+        pos: 0,
+        open: 0,
+    }
+    .blueprint()
 }
+
+/// The deepest expression the parser builds: every `(`, `not`, `and`,
+/// `or`, `==` and `!=` on the way from the root to a leaf counts one
+/// level. Every later walk of an [`Expr`] (validation, compilation,
+/// evaluation, drop) recurses once per level of its tree, so the cap
+/// keeps one hostile blueprint from overflowing a thread's stack.
+const MAX_EXPR_DEPTH: usize = 256;
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// `(` and `not` levels open around the current token.
+    open: usize,
 }
 
 impl Parser {
@@ -320,7 +334,7 @@ impl Parser {
             ));
         }
         self.bump();
-        let expr = self.expr()?;
+        let (expr, _) = self.expr()?;
         Ok(LetDef {
             name,
             expr,
@@ -469,54 +483,68 @@ impl Parser {
     // Expressions
     // ------------------------------------------------------------------
 
-    fn expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.and_expr()?;
-        while self.eat_kw(Keyword::Or) {
-            let rhs = self.and_expr()?;
+    /// An expression and the depth of its tree, counted as
+    /// [`MAX_EXPR_DEPTH`] counts it.
+    fn expr(&mut self) -> Result<(Expr, usize), ParseError> {
+        let (mut lhs, mut depth) = self.and_expr()?;
+        while self.at_kw(Keyword::Or) {
+            let at = self.bump().span;
+            let (rhs, rhs_depth) = self.and_expr()?;
+            depth = deeper(depth.max(rhs_depth), at)?;
             lhs = Expr::Or(Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.not_expr()?;
-        while self.eat_kw(Keyword::And) {
-            let rhs = self.not_expr()?;
+    fn and_expr(&mut self) -> Result<(Expr, usize), ParseError> {
+        let (mut lhs, mut depth) = self.not_expr()?;
+        while self.at_kw(Keyword::And) {
+            let at = self.bump().span;
+            let (rhs, rhs_depth) = self.not_expr()?;
+            depth = deeper(depth.max(rhs_depth), at)?;
             lhs = Expr::And(Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn not_expr(&mut self) -> Result<Expr, ParseError> {
-        if self.eat_kw(Keyword::Not) {
-            let inner = self.not_expr()?;
-            return Ok(Expr::Not(Box::new(inner)));
+    fn not_expr(&mut self) -> Result<(Expr, usize), ParseError> {
+        if self.at_kw(Keyword::Not) {
+            let at = self.enter()?;
+            let (inner, depth) = self.not_expr()?;
+            self.open -= 1;
+            return Ok((Expr::Not(Box::new(inner)), deeper(depth, at)?));
         }
         self.cmp()
     }
 
-    fn cmp(&mut self) -> Result<Expr, ParseError> {
-        let lhs = self.primary()?;
-        match self.peek_kind() {
-            TokenKind::EqEq => {
-                self.bump();
-                let rhs = self.primary()?;
-                Ok(Expr::Eq(Box::new(lhs), Box::new(rhs)))
-            }
-            TokenKind::NotEq => {
-                self.bump();
-                let rhs = self.primary()?;
-                Ok(Expr::Ne(Box::new(lhs), Box::new(rhs)))
-            }
-            _ => Ok(lhs),
-        }
+    fn cmp(&mut self) -> Result<(Expr, usize), ParseError> {
+        let (lhs, depth) = self.primary()?;
+        let node = match self.peek_kind() {
+            TokenKind::EqEq => Expr::Eq,
+            TokenKind::NotEq => Expr::Ne,
+            _ => return Ok((lhs, depth)),
+        };
+        let at = self.bump().span;
+        let (rhs, rhs_depth) = self.primary()?;
+        let depth = deeper(depth.max(rhs_depth), at)?;
+        Ok((node(Box::new(lhs), Box::new(rhs)), depth))
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek_kind().clone() {
+    /// Consumes a `(` or `not` and enters the level it opens, refusing
+    /// the one past [`MAX_EXPR_DEPTH`] before descending into it: the
+    /// descent itself recurses once per level.
+    fn enter(&mut self) -> Result<Span, ParseError> {
+        let at = self.bump().span;
+        self.open = deeper(self.open, at)?;
+        Ok(at)
+    }
+
+    fn primary(&mut self) -> Result<(Expr, usize), ParseError> {
+        let leaf = match self.peek_kind().clone() {
             TokenKind::LParen => {
-                self.bump();
-                let inner = self.expr()?;
+                let at = self.enter()?;
+                let (inner, depth) = self.expr()?;
+                self.open -= 1;
                 if !matches!(self.peek_kind(), TokenKind::RParen) {
                     return Err(ParseError::new(
                         format!("expected `)`, found {}", self.peek_kind()),
@@ -524,30 +552,34 @@ impl Parser {
                     ));
                 }
                 self.bump();
-                Ok(inner)
+                return Ok((inner, deeper(depth, at)?));
             }
-            TokenKind::Var(v) => {
-                self.bump();
-                Ok(Expr::Var(v))
+            TokenKind::Var(v) => Expr::Var(v),
+            TokenKind::Ident(a) => Expr::Atom(a),
+            TokenKind::Int(n) => Expr::Atom(n.to_string()),
+            TokenKind::Str(s) => Expr::Str(Template::unescape_raw(&s)),
+            other => {
+                return Err(ParseError::new(
+                    format!("expected an expression, found {other}"),
+                    self.peek().span,
+                ))
             }
-            TokenKind::Ident(a) => {
-                self.bump();
-                Ok(Expr::Atom(a))
-            }
-            TokenKind::Int(n) => {
-                self.bump();
-                Ok(Expr::Atom(n.to_string()))
-            }
-            TokenKind::Str(s) => {
-                self.bump();
-                Ok(Expr::Str(Template::unescape_raw(&s)))
-            }
-            other => Err(ParseError::new(
-                format!("expected an expression, found {other}"),
-                self.peek().span,
-            )),
-        }
+        };
+        self.bump();
+        Ok((leaf, 0))
     }
+}
+
+/// One level below `depth`, or the positioned refusal past
+/// [`MAX_EXPR_DEPTH`].
+fn deeper(depth: usize, at: Span) -> Result<usize, ParseError> {
+    if depth >= MAX_EXPR_DEPTH {
+        return Err(ParseError::new(
+            format!("expression nests deeper than {MAX_EXPR_DEPTH} levels"),
+            at,
+        ));
+    }
+    Ok(depth + 1)
 }
 
 #[cfg(test)]
@@ -750,5 +782,28 @@ mod tests {
             }
             other => panic!("expected or, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn expression_depth_is_capped_with_a_position() {
+        let nested = |n: usize| format!("let x = {}a{}", "(".repeat(n), ")".repeat(n));
+        let nots = |n: usize| format!("let x = {}a", "not ".repeat(n));
+        let chain = |n: usize| format!("let x = a{}", " or a".repeat(n));
+        for body in [nested, nots, chain] {
+            let src = |n| format!("blueprint t\nview X\n{}\nendview endblueprint", body(n));
+            parse(&src(MAX_EXPR_DEPTH)).unwrap();
+            let err = parse(&src(MAX_EXPR_DEPTH + 1)).unwrap_err();
+            assert!(err.message.contains("nests deeper than 256"), "{err}");
+            assert_eq!(err.span.start.line, 3, "{err}");
+        }
+        // Parenthesized chains nested on their left operand add up.
+        let mut expr = "a".to_string();
+        for _ in 0..=MAX_EXPR_DEPTH / 4 {
+            expr = format!("({expr} or a or a or a)");
+        }
+        let err = parse(&format!(
+            "blueprint t view X let x = {expr} endview endblueprint"
+        ));
+        assert!(err.unwrap_err().message.contains("nests deeper"));
     }
 }

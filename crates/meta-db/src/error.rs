@@ -67,6 +67,13 @@ pub enum MetaError {
         /// The offending input line.
         input: String,
     },
+    /// A project image (`persist` text, `damocles-db v1`) failed to load.
+    ImageParse {
+        /// What went wrong.
+        reason: String,
+        /// The offending image line.
+        line: String,
+    },
     /// An OID string (`block,view,version`) failed to parse.
     OidParse {
         /// What went wrong.
@@ -121,6 +128,9 @@ impl fmt::Display for MetaError {
             },
             MetaError::WireParse { reason, input } => {
                 write!(f, "invalid postEvent message `{input}`: {reason}")
+            }
+            MetaError::ImageParse { reason, line } => {
+                write!(f, "invalid damocles-db image at line `{line}`: {reason}")
             }
             MetaError::OidParse { reason, input } => {
                 write!(f, "invalid OID `{input}`: {reason}")

@@ -310,90 +310,100 @@ fn save_into(out: &mut String, db: &MetaDb) {
 ///
 /// # Errors
 ///
-/// Returns [`MetaError::WireParse`] with the offending line for any format
-/// violation.
+/// Returns [`MetaError::ImageParse`] with the offending line for any format
+/// violation, including a record the database refuses (a duplicate OID, a
+/// link to an unknown one).
 pub fn load(image: &str) -> Result<MetaDb, MetaError> {
-    let err = |line: &str, reason: String| MetaError::WireParse {
-        reason,
-        input: line.to_string(),
-    };
     let mut lines = image.lines();
-    match lines.next() {
-        Some(h) if h.trim() == HEADER => {}
-        other => {
-            return Err(err(
-                other.unwrap_or(""),
-                format!("expected header `{HEADER}`"),
-            ))
-        }
+    let header = lines.next().unwrap_or("");
+    if header.trim() != HEADER {
+        return Err(image_error(header, format!("expected header `{HEADER}`")));
     }
-
     let mut db = MetaDb::new();
-    let mut current_oid: Option<OidId> = None;
-    let mut current_link: Option<crate::link::LinkId> = None;
+    let mut owner = Owner::None;
     for line in lines {
         let line = line.trim_end();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let (keyword, rest) = line.split_once(' ').unwrap_or((line, ""));
-        match keyword {
-            "oid" => {
-                let oid: Oid = rest.trim().parse()?;
-                current_oid = Some(db.create_oid(oid)?);
-                current_link = None;
-            }
-            "prop" => {
-                let id = current_oid.ok_or_else(|| err(line, "prop before any oid".to_string()))?;
-                let (name, value) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| err(line, "prop needs name and value".to_string()))?;
-                let name = unescape(name).map_err(|e| err(line, e))?;
-                let value = decode_value(value).map_err(|e| err(line, e))?;
-                db.set_prop(id, &name, value)?;
-            }
-            "link" => {
-                let words: Vec<&str> = rest.split_whitespace().collect();
-                let [from, to, class, kind, propagates] = words.as_slice() else {
-                    return Err(err(line, "link needs 5 fields".to_string()));
-                };
-                let from_id = db.require(&from.parse()?)?;
-                let to_id = db.require(&to.parse()?)?;
-                let class = match *class {
-                    "use" => LinkClass::Use,
-                    "derive" => LinkClass::Derive,
-                    other => return Err(err(line, format!("unknown link class `{other}`"))),
-                };
-                let kind: LinkKind = unescape(kind)
-                    .map_err(|e| err(line, e))?
-                    .parse()
-                    .expect("LinkKind::from_str is infallible");
-                let events: Vec<String> = if *propagates == "-" {
-                    Vec::new()
-                } else {
-                    propagates
-                        .split(',')
-                        .map(unescape)
-                        .collect::<Result<_, _>>()
-                        .map_err(|e| err(line, e))?
-                };
-                current_link = Some(db.add_link_with(from_id, to_id, class, kind, events)?);
-                current_oid = None;
-            }
-            "lprop" => {
-                let link_id =
-                    current_link.ok_or_else(|| err(line, "lprop before any link".to_string()))?;
-                let (name, value) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| err(line, "lprop needs name and value".to_string()))?;
-                let name = unescape(name).map_err(|e| err(line, e))?;
-                let value = decode_value(value).map_err(|e| err(line, e))?;
-                db.set_link_prop(link_id, &name, value)?;
-            }
-            other => return Err(err(line, format!("unknown record `{other}`"))),
-        }
+        load_record(&mut db, &mut owner, line).map_err(|reason| image_error(line, reason))?;
     }
     Ok(db)
+}
+
+/// The record a `prop` or `lprop` line of an image belongs to.
+enum Owner {
+    None,
+    Oid(OidId),
+    Link(crate::link::LinkId),
+}
+
+fn image_error(line: &str, reason: String) -> MetaError {
+    MetaError::ImageParse {
+        reason,
+        line: line.to_string(),
+    }
+}
+
+/// Applies one image line to `db`; `owner` is the record the last `oid`
+/// or `link` line opened.
+fn load_record(db: &mut MetaDb, owner: &mut Owner, line: &str) -> Result<(), String> {
+    let refused = |e: MetaError| e.short_reason();
+    let (keyword, rest) = line.split_once(' ').unwrap_or((line, ""));
+    match keyword {
+        "oid" => {
+            let oid: Oid = rest.trim().parse().map_err(refused)?;
+            *owner = Owner::Oid(db.create_oid(oid).map_err(refused)?);
+        }
+        "prop" => {
+            let Owner::Oid(id) = *owner else {
+                return Err("prop before any oid".to_string());
+            };
+            let (name, value) = rest.split_once(' ').ok_or("prop needs name and value")?;
+            db.set_prop(id, &unescape(name)?, decode_value(value)?)
+                .map_err(refused)?;
+        }
+        "link" => {
+            let words: Vec<&str> = rest.split_whitespace().collect();
+            let [from, to, class, kind, propagates] = words.as_slice() else {
+                return Err("link needs 5 fields".to_string());
+            };
+            let from_id = db
+                .require(&from.parse().map_err(refused)?)
+                .map_err(refused)?;
+            let to_id = db.require(&to.parse().map_err(refused)?).map_err(refused)?;
+            let class = match *class {
+                "use" => LinkClass::Use,
+                "derive" => LinkClass::Derive,
+                other => return Err(format!("unknown link class `{other}`")),
+            };
+            let kind: LinkKind = unescape(kind)?
+                .parse()
+                .expect("LinkKind::from_str is infallible");
+            let events: Vec<String> = if *propagates == "-" {
+                Vec::new()
+            } else {
+                propagates
+                    .split(',')
+                    .map(unescape)
+                    .collect::<Result<_, _>>()?
+            };
+            let link = db
+                .add_link_with(from_id, to_id, class, kind, events)
+                .map_err(refused)?;
+            *owner = Owner::Link(link);
+        }
+        "lprop" => {
+            let Owner::Link(link) = *owner else {
+                return Err("lprop before any link".to_string());
+            };
+            let (name, value) = rest.split_once(' ').ok_or("lprop needs name and value")?;
+            db.set_link_prop(link, &unescape(name)?, decode_value(value)?)
+                .map_err(refused)?;
+        }
+        other => return Err(format!("unknown record `{other}`")),
+    }
+    Ok(())
 }
 
 /// Serializes database + workspace payloads (hex-encoded `data` records
@@ -421,7 +431,7 @@ pub fn save_project(db: &MetaDb, workspace: &crate::workspace::Workspace) -> Str
 ///
 /// # Errors
 ///
-/// Returns [`MetaError::WireParse`] on any format violation.
+/// Returns [`MetaError::ImageParse`] on any format violation.
 pub fn load_project(image: &str) -> Result<(MetaDb, crate::workspace::Workspace), MetaError> {
     // `load` ignores nothing, so strip data records first.
     let db_image: String = image
@@ -432,15 +442,16 @@ pub fn load_project(image: &str) -> Result<(MetaDb, crate::workspace::Workspace)
     let db = load(&db_image)?;
     let mut workspace = crate::workspace::Workspace::new("restored");
     for line in image.lines().filter(|l| l.starts_with("data ")) {
-        let err = |reason: &str| MetaError::WireParse {
-            reason: reason.to_string(),
-            input: line.to_string(),
-        };
+        let err = |reason: String| image_error(line, reason);
         let mut words = line.split_whitespace();
         let _ = words.next();
-        let oid: Oid = words.next().ok_or_else(|| err("missing OID"))?.parse()?;
-        let payload = decode_hex(words.next().unwrap_or("")).map_err(|e| err(&e))?;
-        let id = db.require(&oid)?;
+        let oid: Oid = words
+            .next()
+            .ok_or_else(|| err("missing OID".to_string()))?
+            .parse()
+            .map_err(|e: MetaError| err(e.short_reason()))?;
+        let payload = decode_hex(words.next().unwrap_or("")).map_err(err)?;
+        let id = db.require(&oid).map_err(|e| err(e.short_reason()))?;
         workspace.store(id, payload);
     }
     Ok((db, workspace))

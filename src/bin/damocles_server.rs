@@ -70,7 +70,7 @@ use blueprint_core::engine::service::{
 use damocles_tools::remote::spawn_tail_pump;
 
 const USAGE: &str = "usage: damocles_server <blueprint.bp> [--listen <addr>] \
-                     [--journal <dir>] [--every <ops>] \
+                     [--journal <dir>] [--every <records>] \
                      [--retry <retries,base_ms,mult,timeout_ms>] \
                      [--follow <leader-addr>] [--replay-until <epoch,seq>] \
                      [--fleet <root>] [--engine-workers <n>] [--max-active <m>]";
@@ -253,7 +253,10 @@ fn main() {
             every,
         }) {
             Response::Epoch { epoch } => {
-                eprintln!("journaling to {dir} (epoch {epoch}, checkpoint every {every} ops)");
+                eprintln!(
+                    "journaling to {dir} (epoch {epoch}, checkpoint once the journal \
+                     holds {every} records and outgrows the snapshot)"
+                );
             }
             Response::Error(e) => {
                 eprintln!("error: {e}");
