@@ -20,11 +20,25 @@
 //! not kernel socket-teardown time (the chaos suite in
 //! `tests/failover.rs` covers the real-SIGKILL path).
 //!
+//! `replication/catch_up` (target `replication_catch_up`) asks how fast
+//! one TCP follower takes a burst: a journaled leader populates
+//! `damocles_load`'s 3,072-OID design (8 view families × 6 derivation
+//! stages × 64 blocks, each stage checked in and linked, 64 requests in
+//! flight) and drains once. It reports the time from the leader's reply
+//! to the drain until the follower's cursor reaches the leader's, the
+//! records per second the follower applied in that time, and how far the
+//! follower's peak resident memory (`VmHWM`) grew during the set-up. The
+//! follower runs in a child process (this bench executable, re-run with
+//! [`REPLICA_OF`] set), so its memory is its own.
+//!
 //! Smoke mode for CI: set `BENCH_SMOKE=1` to shrink trial counts; set
 //! `BENCH_JSON=<file>` to append results as JSON lines — that is how
-//! `BENCH_pr9.json` is produced.
+//! `BENCH_pr9.json` and `BENCH_pr23.json` are produced.
 
+use std::collections::VecDeque;
+use std::io::{BufRead as _, BufReader};
 use std::net::TcpListener;
+use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -195,9 +209,220 @@ fn bench_mttr(_c: &mut Criterion) {
     ));
 }
 
+/// In a child of this bench: the leader address the replica tails. The
+/// child prints its front-door address and serves until killed.
+const REPLICA_OF: &str = "DAMOCLES_BENCH_REPLICA_OF";
+
+/// `damocles_load`'s single-project design: families, stages, blocks.
+const DESIGN: (usize, usize, usize) = (8, 6, 64);
+
+/// The blueprint of `damocles_load`'s design: every stage carries a
+/// `let`, each family is a derivation chain.
+fn design_blueprint() -> String {
+    use std::fmt::Write as _;
+    let (families, stages, _) = DESIGN;
+    let mut src = String::from(
+        "blueprint waves\n\
+         view default\n\
+         \x20   property uptodate default true\n\
+         \x20   let tracked = ($uptodate == true)\n\
+         \x20   when ckin do uptodate = true; post outofdate down done\n\
+         \x20   when outofdate do uptodate = false done\n\
+         endview\n",
+    );
+    for f in 0..families {
+        let _ = writeln!(src, "view f{f}_s0 endview");
+        for s in 1..stages {
+            let _ = writeln!(
+                src,
+                "view f{f}_s{s}\n    link_from f{f}_s{prev} move propagates outofdate, ckin type derived\nendview",
+                prev = s - 1
+            );
+        }
+    }
+    src.push_str("endblueprint\n");
+    src
+}
+
+/// The design's population — every chain's stages checked in and linked
+/// in order — then one drain.
+fn design_setup() -> Vec<Request> {
+    use damocles_meta::Oid;
+    let (_, stages, blocks) = DESIGN;
+    let chains = DESIGN.0 * blocks;
+    let block = |c: usize| format!("f{}b{}", c / blocks, c % blocks);
+    let view = |c: usize, s: usize| format!("f{}_s{s}", c / blocks);
+    let mut out = Vec::new();
+    for chain in 0..chains {
+        for stage in 0..stages {
+            out.push(Request::Checkin {
+                block: block(chain),
+                view: view(chain, stage),
+                user: "load".into(),
+                payload: vec![b'd'; 8],
+            });
+            if stage > 0 {
+                out.push(Request::Connect {
+                    from: Oid::new(block(chain), view(chain, stage - 1), 1),
+                    to: Oid::new(block(chain), view(chain, stage), 1),
+                });
+            }
+        }
+    }
+    out.push(Request::ProcessAll);
+    out
+}
+
+/// The replica side of the catch-up probe, in a child process: a
+/// follower of `leader` with a front door, serving until killed or until
+/// its standard input closes (the bench process is gone).
+fn serve_replica(leader: String) -> ! {
+    std::thread::spawn(|| {
+        let _ = std::io::copy(&mut std::io::stdin(), &mut std::io::sink());
+        std::process::exit(0);
+    });
+    let service: ProjectService =
+        ProjectService::with_server(ProjectServer::from_source(&design_blueprint()).unwrap());
+    let hub = service.tail_hub();
+    let (follower, _join) = spawn_follower_loop(service, leader.clone());
+    let front = TcpListener::bind("127.0.0.1:0").unwrap();
+    println!("{}", front.local_addr().unwrap());
+    spawn_tail_pump(leader, follower.feed(), follower.status());
+    let _ = serve_with(front, move || follower.session(), Some(hub));
+    std::process::exit(0)
+}
+
+/// `VmHWM` of process `pid`, in KiB.
+fn vm_hwm_kb(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).unwrap_or_default();
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|rest| rest.trim().trim_end_matches("kB").trim().parse().ok())
+        .unwrap_or(0)
+}
+
+/// A node's `(epoch, seq)`: the journal position of a leader, the applied
+/// cursor of a bootstrapped follower; `None` while a follower lags its
+/// bootstrap.
+fn position(node: &mut RemoteWrapper) -> Option<(u64, u64)> {
+    match node.request(&Request::Stat).unwrap() {
+        Response::Stat { stat } => Some(match stat.journal_epoch {
+            Some(epoch) if stat.cursor_epoch == 0 => (epoch, stat.journal_records.unwrap_or(0)),
+            _ => (stat.cursor_epoch, stat.cursor_seq),
+        }),
+        _ => None,
+    }
+}
+
+/// One catch-up trial: `(catch-up time, records applied per second,
+/// follower VmHWM growth in KiB)`.
+fn catch_up_trial(trial: usize) -> (Duration, f64, u64) {
+    let dir = bench_dir(&format!("catch-up-{trial}"));
+    let mut service: ProjectService = ProjectService::new();
+    assert!(!service
+        .call(Request::Init {
+            source: design_blueprint()
+        })
+        .is_error());
+    // A record floor no set-up reaches: the follower takes every record,
+    // never a mid-set-up snapshot.
+    assert!(!service
+        .call(Request::EnableJournal {
+            dir: dir.display().to_string(),
+            every: 1_000_000,
+        })
+        .is_error());
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let leader_addr = listener.local_addr().unwrap().to_string();
+    let (leader, _join) = spawn_project_loop(service);
+    {
+        let handle = leader.clone();
+        std::thread::spawn(move || {
+            let _ = serve_listener(listener, &handle);
+        });
+    }
+    let mut child: Child = Command::new(std::env::current_exe().unwrap())
+        .env(REPLICA_OF, &leader_addr)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("the bench re-runs itself as the replica");
+    let mut front = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut front)
+        .unwrap();
+    let mut replica = RemoteWrapper::connect(front.trim(), "bench").unwrap();
+    while position(&mut replica).is_none() {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let hwm_before = vm_hwm_kb(child.id());
+
+    let session = leader.session();
+    let mut in_flight = VecDeque::new();
+    for request in design_setup() {
+        in_flight.push_back(session.submit(request));
+        if in_flight.len() > 64 {
+            let reply = in_flight.pop_front().unwrap();
+            assert!(!reply.recv().unwrap().is_error());
+        }
+    }
+    for reply in in_flight {
+        assert!(!reply.recv().unwrap().is_error());
+    }
+    let drained = Instant::now();
+    let mut leader_front = RemoteWrapper::connect(&leader_addr, "bench").unwrap();
+    let target = position(&mut leader_front).expect("journaling on");
+    let (epoch, start) = position(&mut replica).expect("bootstrapped");
+    assert_eq!(epoch, target.0, "no checkpoint during the set-up");
+    while position(&mut replica).expect("bootstrapped") < target {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let took = drained.elapsed();
+    let hwm_after = vm_hwm_kb(child.id());
+    let _ = child.kill();
+    let _ = child.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+    let records = (target.1 - start) as f64;
+    (
+        took,
+        records / took.as_secs_f64(),
+        hwm_after.saturating_sub(hwm_before),
+    )
+}
+
+fn bench_catch_up(_c: &mut Criterion) {
+    if let Ok(leader) = std::env::var(REPLICA_OF) {
+        serve_replica(leader);
+    }
+    if !target_enabled("replication_catch_up") {
+        return;
+    }
+    let trials = if smoke() { 2 } else { 9 };
+    let mut runs: Vec<(Duration, f64, u64)> = (0..trials).map(catch_up_trial).collect();
+    let median = |runs: &mut Vec<(Duration, f64, u64)>, key: fn(&(Duration, f64, u64)) -> f64| {
+        runs.sort_by(|a, b| key(a).total_cmp(&key(b)));
+        key(&runs[runs.len() / 2])
+    };
+    let took_ms = median(&mut runs, |r| r.0.as_secs_f64() * 1e3);
+    let rate = median(&mut runs, |r| r.1);
+    let hwm_kb = median(&mut runs, |r| r.2 as f64);
+    println!(
+        "replication/catch_up ({} OIDs, population + drain): {trials} trials, \
+         median catch-up {took_ms:.1} ms, {rate:.0} records/s, follower VmHWM +{:.1} MiB",
+        DESIGN.0 * DESIGN.1 * DESIGN.2,
+        hwm_kb / 1024.0
+    );
+    append_bench_json(&format!(
+        "{{\"id\":\"replication/catch_up\",\"catch_up_ms_p50\":{took_ms:.2},\"records_per_s_p50\":{rate:.0},\"follower_hwm_growth_kb_p50\":{hwm_kb:.0},\"trials\":{trials}}}"
+    ));
+}
+
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_mttr
+    // The replica child must take over before any other target runs.
+    targets = bench_catch_up, bench_mttr
 }
 criterion_main!(benches);

@@ -4,19 +4,21 @@
 //! A follower is a [`ProjectService`] whose single mutator is the
 //! leader's committed op stream. One loop thread owns the service and
 //! drains a single queue carrying **both** kinds of input — decoded
-//! [`TailFrame`]s from the leader connection and client [`Envelope`]s
+//! [`TailItem`]s from the leader connection and client [`Envelope`]s
 //! from the follower's own front door — so tail application and read
 //! serving are serialized without locks. It runs the leader's own loop
 //! body ([`run_command_loop`] is the other user): the same batches, and
 //! from promotion on the same group-commit windows. Per message:
 //!
-//! * [`TailFrame::Reset`] → adopt the snapshot wholesale
+//! * [`TailItem::Reset`] → adopt the snapshot wholesale
 //!   ([`ProjectServer::adopt_replica_image`]), rebuild the link-tag map
 //!   in image order, cursor to `(epoch, 0)`;
-//! * [`TailFrame::Record`] → verify checksum+sequence
-//!   ([`journal::decode_record`]) and apply through the normal database
-//!   API ([`ProjectServer::apply_replica_op`]);
-//! * [`TailFrame::Epoch`] → the leader checkpointed; the follower's image
+//! * a batch of records ([`TailItem::Records`]) → verify each record's
+//!   checksum and sequence ([`journal::decode_record`]) and apply it
+//!   through the normal database API
+//!   ([`ProjectServer::apply_replica_op`]), then republish the applied
+//!   records as one batch and wake [`FollowerStatus`] once;
+//! * [`TailItem::Epoch`] → the leader checkpointed; the follower's image
 //!   already equals the new snapshot, so only re-tag links and move the
 //!   cursor — no data transfer;
 //! * read-only client requests (`Query`, `Show`, `Snapshot`, `Summary`,
@@ -27,8 +29,12 @@
 //! The loop is transport-agnostic: frames arrive through the same
 //! channel whether a test hand-feeds them or the tail pump
 //! (`damocles_tools::remote::spawn_tail_pump`, what `damocles_server
-//! --follow` runs) reads them off a TCP tail stream. A lost leader
-//! connection degrades the follower to stale reads (loudly, via
+//! --follow` runs) reads them off a TCP tail stream, one batch of records
+//! at a time ([`TailReader`]). The pump stops reading while
+//! [`MAX_TAIL_BACKLOG`] records it handed over wait untaken
+//! ([`FollowerStatus::wait_for_room`]), so a burst from the leader waits
+//! in the leader's hub and the socket, not in this loop's queue. A lost
+//! leader connection degrades the follower to stale reads (loudly, via
 //! [`FollowerStatus`]); the pump reconnects and resumes from the cursor,
 //! and a divergent or garbled stream simply re-bootstraps.
 //!
@@ -55,6 +61,7 @@
 //! leader are refused as stale.
 //!
 //! [`TailHub`]: crate::engine::tail::TailHub
+//! [`TailReader`]: crate::engine::tail::TailReader
 //! [`Request::Promote`]: crate::engine::api::Request::Promote
 //!
 //! [`ProjectServer`]: crate::engine::server::ProjectServer
@@ -63,26 +70,35 @@
 //! [`ProjectServer::apply_replica_op`]: crate::engine::server::ProjectServer::apply_replica_op
 
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use damocles_meta::journal;
+use damocles_meta::journal::{self, RecordBatch};
 use damocles_meta::LinkId;
 
 use crate::engine::api::{ApiError, NodeRole, Request, Response};
 use crate::engine::exec::ScriptExecutor;
+use crate::engine::server::ProjectServer;
 use crate::engine::service::{
     run_batches, spawn_loop, ClientSession, Envelope, ProjectHandle, ProjectService,
 };
-use crate::engine::tail::TailFrame;
+use crate::engine::tail::{TailHub, TailItem};
+
+/// Records a tail pump may have handed the follower loop that the loop
+/// has not taken yet; at this backlog the pump stops reading its stream
+/// until the loop catches up ([`FollowerStatus::wait_for_room`]).
+pub const MAX_TAIL_BACKLOG: u64 = 16_384;
 
 /// One input to the follower loop: a stream element from the leader or a
 /// request from a local client.
 #[derive(Debug)]
 pub enum FollowerMsg {
-    /// A decoded tail frame from the leader connection.
-    Frame(TailFrame),
+    /// The next element of the leader connection, as a
+    /// [`TailReader`](crate::engine::tail::TailReader) took it off the
+    /// stream: a batch of records is applied in order and republished
+    /// together.
+    Tail(TailItem),
     /// A local client request (read-only surface).
     Client(Envelope),
     /// The leader connection broke; the pump will retry. The follower
@@ -129,6 +145,19 @@ struct StatusState {
     /// Set by a successful [`Request::Promote`](crate::engine::api::Request::Promote):
     /// this node is now a leader.
     promoted: bool,
+    /// Records a tail pump counted in ([`FollowerStatus::add_backlog`])
+    /// that the loop has not taken yet.
+    backlog: u64,
+    /// The loop ended: nothing will take records any more.
+    exited: bool,
+}
+
+impl StatusState {
+    /// The loop took `records` off its inbox. Records fed around a pump
+    /// were never counted in, hence the floor at zero.
+    fn took(&mut self, records: u64) {
+        self.backlog = self.backlog.saturating_sub(records);
+    }
 }
 
 impl FollowerStatus {
@@ -215,11 +244,46 @@ impl FollowerStatus {
         }
     }
 
+    /// Counts `records` into the backlog; a tail pump calls it right
+    /// before it sends them to the loop, so the loop never takes a record
+    /// that was not counted.
+    pub fn add_backlog(&self, records: u64) {
+        self.state.lock().expect("follower status lock").backlog += records;
+    }
+
+    /// Blocks while the backlog is at [`MAX_TAIL_BACKLOG`] or above, until
+    /// the loop takes records, the node is promoted, or the loop ends.
+    /// Returns whether a tail pump should read on: `false` once the node
+    /// is promoted or its loop is gone.
+    pub fn wait_for_room(&self) -> bool {
+        let mut st = self.state.lock().expect("follower status lock");
+        while st.backlog >= MAX_TAIL_BACKLOG && !st.promoted && !st.exited {
+            st = self.wake.wait(st).expect("follower status lock");
+        }
+        !st.promoted && !st.exited
+    }
+
     fn set(&self, update: impl FnOnce(&mut StatusState)) {
         let mut st = self.state.lock().expect("follower status lock");
         update(&mut st);
         drop(st);
         self.wake.notify_all();
+    }
+}
+
+/// Marks the loop's end in its status when dropped, also when the loop
+/// unwinds from a panic, so a tail pump waiting for room stops waiting.
+struct ExitMark<'a>(&'a FollowerStatus);
+
+impl Drop for ExitMark<'_> {
+    fn drop(&mut self) {
+        let status = self.0;
+        status
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .exited = true;
+        status.wake.notify_all();
     }
 }
 
@@ -237,9 +301,9 @@ impl FollowerHandle {
         self.handle.session()
     }
 
-    /// The input side for a tail pump: send [`FollowerMsg::Frame`] /
-    /// [`FollowerMsg::LeaderGone`] as the leader connection produces
-    /// them.
+    /// The input side for a tail pump: send [`FollowerMsg::Tail`] and
+    /// [`FollowerMsg::LeaderGone`] as the leader connection produces them,
+    /// counting records in with [`FollowerStatus::add_backlog`].
     pub fn feed(&self) -> Sender<FollowerMsg> {
         self.handle.tx.clone()
     }
@@ -285,8 +349,9 @@ where
 /// group-commit windows whose replies go out at the batch's settle, as
 /// on a leader; a replica's own replies go out at once. It returns once
 /// every sender is gone, after a final flush, with every tail
-/// subscription ended. Exposed for callers that want the loop on a
-/// thread they own.
+/// subscription ended, and marks its end in `status` (also when it
+/// unwinds), which releases a pump waiting for room. Exposed for callers
+/// that want the loop on a thread they own.
 #[allow(clippy::too_many_lines)]
 pub fn run_follower_loop<E>(
     service: ProjectService<E>,
@@ -309,25 +374,67 @@ pub fn run_follower_loop<E>(
     // The node's own publication hub (fan-out): applied frames republish
     // here under their term, so replicas form a tree.
     let hub = service.tail_hub();
-    // Refuses a frame from a reign older than the highest seen — or any
-    // substantive frame once this node leads. Returns true when stale.
-    let stale = |frame_term: u64, seen: u64, promoted: bool, status: &FollowerStatus| -> bool {
+    // Whether a frame comes from a reign older than the highest seen — or
+    // is any substantive frame once this node leads. The caller counts
+    // refused frames.
+    let stale = |frame_term: u64, seen: u64, promoted: bool| -> bool {
         if frame_term < seen || (promoted && frame_term <= seen) {
-            status.set(|st| st.stale_frames += 1);
             return true;
         }
         if promoted {
             // A term above our own while we lead: a newer reign exists.
             // This loop does not re-demote itself; operators fence it.
             eprintln!("promoted node: ignoring frame from newer term {frame_term} (fence me)");
-            status.set(|st| st.stale_frames += 1);
             return true;
         }
         false
     };
+    let _exit = ExitMark(status);
     run_batches(service, rx, |service, window, msg| match msg {
-        FollowerMsg::Frame(TailFrame::Reset { epoch, term, image }) => {
-            if stale(term, seen_term, promoted, status) {
+        FollowerMsg::Tail(TailItem::Records { epoch, term, batch }) => {
+            let records = batch.len() as u64;
+            if stale(term, seen_term, promoted) {
+                status.set(|st| {
+                    st.took(records);
+                    st.stale_frames += records;
+                });
+                return;
+            }
+            if !bootstrapped || epoch != cursor.0 || term != seen_term {
+                // Records from before a reset raced in, or a newer
+                // reign's records arrived without its bootstrap; the
+                // stream will re-bootstrap us.
+                status.set(|st| st.took(records));
+                return;
+            }
+            let applied = service
+                .server_mut()
+                .ok_or_else(|| "no blueprint loaded".to_string())
+                .and_then(|srv| apply_batch(srv, &mut tags, &hub, &mut cursor.1, batch));
+            if let Err(reason) = &applied {
+                // Divergence (or a garbled stream): this image cannot be
+                // repaired incrementally. Flag the status so the pump
+                // drops its connection and re-handshakes with the
+                // unservable sentinel cursor, which the leader answers
+                // with a full snapshot reset.
+                eprintln!("follower: record {}/{} failed: {reason}", epoch, cursor.1);
+                bootstrapped = false;
+                hub.publish_disable();
+            }
+            status.set(|st| {
+                st.took(records);
+                st.seq = cursor.1;
+                if applied.is_ok() {
+                    st.leader_up = true;
+                } else {
+                    st.bootstrapped = false;
+                    st.needs_reset = true;
+                }
+            });
+        }
+        FollowerMsg::Tail(TailItem::Reset { epoch, term, image }) => {
+            if stale(term, seen_term, promoted) {
+                status.set(|st| st.stale_frames += 1);
                 return;
             }
             let adopted = service
@@ -364,8 +471,9 @@ pub fn run_follower_loop<E>(
                 }
             }
         }
-        FollowerMsg::Frame(TailFrame::Epoch { epoch, term }) => {
-            if stale(term, seen_term, promoted, status) {
+        FollowerMsg::Tail(TailItem::Epoch { epoch, term }) => {
+            if stale(term, seen_term, promoted) {
+                status.set(|st| st.stale_frames += 1);
                 return;
             }
             if bootstrapped && term == seen_term {
@@ -389,52 +497,7 @@ pub fn run_follower_loop<E>(
             // us into cannot be trusted as seamless — wait for the
             // reset the new reign must send.
         }
-        FollowerMsg::Frame(TailFrame::Record { epoch, term, line }) => {
-            if stale(term, seen_term, promoted, status) {
-                return;
-            }
-            if !bootstrapped || epoch != cursor.0 || term != seen_term {
-                // A frame from before a reset raced in, or a newer
-                // reign's record arrived without its bootstrap; the
-                // stream will re-bootstrap us.
-                return;
-            }
-            let applied = journal::decode_record(&line, cursor.1).and_then(|op| {
-                service
-                    .server_mut()
-                    .ok_or_else(|| "no blueprint loaded".to_string())
-                    .and_then(|srv| {
-                        srv.apply_replica_op(&op, &mut tags)
-                            .map_err(|e| e.to_string())
-                    })
-            });
-            match applied {
-                Ok(()) => {
-                    cursor.1 += 1;
-                    hub.publish_line(&line);
-                    status.set(|st| {
-                        st.seq = cursor.1;
-                        st.leader_up = true;
-                    });
-                }
-                Err(reason) => {
-                    // Divergence (or a garbled stream): this image
-                    // cannot be repaired incrementally. Flag the
-                    // status so the pump drops its connection and
-                    // re-handshakes with the unservable sentinel
-                    // cursor, which the leader answers with a full
-                    // snapshot reset.
-                    eprintln!("follower: record {}/{} failed: {reason}", epoch, cursor.1);
-                    bootstrapped = false;
-                    hub.publish_disable();
-                    status.set(|st| {
-                        st.bootstrapped = false;
-                        st.needs_reset = true;
-                    });
-                }
-            }
-        }
-        FollowerMsg::Frame(TailFrame::Ping) => {
+        FollowerMsg::Tail(TailItem::Ping) => {
             if !promoted {
                 status.set(|st| st.leader_up = true);
             }
@@ -480,6 +543,36 @@ pub fn run_follower_loop<E>(
             });
         }
     });
+}
+
+/// Applies `batch`, the replica's next records from sequence `*seq` on:
+/// [`journal::decode_record`] verifies each record's checksum and
+/// sequence, [`ProjectServer::apply_replica_op`] applies it. Stops at the
+/// first record that fails, with `*seq` naming it (one past the last good
+/// record), and returns why. The applied records are republished through
+/// `hub` as one batch either way.
+fn apply_batch<E: ScriptExecutor>(
+    srv: &mut ProjectServer<E>,
+    tags: &mut HashMap<u64, LinkId>,
+    hub: &TailHub,
+    seq: &mut u64,
+    mut batch: RecordBatch,
+) -> Result<(), String> {
+    let mut outcome = Ok(());
+    let mut applied = 0;
+    while applied < batch.len() {
+        let step = journal::decode_record(batch.line(applied), *seq)
+            .and_then(|op| srv.apply_replica_op(&op, tags).map_err(|e| e.to_string()));
+        if let Err(reason) = step {
+            outcome = Err(reason);
+            break;
+        }
+        *seq += 1;
+        applied += 1;
+    }
+    batch.truncate(applied);
+    hub.publish_records(batch);
+    outcome
 }
 
 /// Executes a [`Request::Promote`] against a (not yet promoted) follower
@@ -610,7 +703,7 @@ where
 mod tests {
     use super::*;
     use crate::engine::api::Request;
-    use crate::engine::server::ProjectServer;
+    use crate::engine::tail::{TailFrame, TailReader};
     use damocles_meta::Oid;
 
     const SIMPLE: &str = r#"
@@ -626,6 +719,28 @@ mod tests {
         endview
         endblueprint
     "#;
+
+    /// Feeds a hub's `frames` to a follower loop as the tail pump would:
+    /// read back off their wire form, a batch of records at a time.
+    /// Returns whether anything but a ping was fed.
+    fn feed_frames(feed: &Sender<FollowerMsg>, frames: &[TailFrame]) -> bool {
+        let wire: String = frames.iter().map(|frame| frame.encode() + "\n").collect();
+        let mut reader = TailReader::new(wire.as_bytes());
+        let mut progressed = false;
+        loop {
+            match reader.next_item() {
+                Ok(TailItem::Ping) => {}
+                Ok(item) => {
+                    progressed = true;
+                    feed.send(FollowerMsg::Tail(item)).unwrap();
+                }
+                Err(end) => {
+                    assert_eq!(end.kind(), std::io::ErrorKind::UnexpectedEof, "{end}");
+                    return progressed;
+                }
+            }
+        }
+    }
 
     /// Drives a journaled leader and hand-pumps its hub frames into a
     /// follower loop — the whole replication path minus the socket.
@@ -658,14 +773,7 @@ mod tests {
         let mut pump = |feed: &Sender<FollowerMsg>| loop {
             match hub.next_frames(&mut tail_cursor, Duration::from_millis(1)) {
                 Ok(frames) => {
-                    let mut progressed = false;
-                    for frame in frames {
-                        if !matches!(frame, TailFrame::Ping) {
-                            progressed = true;
-                            feed.send(FollowerMsg::Frame(frame)).unwrap();
-                        }
-                    }
-                    if !progressed {
+                    if !feed_frames(feed, &frames) {
                         break;
                     }
                 }
@@ -769,7 +877,7 @@ mod tests {
         let (handle, join) = spawn_follower_loop(follower_service, "leader:2");
         let feed = handle.feed();
         let status = handle.status();
-        feed.send(FollowerMsg::Frame(TailFrame::Reset {
+        feed.send(FollowerMsg::Tail(TailItem::Reset {
             epoch,
             term: 1,
             image: snapshot_image.clone(),
@@ -779,11 +887,14 @@ mod tests {
         assert!(!status.needs_reset());
 
         // A garbled record (bad checksum) cannot apply.
-        feed.send(FollowerMsg::Frame(TailFrame::Record {
-            epoch,
-            term: 1,
-            line: "0000000000000000 0 create bad,v,1".into(),
-        }))
+        feed.send(FollowerMsg::Tail(
+            TailFrame::Record {
+                epoch,
+                term: 1,
+                line: "0000000000000000 0 create bad,v,1".into(),
+            }
+            .into(),
+        ))
         .unwrap();
         let session = handle.session();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -799,7 +910,7 @@ mod tests {
         }
 
         // The reset repairs the replica and clears the flag.
-        feed.send(FollowerMsg::Frame(TailFrame::Reset {
+        feed.send(FollowerMsg::Tail(TailItem::Reset {
             epoch,
             term: 1,
             image: snapshot_image,
@@ -810,6 +921,207 @@ mod tests {
         assert!(matches!(session.call(Request::Stat), Response::Stat { .. }));
         drop((session, feed, handle));
         join.join().unwrap();
+    }
+
+    /// A journaled leader with a few check-ins and a drain behind it:
+    /// its epoch, snapshot image and committed record lines.
+    fn leader_with_records(dir: &std::path::Path) -> (ProjectService, u64, String, Vec<String>) {
+        let _ = std::fs::remove_dir_all(dir);
+        let mut leader: ProjectService = ProjectService::new();
+        leader.call(Request::Init {
+            source: SIMPLE.into(),
+        });
+        leader.call(Request::EnableJournal {
+            dir: dir.display().to_string(),
+            every: 1_000_000,
+        });
+        let (epoch, snapshot) = {
+            let srv = leader.server().unwrap();
+            (srv.journal_epoch().unwrap(), srv.project_image())
+        };
+        for i in 0..3 {
+            leader.call(Request::Checkin {
+                block: format!("blk{i}"),
+                view: "HDL_model".into(),
+                user: "yves".into(),
+                payload: vec![i],
+            });
+        }
+        leader.call(Request::ProcessAll);
+        let mut cursor = crate::engine::tail::TailCursor { epoch, seq: 0 };
+        let lines = leader
+            .tail_hub()
+            .next_frames(&mut cursor, Duration::from_millis(1))
+            .unwrap()
+            .into_iter()
+            .map(|frame| match frame {
+                TailFrame::Record { line, .. } => line,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        (leader, epoch, snapshot, lines)
+    }
+
+    fn batch_of(lines: &[String]) -> RecordBatch {
+        let mut batch = RecordBatch::default();
+        for line in lines {
+            batch.push_line(line);
+        }
+        batch
+    }
+
+    /// `lines` with record `bad`'s checksum broken.
+    fn with_bad_checksum(lines: &[String], bad: usize) -> Vec<String> {
+        let mut lines = lines.to_vec();
+        let flipped = if lines[bad].starts_with('0') {
+            "1"
+        } else {
+            "0"
+        };
+        lines[bad].replace_range(0..1, flipped);
+        lines
+    }
+
+    #[test]
+    fn apply_batch_republishes_only_the_applied_prefix() {
+        let dir = std::env::temp_dir().join("damocles-follower-prefix");
+        let (_leader, epoch, snapshot, lines) = leader_with_records(&dir);
+        assert!(lines.len() > 4, "{lines:?}");
+        let mut srv = ProjectServer::from_source(SIMPLE).unwrap();
+        srv.adopt_replica_image(&snapshot).unwrap();
+        let mut tags = srv.replica_link_tags();
+        let hub = TailHub::new();
+        hub.publish_enable(epoch, 1, snapshot);
+        let mut seq = 0;
+        let failed = apply_batch(
+            &mut srv,
+            &mut tags,
+            &hub,
+            &mut seq,
+            batch_of(&with_bad_checksum(&lines, 3)),
+        );
+        assert!(failed.unwrap_err().contains("checksum"));
+        assert_eq!(seq, 3, "the cursor names the failed record");
+        assert_eq!(hub.position(), Some((epoch, 3)));
+        let mut cursor = crate::engine::tail::TailCursor { epoch, seq: 0 };
+        let republished: Vec<TailFrame> = lines[..3]
+            .iter()
+            .map(|line| TailFrame::Record {
+                epoch,
+                term: 1,
+                line: line.clone(),
+            })
+            .collect();
+        assert_eq!(
+            hub.next_frames(&mut cursor, Duration::from_millis(1)),
+            Ok(republished)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A batch whose fourth record fails: the three before it apply, the
+    /// cursor stops at the failed one, the replica demands a reset and
+    /// its subtree's stream ends; a re-bootstrap and the good batch reach
+    /// the leader's image byte for byte.
+    #[test]
+    fn a_record_failing_mid_batch_leaves_the_cursor_at_the_last_good_one() {
+        let dir = std::env::temp_dir().join("damocles-follower-mid-batch");
+        let (leader, epoch, snapshot, lines) = leader_with_records(&dir);
+        let follower_service: ProjectService =
+            ProjectService::with_server(ProjectServer::from_source(SIMPLE).unwrap());
+        let own_hub = follower_service.tail_hub();
+        let (handle, join) = spawn_follower_loop(follower_service, "leader:5");
+        let feed = handle.feed();
+        let status = handle.status();
+        let reset = || {
+            FollowerMsg::Tail(TailItem::Reset {
+                epoch,
+                term: 1,
+                image: snapshot.clone(),
+            })
+        };
+        feed.send(reset()).unwrap();
+        feed.send(FollowerMsg::Tail(TailItem::Records {
+            epoch,
+            term: 1,
+            batch: batch_of(&with_bad_checksum(&lines, 3)),
+        }))
+        .unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !status.needs_reset() && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(status.needs_reset());
+        assert!(!status.bootstrapped());
+        assert_eq!(status.cursor(), (epoch, 3));
+        assert_eq!(status.state.lock().unwrap().backlog, 0);
+        assert_eq!(own_hub.position(), None, "the subtree's stream ended");
+
+        feed.send(reset()).unwrap();
+        feed.send(FollowerMsg::Tail(TailItem::Records {
+            epoch,
+            term: 1,
+            batch: batch_of(&lines),
+        }))
+        .unwrap();
+        assert!(status.wait_applied(epoch, lines.len() as u64, Duration::from_secs(5)));
+        assert!(!status.needs_reset());
+        assert_eq!(
+            handle.image().unwrap(),
+            leader.server().unwrap().project_image()
+        );
+        assert_eq!(own_hub.position(), Some((epoch, lines.len() as u64)));
+        drop((feed, handle));
+        join.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A pump waiting for room wakes when the loop takes records, and
+    /// never waits past a promotion or the loop's end.
+    #[test]
+    fn waiting_for_room_ends_at_a_take_a_promotion_or_the_loops_exit() {
+        let full = || {
+            let status = Arc::new(FollowerStatus::default());
+            status.add_backlog(MAX_TAIL_BACKLOG);
+            status
+        };
+        let waiter = |status: &Arc<FollowerStatus>| {
+            let status = Arc::clone(status);
+            std::thread::spawn(move || status.wait_for_room())
+        };
+        let ends_with = |waiter: std::thread::JoinHandle<bool>, expected: bool| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while !waiter.is_finished() {
+                assert!(std::time::Instant::now() < deadline, "the wait did not end");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            assert_eq!(waiter.join().unwrap(), expected);
+        };
+        let status = FollowerStatus::default();
+        status.add_backlog(MAX_TAIL_BACKLOG - 1);
+        assert!(status.wait_for_room(), "below the bound: no wait");
+
+        let status = full();
+        let waiting = waiter(&status);
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!waiting.is_finished(), "at the bound the pump waits");
+        status.set(|st| st.took(1));
+        ends_with(waiting, true);
+
+        let status = full();
+        let waiting = waiter(&status);
+        status.set(|st| st.promoted = true);
+        ends_with(waiting, false);
+
+        // A loop that ends (here at once: its inbox has no sender).
+        let status = full();
+        let waiting = waiter(&status);
+        let (tx, rx) = unbounded::<FollowerMsg>();
+        drop(tx);
+        let service: ProjectService =
+            ProjectService::with_server(ProjectServer::from_source(SIMPLE).unwrap());
+        run_follower_loop(service, &rx, "leader:6", &status);
+        ends_with(waiting, false);
     }
 
     #[test]
@@ -886,14 +1198,7 @@ mod tests {
             let frames = hub
                 .next_frames(&mut tail_cursor, Duration::from_millis(1))
                 .unwrap();
-            let mut progressed = false;
-            for frame in frames {
-                if !matches!(frame, TailFrame::Ping) {
-                    progressed = true;
-                    feed.send(FollowerMsg::Frame(frame)).unwrap();
-                }
-            }
-            if !progressed {
+            if !feed_frames(&feed, &frames) {
                 break;
             }
         }
@@ -945,13 +1250,16 @@ mod tests {
 
         // The deposed leader's stream is refused, loudly counted.
         let before = status.stale_frames();
-        feed.send(FollowerMsg::Frame(TailFrame::Record {
-            epoch: consumed.0,
-            term: 1,
-            line: "deadbeef 99 junk".into(),
-        }))
+        feed.send(FollowerMsg::Tail(
+            TailFrame::Record {
+                epoch: consumed.0,
+                term: 1,
+                line: "deadbeef 99 junk".into(),
+            }
+            .into(),
+        ))
         .unwrap();
-        feed.send(FollowerMsg::Frame(TailFrame::Epoch {
+        feed.send(FollowerMsg::Tail(TailItem::Epoch {
             epoch: consumed.0 + 7,
             term: 1,
         }))
@@ -982,7 +1290,7 @@ mod tests {
         let feed = handle.feed();
         let status = handle.status();
         let image = ProjectServer::from_source(SIMPLE).unwrap().project_image();
-        feed.send(FollowerMsg::Frame(TailFrame::Reset {
+        feed.send(FollowerMsg::Tail(TailItem::Reset {
             epoch: 5,
             term: 2,
             image,
@@ -991,11 +1299,14 @@ mod tests {
         assert!(status.wait_applied(5, 0, Duration::from_secs(5)));
         assert_eq!(status.term(), 2);
 
-        feed.send(FollowerMsg::Frame(TailFrame::Record {
-            epoch: 5,
-            term: 1,
-            line: "deadbeef 0 junk".into(),
-        }))
+        feed.send(FollowerMsg::Tail(
+            TailFrame::Record {
+                epoch: 5,
+                term: 1,
+                line: "deadbeef 0 junk".into(),
+            }
+            .into(),
+        ))
         .unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while status.stale_frames() == 0 && std::time::Instant::now() < deadline {
@@ -1024,7 +1335,7 @@ mod tests {
                 .unwrap();
             reply_rx
         };
-        tx.send(FollowerMsg::Frame(TailFrame::Reset {
+        tx.send(FollowerMsg::Tail(TailItem::Reset {
             epoch: 3,
             term: 1,
             image: ProjectServer::from_source(SIMPLE).unwrap().project_image(),

@@ -1133,16 +1133,18 @@ fn serve_connection<S: RequestSink>(stream: TcpStream, session: &S, tail: Option
 
 /// Streams tail frames to one subscriber until its connection breaks or
 /// the hub ends the stream. Runs on the connection's own thread — the
-/// command loop is never blocked by a slow follower. The frames of each
-/// wake-up are rendered from the hub's batches into one buffer, reused
-/// across wake-ups.
+/// command loop is never blocked by a slow follower. Each wake-up takes
+/// the batches the subscriber is owed from the hub and renders them
+/// outside its lock, in chunks of about [`TAIL_CHUNK_BYTES`] through one
+/// buffer reused across wake-ups.
+///
+/// [`TAIL_CHUNK_BYTES`]: crate::engine::tail::TAIL_CHUNK_BYTES
 fn stream_tail(hub: &TailHub, cursor: &mut TailCursor, out: &mut TcpStream) {
-    let mut buf = String::new();
+    let mut chunk = String::new();
     loop {
-        buf.clear();
-        match hub.next_wire(cursor, std::time::Duration::from_millis(500), &mut buf) {
-            Ok(()) => {
-                if out.write_all(buf.as_bytes()).is_err() {
+        match hub.next_owed(cursor, std::time::Duration::from_millis(500)) {
+            Ok(owed) => {
+                if owed.write_wire(out, &mut chunk).is_err() {
                     return; // subscriber gone
                 }
             }
@@ -1279,6 +1281,23 @@ mod tests {
             matches!(resp, Response::Error(ApiError::InvalidBlueprint { .. })),
             "{resp:?}"
         );
+    }
+
+    #[test]
+    fn a_malformed_query_is_named_as_a_query() {
+        let mut svc: ProjectService = ProjectService::new();
+        svc.call(init_req());
+        let resp = svc.call(Request::Query {
+            terms: "???".into(),
+        });
+        assert_eq!(
+            resp,
+            Response::Error(ApiError::Meta {
+                reason: "invalid query `???`: unrecognized query term `???`".into()
+            })
+        );
+        // The reply survives the wire codec unchanged.
+        assert_eq!(Response::decode(&resp.encode()), Ok(resp));
     }
 
     #[test]

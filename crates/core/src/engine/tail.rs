@@ -17,6 +17,12 @@
 //!   rollover marker, or a keep-alive ping.
 //! * [`TailCursor`] — a subscriber's `(epoch, seq)` position;
 //!   [`TailHub::next_frames`] blocks until the hub has something past it.
+//!   A tail connection takes the record batches it is owed from the hub
+//!   while it is locked, and renders and writes them after, in chunks of
+//!   about [`TAIL_CHUNK_BYTES`].
+//! * [`TailReader`] — the subscriber's side: reads the line-framed stream
+//!   a batch at a time, the `tail-rec` lines that arrived together (one
+//!   epoch and term) appended straight into one [`RecordBatch`].
 //!
 //! # Catch-up semantics
 //!
@@ -35,7 +41,9 @@
 //! checkpoint fold policy: about one snapshot's worth of record bytes,
 //! or fewer than its record floor) plus one `(epoch, final-count)` pair
 //! for the marker optimization — memory stays O(snapshot), never
-//! O(history).
+//! O(history). A subscriber handed batches before a fold keeps them alive
+//! until it has written them, so it streams every record it was owed and
+//! then takes the cheap marker.
 //!
 //! # Terms
 //!
@@ -47,7 +55,8 @@
 //! follower republishes through its own hub under the bumped term, so
 //! replicas form a tree and a mid-tree promotion re-parents its subtree.
 
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::io::{self, BufRead, Write};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use damocles_meta::journal::RecordBatch;
@@ -55,7 +64,7 @@ use damocles_meta::journal::RecordBatch;
 // The request codec's word helpers (`%` = empty string, shared
 // percent-escaping) — one implementation per crate, so the frame codec
 // cannot drift from the request codec.
-use crate::engine::api::{dec_str, enc_str_into};
+use crate::engine::api::{dec_str, enc_str_into, Response};
 
 /// One element of a tail stream, in its line-framed wire form (see
 /// `PROTOCOL.md` §5).
@@ -137,61 +146,281 @@ impl TailFrame {
     /// A human-readable reason when the line is not a tail frame (a
     /// follower treats that as a broken stream and reconnects).
     pub fn decode(line: &str) -> Result<TailFrame, String> {
-        let (keyword, rest) = match line.split_once(' ') {
-            Some((k, r)) => (k, r),
-            None => (line, ""),
-        };
-        let num = |what: &str, w: &str| {
-            w.parse::<u64>()
-                .map_err(|_| format!("bad tail {what} `{w}`"))
-        };
-        // `<epoch> <term> <rest…>` — the shared prefix of every
-        // substantive frame.
-        let coords = |rest: &'_ str| -> Result<(u64, u64, String), String> {
-            let mut words = rest.splitn(3, ' ');
-            let epoch = num("epoch", words.next().unwrap_or(""))?;
-            let term = num(
-                "term",
-                words.next().ok_or_else(|| "missing term".to_string())?,
-            )?;
-            Ok((epoch, term, words.next().unwrap_or("").to_string()))
-        };
-        match keyword {
-            "tail-reset" => {
-                let (epoch, term, image) = coords(rest).map_err(|e| format!("tail-reset: {e}"))?;
-                if image.is_empty() {
-                    return Err("tail-reset missing image".to_string());
-                }
-                Ok(TailFrame::Reset {
-                    epoch,
-                    term,
-                    image: dec_str(&image)?,
-                })
-            }
-            "tail-rec" => {
-                let (epoch, term, line) = coords(rest).map_err(|e| format!("tail-rec: {e}"))?;
-                if line.is_empty() {
-                    return Err("tail-rec missing record".to_string());
-                }
-                Ok(TailFrame::Record { epoch, term, line })
-            }
-            "tail-epoch" => {
-                let (epoch, term, extra) = coords(rest).map_err(|e| format!("tail-epoch: {e}"))?;
-                if !extra.is_empty() {
-                    return Err(format!("tail-epoch trailing `{extra}`"));
-                }
-                Ok(TailFrame::Epoch { epoch, term })
-            }
-            "tail-ping" => Ok(TailFrame::Ping),
-            other => Err(format!("unknown tail frame `{other}`")),
-        }
+        Ok(match parse(line)? {
+            Parsed::Record { epoch, term, at } => TailFrame::Record {
+                epoch,
+                term,
+                line: line[at..].to_string(),
+            },
+            Parsed::Frame(frame) => frame,
+        })
     }
+}
+
+/// A parsed tail line: a record frame, whose record is the rest of the
+/// line from byte `at`, or any other frame.
+#[derive(Debug)]
+enum Parsed {
+    Record { epoch: u64, term: u64, at: usize },
+    Frame(TailFrame),
+}
+
+/// [`TailFrame::decode`] without the copy of a record frame's record.
+fn parse(line: &str) -> Result<Parsed, String> {
+    fn num(what: &str, w: &str) -> Result<u64, String> {
+        w.parse::<u64>()
+            .map_err(|_| format!("bad tail {what} `{w}`"))
+    }
+    // `<epoch> <term> <rest…>` — the shared prefix of every substantive
+    // frame.
+    fn coords(rest: &str) -> Result<(u64, u64, &str), String> {
+        let mut words = rest.splitn(3, ' ');
+        let epoch = num("epoch", words.next().unwrap_or(""))?;
+        let term = num(
+            "term",
+            words.next().ok_or_else(|| "missing term".to_string())?,
+        )?;
+        Ok((epoch, term, words.next().unwrap_or("")))
+    }
+    let (keyword, rest) = match line.split_once(' ') {
+        Some((k, r)) => (k, r),
+        None => (line, ""),
+    };
+    let frame = match keyword {
+        "tail-reset" => {
+            let (epoch, term, image) = coords(rest).map_err(|e| format!("tail-reset: {e}"))?;
+            if image.is_empty() {
+                return Err("tail-reset missing image".to_string());
+            }
+            TailFrame::Reset {
+                epoch,
+                term,
+                image: dec_str(image)?,
+            }
+        }
+        "tail-rec" => {
+            let (epoch, term, record) = coords(rest).map_err(|e| format!("tail-rec: {e}"))?;
+            if record.is_empty() {
+                return Err("tail-rec missing record".to_string());
+            }
+            // The record is the line's last field.
+            let at = line.len() - record.len();
+            return Ok(Parsed::Record { epoch, term, at });
+        }
+        "tail-epoch" => {
+            let (epoch, term, extra) = coords(rest).map_err(|e| format!("tail-epoch: {e}"))?;
+            if !extra.is_empty() {
+                return Err(format!("tail-epoch trailing `{extra}`"));
+            }
+            TailFrame::Epoch { epoch, term }
+        }
+        "tail-ping" => TailFrame::Ping,
+        other => return Err(format!("unknown tail frame `{other}`")),
+    };
+    Ok(Parsed::Frame(frame))
 }
 
 /// Appends the wire form of a [`TailFrame::Record`] (no newline).
 fn record_frame(out: &mut String, epoch: u64, term: u64, line: &str) {
     use std::fmt::Write as _;
     let _ = write!(out, "tail-rec {epoch} {term} {line}");
+}
+
+/// Most records a [`TailReader`] puts in one batch.
+pub const MAX_TAIL_BATCH: usize = 1024;
+
+/// One element of a tail stream as a [`TailReader`] delivers it: the
+/// [`TailFrame`]s, with records taken a batch at a time.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TailItem {
+    /// Consecutive `tail-rec` frames of one epoch and term, their record
+    /// lines in sequence order in one batch.
+    Records {
+        /// The epoch the records extend.
+        epoch: u64,
+        /// The leadership term they were committed under.
+        term: u64,
+        /// The record lines, as [`TailFrame::Record`] carries them.
+        batch: RecordBatch,
+    },
+    /// A [`TailFrame::Reset`].
+    Reset {
+        /// The snapshot's checkpoint epoch.
+        epoch: u64,
+        /// The leadership term the publisher journals under.
+        term: u64,
+        /// The full project image.
+        image: String,
+    },
+    /// A [`TailFrame::Epoch`].
+    Epoch {
+        /// The new checkpoint epoch.
+        epoch: u64,
+        /// The leadership term the checkpoint was written under.
+        term: u64,
+    },
+    /// A [`TailFrame::Ping`].
+    Ping,
+}
+
+impl From<TailFrame> for TailItem {
+    /// The frame as an item; a record frame is a batch of one.
+    fn from(frame: TailFrame) -> Self {
+        match frame {
+            TailFrame::Reset { epoch, term, image } => TailItem::Reset { epoch, term, image },
+            TailFrame::Record { epoch, term, line } => {
+                let mut batch = RecordBatch::default();
+                batch.push_line(&line);
+                TailItem::Records { epoch, term, batch }
+            }
+            TailFrame::Epoch { epoch, term } => TailItem::Epoch { epoch, term },
+            TailFrame::Ping => TailItem::Ping,
+        }
+    }
+}
+
+/// Reads a tail stream (`PROTOCOL.md` §5) the way the leader writes it:
+/// the `tail-rec` lines that have already arrived, all of one epoch and
+/// term, become one [`TailItem::Records`] batch, each record appended
+/// straight from the line buffer. A batch ends when the reader's buffer
+/// runs out at a line end (reading on could wait for the leader; a line
+/// the buffer holds only the start of is finished first), at a line of
+/// another epoch, term or kind (delivered next), at a line that fails to
+/// decode (its error delivered next), or at [`MAX_TAIL_BATCH`] records.
+///
+/// ```
+/// use blueprint_core::engine::tail::{TailItem, TailReader};
+///
+/// let wire = "tail-rec 4 2 a\ntail-rec 4 2 b\ntail-ping\n";
+/// let mut reader = TailReader::new(wire.as_bytes());
+/// let TailItem::Records { epoch: 4, term: 2, batch } = reader.next_item().unwrap() else {
+///     panic!("expected a batch");
+/// };
+/// assert_eq!((batch.line(0), batch.line(1)), ("a", "b"));
+/// assert_eq!(reader.next_item().unwrap(), TailItem::Ping);
+/// assert!(reader.next_item().is_err(), "the stream ended");
+/// ```
+#[derive(Debug)]
+pub struct TailReader<R> {
+    inner: R,
+    /// The last line read, without its terminator; the buffer is reused.
+    line: String,
+    /// Whether `inner` held bytes past the last line read.
+    buffered: bool,
+    /// What was read past the end of the last batch (a record's text is
+    /// still in `line`), delivered next.
+    pending: Option<io::Result<Parsed>>,
+}
+
+impl<R: BufRead> TailReader<R> {
+    /// A reader of the frames `inner` yields, from its next byte.
+    pub fn new(inner: R) -> Self {
+        TailReader {
+            inner,
+            line: String::new(),
+            buffered: false,
+            pending: None,
+        }
+    }
+
+    /// Reads the next batch of records or the next other frame, blocking
+    /// until its first line arrives.
+    ///
+    /// # Errors
+    ///
+    /// `UnexpectedEof` when the stream ended; other I/O errors from
+    /// `inner`; `InvalidData` carrying the leader's structured error when
+    /// the stream ended protocol-side (journaling disabled, leader
+    /// shutdown), or the decode error of a line that is not a frame. A
+    /// batch read before the failing line is delivered first.
+    pub fn next_item(&mut self) -> io::Result<TailItem> {
+        let first = match self.pending.take() {
+            Some(line) => line,
+            None => self.read(),
+        };
+        let (epoch, term, at) = match first? {
+            Parsed::Frame(frame) => return Ok(frame.into()),
+            Parsed::Record { epoch, term, at } => (epoch, term, at),
+        };
+        let mut batch = RecordBatch::default();
+        batch.push_line(&self.line[at..]);
+        while self.buffered && batch.len() < MAX_TAIL_BATCH {
+            match self.read() {
+                Ok(Parsed::Record {
+                    epoch: e,
+                    term: t,
+                    at,
+                }) if (e, t) == (epoch, term) => {
+                    batch.push_line(&self.line[at..]);
+                }
+                other => {
+                    self.pending = Some(other);
+                    break;
+                }
+            }
+        }
+        Ok(TailItem::Records { epoch, term, batch })
+    }
+
+    /// Reads and decodes one line.
+    fn read(&mut self) -> io::Result<Parsed> {
+        self.read_line()?;
+        // Strip only the line terminator: a record's checksum covers all
+        // of its bytes, trailing spaces included (a `data` record with an
+        // empty payload ends in one).
+        let len = self.line.trim_end_matches(['\r', '\n']).len();
+        self.line.truncate(len);
+        parse(&self.line).map_err(|frame_err| {
+            // The stream's last line is a structured `err …` response
+            // when the leader ends it deliberately.
+            let reason = match Response::decode(&self.line) {
+                Ok(Response::Error(e)) => format!("leader ended the tail stream: {e}"),
+                _ => format!("broken tail stream: {frame_err}"),
+            };
+            io::Error::new(io::ErrorKind::InvalidData, reason)
+        })
+    }
+
+    /// Reads one line into `line` (a last line may lack its newline) and
+    /// notes whether bytes are left in `inner`'s buffer behind it.
+    fn read_line(&mut self) -> io::Result<()> {
+        let mut bytes = std::mem::take(&mut self.line).into_bytes();
+        bytes.clear();
+        self.buffered = false;
+        loop {
+            let available = match self.inner.fill_buf() {
+                Ok(available) => available,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if available.is_empty() {
+                break;
+            }
+            let (taken, ended) = match available.iter().position(|&b| b == b'\n') {
+                Some(at) => (at + 1, true),
+                None => (available.len(), false),
+            };
+            bytes.extend_from_slice(&available[..taken]);
+            self.buffered = taken < available.len();
+            self.inner.consume(taken);
+            if ended {
+                break;
+            }
+        }
+        if bytes.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "leader closed the tail stream",
+            ));
+        }
+        self.line = String::from_utf8(bytes).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+        })?;
+        Ok(())
+    }
 }
 
 /// A subscriber's position in the stream: the next record it expects is
@@ -224,10 +453,12 @@ struct TailState {
     term: u64,
     snapshot: String,
     /// Committed records of `epoch` (`<fnv1a> <seq> <op…>` lines), kept
-    /// as the buffers the journal writer put on disk, each paired with
-    /// the sequence number of its first record. Only fsynced batches are
-    /// ever pushed here.
-    batches: Vec<(u64, RecordBatch)>,
+    /// as the buffers the journal writer put on disk (or a follower
+    /// applied), each paired with the sequence number of its first
+    /// record. Only fsynced batches are ever pushed here. Subscribers
+    /// share them: a batch lives until the hub and every subscriber it
+    /// was handed to have let go of it.
+    batches: Vec<(u64, Arc<RecordBatch>)>,
     /// Records across `batches` (== the next sequence number).
     committed: u64,
     /// `(epoch, final record count)` of the epoch the last checkpoint
@@ -242,45 +473,107 @@ impl TailState {
         self.committed = 0;
     }
 
-    /// The record lines from sequence `from` (< `committed`) to the end
-    /// of the epoch, sliced out of the stored batches.
-    fn lines_from(&self, from: u64) -> impl Iterator<Item = &str> {
+    /// The records from sequence `from` (< `committed`) to the end of the
+    /// epoch: the batches from the one holding `from` on, shared.
+    fn owed_from(&self, from: u64) -> Owed {
         let first = self.batches.partition_point(|(start, _)| *start <= from) - 1;
-        self.batches[first..]
-            .iter()
-            .flat_map(move |(start, batch)| {
-                let skip = from.saturating_sub(*start) as usize;
-                (skip..batch.len()).map(|i| batch.line(i))
-            })
-    }
-
-    /// Record frames from sequence `from` (< `committed`) to the end of
-    /// the epoch.
-    fn frames_from(&self, from: u64) -> Vec<TailFrame> {
-        self.lines_from(from)
-            .map(|line| TailFrame::Record {
-                epoch: self.epoch,
-                term: self.term,
-                line: line.to_string(),
-            })
-            .collect()
-    }
-
-    /// [`TailState::frames_from`] in wire form, appended to `out` straight
-    /// from the stored batches: one newline-terminated line per frame.
-    fn render_from(&self, from: u64, out: &mut String) {
-        for line in self.lines_from(from) {
-            record_frame(out, self.epoch, self.term, line);
-            out.push('\n');
+        Owed::Records {
+            epoch: self.epoch,
+            term: self.term,
+            skip: (from - self.batches[first].0) as usize,
+            batches: self.batches[first..]
+                .iter()
+                .map(|(_, batch)| Arc::clone(batch))
+                .collect(),
         }
     }
 }
 
-/// What a subscriber is owed next: one frame, or the committed records
-/// from a sequence number on (read while the hub stays locked).
-enum Next<'a> {
+/// Bytes of wire text a tail connection renders before it writes them: it
+/// sends a backlog in chunks of about this size, so a subscriber far
+/// behind never costs one buffer the size of its backlog.
+pub const TAIL_CHUNK_BYTES: usize = 64 * 1024;
+
+/// What a subscriber is owed next ([`TailHub::next_owed`]): taken from the
+/// hub while it is locked, rendered after the lock is released.
+#[derive(Debug)]
+pub(crate) enum Owed {
+    /// One frame.
     Frame(TailFrame),
-    Records(MutexGuard<'a, TailState>, u64),
+    /// Committed records of `epoch`, under `term`: every record of
+    /// `batches` but the first `skip` of the first batch.
+    Records {
+        epoch: u64,
+        term: u64,
+        skip: usize,
+        batches: Vec<Arc<RecordBatch>>,
+    },
+}
+
+impl Owed {
+    /// The owed frames, one per record.
+    fn into_frames(self) -> Vec<TailFrame> {
+        match self {
+            Owed::Frame(frame) => vec![frame],
+            Owed::Records {
+                epoch,
+                term,
+                skip,
+                batches,
+            } => owed_lines(skip, &batches)
+                .map(|line| TailFrame::Record {
+                    epoch,
+                    term,
+                    line: line.to_string(),
+                })
+                .collect(),
+        }
+    }
+
+    /// Writes the owed frames to `out` in wire form, one newline-terminated
+    /// line each, rendered into `chunk` and written whenever it holds
+    /// [`TAIL_CHUNK_BYTES`] or more. `chunk` is scratch space, reused
+    /// across calls.
+    ///
+    /// # Errors
+    ///
+    /// The first failed write.
+    pub(crate) fn write_wire(&self, out: &mut impl Write, chunk: &mut String) -> io::Result<()> {
+        chunk.clear();
+        match self {
+            Owed::Frame(frame) => {
+                frame.encode_into(chunk);
+                chunk.push('\n');
+            }
+            Owed::Records {
+                epoch,
+                term,
+                skip,
+                batches,
+            } => {
+                for line in owed_lines(*skip, batches) {
+                    record_frame(chunk, *epoch, *term, line);
+                    chunk.push('\n');
+                    if chunk.len() >= TAIL_CHUNK_BYTES {
+                        out.write_all(chunk.as_bytes())?;
+                        chunk.clear();
+                    }
+                }
+            }
+        }
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        out.write_all(chunk.as_bytes())
+    }
+}
+
+/// The record lines of `batches` but the first `skip` of the first.
+fn owed_lines(skip: usize, batches: &[Arc<RecordBatch>]) -> impl Iterator<Item = &str> {
+    batches.iter().enumerate().flat_map(move |(i, batch)| {
+        let from = if i == 0 { skip } else { 0 };
+        (from..batch.len()).map(|r| batch.line(r))
+    })
 }
 
 /// The shared publication point between one journaling leader and any
@@ -318,9 +611,10 @@ impl TailHub {
     }
 
     /// A batch of records reached stable storage (the group-commit fsync
-    /// returned). `batch` holds the records in sequence order, continuing
-    /// the current epoch's count, as the very buffer written to the
-    /// journal file; the hub keeps it whole.
+    /// returned), or a follower applied it. `batch` holds the records in
+    /// sequence order, continuing the current epoch's count, as the very
+    /// buffer written to the journal file or read off the stream; the hub
+    /// keeps it whole and shares it with its subscribers.
     pub fn publish_records(&self, batch: RecordBatch) {
         let mut st = self.state.lock().expect("tail hub lock");
         if !st.enabled || batch.is_empty() {
@@ -328,30 +622,7 @@ impl TailHub {
         }
         let start = st.committed;
         st.committed += batch.len() as u64;
-        st.batches.push((start, batch));
-        drop(st);
-        self.notify();
-    }
-
-    /// One record line (without its newline) was applied and is to be
-    /// relayed — a follower republishing its leader's stream record by
-    /// record. The line joins the newest batch rather than forming its
-    /// own.
-    pub fn publish_line(&self, line: &str) {
-        let mut st = self.state.lock().expect("tail hub lock");
-        if !st.enabled {
-            return;
-        }
-        let start = st.committed;
-        st.committed += 1;
-        match st.batches.last_mut() {
-            Some((_, batch)) => batch.push_line(line),
-            None => {
-                let mut batch = RecordBatch::default();
-                batch.push_line(line);
-                st.batches.push((start, batch));
-            }
-        }
+        st.batches.push((start, Arc::new(batch)));
         drop(st);
         self.notify();
     }
@@ -423,39 +694,18 @@ impl TailHub {
         cursor: &mut TailCursor,
         timeout: Duration,
     ) -> Result<Vec<TailFrame>, TailEnded> {
-        Ok(match self.next(cursor, timeout)? {
-            Next::Frame(frame) => vec![frame],
-            Next::Records(st, from) => st.frames_from(from),
-        })
+        self.next_owed(cursor, timeout).map(Owed::into_frames)
     }
 
-    /// [`TailHub::next_frames`] in wire form: appends the frames to `out`,
-    /// one newline-terminated line each. Record frames are rendered
-    /// straight from the committed batches, with no per-record copy in
-    /// between.
-    ///
-    /// # Errors
-    ///
-    /// As [`TailHub::next_frames`]; `out` is then unchanged.
-    pub fn next_wire(
+    /// The one catch-up decision behind [`TailHub::next_frames`] and the
+    /// tail connection (see the module docs). Owed records come back as
+    /// shared batches: the hub stays locked only while they are counted
+    /// out, never while they are rendered or written.
+    pub(crate) fn next_owed(
         &self,
         cursor: &mut TailCursor,
         timeout: Duration,
-        out: &mut String,
-    ) -> Result<(), TailEnded> {
-        match self.next(cursor, timeout)? {
-            Next::Frame(frame) => {
-                frame.encode_into(out);
-                out.push('\n');
-            }
-            Next::Records(st, from) => st.render_from(from, out),
-        }
-        Ok(())
-    }
-
-    /// The one catch-up decision behind [`TailHub::next_frames`] and
-    /// [`TailHub::next_wire`] (see the module docs).
-    fn next(&self, cursor: &mut TailCursor, timeout: Duration) -> Result<Next<'_>, TailEnded> {
+    ) -> Result<Owed, TailEnded> {
         let mut st = self.state.lock().expect("tail hub lock");
         loop {
             if st.closed {
@@ -470,14 +720,14 @@ impl TailHub {
                     // already equals the new snapshot.
                     cursor.epoch = st.epoch;
                     cursor.seq = 0;
-                    return Ok(Next::Frame(TailFrame::Epoch {
+                    return Ok(Owed::Frame(TailFrame::Epoch {
                         epoch: st.epoch,
                         term: st.term,
                     }));
                 }
                 cursor.epoch = st.epoch;
                 cursor.seq = 0;
-                return Ok(Next::Frame(TailFrame::Reset {
+                return Ok(Owed::Frame(TailFrame::Reset {
                     epoch: st.epoch,
                     term: st.term,
                     image: st.snapshot.clone(),
@@ -488,21 +738,21 @@ impl TailHub {
                 // A position we never committed (foreign or future
                 // cursor): re-bootstrap rather than guess.
                 cursor.seq = 0;
-                return Ok(Next::Frame(TailFrame::Reset {
+                return Ok(Owed::Frame(TailFrame::Reset {
                     epoch: st.epoch,
                     term: st.term,
                     image: st.snapshot.clone(),
                 }));
             }
             if cursor.seq < committed {
-                let from = cursor.seq;
+                let owed = st.owed_from(cursor.seq);
                 cursor.seq = committed;
-                return Ok(Next::Records(st, from));
+                return Ok(owed);
             }
             let (guard, wait) = self.wake.wait_timeout(st, timeout).expect("tail hub lock");
             st = guard;
             if wait.timed_out() {
-                return Ok(Next::Frame(TailFrame::Ping));
+                return Ok(Owed::Frame(TailFrame::Ping));
             }
         }
     }
@@ -546,7 +796,7 @@ mod tests {
         hub.publish_records(batch(0..3));
         hub.publish_records(RecordBatch::default());
         hub.publish_records(batch(3..5));
-        hub.publish_line(&record_line(5));
+        hub.publish_records(batch(5..6));
         assert_eq!(hub.position(), Some((1, 6)));
         for from in 0..6u64 {
             let mut cursor = TailCursor {
@@ -562,37 +812,67 @@ mod tests {
         }
     }
 
+    /// Every `write` call's bytes, in order.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// What a tail connection writes for one wake-up at `cursor`.
+    fn streamed(hub: &TailHub, cursor: &mut TailCursor) -> Writes {
+        let mut out = Writes::default();
+        let mut chunk = String::from("stale scratch");
+        hub.next_owed(cursor, Duration::from_millis(1))
+            .unwrap()
+            .write_wire(&mut out, &mut chunk)
+            .unwrap();
+        out
+    }
+
+    /// [`TailHub::next_frames`] at `cursor`, encoded one line each.
+    fn encoded(hub: &TailHub, mut cursor: TailCursor) -> String {
+        hub.next_frames(&mut cursor, Duration::from_millis(1))
+            .unwrap()
+            .iter()
+            .map(|frame| frame.encode() + "\n")
+            .collect()
+    }
+
     #[test]
     fn wire_frames_render_straight_from_the_batches() {
         let hub = TailHub::new();
         hub.publish_enable(3, 2, "image with spaces\n".into());
         hub.publish_records(batch(0..3));
         hub.publish_records(batch(3..5));
-        hub.publish_line(&record_line(5));
-        let st = hub.state.lock().unwrap();
+        hub.publish_records(batch(5..6));
         // Cursors at a batch start, inside a batch, and in the last batch.
         for from in [0, 1, 3, 4, 5] {
-            let mut wire = String::from("kept|");
-            st.render_from(from, &mut wire);
-            let expected: String = st
-                .frames_from(from)
-                .iter()
-                .map(|frame| frame.encode() + "\n")
-                .collect();
-            assert_eq!(wire, format!("kept|{expected}"), "from {from}");
+            let mut cursor = TailCursor {
+                epoch: 3,
+                seq: from,
+            };
+            let expected = encoded(&hub, cursor);
+            assert_eq!(
+                streamed(&hub, &mut cursor).0.concat(),
+                expected.as_bytes(),
+                "from {from}"
+            );
+            assert_eq!(cursor, TailCursor { epoch: 3, seq: 6 });
         }
-        drop(st);
-        // The public form: the same lines, and one-frame answers as
-        // `encode` renders them.
-        let mut wire = String::new();
-        let mut cursor = TailCursor { epoch: 3, seq: 1 };
-        hub.next_wire(&mut cursor, Duration::from_millis(1), &mut wire)
-            .unwrap();
         let expected: String = (1..6)
             .map(|seq| format!("tail-rec 3 2 {}\n", record_line(seq)))
             .collect();
-        assert_eq!(wire, expected);
-        assert_eq!(cursor, TailCursor { epoch: 3, seq: 6 });
+        assert_eq!(encoded(&hub, TailCursor { epoch: 3, seq: 1 }), expected);
+        // One-frame answers, as `encode` renders them.
         for (mut cursor, frame) in [
             (
                 TailCursor { epoch: 1, seq: 0 },
@@ -604,11 +884,224 @@ mod tests {
             ),
             (TailCursor { epoch: 3, seq: 6 }, TailFrame::Ping),
         ] {
-            let mut wire = String::new();
-            hub.next_wire(&mut cursor, Duration::from_millis(1), &mut wire)
-                .unwrap();
-            assert_eq!(wire, frame.encode() + "\n");
+            let wire = streamed(&hub, &mut cursor).0.concat();
+            assert_eq!(wire, (frame.encode() + "\n").as_bytes());
         }
+    }
+
+    #[test]
+    fn a_long_backlog_streams_in_bounded_chunks_equal_to_the_frames() {
+        let hub = TailHub::new();
+        hub.publish_enable(7, 3, "image".into());
+        let mut next = 0;
+        for size in [1, 7, 300, 1, 1500, 2000, 2] {
+            hub.publish_records(batch(next..next + size));
+            next += size;
+        }
+        let longest = (0..next).map(|seq| record_line(seq).len()).max().unwrap();
+        for from in [0, 5, 308, next - 1] {
+            let mut cursor = TailCursor {
+                epoch: 7,
+                seq: from,
+            };
+            let expected = encoded(&hub, cursor);
+            let writes = streamed(&hub, &mut cursor).0;
+            assert_eq!(writes.concat(), expected.as_bytes(), "from {from}");
+            assert_eq!(
+                cursor,
+                TailCursor {
+                    epoch: 7,
+                    seq: next
+                }
+            );
+            // Every write but the last fills a chunk; none holds more than
+            // one line past it.
+            let (last, full) = writes.split_last().unwrap();
+            for chunk in full {
+                assert!(chunk.len() >= TAIL_CHUNK_BYTES, "from {from}");
+            }
+            for chunk in &writes {
+                assert!(chunk.len() < TAIL_CHUNK_BYTES + longest + 20, "from {from}");
+            }
+            assert!(!last.is_empty());
+            if from == 0 {
+                assert!(writes.len() >= 3, "{} writes", writes.len());
+            }
+        }
+    }
+
+    #[test]
+    fn a_subscriber_handed_records_before_a_fold_streams_them_all() {
+        let hub = TailHub::new();
+        hub.publish_enable(1, 1, "image-e1".into());
+        hub.publish_records(batch(0..2));
+        hub.publish_records(batch(2..4));
+        let mut cursor = TailCursor { epoch: 1, seq: 0 };
+        let expected = encoded(&hub, cursor);
+        let owed = hub
+            .next_owed(&mut cursor, Duration::from_millis(1))
+            .unwrap();
+        // The leader folds before the subscriber has written a byte: the
+        // hub drops the epoch's records, the subscriber's share stays.
+        hub.publish_checkpoint(2, 1, "image-e2".into(), true);
+        assert_eq!(hub.state.lock().unwrap().batches.len(), 0);
+        let mut out = Writes::default();
+        owed.write_wire(&mut out, &mut String::new()).unwrap();
+        assert_eq!(out.0.concat(), expected.as_bytes());
+        assert_eq!(expected.lines().count(), 4);
+        // Caught up to the fold point: the cheap marker, no reset.
+        assert_eq!(
+            hub.next_frames(&mut cursor, Duration::from_millis(1)),
+            Ok(vec![TailFrame::Epoch { epoch: 2, term: 1 }])
+        );
+    }
+
+    /// Everything a reader of `wire` delivers, the error that ends it
+    /// included.
+    fn read_all(wire: impl BufRead) -> (Vec<TailItem>, io::Error) {
+        let mut reader = TailReader::new(wire);
+        let mut items = Vec::new();
+        loop {
+            match reader.next_item() {
+                Ok(item) => items.push(item),
+                Err(e) => return (items, e),
+            }
+        }
+    }
+
+    fn records(epoch: u64, term: u64, lines: &[&str]) -> TailItem {
+        let mut batch = RecordBatch::default();
+        for line in lines {
+            batch.push_line(line);
+        }
+        TailItem::Records { epoch, term, batch }
+    }
+
+    #[test]
+    fn a_batch_never_spans_an_epoch_term_or_other_frame() {
+        let wire = "tail-rec 1 1 a\ntail-rec 1 1 b\ntail-rec 1 2 c\ntail-rec 2 2 d\n\
+                    tail-rec 2 2 e\ntail-ping\ntail-rec 2 2 f\ntail-epoch 3 2\n\
+                    tail-rec 3 2 g\n";
+        let (items, end) = read_all(wire.as_bytes());
+        assert_eq!(
+            items,
+            vec![
+                records(1, 1, &["a", "b"]),
+                records(1, 2, &["c"]),
+                records(2, 2, &["d", "e"]),
+                TailItem::Ping,
+                records(2, 2, &["f"]),
+                TailItem::Epoch { epoch: 3, term: 2 },
+                records(3, 2, &["g"]),
+            ]
+        );
+        assert_eq!(end.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(end.to_string(), "leader closed the tail stream");
+    }
+
+    #[test]
+    fn a_bad_line_or_eof_ends_the_stream_after_the_batch_before_it() {
+        let (items, end) =
+            read_all("tail-rec 1 1 a\ntail-rec 1 1 b\nbogus 1\ntail-rec 1 1 c\n".as_bytes());
+        assert_eq!(items, vec![records(1, 1, &["a", "b"])]);
+        assert_eq!(end.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            end.to_string(),
+            "broken tail stream: unknown tail frame `bogus`"
+        );
+        // The leader's own `err` line names why it ended the stream.
+        let ended = Response::Error(crate::engine::api::ApiError::Journal {
+            reason: "leader shutting down; tail stream ends".into(),
+        })
+        .encode();
+        let (items, end) = read_all(format!("tail-rec 1 1 a\n{ended}\n").as_bytes());
+        assert_eq!(items, vec![records(1, 1, &["a"])]);
+        assert_eq!(end.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            end.to_string()
+                .starts_with("leader ended the tail stream: "),
+            "{end}"
+        );
+        // EOF right after a batch, and in the middle of a line: a torn
+        // last line is handed over, its checksum left to the applier.
+        let (items, end) = read_all("tail-rec 1 1 a\ntail-rec 1 1 b".as_bytes());
+        assert_eq!(items, vec![records(1, 1, &["a", "b"])]);
+        assert_eq!(end.kind(), io::ErrorKind::UnexpectedEof);
+        // A line that is not UTF-8 is refused.
+        let (items, end) = read_all(&b"tail-rec 1 1 a\ntail-rec 1 1 \xff\n"[..]);
+        assert_eq!(items, vec![records(1, 1, &["a"])]);
+        assert_eq!(end.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// Hands out one piece per `read`, as a socket hands out what arrived.
+    struct Pieces(std::collections::VecDeque<&'static str>);
+
+    impl io::Read for Pieces {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some(piece) = self.0.pop_front() else {
+                return Ok(0);
+            };
+            buf[..piece.len()].copy_from_slice(piece.as_bytes());
+            Ok(piece.len())
+        }
+    }
+
+    #[test]
+    fn a_batch_takes_what_arrived_and_finishes_a_started_line() {
+        let pieces =
+            |pieces: &[&'static str]| io::BufReader::new(Pieces(pieces.iter().copied().collect()));
+        // The buffer runs out at a line end: the batch ends there.
+        let (items, _) = read_all(pieces(&[
+            "tail-rec 1 1 a\ntail-rec 1 1 b\n",
+            "tail-rec 1 1 c\n",
+        ]));
+        assert_eq!(
+            items,
+            vec![records(1, 1, &["a", "b"]), records(1, 1, &["c"])]
+        );
+        // It runs out inside a line: the line is finished, and so is what
+        // arrived with its end.
+        let (items, _) = read_all(pieces(&[
+            "tail-rec 1 1 a\ntail-rec 1 ",
+            "1 b\ntail-rec 1 1 c\n",
+            "tail-rec 1 1 d\n",
+        ]));
+        assert_eq!(
+            items,
+            vec![records(1, 1, &["a", "b", "c"]), records(1, 1, &["d"])]
+        );
+    }
+
+    #[test]
+    fn a_batch_holds_at_most_max_tail_batch_records_and_keeps_trailing_spaces() {
+        let data = JournalOp::Data {
+            oid: Oid::new("cpu", "HDL_model", 1),
+            payload: Vec::new(),
+        };
+        let lines: Vec<String> = (0..MAX_TAIL_BATCH as u64 + 5)
+            .map(|seq| encode_record(seq, &data).trim_end_matches('\n').to_string())
+            .collect();
+        assert!(lines[0].ends_with(' '), "an empty payload ends in a space");
+        let wire: String = lines
+            .iter()
+            .map(|line| format!("tail-rec 1 1 {line}\r\n"))
+            .collect();
+        let (items, _) = read_all(wire.as_bytes());
+        let batches: Vec<&RecordBatch> = items
+            .iter()
+            .map(|item| match item {
+                TailItem::Records { batch, .. } => batch,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            batches.iter().map(|b| b.len()).collect::<Vec<_>>(),
+            [MAX_TAIL_BATCH, 5]
+        );
+        let first = batches[0].first_seq().unwrap();
+        assert_eq!(batches[0].decode().unwrap().len(), MAX_TAIL_BATCH);
+        assert_eq!(first, 0);
+        assert_eq!(batches[1].line(4), lines[MAX_TAIL_BATCH + 4]);
     }
 
     #[test]

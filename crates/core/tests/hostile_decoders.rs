@@ -1,9 +1,9 @@
 //! Mutation properties for the decoders a socket or a follower's tail
 //! stream reaches: `Request::decode`, `Response::decode`,
-//! `TailFrame::decode`, `JournalOp::decode`, `journal::decode_record`,
-//! `TraceRecord::decode` (clients and `damocles_inspect --trace` read
-//! trace lines) and `EventMessage::parse_wire` (a raw `postEvent` line on
-//! a connection).
+//! `TailFrame::decode`, the batching `TailReader` (a whole tail stream),
+//! `JournalOp::decode`, `journal::decode_record`, `TraceRecord::decode`
+//! (clients and `damocles_inspect --trace` read trace lines) and
+//! `EventMessage::parse_wire` (a raw `postEvent` line on a connection).
 //!
 //! The seeds are real encodings: the requests and replies of a journaled
 //! session driven through [`ProjectService`], the tail hub's wire lines
@@ -25,13 +25,14 @@
 //! budget is fixed, and the seed of every run is the same.
 
 use std::fmt::Debug;
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 use std::time::Duration;
 
 use blueprint_core::engine::api::{Request, Response, TraceMode};
 use blueprint_core::engine::service::ProjectService;
-use blueprint_core::engine::tail::{TailCursor, TailFrame};
+use blueprint_core::engine::tail::{TailCursor, TailFrame, TailItem, TailReader};
 use blueprint_core::engine::trace::TraceRecord;
 use damocles_meta::journal::{decode_record, encode_record, JournalOp};
 use damocles_meta::{Direction, EventMessage, Oid};
@@ -199,6 +200,8 @@ struct Seeds {
     requests: Vec<String>,
     responses: Vec<String>,
     tail_frames: Vec<String>,
+    /// What the subscriber read after each request, as one stream.
+    tail_streams: Vec<String>,
     /// The op bodies of the streamed records, plus the invocation ops.
     op_bodies: Vec<String>,
     /// The records of the `trace get` reply, plus a `begin` line with a
@@ -373,6 +376,7 @@ fn record_session() -> Seeds {
     let hub = svc.tail_hub();
     let mut cursor = TailCursor { epoch: 0, seq: 0 };
     let mut tail_frames = Vec::new();
+    let mut tail_streams = Vec::new();
     let mut responses = Vec::new();
     let mut request_lines = Vec::new();
     let mut trace_records = vec![TraceRecord::Begin {
@@ -401,12 +405,16 @@ fn record_session() -> Seeds {
         }
         responses.push(response.encode());
         let mut wire = String::new();
-        while hub
-            .next_wire(&mut cursor, Duration::from_millis(1), &mut wire)
-            .is_ok()
-            && !wire.ends_with("tail-ping\n")
-        {}
+        while let Ok(frames) = hub.next_frames(&mut cursor, Duration::from_millis(1)) {
+            wire.extend(frames.iter().map(|frame| frame.encode() + "\n"));
+            if frames == [TailFrame::Ping] {
+                break;
+            }
+        }
         tail_frames.extend(wire.lines().map(str::to_string));
+        if wire != "tail-ping\n" {
+            tail_streams.push(wire);
+        }
     }
     tail_frames.dedup();
     for line in ["frobnicate", "show cpu", "checkin a b c zz"] {
@@ -442,6 +450,7 @@ fn record_session() -> Seeds {
         requests: request_lines,
         responses,
         tail_frames,
+        tail_streams,
         op_bodies,
         trace_records,
         wire_messages,
@@ -488,6 +497,63 @@ fn tail_frame_decode_survives_mutants() {
         seeds,
         TailFrame::decode,
         TailFrame::encode,
+    );
+}
+
+/// A whole stream through a [`TailReader`]: every item, when the stream
+/// ends cleanly at its end.
+fn read_stream(wire: &str) -> Result<Vec<TailItem>, String> {
+    let mut reader = TailReader::new(wire.as_bytes());
+    let mut items = Vec::new();
+    loop {
+        match reader.next_item() {
+            Ok(item) => items.push(item),
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(items),
+            Err(e) => return Err(e.to_string()),
+        }
+    }
+}
+
+/// The wire form of `items`: one `tail-rec` line per record.
+fn write_stream(items: &[TailItem]) -> String {
+    let mut wire = String::new();
+    for item in items.iter().cloned() {
+        let frames = match item {
+            TailItem::Records { epoch, term, batch } => (0..batch.len())
+                .map(|i| TailFrame::Record {
+                    epoch,
+                    term,
+                    line: batch.line(i).to_string(),
+                })
+                .collect(),
+            TailItem::Reset { epoch, term, image } => vec![TailFrame::Reset { epoch, term, image }],
+            TailItem::Epoch { epoch, term } => vec![TailFrame::Epoch { epoch, term }],
+            TailItem::Ping => vec![TailFrame::Ping],
+        };
+        for frame in frames {
+            wire.push_str(&(frame.encode() + "\n"));
+        }
+    }
+    wire
+}
+
+#[test]
+fn tail_reader_survives_mutants() {
+    let seeds = &session().tail_streams;
+    let batched = seeds.iter().any(|stream| {
+        read_stream(stream).is_ok_and(|items| {
+            items
+                .iter()
+                .any(|item| matches!(item, TailItem::Records { batch, .. } if batch.len() > 1))
+        })
+    });
+    assert!(batched, "no seed streams a batch: {seeds:?}");
+    holds(
+        "TailReader",
+        8,
+        seeds,
+        read_stream,
+        |items: &Vec<TailItem>| write_stream(items),
     );
 }
 

@@ -67,6 +67,13 @@ pub enum MetaError {
         /// The offending input line.
         input: String,
     },
+    /// A `qlang` query string failed to parse.
+    QueryParse {
+        /// What went wrong.
+        reason: String,
+        /// The offending query.
+        input: String,
+    },
     /// A project image (`persist` text, `damocles-db v1`) failed to load.
     ImageParse {
         /// What went wrong.
@@ -128,6 +135,9 @@ impl fmt::Display for MetaError {
             },
             MetaError::WireParse { reason, input } => {
                 write!(f, "invalid postEvent message `{input}`: {reason}")
+            }
+            MetaError::QueryParse { reason, input } => {
+                write!(f, "invalid query `{input}`: {reason}")
             }
             MetaError::ImageParse { reason, line } => {
                 write!(f, "invalid damocles-db image at line `{line}`: {reason}")

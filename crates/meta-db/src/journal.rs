@@ -842,6 +842,15 @@ impl RecordBatch {
         self.ends.push(self.text.len());
     }
 
+    /// Keeps the first `len` records and drops the rest (no-op when the
+    /// batch holds no more).
+    pub fn truncate(&mut self, len: usize) {
+        if len < self.ends.len() {
+            self.ends.truncate(len);
+            self.text.truncate(self.ends.last().copied().unwrap_or(0));
+        }
+    }
+
     /// Number of records.
     pub fn len(&self) -> usize {
         self.ends.len()

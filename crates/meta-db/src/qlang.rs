@@ -180,7 +180,7 @@ impl FromStr for Query {
     type Err = MetaError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let err = |reason: String| MetaError::WireParse {
+        let err = |reason: String| MetaError::QueryParse {
             reason,
             input: s.to_string(),
         };

@@ -28,7 +28,7 @@ use std::time::Duration;
 
 use blueprint_core::engine::api::{ApiError, Request, Response};
 use blueprint_core::engine::follower::{FollowerMsg, FollowerStatus};
-use blueprint_core::engine::tail::TailFrame;
+use blueprint_core::engine::tail::{TailItem, TailReader};
 use crossbeam::channel::Sender;
 use damocles_meta::EventMessage;
 
@@ -147,9 +147,7 @@ impl RemoteWrapper {
         match response {
             Response::Tailing { .. } => Ok(TailHandshake::Accepted {
                 position: response,
-                stream: TailStream {
-                    reader: self.reader,
-                },
+                stream: TailReader::new(self.reader),
             }),
             other => Ok(TailHandshake::Refused(other)),
         }
@@ -320,51 +318,13 @@ pub enum TailHandshake {
         /// The [`Response::Tailing`] line carrying the leader's
         /// committed position.
         position: Response,
-        /// The live frame stream.
-        stream: TailStream,
+        /// The live frame stream, read a batch of records at a time. The
+        /// leader pings at least every ~500ms, so a read that blocks
+        /// longer means a stall.
+        stream: TailReader<BufReader<TcpStream>>,
     },
     /// The leader refused (its structured response says why).
     Refused(Response),
-}
-
-/// The read side of an accepted tail stream: one [`TailFrame`] per line.
-#[derive(Debug)]
-pub struct TailStream {
-    reader: BufReader<TcpStream>,
-}
-
-impl TailStream {
-    /// Reads the next frame, blocking until the leader sends one (the
-    /// leader pings at least every ~500ms, so this also detects stalls).
-    ///
-    /// # Errors
-    ///
-    /// `UnexpectedEof` when the leader closed the stream; other I/O
-    /// errors from the transport; `InvalidData` carrying the leader's
-    /// structured error when the stream ended protocol-side (journaling
-    /// disabled, leader shutdown) or a line was not a frame.
-    pub fn next_frame(&mut self) -> io::Result<TailFrame> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "leader closed the tail stream",
-            ));
-        }
-        // Strip only the line terminator: a record's checksum covers all
-        // of its bytes, trailing spaces included (a `data` record with an
-        // empty payload ends in one).
-        let trimmed = line.trim_end_matches(['\r', '\n']);
-        TailFrame::decode(trimmed).map_err(|frame_err| {
-            // The stream's last line is a structured `err …` response
-            // when the leader ends it deliberately.
-            let reason = match Response::decode(trimmed) {
-                Ok(Response::Error(e)) => format!("leader ended the tail stream: {e}"),
-                _ => format!("broken tail stream: {frame_err}"),
-            };
-            io::Error::new(io::ErrorKind::InvalidData, reason)
-        })
-    }
 }
 
 /// The tail pump's first retry delay; it doubles per failed round.
@@ -380,7 +340,10 @@ const PUMP_RETRY_CAP: Duration = Duration::from_secs(1);
 ///
 /// Each round dials `upstream`, hands
 /// [`FollowerStatus::handshake_cursor`] to [`RemoteWrapper::tail_from`]
-/// and forwards every frame into `feed`. A failed dial, a refused
+/// and forwards the stream into `feed`: one [`FollowerMsg::Tail`] per
+/// batch of records and per other frame. While
+/// [`MAX_TAIL_BACKLOG`] records it sent wait untaken, it stops reading
+/// ([`FollowerStatus::wait_for_room`]). A failed dial, a refused
 /// handshake and a lost stream are reported as
 /// [`FollowerMsg::LeaderGone`] (the follower keeps serving stale reads);
 /// a replica that needs a snapshot reset drops the connection and
@@ -388,6 +351,8 @@ const PUMP_RETRY_CAP: Duration = Duration::from_secs(1);
 /// at 25 ms after every accepted handshake. The thread ends once the
 /// follower is promoted (the old stream is dead to a leader) or the loop
 /// behind `feed` is gone.
+///
+/// [`MAX_TAIL_BACKLOG`]: blueprint_core::engine::follower::MAX_TAIL_BACKLOG
 pub fn spawn_tail_pump(
     upstream: impl Into<String>,
     feed: Sender<FollowerMsg>,
@@ -411,11 +376,12 @@ pub fn spawn_tail_pump(
                     );
                     retry = PUMP_RETRY_FIRST;
                     loop {
-                        match stream.next_frame() {
-                            Ok(frame) => {
-                                if feed.send(FollowerMsg::Frame(frame)).is_err()
-                                    || status.promoted()
-                                {
+                        match stream.next_item() {
+                            Ok(item) => {
+                                if let TailItem::Records { batch, .. } = &item {
+                                    status.add_backlog(batch.len() as u64);
+                                }
+                                if feed.send(FollowerMsg::Tail(item)).is_err() {
                                     return;
                                 }
                                 if status.needs_reset() {
@@ -423,6 +389,9 @@ pub fn spawn_tail_pump(
                                     // diverged replica: re-handshake for a
                                     // snapshot reset.
                                     break None;
+                                }
+                                if !status.wait_for_room() {
+                                    return; // promoted, or the loop is gone
                                 }
                             }
                             Err(e) => break Some(format!("tail stream lost: {e}")),
@@ -448,6 +417,7 @@ pub fn spawn_tail_pump(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blueprint_core::engine::tail::TailFrame;
     use damocles_meta::{Direction, Oid};
     use std::net::TcpListener;
 
@@ -575,16 +545,14 @@ mod tests {
             let (mut socket, _) = listener.accept().unwrap();
             socket.write_all(wire.as_bytes()).unwrap();
         });
-        let mut stream = TailStream {
-            reader: BufReader::new(TcpStream::connect(addr).unwrap()),
-        };
-        let received = stream.next_frame().unwrap();
+        let mut stream = TailReader::new(BufReader::new(TcpStream::connect(addr).unwrap()));
+        let received = stream.next_item().unwrap();
         leader.join().unwrap();
-        assert_eq!(received, frame);
-        let TailFrame::Record { line, .. } = received else {
+        assert_eq!(received, TailItem::from(frame));
+        let TailItem::Records { batch, .. } = received else {
             unreachable!()
         };
-        assert_eq!(decode_record(&line, 0), Ok(op));
+        assert_eq!(decode_record(batch.line(0), 0), Ok(op));
     }
 
     #[test]
@@ -663,9 +631,139 @@ mod tests {
             next(),
             FollowerMsg::LeaderGone { reason } if reason.contains("refused the tail")
         ));
-        assert!(matches!(next(), FollowerMsg::Frame(TailFrame::Ping)));
+        assert!(matches!(next(), FollowerMsg::Tail(TailItem::Ping)));
         drop(rx);
         drop(upstream.join().unwrap());
         joins_soon(pump);
+    }
+
+    /// With no loop taking records, the pump stops reading once
+    /// `MAX_TAIL_BACKLOG` records wait; a loop that starts later takes
+    /// them, the pump reads on, and the replica reaches the upstream's
+    /// last record. A loop that ends releases a waiting pump.
+    #[test]
+    fn tail_pump_stops_at_the_backlog_bound_and_resumes() {
+        use blueprint_core::engine::api::SessionId;
+        use blueprint_core::engine::follower::{run_follower_loop, MAX_TAIL_BACKLOG};
+        use blueprint_core::engine::server::ProjectServer;
+        use blueprint_core::engine::service::{Envelope, ProjectService};
+        use blueprint_core::engine::tail::MAX_TAIL_BATCH;
+        use damocles_meta::journal::{encode_record, JournalOp};
+
+        const BLUEPRINT: &str = "blueprint b view default endview view v endview endblueprint";
+        let total = 3 * MAX_TAIL_BACKLOG;
+        let image = ProjectServer::from_source(BLUEPRINT)
+            .unwrap()
+            .project_image();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let upstream = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut line = String::new();
+            BufReader::new(&stream).read_line(&mut line).unwrap();
+            writeln!(
+                stream,
+                "{}",
+                Response::Tailing { epoch: 1, seq: 0 }.encode()
+            )
+            .unwrap();
+            let reset = TailFrame::Reset {
+                epoch: 1,
+                term: 1,
+                image,
+            };
+            writeln!(stream, "{}", reset.encode()).unwrap();
+            let mut wire = String::new();
+            for seq in 0..total {
+                let op = JournalOp::CreateOid {
+                    oid: Oid::new(format!("b{seq}"), "v", 1),
+                };
+                let record = encode_record(seq, &op);
+                wire.push_str(&format!("tail-rec 1 1 {record}"));
+            }
+            // Blocks once the pump stops reading and the socket fills.
+            stream.write_all(wire.as_bytes()).unwrap();
+            stream
+        });
+        let (feed, rx) = crossbeam::channel::unbounded();
+        let operator = feed.clone();
+        let status = Arc::new(FollowerStatus::default());
+        let pump = spawn_tail_pump(addr, feed, Arc::clone(&status));
+        // No loop takes what the pump sends: hold it, uncounted, until the
+        // pump has sent the bound.
+        let mut held = Vec::new();
+        let mut sent = 0;
+        while sent < MAX_TAIL_BACKLOG {
+            let msg = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the pump never filled the backlog");
+            if let FollowerMsg::Tail(TailItem::Records { batch, .. }) = &msg {
+                sent += batch.len() as u64;
+            }
+            held.push(msg);
+        }
+        assert!(sent < MAX_TAIL_BACKLOG + MAX_TAIL_BATCH as u64);
+        // The socket holds twice as many records again; a pump that read
+        // on would send some within this pause.
+        assert!(
+            rx.recv_timeout(Duration::from_millis(100)).is_err(),
+            "the pump read on past {sent} records"
+        );
+        // Hand the held messages back in order, ahead of anything the
+        // pump sends once a loop takes them.
+        for msg in held {
+            operator.send(msg).unwrap();
+        }
+
+        let service: ProjectService =
+            ProjectService::with_server(ProjectServer::from_source(BLUEPRINT).unwrap());
+        let loop_status = Arc::clone(&status);
+        let follower =
+            std::thread::spawn(move || run_follower_loop(service, &rx, "leader", &loop_status));
+        assert!(
+            status.wait_applied(1, total, Duration::from_secs(20)),
+            "the replica stopped at {:?}",
+            status.cursor()
+        );
+        drop(upstream.join().unwrap());
+        // The upstream is gone and the pump keeps redialing it, until a
+        // promotion ends it; then the loop ends with its last sender.
+        let dir = std::env::temp_dir().join("damocles-pump-bound-promoted");
+        let _ = std::fs::remove_dir_all(&dir);
+        let (reply, promoted) = crossbeam::channel::unbounded();
+        let promote = Request::Promote {
+            dir: dir.display().to_string(),
+            every: 1_000_000,
+            term: 2,
+        };
+        let envelope = Envelope::new(SessionId(1), promote, reply);
+        operator.send(FollowerMsg::Client(envelope)).unwrap();
+        assert!(matches!(
+            promoted.recv(),
+            Some(Response::Promoted { term: 2, .. })
+        ));
+        joins_soon(pump);
+        drop(operator);
+        follower.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // A pump waiting at the bound when its loop ends stops waiting.
+        let status = Arc::new(FollowerStatus::default());
+        status.add_backlog(MAX_TAIL_BACKLOG);
+        let (gone_tx, gone_rx) = crossbeam::channel::unbounded::<FollowerMsg>();
+        drop(gone_tx);
+        let waiting = {
+            let status = Arc::clone(&status);
+            std::thread::spawn(move || status.wait_for_room())
+        };
+        let service: ProjectService =
+            ProjectService::with_server(ProjectServer::from_source(BLUEPRINT).unwrap());
+        run_follower_loop(service, &gone_rx, "leader", &status);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !waiting.is_finished() {
+            assert!(std::time::Instant::now() < deadline, "the pump still waits");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(!waiting.join().unwrap());
     }
 }

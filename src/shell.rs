@@ -877,6 +877,17 @@ mod tests {
     }
 
     #[test]
+    fn a_malformed_query_is_reported_as_a_query() {
+        let mut sh = edtc_shell();
+        let out = sh.execute("query ???");
+        assert!(out.is_error());
+        assert_eq!(
+            out.text(),
+            "error: meta-database error: invalid query `???`: unrecognized query term `???`"
+        );
+    }
+
+    #[test]
     fn usage_errors_carry_positions() {
         let mut sh = edtc_shell();
         // Missing argument: position is end-of-line, expectation is named.
