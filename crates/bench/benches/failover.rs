@@ -49,7 +49,9 @@ use blueprint_core::engine::server::ProjectServer;
 use blueprint_core::engine::service::{
     serve_listener, serve_with, spawn_project_loop, ProjectService,
 };
-use damocles_bench::{append_bench_json, bench_dir, config, smoke, target_enabled};
+use damocles_bench::{
+    append_bench_json, bench_dir, chain_design_blueprint, config, smoke, target_enabled, MARK_STALE,
+};
 use damocles_tools::remote::{spawn_tail_pump, LeaderClient, ReconnectPolicy, RemoteWrapper};
 
 const TRACKED: &str = r#"
@@ -216,32 +218,9 @@ const REPLICA_OF: &str = "DAMOCLES_BENCH_REPLICA_OF";
 /// `damocles_load`'s single-project design: families, stages, blocks.
 const DESIGN: (usize, usize, usize) = (8, 6, 64);
 
-/// The blueprint of `damocles_load`'s design: every stage carries a
-/// `let`, each family is a derivation chain.
+/// The blueprint of `damocles_load`'s design.
 fn design_blueprint() -> String {
-    use std::fmt::Write as _;
-    let (families, stages, _) = DESIGN;
-    let mut src = String::from(
-        "blueprint waves\n\
-         view default\n\
-         \x20   property uptodate default true\n\
-         \x20   let tracked = ($uptodate == true)\n\
-         \x20   when ckin do uptodate = true; post outofdate down done\n\
-         \x20   when outofdate do uptodate = false done\n\
-         endview\n",
-    );
-    for f in 0..families {
-        let _ = writeln!(src, "view f{f}_s0 endview");
-        for s in 1..stages {
-            let _ = writeln!(
-                src,
-                "view f{f}_s{s}\n    link_from f{f}_s{prev} move propagates outofdate, ckin type derived\nendview",
-                prev = s - 1
-            );
-        }
-    }
-    src.push_str("endblueprint\n");
-    src
+    chain_design_blueprint(DESIGN.0, DESIGN.1, MARK_STALE)
 }
 
 /// The design's population — every chain's stages checked in and linked

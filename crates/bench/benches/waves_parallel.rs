@@ -53,7 +53,9 @@ use blueprint_core::engine::exec::{DetachedJob, ScriptExecutor, ToolCtx};
 use blueprint_core::engine::invoke::RetryPolicy;
 use blueprint_core::engine::server::ProjectServer;
 use blueprint_core::engine::service::{spawn_project_loop, ProjectService};
-use damocles_bench::{append_bench_json, config, smoke, target_enabled};
+use damocles_bench::{
+    append_bench_json, chain_design_blueprint, config, smoke, target_enabled, MARK_STALE,
+};
 use damocles_meta::{Direction, EventMessage, MetaError, Oid};
 use damocles_tools::tool::Tool;
 use damocles_tools::{FaultPlan, ToolExecutor};
@@ -73,33 +75,12 @@ const CHAINS: usize = 64;
 /// `exec_heavy`, every stale delivery also renders a tool invocation (the
 /// §3.3 automatic tool loop).
 fn family_blueprint_n(families: usize, exec_heavy: bool) -> String {
-    use std::fmt::Write as _;
-    let outofdate_rule = if exec_heavy {
-        "when outofdate do uptodate = false; exec checker \"$oid\" \"$event by $user at $date\" done\n"
+    let outofdate = if exec_heavy {
+        "uptodate = false; exec checker \"$oid\" \"$event by $user at $date\""
     } else {
-        "when outofdate do uptodate = false done\n"
+        MARK_STALE
     };
-    let mut src = format!(
-        "blueprint waves\n\
-         view default\n\
-             property uptodate default true\n\
-             let tracked = ($uptodate == true)\n\
-             when ckin do uptodate = true; post outofdate down done\n\
-             {outofdate_rule}\
-         endview\n",
-    );
-    for f in 0..families {
-        let _ = writeln!(src, "view f{f}_s0 endview");
-        for s in 1..STAGES {
-            let _ = writeln!(
-                src,
-                "view f{f}_s{s}\n    link_from f{f}_s{prev} move propagates outofdate, ckin type derived\nendview",
-                prev = s - 1
-            );
-        }
-    }
-    src.push_str("endblueprint\n");
-    src
+    chain_design_blueprint(families, STAGES, outofdate)
 }
 
 fn family_blueprint(exec_heavy: bool) -> String {

@@ -92,6 +92,41 @@ pub fn chain_blueprint_source(views: usize) -> String {
     spec.blueprint_source(true)
 }
 
+/// The `outofdate` rule body of [`chain_design_blueprint`]'s plain
+/// design: the delivery marks its object stale.
+pub const MARK_STALE: &str = "uptodate = false";
+
+/// The chain design's blueprint, as `damocles_load` writes it: `families`
+/// link-disjoint view families `f<f>_s0` … `f<f>_s<stages-1>`, each stage
+/// derived from the one before and propagating `outofdate` and `ckin`.
+/// Every delivery writes `uptodate` and re-evaluates the `tracked` let;
+/// `outofdate` is the body of the `outofdate` rule ([`MARK_STALE`], or
+/// that and a tool invocation).
+pub fn chain_design_blueprint(families: usize, stages: usize, outofdate: &str) -> String {
+    use std::fmt::Write as _;
+    let mut src = format!(
+        "blueprint waves\n\
+         view default\n\
+         \x20   property uptodate default true\n\
+         \x20   let tracked = ($uptodate == true)\n\
+         \x20   when ckin do uptodate = true; post outofdate down done\n\
+         \x20   when outofdate do {outofdate} done\n\
+         endview\n",
+    );
+    for f in 0..families {
+        let _ = writeln!(src, "view f{f}_s0 endview");
+        for s in 1..stages {
+            let _ = writeln!(
+                src,
+                "view f{f}_s{s}\n    link_from f{f}_s{prev} move propagates outofdate, ckin type derived\nendview",
+                prev = s - 1
+            );
+        }
+    }
+    src.push_str("endblueprint\n");
+    src
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

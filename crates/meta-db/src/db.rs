@@ -1,7 +1,9 @@
 //! The meta-database proper: arena-backed storage of OIDs and Links with the
 //! indices the run-time engine and the query layer need.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use crate::arena::{Arena, ArenaIndex};
 use crate::error::MetaError;
@@ -99,6 +101,9 @@ pub struct MetaDb {
     /// on recovery because recovery replays those same methods. Powers
     /// [`MetaDb::where_prop_eq`].
     prop_index: PropIndex<OidId>,
+    /// One copy of every object and link property name, shared by the
+    /// property maps that hold it.
+    prop_names: HashSet<Arc<str>>,
     /// Attached journal recorder, if any (see [`MetaDb::attach_journal`]).
     journal: Option<JournalRecorder>,
     /// Monotonic counter bumped by every mutation that can change which
@@ -178,6 +183,11 @@ impl MetaDb {
 
     /// Registers a new meta-data object.
     ///
+    /// The object takes its view name from the view index and its block
+    /// name from the chain it joins, so every version of a chain, its
+    /// `by_oid` keys and the chain and view indexes share one copy of each
+    /// name.
+    ///
     /// # Errors
     ///
     /// Returns [`MetaError::DuplicateOid`] if the triplet already exists.
@@ -185,6 +195,25 @@ impl MetaDb {
         if self.by_oid.contains_key(&oid) {
             return Err(MetaError::DuplicateOid { oid });
         }
+        let Oid {
+            block,
+            view,
+            version,
+        } = oid;
+        let (view, view_ids) = match self.by_view.entry(view) {
+            Entry::Occupied(e) => (e.key().clone(), e.into_mut()),
+            Entry::Vacant(e) => (e.key().clone(), e.insert(BTreeSet::new())),
+        };
+        let (block, versions) = match self.chains.entry((block, view.clone())) {
+            Entry::Occupied(e) => (e.key().0.clone(), e.into_mut()),
+            Entry::Vacant(e) => (e.key().0.clone(), e.insert(Vec::new())),
+        };
+        versions.insert(versions.partition_point(|&v| v < version), version);
+        let oid = Oid {
+            block,
+            view,
+            version,
+        };
         let view_sym = self.view_syms.intern(oid.view.as_str());
         let id = self.oids.insert(OidEntry {
             oid: oid.clone(),
@@ -192,14 +221,8 @@ impl MetaDb {
             links: Vec::new(),
             view_sym,
         });
+        view_ids.insert(id);
         self.by_oid.insert(oid.clone(), id);
-        let chain = self
-            .chains
-            .entry((oid.block.clone(), oid.view.clone()))
-            .or_default();
-        let pos = chain.partition_point(|&v| v < oid.version);
-        chain.insert(pos, oid.version);
-        self.by_view.entry(oid.view.clone()).or_default().insert(id);
         self.stats.created_oids += 1;
         if let Some(j) = self.journal.as_mut() {
             j.record_with(|out| body::create(out, &oid));
@@ -350,7 +373,9 @@ impl MetaDb {
     ) -> Result<Option<Value>, MetaError> {
         let entry = self.oids.get_mut(id).ok_or_else(|| stale(id))?;
         self.stats.prop_writes += 1;
-        let old = entry.props.set(name, value.clone());
+        let old = entry
+            .props
+            .set_shared(name, value.clone(), |n| share_name(&mut self.prop_names, n));
         if let Some(j) = self.journal.as_mut() {
             j.record_with(|out| body::prop(out, &entry.oid, name, &value));
         }
@@ -541,7 +566,9 @@ impl MetaDb {
             let tag = j.tag_of(id);
             j.record_with(|out| body::lprop(out, tag, name, &value));
         }
-        Ok(link.props.set(name, value))
+        Ok(link
+            .props
+            .set_shared(name, value, |n| share_name(&mut self.prop_names, n)))
     }
 
     /// Removes a property from a link's annotation, returning its value.
@@ -900,6 +927,16 @@ fn chain_key(block: &str, view: &str) -> Option<(BlockName, ViewType)> {
     ))
 }
 
+/// The database's copy of property name `name`, made on first use.
+fn share_name(names: &mut HashSet<Arc<str>>, name: &str) -> Arc<str> {
+    if let Some(shared) = names.get(name) {
+        return shared.clone();
+    }
+    let shared: Arc<str> = Arc::from(name);
+    names.insert(shared.clone());
+    shared
+}
+
 fn stale(id: OidId) -> MetaError {
     MetaError::StaleOid {
         handle: format!("{id:?}"),
@@ -1192,6 +1229,31 @@ mod tests {
             crate::persist::save(&db),
             "replaying the op log reproduces the database image"
         );
+    }
+
+    #[test]
+    fn versions_and_properties_share_names() {
+        let mut db = MetaDb::new();
+        let v1 = db.create_oid(Oid::new("cpu", "schematic", 1)).unwrap();
+        let v2 = db.create_oid(Oid::new("cpu", "schematic", 2)).unwrap();
+        let other = db.create_oid(Oid::new("alu", "schematic", 1)).unwrap();
+        for id in [v1, v2, other] {
+            db.set_prop(id, "uptodate", Value::Bool(true)).unwrap();
+        }
+        let (a, b, c) = (
+            db.oid(v1).unwrap(),
+            db.oid(v2).unwrap(),
+            db.oid(other).unwrap(),
+        );
+        assert_eq!(a.block.as_str().as_ptr(), b.block.as_str().as_ptr());
+        assert_eq!(a.view.as_str().as_ptr(), b.view.as_str().as_ptr());
+        assert_eq!(
+            a.view.as_str().as_ptr(),
+            c.view.as_str().as_ptr(),
+            "a new chain takes the view's name"
+        );
+        let name = |id| db.props(id).unwrap().names().next().unwrap().as_ptr();
+        assert_eq!(name(v1), name(other));
     }
 
     #[test]

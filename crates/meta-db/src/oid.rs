@@ -6,6 +6,7 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -14,9 +15,10 @@ use crate::error::MetaError;
 /// A design block name, e.g. `cpu` or `reg`.
 ///
 /// Block names are case-preserving but compared case-sensitively, matching
-/// the paper's examples which freely mix `CPU` and `cpu`.
+/// the paper's examples which freely mix `CPU` and `cpu`. A clone shares the
+/// string (see [`MetaDb::create_oid`](crate::MetaDb::create_oid)).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct BlockName(String);
+pub struct BlockName(Arc<str>);
 
 impl BlockName {
     /// Creates a block name.
@@ -33,7 +35,7 @@ impl BlockName {
     pub fn try_new(name: impl Into<String>) -> Result<Self, MetaError> {
         let name = name.into();
         validate_component(&name, "block name")?;
-        Ok(BlockName(name))
+        Ok(BlockName(name.into()))
     }
 
     /// The block name as a string slice.
@@ -57,8 +59,9 @@ impl From<&str> for BlockName {
 /// A design view type, e.g. `HDL_model`, `schematic`, `netlist`, `layout`.
 ///
 /// "OIDs are instances of views defined in the BluePrint" — Section 3.2.
+/// A clone shares the string, as [`BlockName`]'s does.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct ViewType(String);
+pub struct ViewType(Arc<str>);
 
 impl ViewType {
     /// Creates a view type.
@@ -75,7 +78,7 @@ impl ViewType {
     pub fn try_new(name: impl Into<String>) -> Result<Self, MetaError> {
         let name = name.into();
         validate_component(&name, "view type")?;
-        Ok(ViewType(name))
+        Ok(ViewType(name.into()))
     }
 
     /// The view type as a string slice.

@@ -6,8 +6,9 @@
 //! `is_equiv`, `true`, `4 errors`); we parse them into a small typed lattice
 //! while keeping string comparison semantics for mixed types.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -118,10 +119,14 @@ impl From<String> for Value {
 
 /// An ordered property map, as attached to OIDs and Links.
 ///
-/// Ordered (`BTreeMap`) so snapshots and audit dumps are deterministic.
+/// One vector of `(name, value)` pairs kept sorted by name, so snapshots and
+/// audit dumps are deterministic. An object holds a handful of properties,
+/// which a binary search over one small allocation serves in less memory
+/// than a tree's nodes. Names are shared strings: a [`MetaDb`](crate::MetaDb)
+/// gives every map it holds the same copy of each name.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PropertyMap {
-    entries: BTreeMap<String, Value>,
+    entries: Vec<(Arc<str>, Value)>,
 }
 
 impl PropertyMap {
@@ -132,22 +137,45 @@ impl PropertyMap {
 
     /// Sets `name` to `value`, returning the previous value if any.
     pub fn set(&mut self, name: impl Into<String>, value: impl Into<Value>) -> Option<Value> {
-        self.entries.insert(name.into(), value.into())
+        let name: String = name.into();
+        self.set_shared(&name, value.into(), |n| Arc::from(n))
+    }
+
+    /// [`PropertyMap::set`], where a new entry takes its name from `share`
+    /// (the owning database's copy of it).
+    pub(crate) fn set_shared(
+        &mut self,
+        name: &str,
+        value: Value,
+        share: impl FnOnce(&str) -> Arc<str>,
+    ) -> Option<Value> {
+        match self.position(name) {
+            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
+            Err(i) => {
+                self.entries.insert(i, (share(name), value));
+                None
+            }
+        }
+    }
+
+    /// Where `name` is, or where it would go.
+    fn position(&self, name: &str) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(n, _)| (**n).cmp(name))
     }
 
     /// Looks up a property.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.entries.get(name)
+        self.position(name).ok().map(|i| &self.entries[i].1)
     }
 
     /// Removes a property, returning its value.
     pub fn remove(&mut self, name: &str) -> Option<Value> {
-        self.entries.remove(name)
+        self.position(name).ok().map(|i| self.entries.remove(i).1)
     }
 
     /// Whether `name` is present.
     pub fn contains(&self, name: &str) -> bool {
-        self.entries.contains_key(name)
+        self.position(name).is_ok()
     }
 
     /// Number of properties.
@@ -162,26 +190,28 @@ impl PropertyMap {
 
     /// Iterates over `(name, value)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v))
+        self.entries.iter().map(|(k, v)| (&**k, v))
     }
 
     /// Property names in order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.entries.keys().map(String::as_str)
+        self.entries.iter().map(|(k, _)| &**k)
     }
 }
 
 impl FromIterator<(String, Value)> for PropertyMap {
     fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Self {
-        PropertyMap {
-            entries: iter.into_iter().collect(),
-        }
+        let mut map = PropertyMap::new();
+        map.extend(iter);
+        map
     }
 }
 
 impl Extend<(String, Value)> for PropertyMap {
     fn extend<I: IntoIterator<Item = (String, Value)>>(&mut self, iter: I) {
-        self.entries.extend(iter);
+        for (name, value) in iter {
+            self.set(name, value);
+        }
     }
 }
 

@@ -1,11 +1,13 @@
 //! Property tests on meta-database invariants: arena address stability,
-//! version-chain ordering, link incidence symmetry, wire-format round-trips,
-//! hex payload decoding.
+//! property maps against an ordered-map model, version-chain ordering, link
+//! incidence symmetry, wire-format round-trips, hex payload decoding.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use damocles_meta::persist::{decode_hex, encode_hex, escape, unescape};
-use damocles_meta::{Arena, Direction, EventMessage, LinkClass, LinkKind, MetaDb, Oid, Value};
+use damocles_meta::{
+    Arena, Direction, EventMessage, LinkClass, LinkKind, MetaDb, Oid, PropertyMap, Value,
+};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -67,6 +69,96 @@ proptest! {
         let from_iter: BTreeSet<u16> = arena.iter().map(|(_, v)| *v).collect();
         let expected: BTreeSet<u16> = live.iter().map(|(_, v)| *v).collect();
         prop_assert_eq!(from_iter, expected);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Property maps
+// ---------------------------------------------------------------------
+
+/// A small name alphabet, so that sets overwrite and removals hit both
+/// present and absent names.
+const NAMES: [&str; 5] = ["a", "ab", "b", "owner", "uptodate"];
+
+#[derive(Debug, Clone)]
+enum MapOp {
+    Set(usize, i64),
+    Remove(usize),
+    Get(usize),
+    Contains(usize),
+    Extend(Vec<(usize, i64)>),
+    Collect(Vec<(usize, i64)>),
+}
+
+/// A value of each variant from a drawn number.
+fn map_value(n: i64) -> Value {
+    match n {
+        0 => Value::Bool(true),
+        1 => Value::Str("ok".into()),
+        _ => Value::Int(n),
+    }
+}
+
+fn map_pairs(pairs: &[(usize, i64)]) -> Vec<(String, Value)> {
+    pairs
+        .iter()
+        .map(|&(n, v)| (NAMES[n].to_string(), map_value(v)))
+        .collect()
+}
+
+fn map_ops() -> impl Strategy<Value = Vec<MapOp>> {
+    let name = || 0..NAMES.len();
+    let pairs = || proptest::collection::vec((0..NAMES.len(), 0i64..4), 0..6);
+    proptest::collection::vec(
+        prop_oneof![
+            (name(), 0i64..4).prop_map(|(n, v)| MapOp::Set(n, v)),
+            name().prop_map(MapOp::Remove),
+            name().prop_map(MapOp::Get),
+            name().prop_map(MapOp::Contains),
+            pairs().prop_map(MapOp::Extend),
+            pairs().prop_map(MapOp::Collect),
+        ],
+        0..80,
+    )
+}
+
+proptest! {
+    /// A property map behaves exactly like an ordered map from names to
+    /// values: every call gives the model's result, and iteration runs in
+    /// name order.
+    #[test]
+    fn property_map_matches_model(ops in map_ops()) {
+        let mut map = PropertyMap::new();
+        let mut model: BTreeMap<String, Value> = BTreeMap::new();
+        for op in ops {
+            match op {
+                MapOp::Set(n, v) => {
+                    prop_assert_eq!(
+                        map.set(NAMES[n], map_value(v)),
+                        model.insert(NAMES[n].to_string(), map_value(v))
+                    );
+                }
+                MapOp::Remove(n) => prop_assert_eq!(map.remove(NAMES[n]), model.remove(NAMES[n])),
+                MapOp::Get(n) => prop_assert_eq!(map.get(NAMES[n]), model.get(NAMES[n])),
+                MapOp::Contains(n) => {
+                    prop_assert_eq!(map.contains(NAMES[n]), model.contains_key(NAMES[n]));
+                }
+                MapOp::Extend(pairs) => {
+                    map.extend(map_pairs(&pairs));
+                    model.extend(map_pairs(&pairs));
+                }
+                MapOp::Collect(pairs) => {
+                    map = map_pairs(&pairs).into_iter().collect();
+                    model = map_pairs(&pairs).into_iter().collect();
+                }
+            }
+            prop_assert_eq!(map.len(), model.len());
+            prop_assert_eq!(map.is_empty(), model.is_empty());
+            let pairs: Vec<(&str, &Value)> = map.iter().collect();
+            let expected: Vec<(&str, &Value)> = model.iter().map(|(k, v)| (k.as_str(), v)).collect();
+            prop_assert_eq!(pairs, expected);
+            prop_assert!(map.names().eq(model.keys().map(String::as_str)));
+        }
     }
 }
 
