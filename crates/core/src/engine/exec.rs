@@ -332,7 +332,8 @@ mod tests {
             .create_versioned("cpu", "netlist", "netlister", b"n".to_vec())
             .unwrap();
         let link = ctx.connect(sch, net).unwrap();
-        assert!(ctx.db.link(link).unwrap().allows("outofdate"));
+        let propagates = ctx.db.link(link).unwrap().propagates();
+        assert!(ctx.db.event_names(propagates).contains(&"outofdate"));
     }
 
     #[test]

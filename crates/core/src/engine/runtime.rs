@@ -601,8 +601,6 @@ impl RuntimeEngine {
                     target: target.clone(),
                     user: ev.user.clone(),
                     clock,
-                    lane: None,
-                    shard: None,
                 });
             }
         }

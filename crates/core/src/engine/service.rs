@@ -60,7 +60,7 @@ use std::sync::Arc;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use damocles_meta::qlang::Query;
 use damocles_meta::{
-    dump, persist, Configuration, ConfigurationBuilder, EventMessage, SnapshotRule, Value,
+    dump, journal, persist, Configuration, ConfigurationBuilder, EventMessage, SnapshotRule, Value,
 };
 
 use crate::engine::api::{
@@ -434,13 +434,17 @@ impl<E: ScriptExecutor + Default> ProjectService<E> {
             Request::SaveProject { path } => {
                 let server = self.server.as_ref().ok_or(ApiError::NoProject)?;
                 let image = persist::save_project(server.db(), server.workspace());
-                std::fs::write(&path, image).map_err(|e| ApiError::Io {
+                match regular_file(&path) {
+                    Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
+                    _ => journal::write_file_atomic(&path, &image),
+                }
+                .map_err(|e| ApiError::Io {
                     reason: format!("cannot write {path}: {e}"),
                 })?;
                 Ok(Response::Ok)
             }
             Request::LoadProject { path } => {
-                let image = std::fs::read_to_string(&path).map_err(|e| ApiError::Io {
+                let image = read_image(&path).map_err(|e| ApiError::Io {
                     reason: format!("cannot read {path}: {e}"),
                 })?;
                 let (db, workspace) = persist::load_project(&image).map_err(EngineError::Meta)?;
@@ -728,6 +732,31 @@ pub(crate) fn loop_gone() -> ApiError {
     ApiError::Io {
         reason: "project command loop has shut down".to_string(),
     }
+}
+
+/// The metadata of `path`, refusing anything but a regular file: `load`
+/// must not read a device or a directory, nor `save` rename over one.
+fn regular_file(path: &str) -> std::io::Result<std::fs::Metadata> {
+    let meta = std::fs::metadata(path)?;
+    if !meta.is_file() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "not a regular file",
+        ));
+    }
+    Ok(meta)
+}
+
+/// Reads a project image for `load`: no more of the file than the length
+/// its metadata reports, so a file that grows while it is read cannot
+/// exhaust the server.
+fn read_image(path: &str) -> std::io::Result<String> {
+    let meta = regular_file(path)?;
+    let mut image = String::new();
+    std::fs::File::open(path)?
+        .take(meta.len())
+        .read_to_string(&mut image)?;
+    Ok(image)
 }
 
 /// Ceiling of the adaptive group-commit window: under a sustained burst,

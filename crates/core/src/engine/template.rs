@@ -334,7 +334,8 @@ mod tests {
         let nl = db.create_oid(Oid::new("alu", "NetList", 8)).unwrap();
         let g5 = db.create_oid(Oid::new("alu", "GDSII", 5)).unwrap();
         let link = instantiate_link(&bp, &mut db, nl, g5).unwrap();
-        assert!(db.link(link).unwrap().allows("OutOfDate"));
+        let propagates = db.link(link).unwrap().propagates();
+        assert!(db.event_names(propagates).contains(&"OutOfDate"));
 
         let g6 = db.create_oid(Oid::new("alu", "GDSII", 6)).unwrap();
         let report = apply_on_create(&bp, &mut db, g6, &mut audit).unwrap();
@@ -437,7 +438,7 @@ mod tests {
         let l = db.link(link).unwrap();
         assert_eq!(l.from, a);
         assert_eq!(l.to, b);
-        assert!(l.allows("e"));
+        assert!(db.event_names(l.propagates()).contains(&"e"));
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //!   hook is guarded by [`TraceLog::enabled`], so a disabled trace costs
 //!   one branch per potential record and allocates nothing.
 //! * **One order.** Every wave runs inline in queue order, so the trace
-//!   is the drain's execution order. The `begin` record's lane and shard
-//!   words are always `-` (wave lanes wrote `+<n>` there, and such
-//!   traces still decode).
+//!   is the drain's execution order. The `begin` record ends in two
+//!   words that are always `-`: wave lanes wrote a lane and a shard
+//!   there as `+<n>`, and such traces still decode, dropping both.
 //!
 //! Records use the protocol's word codec (`PROTOCOL.md` §1), so a trace
 //! streams through [`Response::Trace`](crate::engine::api::Response) and
@@ -50,12 +50,6 @@ pub enum TraceRecord {
         user: String,
         /// The engine clock stamped on this wave.
         clock: u64,
-        /// Worker lane that ran the wave: always `None`, since every wave
-        /// runs inline. Traces captured from servers that had wave lanes
-        /// carry `Some` here.
-        lane: Option<u64>,
-        /// Shard group of the anchor: always `None`, as `lane`.
-        shard: Option<u64>,
     },
     /// A dispatch table fired: `oid` (of view `view`) executed its rules
     /// for `event`.
@@ -113,10 +107,6 @@ pub enum TraceRecord {
     },
 }
 
-fn enc_opt_u64(v: Option<u64>) -> String {
-    v.map_or_else(|| "-".to_string(), |n| format!("+{n}"))
-}
-
 impl TraceRecord {
     /// Renders the record's canonical single-line form (no newline).
     pub fn encode(&self) -> String {
@@ -126,15 +116,11 @@ impl TraceRecord {
                 target,
                 user,
                 clock,
-                lane,
-                shard,
             } => format!(
-                "begin {} {} {} {clock} {} {}",
+                "begin {} {} {} {clock} - -",
                 enc_str(event),
                 enc_str(&target.to_string()),
-                enc_str(user),
-                enc_opt_u64(*lane),
-                enc_opt_u64(*shard)
+                enc_str(user)
             ),
             TraceRecord::Deliver { oid, event, view } => format!(
                 "deliver {} {} {}",
@@ -195,23 +181,26 @@ impl TraceRecord {
             w.parse::<u64>()
                 .map_err(|_| format!("`{w}` is not a number"))
         };
-        let opt_num = |w: &str| -> Result<Option<u64>, String> {
+        let lane_word = |w: &str| -> Result<(), String> {
             match w.strip_prefix('+') {
-                Some(n) => num(n).map(Some),
-                None if w == "-" => Ok(None),
+                Some(n) => num(n).map(drop),
+                None if w == "-" => Ok(()),
                 None => Err(format!("expected `-` or `+<n>`, found `{w}`")),
             }
         };
         let kind = next("a trace record kind")?;
         let rec = match kind.as_str() {
-            "begin" => TraceRecord::Begin {
-                event: string(&next("an event")?)?,
-                target: oid(&next("a target OID")?)?,
-                user: string(&next("a user")?)?,
-                clock: num(&next("a clock")?)?,
-                lane: opt_num(&next("a lane")?)?,
-                shard: opt_num(&next("a shard")?)?,
-            },
+            "begin" => {
+                let rec = TraceRecord::Begin {
+                    event: string(&next("an event")?)?,
+                    target: oid(&next("a target OID")?)?,
+                    user: string(&next("a user")?)?,
+                    clock: num(&next("a clock")?)?,
+                };
+                lane_word(&next("a lane")?)?;
+                lane_word(&next("a shard")?)?;
+                rec
+            }
             "deliver" => TraceRecord::Deliver {
                 oid: oid(&next("an OID")?)?,
                 event: string(&next("an event")?)?,
@@ -332,16 +321,12 @@ mod tests {
                 target: Oid::new("cpu", "HDL_model", 2),
                 user: "yves lin".into(),
                 clock: 7,
-                lane: None,
-                shard: None,
             },
             TraceRecord::Begin {
                 event: "outofdate".into(),
                 target: Oid::new("cpu", "schematic", 1),
                 user: String::new(),
                 clock: 8,
-                lane: Some(2),
-                shard: Some(5),
             },
             TraceRecord::Deliver {
                 oid: Oid::new("cpu", "schematic", 1),
@@ -390,6 +375,14 @@ mod tests {
             assert_eq!(back, rec, "`{line}`");
             assert_eq!(back.encode(), line, "canonical re-encode of `{line}`");
         }
+    }
+
+    #[test]
+    fn lane_and_shard_words_decode_and_reencode_as_dashes() {
+        let line = "begin outofdate cpu,schematic,1 % 8 +2 +5";
+        let rec = TraceRecord::decode(line).unwrap();
+        assert_eq!(rec, samples()[1]);
+        assert_eq!(rec.encode(), "begin outofdate cpu,schematic,1 % 8 - -");
     }
 
     #[test]

@@ -379,15 +379,7 @@ fn record_session() -> Seeds {
     let mut tail_streams = Vec::new();
     let mut responses = Vec::new();
     let mut request_lines = Vec::new();
-    let mut trace_records = vec![TraceRecord::Begin {
-        event: "ckin".into(),
-        target: oid("cpu", "src", 2),
-        user: "ann lee".into(),
-        clock: 9,
-        lane: Some(1),
-        shard: Some(3),
-    }
-    .encode()];
+    let mut trace_records = vec!["begin ckin cpu,src,2 ann%20lee 9 +1 +3".to_string()];
     let mut wire_messages = vec![
         EventMessage::new("sim", Direction::Down, oid("cpu", "der", 1))
             .with_arg("say \"hi\" \\ now")

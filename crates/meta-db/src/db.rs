@@ -2,12 +2,12 @@
 //! indices the run-time engine and the query layer need.
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::sync::Arc;
 
 use crate::arena::{Arena, ArenaIndex};
 use crate::error::MetaError;
-use crate::intern::{Sym, SymbolTable};
+use crate::intern::{Sym, SymSet, SymbolTable};
 use crate::journal::{body, JournalOp, JournalRecorder, MovedEnd, RecordBatch};
 use crate::link::{Direction, Link, LinkClass, LinkId, LinkKind};
 use crate::oid::{BlockName, Oid, ViewType};
@@ -63,10 +63,10 @@ pub struct DbStats {
 
 /// The DAMOCLES meta-database.
 ///
-/// Stores [`OidEntry`] and [`Link`] objects in generational arenas and keeps
-/// three indices: triplet → address, `(block, view)` → sorted version list,
-/// and view → live objects. All mutation goes through methods so the indices
-/// never drift from the arenas.
+/// Stores [`OidEntry`] and [`Link`] objects in generational arenas and
+/// indexes the objects by version chain: `(block, view)` → its live
+/// `(version, address)` pairs, sorted by version. All mutation goes through
+/// methods so the index never drifts from the arenas.
 ///
 /// # Example
 ///
@@ -86,9 +86,8 @@ pub struct DbStats {
 pub struct MetaDb {
     oids: Arena<OidEntry>,
     links: Arena<Link>,
-    by_oid: HashMap<Oid, OidId>,
-    chains: BTreeMap<(BlockName, ViewType), Vec<u32>>,
-    by_view: BTreeMap<ViewType, BTreeSet<OidId>>,
+    /// The object index: every triplet resolves through its chain.
+    chains: BTreeMap<(BlockName, ViewType), Vec<(u32, OidId)>>,
     /// Interner for the event names appearing in link PROPAGATE sets; the
     /// bitset form of every link's PROPAGATE property indexes this table.
     event_syms: SymbolTable,
@@ -101,9 +100,9 @@ pub struct MetaDb {
     /// on recovery because recovery replays those same methods. Powers
     /// [`MetaDb::where_prop_eq`].
     prop_index: PropIndex<OidId>,
-    /// One copy of every object and link property name, shared by the
-    /// property maps that hold it.
-    prop_names: HashSet<Arc<str>>,
+    /// One copy of every view name and object and link property name,
+    /// shared by the chains and property maps that hold it.
+    names: HashSet<Arc<str>>,
     /// Attached journal recorder, if any (see [`MetaDb::attach_journal`]).
     journal: Option<JournalRecorder>,
     /// Monotonic counter bumped by every mutation that can change which
@@ -163,7 +162,6 @@ impl MetaDb {
         MetaDb {
             oids: Arena::with_capacity(oids),
             links: Arena::with_capacity(oids * 2),
-            by_oid: HashMap::with_capacity(oids),
             ..Default::default()
         }
     }
@@ -183,49 +181,45 @@ impl MetaDb {
 
     /// Registers a new meta-data object.
     ///
-    /// The object takes its view name from the view index and its block
-    /// name from the chain it joins, so every version of a chain, its
-    /// `by_oid` keys and the chain and view indexes share one copy of each
-    /// name.
+    /// The object takes its block and view names from the chain it joins,
+    /// and a new chain takes its view name from the database's name set, so
+    /// every version of a chain and every chain of a view share one copy of
+    /// each name.
     ///
     /// # Errors
     ///
     /// Returns [`MetaError::DuplicateOid`] if the triplet already exists.
     pub fn create_oid(&mut self, oid: Oid) -> Result<OidId, MetaError> {
-        if self.by_oid.contains_key(&oid) {
-            return Err(MetaError::DuplicateOid { oid });
-        }
         let Oid {
             block,
             view,
             version,
         } = oid;
-        let (view, view_ids) = match self.by_view.entry(view) {
+        let view = ViewType(share_name(&mut self.names, view.as_str()));
+        let ((block, view), chain) = match self.chains.entry((block, view)) {
             Entry::Occupied(e) => (e.key().clone(), e.into_mut()),
-            Entry::Vacant(e) => (e.key().clone(), e.insert(BTreeSet::new())),
+            Entry::Vacant(e) => (e.key().clone(), e.insert(Vec::new())),
         };
-        let (block, versions) = match self.chains.entry((block, view.clone())) {
-            Entry::Occupied(e) => (e.key().0.clone(), e.into_mut()),
-            Entry::Vacant(e) => (e.key().0.clone(), e.insert(Vec::new())),
-        };
-        versions.insert(versions.partition_point(|&v| v < version), version);
         let oid = Oid {
             block,
             view,
             version,
         };
+        let pos = chain.partition_point(|&(v, _)| v < version);
+        if chain.get(pos).is_some_and(|&(v, _)| v == version) {
+            return Err(MetaError::DuplicateOid { oid });
+        }
         let view_sym = self.view_syms.intern(oid.view.as_str());
         let id = self.oids.insert(OidEntry {
-            oid: oid.clone(),
+            oid,
             props: PropertyMap::new(),
             links: Vec::new(),
             view_sym,
         });
-        view_ids.insert(id);
-        self.by_oid.insert(oid.clone(), id);
+        chain.insert(pos, (version, id));
         self.stats.created_oids += 1;
         if let Some(j) = self.journal.as_mut() {
-            j.record_with(|out| body::create(out, &oid));
+            j.record_with(|out| body::create(out, &self.oids[id].oid));
         }
         Ok(id)
     }
@@ -249,21 +243,11 @@ impl MetaDb {
         for (name, value) in entry.props.iter() {
             self.prop_index.remove(name, value, id);
         }
-        self.by_oid.remove(&entry.oid);
-        if let Some(chain) = self
-            .chains
-            .get_mut(&(entry.oid.block.clone(), entry.oid.view.clone()))
-        {
-            chain.retain(|&v| v != entry.oid.version);
-            if chain.is_empty() {
-                self.chains
-                    .remove(&(entry.oid.block.clone(), entry.oid.view.clone()));
-            }
-        }
-        if let Some(set) = self.by_view.get_mut(&entry.oid.view) {
-            set.remove(&id);
-            if set.is_empty() {
-                self.by_view.remove(&entry.oid.view);
+        let key = (entry.oid.block.clone(), entry.oid.view.clone());
+        if let Entry::Occupied(mut chain) = self.chains.entry(key) {
+            chain.get_mut().retain(|&(_, v)| v != id);
+            if chain.get().is_empty() {
+                chain.remove();
             }
         }
         if let Some(j) = self.journal.as_mut() {
@@ -274,7 +258,9 @@ impl MetaDb {
 
     /// Resolves a triplet to its database address.
     pub fn resolve(&self, oid: &Oid) -> Option<OidId> {
-        self.by_oid.get(oid).copied()
+        let chain = self.chain(&(oid.block.clone(), oid.view.clone()));
+        let pos = chain.binary_search_by_key(&oid.version, |&(v, _)| v);
+        pos.ok().map(|pos| chain[pos].1)
     }
 
     /// Resolves a triplet, failing with [`MetaError::UnknownOid`].
@@ -375,7 +361,7 @@ impl MetaDb {
         self.stats.prop_writes += 1;
         let old = entry
             .props
-            .set_shared(name, value.clone(), |n| share_name(&mut self.prop_names, n));
+            .set_shared(name, value.clone(), |n| share_name(&mut self.names, n));
         if let Some(j) = self.journal.as_mut() {
             j.record_with(|out| body::prop(out, &entry.oid, name, &value));
         }
@@ -440,7 +426,7 @@ impl MetaDb {
         class: LinkClass,
         kind: LinkKind,
     ) -> Result<LinkId, MetaError> {
-        self.add_link_with(from, to, class, kind, std::iter::empty::<String>())
+        self.add_link_with(from, to, class, kind, std::iter::empty::<&str>())
     }
 
     /// Adds a link whose PROPAGATE set is given up front.
@@ -454,7 +440,7 @@ impl MetaDb {
     ) -> Result<LinkId, MetaError>
     where
         I: IntoIterator<Item = S>,
-        S: Into<String>,
+        S: AsRef<str>,
     {
         if !self.oids.contains(from) {
             return Err(stale(from));
@@ -469,18 +455,17 @@ impl MetaDb {
         }
         let mut link = Link::new(from, to, class, kind);
         for event in propagates {
-            let event: String = event.into();
-            link.propagates_syms.insert(self.event_syms.intern(&event));
-            link.propagates.insert(event);
+            link.propagates
+                .insert(self.event_syms.intern(event.as_ref()));
         }
-        let id = self.links.insert(link);
         // A link that carries no events cannot change reachability yet;
         // its first `allow_event` will record the bridge.
-        let delta = if self.links[id].propagates.is_empty() {
+        let delta = if link.propagates.is_empty() {
             TopoDelta::Quiet
         } else {
             TopoDelta::Bridge { a: from, b: to }
         };
+        let id = self.links.insert(link);
         self.bump_topology(delta);
         self.oids
             .get_mut(from)
@@ -496,9 +481,8 @@ impl MetaDb {
         if let Some(j) = self.journal.as_mut() {
             let tag = j.assign_tag(id);
             let (link, from, to) = (&self.links[id], &self.oids[from].oid, &self.oids[to].oid);
-            j.record_with(|out| {
-                body::link(out, tag, from, to, link.class, &link.kind, &link.propagates);
-            });
+            let events = sorted_names(&self.event_syms, &link.propagates);
+            j.record_with(|out| body::link(out, tag, from, to, link.class, &link.kind, events));
         }
         Ok(id)
     }
@@ -527,16 +511,15 @@ impl MetaDb {
         self.links.get(id).ok_or(MetaError::StaleLink { link: id })
     }
 
-    /// Adds `event` to a link's PROPAGATE set (both the string form and the
-    /// interned bitset form). Returns whether the event was newly added.
+    /// Adds `event` to a link's PROPAGATE set. Returns whether the event
+    /// was newly added.
     pub fn allow_event(&mut self, id: LinkId, event: &str) -> Result<bool, MetaError> {
         let sym = self.event_syms.intern(event);
         let link = self
             .links
             .get_mut(id)
             .ok_or(MetaError::StaleLink { link: id })?;
-        link.propagates_syms.insert(sym);
-        let fresh = link.propagates.insert(event.to_string());
+        let fresh = link.propagates.insert(sym);
         if fresh {
             let (a, b) = (link.from, link.to);
             self.bump_topology(TopoDelta::Bridge { a, b });
@@ -568,7 +551,7 @@ impl MetaDb {
         }
         Ok(link
             .props
-            .set_shared(name, value, |n| share_name(&mut self.prop_names, n)))
+            .set_shared(name, value, |n| share_name(&mut self.names, n)))
     }
 
     /// Removes a property from a link's annotation, returning its value.
@@ -591,6 +574,12 @@ impl MetaDb {
     /// ever mentioned it. `None` means no live link can propagate the event.
     pub fn event_sym(&self, event: &str) -> Option<Sym> {
         self.event_syms.lookup(event)
+    }
+
+    /// The names of a PROPAGATE set (see [`Link::propagates`]), sorted: the
+    /// order images, journals and dumps write them in.
+    pub fn event_names(&self, events: &SymSet) -> Vec<&str> {
+        sorted_names(&self.event_syms, events)
     }
 
     /// Iterates over the links incident to `id` (either end).
@@ -739,7 +728,12 @@ impl MetaDb {
         } else {
             return Err(MetaError::StaleLink { link: link_id });
         };
-        let id = self.add_link_with(from, to, link.class, link.kind, link.propagates)?;
+        let events: Vec<String> = self
+            .event_names(&link.propagates)
+            .into_iter()
+            .map(String::from)
+            .collect();
+        let id = self.add_link_with(from, to, link.class, link.kind, events)?;
         // Copy the annotation through the journaled setter so an attached
         // journal observes the copied properties.
         for (name, value) in link.props.iter() {
@@ -859,55 +853,45 @@ impl MetaDb {
     // Version chains & views
     // ------------------------------------------------------------------
 
+    /// A chain's live `(version, address)` pairs, oldest first; empty for a
+    /// chain with no live version.
+    fn chain(&self, key: &(BlockName, ViewType)) -> &[(u32, OidId)] {
+        self.chains.get(key).map_or(&[], Vec::as_slice)
+    }
+
     /// Sorted version numbers existing for `(block, view)`.
     pub fn versions(&self, block: &str, view: &str) -> Vec<u32> {
-        let key = match chain_key(block, view) {
-            Some(k) => k,
-            None => return Vec::new(),
-        };
-        self.chains.get(&key).cloned().unwrap_or_default()
+        chain_key(block, view).map_or_else(Vec::new, |key| {
+            self.chain(&key).iter().map(|&(v, _)| v).collect()
+        })
     }
 
     /// The address of the highest-numbered version of `(block, view)`.
     pub fn latest_version(&self, block: &str, view: &str) -> Option<OidId> {
-        let key = chain_key(block, view)?;
-        let chain = self.chains.get(&key)?;
-        let &version = chain.last()?;
-        self.by_oid
-            .get(&Oid {
-                block: key.0,
-                view: key.1,
-                version,
-            })
-            .copied()
+        let &(_, id) = self.chain(&chain_key(block, view)?).last()?;
+        Some(id)
     }
 
     /// The address of the version preceding `oid.version` in its chain.
     pub fn predecessor(&self, oid: &Oid) -> Option<OidId> {
-        let chain = self.chains.get(&(oid.block.clone(), oid.view.clone()))?;
-        let pos = chain.partition_point(|&v| v < oid.version);
-        if pos == 0 {
-            return None;
-        }
-        let prev = chain[pos - 1];
-        self.by_oid.get(&oid.at_version(prev)).copied()
+        let chain = self.chain(&(oid.block.clone(), oid.view.clone()));
+        let pos = chain.partition_point(|&(v, _)| v < oid.version);
+        Some(chain.get(pos.checked_sub(1)?)?.1)
     }
 
     /// Live objects of the given view type, in address order.
     pub fn oids_of_view(&self, view: &str) -> Vec<OidId> {
-        match ViewType::try_new(view) {
-            Ok(v) => self
-                .by_view
-                .get(&v)
-                .map(|s| s.iter().copied().collect())
-                .unwrap_or_default(),
-            Err(_) => Vec::new(),
-        }
+        self.oids
+            .iter()
+            .filter(|(_, entry)| entry.oid.view.as_str() == view)
+            .map(|(id, _)| id)
+            .collect()
     }
 
     /// All view types with at least one live object.
     pub fn view_types(&self) -> Vec<ViewType> {
-        self.by_view.keys().cloned().collect()
+        let views: BTreeSet<&ViewType> = self.oids.iter().map(|(_, e)| &e.oid.view).collect();
+        views.into_iter().cloned().collect()
     }
 
     /// All distinct block names with at least one live object.
@@ -927,7 +911,14 @@ fn chain_key(block: &str, view: &str) -> Option<(BlockName, ViewType)> {
     ))
 }
 
-/// The database's copy of property name `name`, made on first use.
+/// The names of `events` in `table`, sorted (see [`MetaDb::event_names`]).
+fn sorted_names<'a>(table: &'a SymbolTable, events: &SymSet) -> Vec<&'a str> {
+    let mut names: Vec<&str> = events.iter().filter_map(|sym| table.name(sym)).collect();
+    names.sort_unstable();
+    names
+}
+
+/// The database's copy of name `name`, made on first use.
 fn share_name(names: &mut HashSet<Arc<str>>, name: &str) -> Arc<str> {
     if let Some(shared) = names.get(name) {
         return shared.clone();
@@ -1059,13 +1050,17 @@ mod tests {
             .add_link_with(a, b, LinkClass::Derive, LinkKind::DeriveFrom, ["outofdate"])
             .unwrap();
 
-        // add_link_with interned the event; string and bitset forms agree.
+        // add_link_with interned the event; names and bitset agree.
         let sym = db
             .event_sym("outofdate")
             .expect("interned at link creation");
-        assert!(db.link(l).unwrap().allows("outofdate"));
+        let allows = |db: &MetaDb, event| {
+            db.event_names(db.link(l).unwrap().propagates())
+                .contains(&event)
+        };
+        assert!(allows(&db, "outofdate"));
         assert!(db.link(l).unwrap().allows_sym(sym));
-        assert!(db.link(l).unwrap().propagates().contains("outofdate"));
+        assert!(db.link(l).unwrap().propagates().contains(sym));
 
         // An event no link mentions resolves to no symbol at all — the
         // neighbor filter's short-circuit for never-propagated events.
@@ -1075,11 +1070,11 @@ mod tests {
             .unwrap()
             .is_empty());
 
-        // allow_event keeps both forms in lock-step.
+        // allow_event grows the one set that names and bitset read.
         assert!(db.allow_event(l, "lvs").unwrap());
         assert!(!db.allow_event(l, "lvs").unwrap(), "second add is a no-op");
         let lvs = db.event_sym("lvs").unwrap();
-        assert!(db.link(l).unwrap().allows("lvs"));
+        assert!(allows(&db, "lvs"));
         assert!(db.link(l).unwrap().allows_sym(lvs));
         assert_eq!(
             db.neighbors(a, Direction::Down, Some("lvs")).unwrap(),
@@ -1127,7 +1122,7 @@ mod tests {
         assert_eq!(link.to, g6);
         assert!(db.entry(g5).unwrap().link_ids().is_empty());
         assert_eq!(db.entry(g6).unwrap().link_ids(), &[l]);
-        assert!(link.allows("OutOfDate"));
+        assert!(db.event_names(link.propagates()).contains(&"OutOfDate"));
     }
 
     #[test]
@@ -1144,7 +1139,7 @@ mod tests {
         let copy = db.link(l2).unwrap();
         assert_eq!(copy.from, a);
         assert_eq!(copy.to, b2);
-        assert!(copy.allows("outofdate"));
+        assert!(db.event_names(copy.propagates()).contains(&"outofdate"));
         assert_eq!(db.link_count(), 2);
     }
 

@@ -52,7 +52,7 @@ pub fn dump(db: &MetaDb) -> String {
                 LinkClass::Use => "use",
                 LinkClass::Derive => "derive",
             };
-            let propagates: Vec<&str> = link.propagates.iter().map(String::as_str).collect();
+            let propagates = db.event_names(link.propagates());
             Some((
                 from.to_string(),
                 to.to_string(),

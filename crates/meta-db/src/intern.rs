@@ -133,6 +133,13 @@ impl SymSet {
         self.words.iter().all(|&w| w == 0)
     }
 
+    /// The symbols in the set, in index order.
+    pub fn iter(&self) -> impl Iterator<Item = Sym> + '_ {
+        (0..self.words.len() * 64)
+            .map(|index| Sym(index as u32))
+            .filter(|&sym| self.contains(sym))
+    }
+
     /// Removes everything, keeping capacity.
     pub fn clear(&mut self) {
         self.words.clear();
@@ -188,6 +195,13 @@ mod tests {
         assert_eq!(s.len(), 1);
         s.clear();
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn symset_iterates_in_index_order() {
+        let s: SymSet = [Sym(70), Sym(3), Sym(64)].into_iter().collect();
+        assert_eq!(s.iter().collect::<Vec<_>>(), [Sym(3), Sym(64), Sym(70)]);
+        assert_eq!(SymSet::new().iter().count(), 0);
     }
 
     #[test]

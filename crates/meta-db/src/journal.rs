@@ -576,14 +576,14 @@ pub(crate) mod body {
         word(out, name);
     }
 
-    pub(crate) fn link<'a>(
+    pub(crate) fn link(
         out: &mut String,
         tag: u64,
         from: &Oid,
         to: &Oid,
         class: LinkClass,
         kind: &LinkKind,
-        propagates: impl IntoIterator<Item = &'a String>,
+        propagates: impl IntoIterator<Item = impl AsRef<str>>,
     ) {
         head(out, "link ", tag);
         out.push(' ');
@@ -1362,8 +1362,8 @@ pub struct RecoveryReport {
 ///
 /// The journal's valid op prefix is replayed through the normal [`MetaDb`]
 /// API — `create_oid`, `set_prop`, `add_link_with`, … — so every derived
-/// structure (version chains, the view index, interned event bitsets, the
-/// property index) is rebuilt by the same code paths that built it the
+/// structure (version chains, interned event bitsets, the property
+/// index) is rebuilt by the same code paths that built it the
 /// first time. A torn final record (the crash artifact) is ignored and
 /// reported; damage anywhere else is a structured error, never a panic or
 /// a half-applied database.
@@ -1527,7 +1527,7 @@ pub fn apply_op(
             let from_id = db.require(from).map_err(meta)?;
             let to_id = db.require(to).map_err(meta)?;
             let id = db
-                .add_link_with(from_id, to_id, *class, kind.clone(), propagates.clone())
+                .add_link_with(from_id, to_id, *class, kind.clone(), propagates)
                 .map_err(meta)?;
             tags.insert(*tag, id);
         }

@@ -6,7 +6,6 @@
 //! represent other relationships. … Each Link has a PROPAGATE property which
 //! enumerates events which are allowed to propagate through it." — Section 2.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::str::FromStr;
 
@@ -151,11 +150,10 @@ impl fmt::Display for Direction {
 ///
 /// The PROPAGATE property (`propagates`) and the TYPE property (`kind`) are
 /// first-class because the run-time engine consults them on every traversal;
-/// arbitrary additional annotation lives in `props`. The PROPAGATE set is
-/// held in two synchronized forms — event-name strings for persistence and
-/// display, and a [`SymSet`] bitset over [`MetaDb`](crate::MetaDb)'s interned
-/// event universe for the hot propagation filter — which is why the fields
-/// are private and all mutation goes through
+/// arbitrary additional annotation lives in `props`. The PROPAGATE set is a
+/// [`SymSet`] bitset over [`MetaDb`](crate::MetaDb)'s interned event
+/// universe, which [`MetaDb::event_names`](crate::MetaDb::event_names) turns
+/// back into names; the set is private, and all mutation goes through
 /// [`MetaDb::allow_event`](crate::MetaDb::allow_event) /
 /// [`MetaDb::add_link_with`](crate::MetaDb::add_link_with).
 #[derive(Debug, Clone)]
@@ -168,11 +166,9 @@ pub struct Link {
     pub class: LinkClass,
     /// The TYPE property ("like comments", not interpreted by the engine).
     pub kind: LinkKind,
-    /// The PROPAGATE property: names of events allowed through this link.
-    pub(crate) propagates: BTreeSet<String>,
-    /// The PROPAGATE property as a bitset over the owning database's
-    /// interned event universe. Kept in lock-step with `propagates`.
-    pub(crate) propagates_syms: SymSet,
+    /// The PROPAGATE property: the events allowed through this link, as a
+    /// bitset over the owning database's interned event universe.
+    pub(crate) propagates: SymSet,
     /// Free-form property/value annotation.
     pub props: PropertyMap,
 }
@@ -185,28 +181,24 @@ impl Link {
             to,
             class,
             kind,
-            propagates: BTreeSet::new(),
-            propagates_syms: SymSet::new(),
+            propagates: SymSet::new(),
             props: PropertyMap::new(),
         }
     }
 
-    /// The PROPAGATE set: names of events allowed through this link.
-    pub fn propagates(&self) -> &BTreeSet<String> {
+    /// The PROPAGATE set over the owning database's interned event
+    /// universe; [`MetaDb::event_names`](crate::MetaDb::event_names) names
+    /// its events.
+    pub fn propagates(&self) -> &SymSet {
         &self.propagates
     }
 
-    /// Whether `event` may travel through this link at all.
-    pub fn allows(&self, event: &str) -> bool {
-        self.propagates.contains(event)
-    }
-
-    /// Bitset form of [`Link::allows`] over the owning database's interned
-    /// event universe: one word test, no string comparison. `sym` must come
-    /// from the same database's interner (see
+    /// Whether the event `sym` may travel through this link at all: one
+    /// word test, no string comparison. `sym` must come from the same
+    /// database's interner (see
     /// [`MetaDb::event_sym`](crate::MetaDb::event_sym)).
     pub fn allows_sym(&self, sym: Sym) -> bool {
-        self.propagates_syms.contains(sym)
+        self.propagates.contains(sym)
     }
 
     /// The OID reached when traversing this link in `dir`, starting from
@@ -269,12 +261,18 @@ mod tests {
 
     #[test]
     fn propagate_filter() {
-        let (_db, a, b) = two_oids();
-        let mut link = Link::new(a, b, LinkClass::Derive, LinkKind::DeriveFrom);
-        assert!(!link.allows("outofdate"));
-        link.propagates.insert("outofdate".into());
-        assert!(link.allows("outofdate"));
-        assert!(!link.allows("lvs"));
+        let (mut db, a, b) = two_oids();
+        let link = db
+            .add_link(a, b, LinkClass::Derive, LinkKind::DeriveFrom)
+            .unwrap();
+        let allows = |db: &MetaDb, event| {
+            db.event_names(db.link(link).unwrap().propagates())
+                .contains(&event)
+        };
+        assert!(!allows(&db, "outofdate"));
+        db.allow_event(link, "outofdate").unwrap();
+        assert!(allows(&db, "outofdate"));
+        assert!(!allows(&db, "lvs"));
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl From<&str> for BlockName {
 /// "OIDs are instances of views defined in the BluePrint" — Section 3.2.
 /// A clone shares the string, as [`BlockName`]'s does.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct ViewType(Arc<str>);
+pub struct ViewType(pub(crate) Arc<str>);
 
 impl ViewType {
     /// Creates a view type.
@@ -167,15 +167,6 @@ impl Oid {
         })
     }
 
-    /// The same block/view at a different version.
-    pub fn at_version(&self, version: u32) -> Oid {
-        Oid {
-            block: self.block.clone(),
-            view: self.view.clone(),
-            version,
-        }
-    }
-
     /// The `(block, view)` pair identifying this OID's version chain.
     pub fn chain(&self) -> (&BlockName, &ViewType) {
         (&self.block, &self.view)
@@ -245,15 +236,6 @@ mod tests {
         assert!(BlockName::try_new("").is_err());
         assert!(ViewType::try_new("a b").is_err());
         assert!(BlockName::try_new("a,b").is_err());
-    }
-
-    #[test]
-    fn at_version_preserves_chain() {
-        let v1 = Oid::new("alu", "GDSII", 5);
-        let v2 = v1.at_version(6);
-        assert_eq!(v2.block, v1.block);
-        assert_eq!(v2.view, v1.view);
-        assert_eq!(v2.version, 6);
     }
 
     #[test]

@@ -100,13 +100,13 @@ pub(crate) fn push_oid(out: &mut String, oid: &Oid) {
 /// Appends the link fields shared by snapshot `link` lines and journal
 /// `link` records: `<from> <to> <class> <kind> <events>`, where `events`
 /// is the escaped PROPAGATE set joined by commas, or `-` when empty.
-pub(crate) fn push_link_fields<'a>(
+pub(crate) fn push_link_fields(
     out: &mut String,
     from: &Oid,
     to: &Oid,
     class: LinkClass,
     kind: &LinkKind,
-    events: impl IntoIterator<Item = &'a String>,
+    events: impl IntoIterator<Item = impl AsRef<str>>,
 ) {
     push_oid(out, from);
     out.push(' ');
@@ -123,7 +123,7 @@ pub(crate) fn push_link_fields<'a>(
             out.push(',');
         }
         first = false;
-        escape_into(out, event);
+        escape_into(out, event.as_ref());
     }
     if first {
         out.push('-');
@@ -298,7 +298,8 @@ fn save_into(out: &mut String, db: &MetaDb) {
             continue;
         };
         out.push_str("link ");
-        push_link_fields(out, from, to, link.class, &link.kind, &link.propagates);
+        let events = db.event_names(link.propagates());
+        push_link_fields(out, from, to, link.class, &link.kind, events);
         out.push('\n');
         for (name, value) in link.props.iter() {
             push_prop_line(out, "lprop ", name, value);
@@ -500,8 +501,8 @@ mod tests {
             Some(&Value::Bool(true))
         );
         let (_, link) = loaded.iter_links().next().unwrap();
-        assert!(link.allows("outofdate"));
-        assert!(link.allows("nl sim"));
+        assert!(loaded.event_names(link.propagates()).contains(&"outofdate"));
+        assert!(loaded.event_names(link.propagates()).contains(&"nl sim"));
         assert_eq!(link.props.get("weight"), Some(&Value::Int(3)));
     }
 

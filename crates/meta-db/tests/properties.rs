@@ -6,7 +6,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use damocles_meta::persist::{decode_hex, encode_hex, escape, unescape};
 use damocles_meta::{
-    Arena, Direction, EventMessage, LinkClass, LinkKind, MetaDb, Oid, PropertyMap, Value,
+    Arena, Direction, EventMessage, LinkClass, LinkKind, MetaDb, MetaError, Oid, OidId,
+    PropertyMap, Value, VersionHistory,
 };
 use proptest::prelude::*;
 
@@ -219,6 +220,105 @@ proptest! {
                 prop_assert_eq!(db.oid(latest).unwrap().version, max);
             }
             None => prop_assert!(db.latest_version("b", "v").is_none()),
+        }
+    }
+}
+
+/// One step on a database of three blocks × three views.
+#[derive(Debug, Clone)]
+enum ChainOp {
+    /// Create `(block, view, version)`: refused while that triplet is live.
+    Create(usize, usize, u32),
+    /// Delete the nth live object.
+    DeleteNth(usize),
+}
+
+fn chain_ops() -> impl Strategy<Value = Vec<ChainOp>> {
+    // Three creates to two deletes, so chains grow and shrink.
+    let op =
+        (0u8..5, 0usize..3, 0usize..3, 1u32..6, any::<usize>()).prop_map(|(kind, b, v, n, nth)| {
+            match kind {
+                0..=2 => ChainOp::Create(b, v, n),
+                _ => ChainOp::DeleteNth(nth),
+            }
+        });
+    proptest::collection::vec(op, 1..80)
+}
+
+const CHAIN_BLOCKS: [&str; 3] = ["cpu", "alu", "reg"];
+const CHAIN_VIEWS: [&str; 3] = ["schematic", "layout", "netlist"];
+
+proptest! {
+    /// The version-chain index answers every lookup as a map from live
+    /// triplets to addresses does, across blocks and views and through
+    /// interleaved creates and deletes.
+    #[test]
+    fn chain_index_matches_model(ops in chain_ops()) {
+        let mut db = MetaDb::new();
+        let mut model: BTreeMap<Oid, OidId> = BTreeMap::new();
+        let mut created: BTreeSet<Oid> = BTreeSet::new();
+        for op in ops {
+            match op {
+                ChainOp::Create(b, v, n) => {
+                    let oid = Oid::new(CHAIN_BLOCKS[b], CHAIN_VIEWS[v], n);
+                    let result = db.create_oid(oid.clone());
+                    if model.contains_key(&oid) {
+                        let refused = matches!(result, Err(MetaError::DuplicateOid { .. }));
+                        prop_assert!(refused, "{:?}", result);
+                    } else {
+                        // A new triplet, or one created and deleted before.
+                        let id = result.unwrap();
+                        prop_assert_eq!(db.oid(id).unwrap(), &oid);
+                        model.insert(oid.clone(), id);
+                        created.insert(oid);
+                    }
+                }
+                ChainOp::DeleteNth(n) => {
+                    if let Some(oid) = model.keys().nth(n % model.len().max(1)).cloned() {
+                        let id = model.remove(&oid).unwrap();
+                        prop_assert_eq!(&db.delete_oid(id).unwrap().oid, &oid);
+                    }
+                }
+            }
+            prop_assert_eq!(db.oid_count(), model.len());
+            for oid in &created {
+                prop_assert_eq!(db.resolve(oid), model.get(oid).copied());
+            }
+            for oid in model.keys() {
+                let refused = matches!(db.create_oid(oid.clone()), Err(MetaError::DuplicateOid { .. }));
+                prop_assert!(refused);
+            }
+            prop_assert_eq!(db.oid_count(), model.len());
+            for block in CHAIN_BLOCKS {
+                for view in CHAIN_VIEWS {
+                    let chain: Vec<(u32, OidId)> = model
+                        .iter()
+                        .filter(|(oid, _)| oid.block.as_str() == block && oid.view.as_str() == view)
+                        .map(|(oid, &id)| (oid.version, id))
+                        .collect();
+                    let versions: Vec<u32> = chain.iter().map(|&(v, _)| v).collect();
+                    let ids: Vec<OidId> = chain.iter().map(|&(_, id)| id).collect();
+                    prop_assert_eq!(db.versions(block, view), versions);
+                    prop_assert_eq!(db.latest_version(block, view), ids.last().copied());
+                    prop_assert_eq!(VersionHistory::of(&db, block, view).entries(), ids);
+                    for n in 1..=6 {
+                        let before = chain.iter().rev().find(|&&(v, _)| v < n).map(|&(_, id)| id);
+                        prop_assert_eq!(db.predecessor(&Oid::new(block, view, n)), before);
+                    }
+                }
+            }
+            for view in CHAIN_VIEWS {
+                let mut ids: Vec<OidId> = model
+                    .iter()
+                    .filter(|(oid, _)| oid.view.as_str() == view)
+                    .map(|(_, &id)| id)
+                    .collect();
+                ids.sort();
+                prop_assert_eq!(db.oids_of_view(view), ids);
+            }
+            let views: BTreeSet<&str> = model.keys().map(|oid| oid.view.as_str()).collect();
+            let listed: Vec<String> = db.view_types().iter().map(ToString::to_string).collect();
+            prop_assert!(listed.iter().map(String::as_str).eq(views));
         }
     }
 }

@@ -81,7 +81,7 @@ mod tests {
         let (_, link) = &links[0];
         assert_eq!(link.kind, LinkKind::Equivalence);
         assert_eq!(link.from, sch_id);
-        assert!(link.allows("lvs"));
+        assert!(ctx.db.event_names(link.propagates()).contains(&"lvs"));
         // Lineage is real: the layout payload derives from the schematic's.
         let lay = ctx.workspace.datum(lay_id).unwrap().content.clone();
         let sch = ctx.workspace.datum(sch_id).unwrap().content.clone();

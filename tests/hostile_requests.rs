@@ -5,6 +5,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 use damocles::core::engine::api::{Request, Response};
 use damocles::core::ApiError;
@@ -143,4 +144,42 @@ fn loading_a_file_that_is_not_an_image_names_the_image_format_and_line() {
         }
         client.assert_alive();
     }
+}
+
+#[test]
+fn loading_a_device_or_a_directory_is_refused_at_once_and_save_is_atomic() {
+    let server = spawn_server("devices");
+    let mut client = Client::connect(&server);
+    let dir = std::env::temp_dir().join(format!("damocles-hostile-dir-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for path in ["/dev/zero".to_string(), dir.display().to_string()] {
+        let started = Instant::now();
+        let request = Request::LoadProject { path: path.clone() };
+        match client.call(&request) {
+            Response::Error(ApiError::Io { reason }) => {
+                assert!(reason.contains(&path), "{reason}");
+                assert!(reason.contains("not a regular file"), "{reason}");
+            }
+            other => panic!("{path}: {other:?}"),
+        }
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "{path}: {took:?}");
+        client.assert_alive();
+    }
+    // `save` writes atomically and renames over nothing but a file.
+    let path = dir.display().to_string();
+    match client.call(&Request::SaveProject { path: path.clone() }) {
+        Response::Error(ApiError::Io { reason }) => assert!(reason.contains(&path), "{reason}"),
+        other => panic!("{other:?}"),
+    }
+    assert!(dir.is_dir());
+    assert!(!dir.with_extension("tmp").exists(), "no temporary sibling");
+    let image = dir.join("saved.ddb");
+    let request = Request::SaveProject {
+        path: image.display().to_string(),
+    };
+    assert!(matches!(client.call(&request), Response::Ok));
+    let text = std::fs::read_to_string(&image).unwrap();
+    assert!(text.starts_with("damocles-db"), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
