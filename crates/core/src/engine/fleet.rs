@@ -6,9 +6,10 @@
 //! journal dirs. The moving parts, outermost first:
 //!
 //! * [`ProjectRegistry`] — owns the fleet root, the set of registered
-//!   project names (one subdirectory each) and the shared
-//!   [`BlueprintCache`], so every tenant on the same blueprint source
-//!   shares a single [`CompiledBlueprint`] allocation.
+//!   project names (one subdirectory each) and the fleet's one
+//!   blueprint, compiled once: every tenant runs the same
+//!   [`CompiledBlueprint`] allocation, since a fleet refuses `init` and
+//!   `reinit`.
 //! * [`spawn_fleet`] — starts one **router** thread plus `N` **engine
 //!   worker** threads. The router maps sessions to projects (the
 //!   `project <name>` attach), pins each project to exactly one worker
@@ -69,7 +70,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
@@ -136,102 +137,6 @@ pub struct FleetCounters {
 }
 
 // ---------------------------------------------------------------------
-// The blueprint cache
-// ---------------------------------------------------------------------
-
-/// FNV-1a 64-bit over the blueprint source — the cache's content hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-#[derive(Debug, Clone)]
-struct CachedBlueprint {
-    /// The exact source text — compared on every lookup so a hash
-    /// collision degrades to a recompile, never to the wrong blueprint.
-    source: String,
-    blueprint: Arc<Blueprint>,
-    compiled: Arc<CompiledBlueprint>,
-}
-
-/// Content-hash cache of validated, compiled blueprints: tenants loading
-/// the same source share one [`CompiledBlueprint`] allocation (they are
-/// immutable per generation, so sharing is free).
-#[derive(Debug, Default)]
-pub struct BlueprintCache {
-    entries: Mutex<HashMap<u64, Vec<CachedBlueprint>>>,
-    hits: AtomicU64,
-}
-
-impl BlueprintCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Parses, validates and compiles `source` — or returns the shared
-    /// handles from an earlier call with byte-identical source.
-    ///
-    /// # Errors
-    ///
-    /// [`ApiError::BlueprintSyntax`] on parse errors,
-    /// [`ApiError::InvalidBlueprint`] when validation finds errors.
-    #[allow(clippy::missing_panics_doc)] // mutex poisoning only
-    pub fn get_or_compile(
-        &self,
-        source: &str,
-    ) -> Result<(Arc<Blueprint>, Arc<CompiledBlueprint>), ApiError> {
-        let hash = fnv1a(source.as_bytes());
-        let mut entries = self.entries.lock().expect("blueprint cache poisoned");
-        if let Some(bucket) = entries.get(&hash) {
-            if let Some(hit) = bucket.iter().find(|c| c.source == source) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((Arc::clone(&hit.blueprint), Arc::clone(&hit.compiled)));
-            }
-        }
-        let blueprint = parser::parse(source).map_err(|e| ApiError::BlueprintSyntax {
-            message: e.to_string(),
-        })?;
-        validate::check(&blueprint).map_err(|issues| ApiError::InvalidBlueprint {
-            issues: issues.iter().map(ToString::to_string).collect(),
-        })?;
-        let compiled = Arc::new(CompiledBlueprint::compile(&blueprint));
-        let blueprint = Arc::new(blueprint);
-        entries.entry(hash).or_default().push(CachedBlueprint {
-            source: source.to_string(),
-            blueprint: Arc::clone(&blueprint),
-            compiled: Arc::clone(&compiled),
-        });
-        Ok((blueprint, compiled))
-    }
-
-    /// Lookups answered from the cache since creation.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Distinct blueprints cached.
-    #[allow(clippy::missing_panics_doc)] // mutex poisoning only
-    pub fn len(&self) -> usize {
-        self.entries
-            .lock()
-            .expect("blueprint cache poisoned")
-            .values()
-            .map(Vec::len)
-            .sum()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-// ---------------------------------------------------------------------
 // The registry
 // ---------------------------------------------------------------------
 
@@ -260,49 +165,40 @@ fn check_name(name: &str) -> Result<(), ApiError> {
 }
 
 /// The fleet root: a directory of per-project journal dirs, the set of
-/// registered project names, and the blueprint every tenant runs
-/// (shared through a [`BlueprintCache`]).
+/// registered project names, and the blueprint every tenant runs,
+/// compiled once.
 #[derive(Debug)]
 pub struct ProjectRegistry {
     root: PathBuf,
     config: FleetConfig,
     blueprint: Arc<Blueprint>,
     compiled: Arc<CompiledBlueprint>,
-    cache: Arc<BlueprintCache>,
     registered: BTreeSet<String>,
 }
 
 impl ProjectRegistry {
-    /// Opens (creating if needed) a fleet root, compiling `source`
-    /// through a fresh [`BlueprintCache`], and adopts every existing
-    /// subdirectory as a registered project.
+    /// Opens (creating if needed) a fleet root, parsing, validating and
+    /// compiling `source` once for every tenant, and adopts every
+    /// existing subdirectory as a registered project.
     ///
     /// # Errors
     ///
-    /// Blueprint parse/validation errors, or [`ApiError::Io`] when the
-    /// root cannot be created or scanned.
+    /// [`ApiError::BlueprintSyntax`] on parse errors,
+    /// [`ApiError::InvalidBlueprint`] when validation finds errors, or
+    /// [`ApiError::Io`] when the root cannot be created or scanned.
     pub fn open(
         root: impl Into<PathBuf>,
         source: &str,
         config: FleetConfig,
     ) -> Result<Self, ApiError> {
-        Self::open_with_cache(root, source, config, Arc::new(BlueprintCache::new()))
-    }
-
-    /// [`ProjectRegistry::open`] with a caller-supplied cache — so
-    /// several fleets (or a fleet and a harness) share compilations.
-    ///
-    /// # Errors
-    ///
-    /// As [`ProjectRegistry::open`].
-    pub fn open_with_cache(
-        root: impl Into<PathBuf>,
-        source: &str,
-        config: FleetConfig,
-        cache: Arc<BlueprintCache>,
-    ) -> Result<Self, ApiError> {
         let root = root.into();
-        let (blueprint, compiled) = cache.get_or_compile(source)?;
+        let blueprint = parser::parse(source).map_err(|e| ApiError::BlueprintSyntax {
+            message: e.to_string(),
+        })?;
+        validate::check(&blueprint).map_err(|issues| ApiError::InvalidBlueprint {
+            issues: issues.iter().map(ToString::to_string).collect(),
+        })?;
+        let compiled = Arc::new(CompiledBlueprint::compile(&blueprint));
         std::fs::create_dir_all(&root).map_err(|e| ApiError::Io {
             reason: format!("cannot create fleet root {}: {e}", root.display()),
         })?;
@@ -326,9 +222,8 @@ impl ProjectRegistry {
         Ok(ProjectRegistry {
             root,
             config,
-            blueprint,
+            blueprint: Arc::new(blueprint),
             compiled,
-            cache,
             registered,
         })
     }
@@ -370,11 +265,6 @@ impl ProjectRegistry {
     /// Whether `name` is registered.
     pub fn contains(&self, name: &str) -> bool {
         self.registered.contains(name)
-    }
-
-    /// The blueprint cache compilations go through.
-    pub fn blueprint_cache(&self) -> Arc<BlueprintCache> {
-        Arc::clone(&self.cache)
     }
 
     /// The shared compiled blueprint every tenant runs.
@@ -535,7 +425,6 @@ where
         blueprint,
         compiled,
         registered,
-        ..
     } = registry;
     let counters = Arc::new(FleetCounters::default());
     counters

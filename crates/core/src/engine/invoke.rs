@@ -134,10 +134,6 @@ pub struct InvokeStats {
     pub timed_out: u64,
 }
 
-/// Callback armed via [`Invoker::set_wake`], fired (coalesced) whenever a
-/// harvestable result appears while the command loop might be parked.
-pub type WakeFn = Box<dyn Fn() + Send + Sync>;
-
 struct JobEntry {
     job: DetachedJob,
     script: String,
@@ -165,8 +161,6 @@ struct PoolState {
     completed_total: u64,
     retried_total: u64,
     timed_out_total: u64,
-    /// A wake has been fired and not yet consumed by a harvest.
-    wake_pending: bool,
     shutdown: bool,
 }
 
@@ -195,20 +189,6 @@ impl PoolState {
 struct Shared {
     state: Mutex<PoolState>,
     cv: Condvar,
-    wake: Mutex<Option<WakeFn>>,
-}
-
-impl Shared {
-    /// Fires the wake callback (once per harvest window) if a result is
-    /// ready for release. Called with `state` already updated.
-    fn maybe_wake(&self, state: &mut PoolState) {
-        if state.harvestable() && !state.wake_pending {
-            state.wake_pending = true;
-            if let Some(wake) = self.wake.lock().expect("invoker wake poisoned").as_ref() {
-                wake();
-            }
-        }
-    }
 }
 
 /// The bounded worker pool running detached tool invocations.
@@ -251,7 +231,6 @@ impl Invoker {
             shared: Arc::new(Shared {
                 state: Mutex::new(PoolState::default()),
                 cv: Condvar::new(),
-                wake: Mutex::new(None),
             }),
             workers: Vec::new(),
             cap: cap.max(1),
@@ -286,22 +265,6 @@ impl Invoker {
             self.default_policy,
             self.policies.iter().map(|(k, v)| (k.clone(), *v)).collect(),
         )
-    }
-
-    /// Arms (or clears) the wake callback fired when a harvestable result
-    /// appears. Coalesced: at most one wake per harvest.
-    pub fn set_wake(&self, wake: Option<WakeFn>) {
-        *self.shared.wake.lock().expect("invoker wake poisoned") = wake;
-    }
-
-    /// Removes and returns the wake callback — for owners that replace
-    /// the pool wholesale and carry the callback over to its successor.
-    pub fn take_wake(&self) -> Option<WakeFn> {
-        self.shared
-            .wake
-            .lock()
-            .expect("invoker wake poisoned")
-            .take()
     }
 
     /// Submits a detached job under invocation id `id`. Ids must be
@@ -345,7 +308,6 @@ impl Invoker {
                 None => break,
             }
         }
-        state.wake_pending = false;
         out
     }
 
@@ -361,8 +323,11 @@ impl Invoker {
     }
 
     /// Blocks until a harvestable result exists (true) or `timeout`
-    /// passes (false). Used by the blocking drain; the command loop uses
-    /// the wake callback instead.
+    /// passes (false). Used by the blocking drain
+    /// ([`ProjectServer::process_all`]); the command loops never block
+    /// here and harvest on their pump tick instead.
+    ///
+    /// [`ProjectServer::process_all`]: crate::engine::server::ProjectServer::process_all
     pub fn wait_harvest(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut state = self.shared.state.lock().expect("invoker pool poisoned");
@@ -486,7 +451,6 @@ fn worker_loop(shared: &Shared) {
                         },
                     },
                 );
-                shared.maybe_wake(&mut state);
                 shared.cv.notify_all();
             }
             Err(reason) if attempt >= entry.policy.max_retries => {
@@ -504,7 +468,6 @@ fn worker_loop(shared: &Shared) {
                         },
                     },
                 );
-                shared.maybe_wake(&mut state);
                 shared.cv.notify_all();
             }
             Err(_) => {
@@ -629,26 +592,5 @@ mod tests {
         assert_eq!(p.delay_before_retry(1), Duration::from_millis(10));
         assert_eq!(p.delay_before_retry(2), Duration::from_millis(30));
         assert_eq!(p.delay_before_retry(3), Duration::from_millis(90));
-    }
-
-    #[test]
-    fn wake_fires_once_per_harvest_window() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let mut invoker = Invoker::new(2);
-        invoker.set_policy(None, fast_policy(0));
-        let fired = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&fired);
-        invoker.set_wake(Some(Box::new(move || {
-            counter.fetch_add(1, Ordering::SeqCst);
-        })));
-        invoker.submit(0, "t", "o", "e", Box::new(|_| Ok(Vec::new())));
-        invoker.submit(1, "t", "o", "e", Box::new(|_| Ok(Vec::new())));
-        assert_eq!(drain(&invoker, 2).len(), 2);
-        assert!(fired.load(Ordering::SeqCst) >= 1);
-        // After the harvest the window re-arms.
-        let before = fired.load(Ordering::SeqCst);
-        invoker.submit(2, "t", "o", "e", Box::new(|_| Ok(Vec::new())));
-        assert_eq!(drain(&invoker, 1).len(), 1);
-        assert!(fired.load(Ordering::SeqCst) > before);
     }
 }

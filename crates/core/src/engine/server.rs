@@ -24,11 +24,9 @@ use crate::engine::compile::{CompiledBlueprint, ShardMap};
 use crate::engine::error::EngineError;
 use crate::engine::event::{Delivery, QueuedEvent};
 use crate::engine::exec::{NullExecutor, PreparedRun, ScriptExecutor, ScriptInvocation, ToolCtx};
-use crate::engine::invoke::{
-    FinishedInvocation, InvokeOutcome, InvokeStats, Invoker, RetryPolicy, WakeFn,
-};
+use crate::engine::invoke::{FinishedInvocation, InvokeOutcome, InvokeStats, Invoker, RetryPolicy};
 use crate::engine::policy::{Policy, PolicyViolation, Strictness};
-use crate::engine::queue::{EventQueue, Posted};
+use crate::engine::queue::EventQueue;
 use crate::engine::runtime::RuntimeEngine;
 use crate::engine::tail::TailHub;
 use crate::engine::template;
@@ -123,8 +121,7 @@ pub fn replay_dir(
     epoch: u64,
     seq: u64,
 ) -> Result<(u64, String), EngineError> {
-    let dir = dir.as_ref();
-    let snapshot = std::fs::read_to_string(dir.join(SNAPSHOT_FILE)).map_err(journal_io)?;
+    let (snapshot, bytes) = read_durability_dir(dir.as_ref())?;
     let on_disk = journal::snapshot_epoch(&snapshot);
     if epoch != on_disk {
         return Err(EngineError::Journal {
@@ -134,11 +131,6 @@ pub fn replay_dir(
             ),
         });
     }
-    let bytes = match std::fs::read(dir.join(JOURNAL_FILE)) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(journal_io(e)),
-    };
     let recovered = journal::recover_until(&snapshot, &bytes, Some(seq))?;
     let oids = recovered.db.oid_count() as u64;
     let image = persist::save_project(&recovered.db, &recovered.workspace);
@@ -157,16 +149,26 @@ pub fn replay_dir(
 /// journal is corrupt mid-file (a torn tail is fine — it is past the
 /// valid prefix by definition).
 pub fn journal_dir_cursor(dir: impl AsRef<Path>) -> Result<(u64, Vec<String>), EngineError> {
-    let dir = dir.as_ref();
-    let snapshot = std::fs::read_to_string(dir.join(SNAPSHOT_FILE)).map_err(journal_io)?;
+    let (snapshot, bytes) = read_durability_dir(dir.as_ref())?;
     let epoch = journal::snapshot_epoch(&snapshot);
-    let bytes = match std::fs::read(dir.join(JOURNAL_FILE)) {
+    let tail = journal::parse_journal(&bytes)?;
+    Ok((epoch, tail.ops.iter().map(JournalOp::encode).collect()))
+}
+
+/// Reads a durability directory: the checkpoint snapshot's text and the
+/// journal's bytes. A MISSING journal file is a valid (empty) tail — the
+/// crash may have hit before the first journal write. Any other read
+/// failure must surface: recovery that proceeded would recover the
+/// snapshot alone and then truncate the unread journal, destroying
+/// fsynced ops.
+fn read_durability_dir(dir: &Path) -> Result<(String, Vec<u8>), EngineError> {
+    let snapshot = std::fs::read_to_string(dir.join(SNAPSHOT_FILE)).map_err(journal_io)?;
+    let journal = match std::fs::read(dir.join(JOURNAL_FILE)) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(journal_io(e)),
     };
-    let tail = journal::parse_journal(&bytes)?;
-    Ok((epoch, tail.ops.iter().map(JournalOp::encode).collect()))
+    Ok((snapshot, journal))
 }
 
 /// How long the blocking drain parks per poll while detached invocations
@@ -255,8 +257,6 @@ pub struct ProjectServer<E = NullExecutor> {
     /// cumulative; the server notes deltas).
     seen_invoke_faults: (u64, u64),
     executor: E,
-    /// Reusable inbox-drain buffer (see `EventQueue::drain_inbox_into`).
-    inbox_buf: Vec<Posted>,
     /// Journal + checkpoint state (see [`ProjectServer::enable_journal`]).
     durability: Option<Durability>,
     /// The leadership term this server last journaled (or adopted a
@@ -339,9 +339,9 @@ impl<E: ScriptExecutor> ProjectServer<E> {
     }
 
     /// Initializes a server around an **already validated and compiled**
-    /// blueprint — the fleet path, where hundreds of tenants loading the
-    /// same source share one [`CompiledBlueprint`] allocation through the
-    /// registry's content-hash cache instead of compiling per tenant.
+    /// blueprint — the fleet path, where every tenant shares the one
+    /// [`CompiledBlueprint`] allocation the registry compiled instead of
+    /// compiling per tenant.
     ///
     /// The caller vouches that `compiled` was compiled from `blueprint`
     /// and that the source passed [`validate::check`]; [`with_executor`]
@@ -364,7 +364,6 @@ impl<E: ScriptExecutor> ProjectServer<E> {
             trace: TraceLog::disabled(),
             seen_invoke_faults: (0, 0),
             executor,
-            inbox_buf: Vec::new(),
             durability: None,
             term: 1,
             fenced_by: None,
@@ -455,18 +454,15 @@ impl<E: ScriptExecutor> ProjectServer<E> {
     /// closed now).
     pub fn adopt_project(&mut self, db: MetaDb, workspace: Workspace) {
         while self.queue.dequeue().is_some() {}
-        for _ in self.queue.drain_inbox() {}
         // Detached jobs were captured against the old database; a fresh
-        // pool (same policies and wake) replaces them. On a durable server
-        // the journal's in-flight records re-dispatch them instead.
+        // pool (same policies) replaces them. On a durable server the
+        // journal's in-flight records re-dispatch them instead.
         let (default_policy, overrides) = self.invoker.policies();
-        let wake = self.invoker.take_wake();
         let mut fresh = Invoker::default();
         fresh.set_policy(None, default_policy);
         for (script, policy) in &overrides {
             fresh.set_policy(Some(script), *policy);
         }
-        fresh.set_wake(wake);
         self.invoker = fresh;
         self.in_flight_ops.clear();
         self.db = db;
@@ -678,33 +674,11 @@ impl<E: ScriptExecutor> ProjectServer<E> {
     }
 
     /// Replaces the tail hub — the service layer shares one hub across
-    /// `Init` server swaps so live subscriptions survive by address.
-    ///
-    /// If journaling is already enabled, the committed on-disk state
-    /// (snapshot + the journal's complete records) is published to the
-    /// new hub so subscribers can bootstrap; the in-memory record buffer,
-    /// not yet fsynced, is intentionally excluded and publishes at its
-    /// flush.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Journal`] when the on-disk state cannot be read
-    /// back (the hub is left disabled; durability itself is unaffected).
-    pub fn set_tail_hub(&mut self, hub: Arc<TailHub>) -> Result<(), EngineError> {
+    /// `Init` server swaps so live subscriptions survive by address. The
+    /// hub sees only what the server publishes after the swap, so set it
+    /// before enabling the journal, as `Init` does.
+    pub fn set_tail_hub(&mut self, hub: Arc<TailHub>) {
         self.tail = hub;
-        let Some(d) = self.durability.as_ref() else {
-            return Ok(());
-        };
-        let snapshot = std::fs::read_to_string(d.dir.join(SNAPSHOT_FILE)).map_err(journal_io)?;
-        let bytes = std::fs::read(d.dir.join(JOURNAL_FILE)).map_err(journal_io)?;
-        let text = String::from_utf8_lossy(&bytes);
-        let records = text.split_once('\n').map_or("", |(_header, rest)| rest);
-        self.tail.publish_enable(d.epoch, d.term, snapshot);
-        // Only newline-terminated lines are committed records; a torn
-        // fragment (impossible outside a crash) is dropped.
-        self.tail
-            .publish_records(RecordBatch::from_lines(records.to_string()));
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -858,16 +832,7 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         checkpoint_every: u64,
     ) -> Result<RecoveryReport, EngineError> {
         let dir = dir.as_ref().to_path_buf();
-        let snapshot = std::fs::read_to_string(dir.join(SNAPSHOT_FILE)).map_err(journal_io)?;
-        // A MISSING journal file is a valid (empty) tail — the crash may
-        // have hit before the first journal write. Any other read failure
-        // must surface: proceeding would recover the snapshot alone and
-        // then truncate the unread journal, destroying fsynced ops.
-        let journal_bytes = match std::fs::read(dir.join(JOURNAL_FILE)) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(journal_io(e)),
-        };
+        let (snapshot, journal_bytes) = read_durability_dir(&dir)?;
         let recovered = journal::recover(&snapshot, &journal_bytes)?;
         self.durability = None;
         self.adopt_project(recovered.db, recovered.workspace);
@@ -1130,22 +1095,9 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         self.invoker.policies()
     }
 
-    /// Arms (or clears) the callback fired when a detached result becomes
-    /// harvestable — the command loop's "pump me" signal.
-    pub fn set_invoke_wake(&self, wake: Option<WakeFn>) {
-        self.invoker.set_wake(wake);
-    }
-
     /// Detached invocations submitted and not yet fed back.
     pub fn invocations_in_flight(&self) -> usize {
         self.invoker.in_flight()
-    }
-
-    /// Blocks up to `timeout` for a harvestable detached result; `true`
-    /// when one is ready (polling loops around
-    /// [`ProjectServer::process_round`]).
-    pub fn wait_invocations(&self, timeout: Duration) -> bool {
-        self.invoker.wait_harvest(timeout)
     }
 
     /// The project's shard partition right now: the groups of OIDs that
@@ -1183,8 +1135,8 @@ impl<E: ScriptExecutor> ProjectServer<E> {
     }
 
     /// A shared handle to the compiled blueprint — cheap to clone, and
-    /// pointer-comparable (`Arc::ptr_eq`) to prove two tenants share one
-    /// compilation through the fleet's blueprint cache.
+    /// pointer-comparable (`Arc::ptr_eq`) to prove two tenants share the
+    /// fleet's one compilation.
     pub fn compiled_shared(&self) -> Arc<CompiledBlueprint> {
         Arc::clone(&self.compiled)
     }
@@ -1393,13 +1345,6 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         self.post(&message, user)
     }
 
-    /// A cloneable handle that concurrent wrapper threads can post through;
-    /// the messages are folded into FIFO order at the next
-    /// [`ProjectServer::process_all`].
-    pub fn sender(&self) -> crossbeam::channel::Sender<crate::engine::queue::Posted> {
-        self.queue.sender()
-    }
-
     /// Drains the event queue to quiescence: processes every queued event,
     /// dispatches wrapper invocations, and feeds posted messages back until
     /// nothing is left. With a detached executor the drain also waits for
@@ -1434,8 +1379,7 @@ impl<E: ScriptExecutor> ProjectServer<E> {
     /// still-running invocations — the command loop's building block, so
     /// a storm of retrying tools never stalls unrelated requests.
     /// [`ProjectServer::invocations_in_flight`] says whether more results
-    /// are coming; the pool's wake callback
-    /// ([`ProjectServer::set_invoke_wake`]) signals when to call again.
+    /// are coming; the command loops call again on their pump tick.
     ///
     /// # Errors
     ///
@@ -1447,25 +1391,15 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         Ok(report)
     }
 
-    /// The drain loop: folds landed results and the wrapper inbox into
-    /// the queue, then handles the queued events one at a time until the
-    /// queue is empty — trip the runaway guard before taking an event,
-    /// run its wave inline, record its `EventDone`, dispatch its
-    /// wrappers, so the next wave reads what those wrappers wrote.
-    /// Never waits on in-flight detached work.
+    /// The drain loop: folds landed results into the queue, then handles
+    /// the queued events one at a time until the queue is empty — trip
+    /// the runaway guard before taking an event, run its wave inline,
+    /// record its `EventDone`, dispatch its wrappers, so the next wave
+    /// reads what those wrappers wrote. Never waits on in-flight
+    /// detached work.
     fn drain_round(&mut self, report: &mut ProcessReport) -> Result<(), EngineError> {
         loop {
             self.absorb_finished(report)?;
-            // Reuse one inbox buffer across polls instead of allocating a
-            // fresh Vec per drain.
-            let mut inbox = std::mem::take(&mut self.inbox_buf);
-            inbox.clear();
-            self.queue.drain_inbox_into(&mut inbox);
-            let drained: Result<(), EngineError> = inbox
-                .iter()
-                .try_for_each(|posted| self.enqueue_lenient(&posted.message, &posted.user));
-            self.inbox_buf = inbox;
-            drained?;
             if self.queue.is_empty() {
                 return Ok(());
             }
@@ -1923,41 +1857,6 @@ mod tests {
             server.reinit_from_source("blueprint x view a endview view a endview endblueprint");
         assert!(err.is_err());
         assert_eq!(server.blueprint().name, "loose");
-    }
-
-    #[test]
-    fn concurrent_wrappers_post_through_sender() {
-        let mut server = ProjectServer::from_source(SIMPLE).unwrap();
-        let hdl = server
-            .checkin("cpu", "HDL_model", "yves", b"v1".to_vec())
-            .unwrap();
-        server.process_all().unwrap();
-        let sender = server.sender();
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let tx = sender.clone();
-                let oid = hdl.clone();
-                std::thread::spawn(move || {
-                    tx.send(crate::engine::queue::Posted {
-                        message: EventMessage::new("hdl_sim", Direction::Up, oid)
-                            .with_arg(format!("run {i}")),
-                        user: format!("sim{i}"),
-                    })
-                    .unwrap();
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let report = server.process_all().unwrap();
-        assert_eq!(report.events, 4);
-        // Last writer wins; any of the four is acceptable, but one landed.
-        assert!(server
-            .prop(&hdl, "sim_result")
-            .unwrap()
-            .as_atom()
-            .starts_with("run "));
     }
 
     #[test]

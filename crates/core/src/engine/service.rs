@@ -84,10 +84,10 @@ pub struct ProjectService<E: ScriptExecutor = NullExecutor> {
     snapshots: BTreeMap<String, Configuration>,
     /// Group-commit mode, inherited by servers created via `Init`.
     group_commit: bool,
-    /// Retry policies set so far, in application order (`None` = the
-    /// default policy), re-applied to servers created via `Init` — like
+    /// The retry policy last set for each script (`None` = the default
+    /// policy), re-applied to servers created via `Init` — like
     /// group-commit mode, a policy outlives the server it was set on.
-    retry_policies: Vec<(Option<String>, RetryPolicy)>,
+    retry_policies: BTreeMap<Option<String>, RetryPolicy>,
     /// The replication tail hub, shared across `Init` server swaps so a
     /// tailer's subscription survives by address (it observes a
     /// disable/enable cycle instead of dangling).
@@ -107,7 +107,7 @@ impl<E: ScriptExecutor + Default> ProjectService<E> {
             server: None,
             snapshots: BTreeMap::new(),
             group_commit: false,
-            retry_policies: Vec::new(),
+            retry_policies: BTreeMap::new(),
             tail: Arc::new(TailHub::new()),
         }
     }
@@ -118,8 +118,9 @@ impl<E: ScriptExecutor + Default> ProjectService<E> {
     pub fn with_server(server: ProjectServer<E>) -> Self {
         let tail = server.tail_hub();
         let (default_policy, overrides) = server.retry_policies();
-        let mut retry_policies = vec![(None, default_policy)];
-        retry_policies.extend(overrides.into_iter().map(|(s, p)| (Some(s), p)));
+        let retry_policies = std::iter::once((None, default_policy))
+            .chain(overrides.into_iter().map(|(s, p)| (Some(s), p)))
+            .collect();
         ProjectService {
             server: Some(server),
             snapshots: BTreeMap::new(),
@@ -133,7 +134,7 @@ impl<E: ScriptExecutor + Default> ProjectService<E> {
     /// later `Init` creates; `script: None` sets the default policy.
     pub fn set_retry_policy(&mut self, script: Option<&str>, policy: RetryPolicy) {
         self.retry_policies
-            .push((script.map(str::to_string), policy));
+            .insert(script.map(str::to_string), policy);
         if let Some(server) = self.server.as_mut() {
             server.set_retry_policy(script, policy);
         }
@@ -265,7 +266,7 @@ impl<E: ScriptExecutor + Default> ProjectService<E> {
                 // subscriptions observe the disable (and a later
                 // re-enable bootstraps them against the new project).
                 self.tail.publish_disable();
-                let _ = server.set_tail_hub(Arc::clone(&self.tail));
+                server.set_tail_hub(Arc::clone(&self.tail));
                 let name = server.blueprint().name.clone();
                 self.server = Some(server);
                 Ok(Response::Blueprint { name })
@@ -1327,6 +1328,38 @@ mod tests {
         );
         // The reply survives the wire codec unchanged.
         assert_eq!(Response::decode(&resp.encode()), Ok(resp));
+    }
+
+    #[test]
+    fn repeated_retry_requests_keep_one_policy_per_script() {
+        let mut svc: ProjectService = ProjectService::new();
+        assert!(!svc.call(init_req()).is_error());
+        let retry = |max_retries: u64| Request::SetRetryPolicy {
+            script: Some("hdl_sim".into()),
+            max_retries,
+            base_delay_ms: 10,
+            multiplier: 2,
+            timeout_ms: 30_000,
+        };
+        for n in 0..10_000 {
+            assert_eq!(svc.call(retry(n)), Response::Ok);
+        }
+        assert_eq!(svc.retry_policies.len(), 1);
+        // A fresh server gets the last policy set, and only that one.
+        assert!(!svc.call(init_req()).is_error());
+        let (_, overrides) = svc.server().unwrap().retry_policies();
+        assert_eq!(
+            overrides,
+            vec![(
+                "hdl_sim".to_string(),
+                RetryPolicy {
+                    max_retries: 9_999,
+                    base_delay: std::time::Duration::from_millis(10),
+                    multiplier: 2,
+                    timeout: std::time::Duration::from_millis(30_000),
+                }
+            )]
+        );
     }
 
     #[test]

@@ -1,16 +1,22 @@
-//! Mutation properties for the decoders a socket or a follower's tail
-//! stream reaches: `Request::decode`, `Response::decode`,
+//! Mutation properties for the decoders a socket, a follower's tail
+//! stream or a disk file reaches: `Request::decode`, `Response::decode`,
 //! `TailFrame::decode`, the batching `TailReader` (a whole tail stream),
 //! `JournalOp::decode`, `journal::decode_record`, `TraceRecord::decode`
-//! (clients and `damocles_inspect --trace` read trace lines) and
-//! `EventMessage::parse_wire` (a raw `postEvent` line on a connection).
+//! (clients and `damocles_inspect --trace` read trace lines),
+//! `EventMessage::parse_wire` (a raw `postEvent` line on a connection),
+//! and the file decoders: `persist::load_project` (a saved or checkpoint
+//! image), `journal::parse_journal` (the whole journal file recovery
+//! reads), `RecordBatch::decode` and `init`'s parse, validate and
+//! compile of a blueprint source.
 //!
 //! The seeds are real encodings: the requests and replies of a journaled
 //! session driven through [`ProjectService`], the tail hub's wire lines
 //! for that session, and the journal records and op bodies those lines
 //! carry (plus the invocation ops, which a session without detached tools
 //! never writes, rendered by the same encoder), the trace records of the
-//! session's `trace get` reply and its posted event messages. A small
+//! session's `trace get` reply and its posted event messages, and the
+//! files it leaves: its saved image and checkpoint snapshots, every
+//! state of its journal file, and its blueprint. A small
 //! seeded mutator stacks one to three edits on a seed — a bit flip, a
 //! truncation, a splice with another seed's suffix, an inserted hostile
 //! byte, a number swapped for an out-of-range or signed one, a deleted
@@ -18,11 +24,15 @@
 //!
 //! * the decoder never panics;
 //! * when it returns `Ok(v)`, decoding the encoding of `v` returns
-//!   `Ok(v)` again.
+//!   `Ok(v)` again. A project image encodes through `save_project`, a
+//!   journal through its header and record framing, a blueprint through
+//!   the printer.
 //!
-//! Record mutants are re-checksummed (FNV-1a-64 over `"<seq> <body>"`),
-//! so they get past the checksum and reach the op decoder. The case
-//! budget is fixed, and the seed of every run is the same.
+//! Record mutants, alone or in a journal file, are re-checksummed
+//! (FNV-1a-64 over `"<seq> <body>"`), so they get past the checksum and
+//! reach the op decoder. The case budget is fixed ([`CASES`] per line
+//! decoder, [`FILE_CASES`] per file decoder), and the seed of every run
+//! is the same.
 
 use std::fmt::Debug;
 use std::io;
@@ -31,14 +41,22 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use blueprint_core::engine::api::{Request, Response, TraceMode};
+use blueprint_core::engine::compile::CompiledBlueprint;
 use blueprint_core::engine::service::ProjectService;
 use blueprint_core::engine::tail::{TailCursor, TailFrame, TailItem, TailReader};
 use blueprint_core::engine::trace::TraceRecord;
-use damocles_meta::journal::{decode_record, encode_record, JournalOp};
-use damocles_meta::{Direction, EventMessage, Oid};
+use blueprint_core::lang::{parser, printer, validate};
+use damocles_meta::journal::{
+    decode_record, encode_header, encode_record, parse_journal, JournalOp, RecordBatch,
+};
+use damocles_meta::{persist, Direction, EventMessage, Oid};
 
-/// Mutants per decoder.
+/// Mutants per line decoder.
 const CASES: usize = 50_000;
+
+/// Mutants per file decoder: a file is tens of lines, so each case costs
+/// tens of line decodes.
+const FILE_CASES: usize = 20_000;
 
 /// Bytes a hostile peer likes: codec separators, signs, escapes, a line
 /// break and a two-byte UTF-8 character.
@@ -141,11 +159,12 @@ fn digit_runs(bytes: &[u8]) -> Vec<(usize, usize)> {
     runs
 }
 
-/// Checks the property over [`CASES`] mutants of `seeds`. Each seed must
+/// Checks the property over `cases` mutants of `seeds`. Each seed must
 /// itself decode and round-trip, which proves it is a real encoding.
 fn holds<T: PartialEq + Debug, E: Debug>(
     name: &str,
     rng_seed: u64,
+    cases: usize,
     seeds: &[String],
     decode: impl Fn(&str) -> Result<T, E>,
     encode: impl Fn(&T) -> String,
@@ -168,7 +187,7 @@ fn holds<T: PartialEq + Debug, E: Debug>(
     }
     let mut rng = Rng(rng_seed);
     let mut accepted = 0usize;
-    for _ in 0..CASES {
+    for _ in 0..cases {
         let seed = &seeds[rng.below(seeds.len())];
         let line = mutate(&mut rng, seed, seeds);
         match catch_unwind(AssertUnwindSafe(|| decode(&line))) {
@@ -195,6 +214,29 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// `text` with every line from the `from`-th on framed as a journal
+/// record, its FNV-1a-64 checksum in front; a final line without its
+/// newline keeps none.
+fn frame_records(text: &str, from: usize) -> String {
+    let mut framed = String::with_capacity(text.len() + 17 * text.lines().count());
+    for (i, line) in text.split_inclusive('\n').enumerate() {
+        if i >= from {
+            let payload = line.strip_suffix('\n').unwrap_or(line);
+            framed.push_str(&format!("{:016x} ", fnv1a(payload.as_bytes())));
+        }
+        framed.push_str(line);
+    }
+    framed
+}
+
+/// `ops` as unframed record lines `"<seq> <body>"`, numbered from `first`.
+fn record_payloads(first: u64, ops: &[JournalOp]) -> String {
+    ops.iter()
+        .zip(first..)
+        .map(|(op, seq)| format!("{seq} {}\n", op.encode()))
+        .collect()
+}
+
 /// Real encodings of one journaled session.
 struct Seeds {
     requests: Vec<String>,
@@ -210,6 +252,11 @@ struct Seeds {
     /// The posted event messages in `postEvent` wire form, plus one with
     /// quoted, escaped and empty arguments.
     wire_messages: Vec<String>,
+    /// The saved project image and every checkpoint snapshot written.
+    images: Vec<String>,
+    /// Every state of the journal file, with each record's checksum
+    /// stripped (`"<seq> <body>"` lines after the header).
+    journals: Vec<String>,
 }
 
 /// The session runs once; every test mutates its own share of it.
@@ -223,7 +270,8 @@ fn record_session() -> Seeds {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let journal = dir.join("journal").to_string_lossy().into_owned();
-    let saved = dir.join("project.img").to_string_lossy().into_owned();
+    let saved_path = dir.join("project.img");
+    let saved = saved_path.to_string_lossy().into_owned();
     let oid = |block: &str, view: &str, n: u32| Oid::new(block, view, n);
     let post = |event: &str, dir: Direction, target: Oid, arg: Option<&str>| {
         let mut message = EventMessage::new(event, dir, target);
@@ -380,6 +428,8 @@ fn record_session() -> Seeds {
     let mut responses = Vec::new();
     let mut request_lines = Vec::new();
     let mut trace_records = vec!["begin ckin cpu,src,2 ann%20lee 9 +1 +3".to_string()];
+    let mut images = Vec::new();
+    let mut journals = Vec::new();
     let mut wire_messages = vec![
         EventMessage::new("sim", Direction::Down, oid("cpu", "der", 1))
             .with_arg("say \"hi\" \\ now")
@@ -407,8 +457,21 @@ fn record_session() -> Seeds {
         if wire != "tail-ping\n" {
             tail_streams.push(wire);
         }
+        let on_disk = |file: &str| std::fs::read_to_string(dir.join("journal").join(file));
+        images.extend(on_disk("snapshot.ddb"));
+        if let Ok(text) = on_disk("journal.djl") {
+            let mut lines = text.lines();
+            let header = lines.next().unwrap_or_default();
+            let records = lines.map(|line| line.split_once(' ').unwrap().1.to_string() + "\n");
+            journals.push(format!("{header}\n{}", records.collect::<String>()));
+        }
     }
     tail_frames.dedup();
+    images.push(std::fs::read_to_string(&saved_path).unwrap());
+    for files in [&mut images, &mut journals] {
+        files.sort();
+        files.dedup();
+    }
     for line in ["frobnicate", "show cpu", "checkin a b c zz"] {
         responses.push(Response::Error(Request::decode(line).unwrap_err()).encode());
     }
@@ -446,6 +509,8 @@ fn record_session() -> Seeds {
         op_bodies,
         trace_records,
         wire_messages,
+        images,
+        journals,
     }
 }
 
@@ -455,6 +520,7 @@ fn request_decode_survives_mutants() {
     holds(
         "Request::decode",
         1,
+        CASES,
         seeds,
         Request::decode,
         Request::encode,
@@ -468,6 +534,7 @@ fn response_decode_survives_mutants() {
     holds(
         "Response::decode",
         2,
+        CASES,
         seeds,
         Response::decode,
         Response::encode,
@@ -486,6 +553,7 @@ fn tail_frame_decode_survives_mutants() {
     holds(
         "TailFrame::decode",
         3,
+        CASES,
         seeds,
         TailFrame::decode,
         TailFrame::encode,
@@ -543,6 +611,7 @@ fn tail_reader_survives_mutants() {
     holds(
         "TailReader",
         8,
+        CASES,
         seeds,
         read_stream,
         |items: &Vec<TailItem>| write_stream(items),
@@ -555,6 +624,7 @@ fn journal_op_decode_survives_mutants() {
     holds(
         "JournalOp::decode",
         4,
+        CASES,
         seeds,
         JournalOp::decode,
         JournalOp::encode,
@@ -576,6 +646,7 @@ fn decode_record_survives_rechecksummed_mutants() {
     holds(
         "decode_record",
         5,
+        CASES,
         &seeds,
         |payload| decode_record(&frame(payload), SEQ),
         |op| {
@@ -598,6 +669,7 @@ fn trace_record_decode_survives_mutants() {
     holds(
         "TraceRecord::decode",
         6,
+        CASES,
         seeds,
         TraceRecord::decode,
         TraceRecord::encode,
@@ -611,8 +683,99 @@ fn event_message_parse_wire_survives_mutants() {
     holds(
         "EventMessage::parse_wire",
         7,
+        CASES,
         seeds,
         EventMessage::parse_wire,
         EventMessage::to_string,
+    );
+}
+
+#[test]
+fn load_project_survives_mutants() {
+    let seeds = &session().images;
+    assert!(seeds.len() >= 2, "{seeds:?}");
+    assert!(seeds.iter().any(|s| s.contains("\ndata ")), "{seeds:?}");
+    // A loaded project encodes as its saved image.
+    holds(
+        "persist::load_project",
+        9,
+        FILE_CASES,
+        seeds,
+        |image| {
+            persist::load_project(image)
+                .map(|(db, workspace)| persist::save_project(&db, &workspace))
+        },
+        String::clone,
+    );
+}
+
+/// A journal file's records are framed with their own checksums, so a
+/// mutant that keeps the numbering reaches the op decoder.
+#[test]
+fn parse_journal_survives_rechecksummed_mutants() {
+    let seeds = &session().journals;
+    assert!(
+        seeds.iter().any(|s| s.lines().count() > 8),
+        "no seed holds a run of records: {seeds:?}"
+    );
+    holds(
+        "parse_journal",
+        10,
+        FILE_CASES,
+        seeds,
+        |text| {
+            parse_journal(frame_records(text, 1).as_bytes())
+                .map(|tail| (tail.epoch, tail.term, tail.ops))
+        },
+        |(epoch, term, ops)| match (epoch, term) {
+            (Some(epoch), Some(term)) => encode_header(*epoch, *term) + &record_payloads(0, ops),
+            _ => String::new(),
+        },
+    );
+}
+
+/// The records of every journal state as one batch, each framed with its
+/// own checksum.
+#[test]
+fn record_batch_decode_survives_rechecksummed_mutants() {
+    let seeds: Vec<String> = session()
+        .journals
+        .iter()
+        .filter_map(|text| Some(text.split_once('\n')?.1.to_string()))
+        .filter(|records| !records.is_empty())
+        .collect();
+    holds(
+        "RecordBatch::decode",
+        11,
+        FILE_CASES,
+        &seeds,
+        |text| {
+            let batch = RecordBatch::from_lines(frame_records(text, 0));
+            batch
+                .decode()
+                .map(|ops| (batch.first_seq().unwrap_or(0), ops))
+        },
+        |(first, ops)| record_payloads(*first, ops),
+    );
+}
+
+/// `init`'s path: parse, validate, compile. A blueprint encodes through
+/// the printer, and two blueprints are equal up to their source spans.
+#[test]
+fn blueprint_init_survives_mutants() {
+    let printed = printer::print(&parser::parse(BLUEPRINT).unwrap());
+    let seeds = [BLUEPRINT.to_string(), printed];
+    holds(
+        "init",
+        12,
+        FILE_CASES,
+        &seeds,
+        |source| {
+            let blueprint = parser::parse(source).map_err(|e| e.to_string())?;
+            validate::check(&blueprint).map_err(|issues| format!("{issues:?}"))?;
+            CompiledBlueprint::compile(&blueprint);
+            Ok::<_, String>(blueprint.normalized())
+        },
+        printer::print,
     );
 }

@@ -859,22 +859,31 @@ impl MetaDb {
         self.chains.get(key).map_or(&[], Vec::as_slice)
     }
 
+    /// The live `(version, address)` pairs of `(block, view)`, oldest
+    /// first; empty for an unknown chain or an invalid name.
+    pub(crate) fn chain_of(&self, block: &str, view: &str) -> &[(u32, OidId)] {
+        chain_key(block, view).map_or(&[], |key| self.chain(&key))
+    }
+
+    /// The live `(version, address)` pairs of the chain `oid` belongs to,
+    /// looked up with the OID's own names (shared, so nothing allocates).
+    pub(crate) fn chain_of_oid(&self, oid: &Oid) -> &[(u32, OidId)] {
+        self.chain(&(oid.block.clone(), oid.view.clone()))
+    }
+
     /// Sorted version numbers existing for `(block, view)`.
     pub fn versions(&self, block: &str, view: &str) -> Vec<u32> {
-        chain_key(block, view).map_or_else(Vec::new, |key| {
-            self.chain(&key).iter().map(|&(v, _)| v).collect()
-        })
+        self.chain_of(block, view).iter().map(|&(v, _)| v).collect()
     }
 
     /// The address of the highest-numbered version of `(block, view)`.
     pub fn latest_version(&self, block: &str, view: &str) -> Option<OidId> {
-        let &(_, id) = self.chain(&chain_key(block, view)?).last()?;
-        Some(id)
+        self.chain_of(block, view).last().map(|&(_, id)| id)
     }
 
     /// The address of the version preceding `oid.version` in its chain.
     pub fn predecessor(&self, oid: &Oid) -> Option<OidId> {
-        let chain = self.chain(&(oid.block.clone(), oid.view.clone()));
+        let chain = self.chain_of_oid(oid);
         let pos = chain.partition_point(|&(v, _)| v < oid.version);
         Some(chain.get(pos.checked_sub(1)?)?.1)
     }

@@ -751,11 +751,11 @@ impl From<std::io::Error> for JournalError {
     }
 }
 
-/// FNV-1a 64 over a record body — the per-record checksum. Standard
-/// offset basis and prime (`0x100000001b3`), matching
-/// `workspace::fnv1a`, so external tools computing real FNV-1a-64 over
+/// FNV-1a 64 over a record body — the per-record checksum, and the
+/// workspace's payload checksum. Standard offset basis and prime
+/// (`0x100000001b3`), so external tools computing real FNV-1a-64 over
 /// `"<seq> <op…>"` reproduce these checksums.
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xCBF2_9CE4_8422_2325u64;
     for &b in bytes {
         hash ^= u64::from(b);

@@ -107,9 +107,7 @@ impl Query {
                     VersionOp::Le => v <= *value,
                 }
             }
-            Term::Latest => {
-                db.latest_version(entry.oid.block.as_str(), entry.oid.view.as_str()) == Some(id)
-            }
+            Term::Latest => db.chain_of_oid(&entry.oid).last().map(|&(_, l)| l) == Some(id),
             Term::Prop {
                 name,
                 expected,

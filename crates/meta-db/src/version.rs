@@ -8,7 +8,6 @@
 
 use crate::db::{MetaDb, OidId};
 use crate::error::MetaError;
-use crate::oid::Oid;
 use crate::property::Value;
 
 /// Read-only view of one `(block, view)` version chain.
@@ -31,8 +30,8 @@ use crate::property::Value;
 #[derive(Debug, Clone)]
 pub struct VersionHistory<'db> {
     db: &'db MetaDb,
-    block: String,
-    view: String,
+    /// The chain's live `(version, address)` pairs, oldest first.
+    chain: &'db [(u32, OidId)],
 }
 
 impl<'db> VersionHistory<'db> {
@@ -40,38 +39,30 @@ impl<'db> VersionHistory<'db> {
     pub fn of(db: &'db MetaDb, block: &str, view: &str) -> Self {
         VersionHistory {
             db,
-            block: block.to_string(),
-            view: view.to_string(),
+            chain: db.chain_of(block, view),
         }
     }
 
     /// Sorted live version numbers.
     pub fn versions(&self) -> Vec<u32> {
-        self.db.versions(&self.block, &self.view)
+        self.chain.iter().map(|&(v, _)| v).collect()
     }
 
     /// The version number a freshly checked-in object should receive: one
     /// past the highest live version, or 1 for a new chain (the paper counts
     /// from 1: `<CPU.HDL_model.1>`).
     pub fn next_version(&self) -> u32 {
-        self.versions().last().map_or(1, |&v| v + 1)
+        self.chain.last().map_or(1, |&(v, _)| v + 1)
     }
 
     /// Address of the newest version, if the chain is non-empty.
     pub fn latest(&self) -> Option<OidId> {
-        self.db.latest_version(&self.block, &self.view)
+        self.chain.last().map(|&(_, id)| id)
     }
 
     /// Addresses of every live version, oldest first.
     pub fn entries(&self) -> Vec<OidId> {
-        self.versions()
-            .into_iter()
-            .filter_map(|v| {
-                Oid::try_new(self.block.as_str(), self.view.as_str(), v)
-                    .ok()
-                    .and_then(|oid| self.db.resolve(&oid))
-            })
-            .collect()
+        self.chain.iter().map(|&(_, id)| id).collect()
     }
 
     /// How a property evolved across the chain: `(version, value)` pairs for
@@ -116,6 +107,7 @@ impl<'db> VersionHistory<'db> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oid::Oid;
 
     fn db_with_chain() -> MetaDb {
         let mut db = MetaDb::new();

@@ -10,6 +10,7 @@ use std::collections::HashMap;
 
 use crate::db::{MetaDb, OidId};
 use crate::error::MetaError;
+use crate::journal::fnv1a;
 use crate::oid::Oid;
 use crate::version::VersionHistory;
 
@@ -216,16 +217,6 @@ impl Workspace {
     pub(crate) fn payloads(&self) -> impl Iterator<Item = (OidId, &DesignDatum)> {
         self.payloads.iter().map(|(&id, d)| (id, d))
     }
-}
-
-/// FNV-1a, enough to detect payload changes in simulated design data.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

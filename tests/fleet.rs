@@ -11,9 +11,7 @@ use std::time::Duration;
 
 use damocles::core::engine::api::{ApiError, Request, Response};
 use damocles::core::engine::exec::{NullExecutor, ScriptInvocation, ToolCtx};
-use damocles::core::engine::fleet::{
-    spawn_fleet, BlueprintCache, FleetConfig, FleetSession, ProjectRegistry,
-};
+use damocles::core::engine::fleet::{spawn_fleet, FleetConfig, FleetSession, ProjectRegistry};
 use damocles::core::engine::server::{journal_dir_cursor, replay_dir};
 use damocles::core::engine::service::{serve_with, ProjectService};
 use damocles::prelude::*;
@@ -395,49 +393,39 @@ fn distinct_projects_execute_in_parallel() {
 // Blueprint sharing
 // ---------------------------------------------------------------------
 
-/// Tenants loading byte-identical source share one `CompiledBlueprint`
-/// allocation: the cache hits, and two servers built from it point at
-/// the same compilation.
+/// Every tenant runs the fleet's one compilation: the registry parses,
+/// validates and compiles its source once, and two servers built from
+/// it, exactly as the fleet's activation path builds them, point at the
+/// same `CompiledBlueprint` allocation.
 #[test]
 fn tenants_share_one_compiled_blueprint() {
-    let cache = BlueprintCache::new();
-    let (bp_a, compiled_a) = cache.get_or_compile(SIMPLE).unwrap();
-    let (_, compiled_b) = cache.get_or_compile(SIMPLE).unwrap();
-    assert_eq!(cache.hits(), 1, "second tenant missed the cache");
-    assert_eq!(cache.len(), 1);
-    assert!(std::sync::Arc::ptr_eq(&compiled_a, &compiled_b));
-
-    // Two tenants' servers: one compiled-blueprint allocation between
-    // them, exactly what the fleet's activation path builds.
+    let registry =
+        ProjectRegistry::open(temp_dir("shared-bp"), SIMPLE, FleetConfig::default()).unwrap();
+    let blueprint = std::sync::Arc::new(parse(SIMPLE).unwrap());
     let server_a = ProjectServer::with_shared(
-        std::sync::Arc::clone(&bp_a),
-        std::sync::Arc::clone(&compiled_a),
+        std::sync::Arc::clone(&blueprint),
+        registry.compiled(),
         NullExecutor,
     );
-    let server_b = ProjectServer::with_shared(bp_a, compiled_b, NullExecutor);
+    let server_b = ProjectServer::with_shared(blueprint, registry.compiled(), NullExecutor);
     assert!(std::sync::Arc::ptr_eq(
         &server_a.compiled_shared(),
         &server_b.compiled_shared()
     ));
 
-    // Two fleet roots sharing one cache also share the compilation.
-    let shared = std::sync::Arc::new(BlueprintCache::new());
-    let reg_a = ProjectRegistry::open_with_cache(
-        temp_dir("cache-a"),
-        SIMPLE,
-        FleetConfig::default(),
-        std::sync::Arc::clone(&shared),
-    )
-    .unwrap();
-    let reg_b = ProjectRegistry::open_with_cache(
-        temp_dir("cache-b"),
-        SIMPLE,
-        FleetConfig::default(),
-        std::sync::Arc::clone(&shared),
-    )
-    .unwrap();
-    assert_eq!(shared.hits(), 1);
-    assert!(std::sync::Arc::ptr_eq(&reg_a.compiled(), &reg_b.compiled()));
+    // A source that does not parse, or parses but fails validation, opens
+    // no fleet.
+    let open = |source: &str| {
+        ProjectRegistry::open(temp_dir("bad-bp"), source, FleetConfig::default()).unwrap_err()
+    };
+    assert!(matches!(
+        open("blueprint broken view a"),
+        ApiError::BlueprintSyntax { .. }
+    ));
+    assert!(matches!(
+        open("blueprint dup view a endview view a endview endblueprint"),
+        ApiError::InvalidBlueprint { .. }
+    ));
 }
 
 // ---------------------------------------------------------------------
