@@ -8,8 +8,12 @@
 //! the full image.
 //!
 //! Series:
-//! * `persist/full_save/{oids}` — `persist::save` + file write + fsync
-//!   (the seed's only durability path).
+//! * `persist/full_save/{oids}` — the full image streamed to a file by
+//!   `journal::write_image_atomic` (tmp + fsync + rename), the seed's
+//!   only durability path.
+//! * `persist/checkpoint/{oids}` — `ProjectServer::checkpoint()` of a
+//!   journaled server holding the same databases: the snapshot streamed
+//!   to disk through the same writer, then a fresh journal.
 //! * `persist/incremental_checkpoint/{oids}` — journal a 16-op dirty set:
 //!   mutate (recording each record), drain, append, fsync. Same database
 //!   sizes; near-constant.
@@ -79,16 +83,37 @@ fn build_db(oids: usize) -> (MetaDb, Vec<OidId>) {
 fn bench_full_save(c: &mut Criterion) {
     let mut group = c.benchmark_group("persist/full_save");
     let dir = bench_dir("persist");
+    let workspace = Workspace::new("bench");
     for oids in sizes() {
         let (db, _) = build_db(oids);
         let path = dir.join(format!("full-{oids}.ddb"));
         group.throughput(Throughput::Elements(oids as u64));
         group.bench_with_input(BenchmarkId::from_parameter(oids), &db, |b, db| {
             b.iter(|| {
-                let image = damocles_meta::persist::save(black_box(db));
-                journal::write_file_atomic(&path, &image).unwrap();
-                black_box(image.len())
+                let written =
+                    journal::write_image_atomic(&path, black_box(db), &workspace, None).unwrap();
+                black_box(written)
             });
+        });
+    }
+    group.finish();
+}
+
+/// The checkpoint a journaling server runs on the same databases: each
+/// iteration folds into a new epoch, streaming the whole snapshot.
+fn bench_checkpoint(c: &mut Criterion) {
+    let mut group = c.benchmark_group("persist/checkpoint");
+    let dir = bench_dir("persist-checkpoint");
+    for oids in sizes() {
+        let (db, _) = build_db(oids);
+        let mut server = ProjectServer::from_source(GROWING).unwrap();
+        server.adopt_project(db, Workspace::new("bench"));
+        server
+            .enable_journal(dir.join(oids.to_string()), DEFAULT_CHECKPOINT_EVERY)
+            .unwrap();
+        group.throughput(Throughput::Elements(oids as u64));
+        group.bench_function(BenchmarkId::from_parameter(oids), |b| {
+            b.iter(|| black_box(server.checkpoint().unwrap()));
         });
     }
     group.finish();
@@ -235,7 +260,7 @@ fn bench_growing_project(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_full_save, bench_incremental_checkpoint, bench_journal_append, bench_recover,
-        bench_growing_project
+    targets = bench_full_save, bench_checkpoint, bench_incremental_checkpoint, bench_journal_append,
+        bench_recover, bench_growing_project
 }
 criterion_main!(benches);

@@ -1,7 +1,10 @@
-//! Shared helpers for the reproduction benches.
+//! Shared helpers for the reproduction benches and the heap tests.
 //!
 //! Each bench file regenerates one experiment listed in DESIGN.md §6
 //! (Experiments), which also names the ablations the benches exercise.
+//! The heap tests (`tests/footprint.rs`, `tests/checkpoint_heap.rs`)
+//! count allocations with [`heap::Counting`] over
+//! [`checkin_storm_session`]'s project.
 //!
 //! Three environment variables steer the benches that use these helpers:
 //! `BENCH_SMOKE` shrinks measurement windows and trial counts for CI,
@@ -14,6 +17,9 @@ use std::time::Duration;
 use blueprint_core::engine::server::ProjectServer;
 use criterion::Criterion;
 use damocles_flows::{generator, DesignSpec};
+use damocles_meta::Oid;
+
+pub mod heap;
 
 /// Whether `BENCH_SMOKE` asks for the short CI run.
 pub fn smoke() -> bool {
@@ -125,6 +131,66 @@ pub fn chain_design_blueprint(families: usize, stages: usize, outofdate: &str) -
     }
     src.push_str("endblueprint\n");
     src
+}
+
+/// View families of [`checkin_storm_session`]'s design.
+pub const STORM_FAMILIES: usize = 8;
+/// Stages per family of [`checkin_storm_session`]'s design.
+pub const STORM_STAGES: usize = 6;
+/// Blocks per family of [`checkin_storm_session`]'s design.
+pub const STORM_BLOCKS: usize = 64;
+/// Drains of 16 check-ins [`checkin_storm_session`] runs after the set-up.
+pub const STORM_ROUNDS: usize = 1_060;
+
+/// A fixed pseudo-random stream (64-bit LCG, high bits).
+struct Lcg(u64);
+
+impl Lcg {
+    fn next(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        self.0 >> 33
+    }
+}
+
+/// A session with the shape of damocles_load's checkin_storm, on a
+/// server built from [`chain_design_blueprint`]`(`[`STORM_FAMILIES`]`,
+/// `[`STORM_STAGES`]`, `[`MARK_STALE`]`)`: the 3,072-object chain design
+/// (8 families × 6 stages × 64 blocks, every stage linked to the one
+/// before, drained once), then 16,960 new versions of 512 unlinked blocks
+/// with 64-byte payloads, drained every 16 check-ins. The project ends
+/// with 20,032 objects.
+pub fn checkin_storm_session(server: &mut ProjectServer) {
+    for chain in 0..STORM_FAMILIES * STORM_BLOCKS {
+        let family = chain / STORM_BLOCKS;
+        let block = format!("f{family}b{}", chain % STORM_BLOCKS);
+        for stage in 0..STORM_STAGES {
+            let view = format!("f{family}_s{stage}");
+            server
+                .checkin(&block, &view, "load", vec![b'd'; 8])
+                .expect("set-up check-in");
+            if stage > 0 {
+                let from = Oid::new(block.as_str(), format!("f{family}_s{}", stage - 1), 1);
+                let to = Oid::new(block.as_str(), view, 1);
+                server.connect_oids(&from, &to).expect("set-up link");
+            }
+        }
+    }
+    server.process_all().expect("set-up drain");
+    let mut rng = Lcg(24);
+    for _ in 0..STORM_ROUNDS {
+        for _ in 0..16 {
+            let b = rng.next() % 512;
+            let payload: Vec<u8> = (0..64).map(|_| rng.next() as u8).collect();
+            let view = format!("f{}_s0", b % STORM_FAMILIES as u64);
+            server
+                .checkin(&format!("x{b}"), &view, "load", payload)
+                .expect("check-in");
+        }
+        server.process_all().expect("drain");
+    }
 }
 
 #[cfg(test)]

@@ -449,7 +449,7 @@ pub fn run_follower_loop<E>(
                     cursor = (epoch, 0);
                     seen_term = term;
                     // Re-publish the bootstrap for our own subtree.
-                    hub.publish_enable(epoch, term, image);
+                    hub.publish_enable(epoch, term, image.into());
                     status.set(|st| {
                         st.epoch = epoch;
                         st.seq = 0;
@@ -486,7 +486,7 @@ pub fn run_follower_loop<E>(
                 tags = srv.replica_link_tags();
                 let image = srv.project_image();
                 cursor = (epoch, 0);
-                hub.publish_checkpoint(epoch, term, image, true);
+                hub.publish_checkpoint(epoch, term, image.into(), true);
                 status.set(|st| {
                     st.epoch = epoch;
                     st.seq = 0;
@@ -991,7 +991,7 @@ mod tests {
         srv.adopt_replica_image(&snapshot).unwrap();
         let mut tags = srv.replica_link_tags();
         let hub = TailHub::new();
-        hub.publish_enable(epoch, 1, snapshot);
+        hub.publish_enable(epoch, 1, snapshot.into());
         let mut seq = 0;
         let failed = apply_batch(
             &mut srv,

@@ -28,7 +28,7 @@ use crate::engine::invoke::{FinishedInvocation, InvokeOutcome, InvokeStats, Invo
 use crate::engine::policy::{Policy, PolicyViolation, Strictness};
 use crate::engine::queue::EventQueue;
 use crate::engine::runtime::RuntimeEngine;
-use crate::engine::tail::TailHub;
+use crate::engine::tail::{Snapshot, TailHub};
 use crate::engine::template;
 use crate::engine::trace::{TraceLog, TraceRecord};
 use crate::lang::ast::Blueprint;
@@ -554,23 +554,26 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         // Continue the epoch sequence (and, absent an explicit promotion
         // term, the term) of any previous incarnation so a stale journal
         // from before this enable can never pass the (epoch, term) match
-        // against a new snapshot. Only a MISSING snapshot means a fresh
-        // start; an unreadable one is an error (enable would otherwise
-        // overwrite state the operator may still want).
-        let (on_disk_epoch, on_disk_term) = match std::fs::read_to_string(dir.join(SNAPSHOT_FILE)) {
-            Ok(s) => (journal::snapshot_epoch(&s), journal::snapshot_term(&s)),
+        // against a new snapshot; the markers end the file, so only its
+        // tail is read. Only a MISSING snapshot means a fresh start; an
+        // unreadable one is an error (enable would otherwise overwrite
+        // state the operator may still want).
+        let on_disk = std::fs::File::open(dir.join(SNAPSHOT_FILE))
+            .and_then(|mut file| journal::snapshot_markers(&mut file));
+        let (on_disk_epoch, on_disk_term) = match on_disk {
+            Ok(markers) => markers,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => (0, self.term),
             Err(e) => return Err(journal_io(e)),
         };
         let epoch = (on_disk_epoch + 1).max(min_epoch);
         let term = term.unwrap_or(on_disk_term);
-        let (writer, image) =
+        let (writer, image_len) =
             Self::write_checkpoint_files(&dir, epoch, term, &self.db, &self.workspace)?;
         self.db.attach_journal(writer.record_count());
         self.journal_poisoned = false;
         self.term = term;
-        let image_len = image.len() as u64;
-        self.tail.publish_enable(epoch, term, image);
+        self.tail
+            .publish_enable(epoch, term, Snapshot::File(dir.join(SNAPSHOT_FILE)));
         self.durability = Some(Durability {
             dir,
             writer,
@@ -766,7 +769,7 @@ impl<E: ScriptExecutor> ProjectServer<E> {
             let d = self.durability.as_ref().expect("checked above");
             (d.dir.clone(), d.epoch + 1, d.term, d.force_checkpoint)
         };
-        let (writer, image) =
+        let (writer, image_len) =
             match Self::write_checkpoint_files(&dir, epoch, term, &self.db, &self.workspace) {
                 Ok(w) => w,
                 Err(e) => {
@@ -785,7 +788,7 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         d.epoch = epoch;
         d.ops_since_checkpoint = 0;
         d.bytes_since_checkpoint = 0;
-        d.image_len = image.len() as u64;
+        d.image_len = image_len;
         d.force_checkpoint = false;
         // Work records — still-queued events, in-flight detached
         // invocations — have no snapshot representation: re-seed the fresh
@@ -809,8 +812,12 @@ impl<E: ScriptExecutor> ProjectServer<E> {
                 reason: format!("checkpoint re-seed failed, durability disabled: {e}"),
             });
         }
-        self.tail
-            .publish_checkpoint(epoch, term, image, dropped == 0 && !adopted);
+        self.tail.publish_checkpoint(
+            epoch,
+            term,
+            Snapshot::File(dir.join(SNAPSHOT_FILE)),
+            dropped == 0 && !adopted,
+        );
         self.tail.publish_records(reseeded);
         Ok(epoch)
     }
@@ -888,18 +895,23 @@ impl<E: ScriptExecutor> ProjectServer<E> {
         replay_dir(&d.dir, epoch, seq)
     }
 
+    /// Streams the checkpoint snapshot of `epoch` and `term` into place,
+    /// then starts the empty journal that extends it. Returns the writer
+    /// and the snapshot's length.
     fn write_checkpoint_files(
         dir: &Path,
         epoch: u64,
         term: u64,
         db: &MetaDb,
         workspace: &Workspace,
-    ) -> Result<(JournalWriter, String), EngineError> {
-        let image = journal::write_snapshot(db, workspace, epoch, term);
-        journal::write_file_atomic(dir.join(SNAPSHOT_FILE), &image).map_err(journal_io)?;
+    ) -> Result<(JournalWriter, u64), EngineError> {
+        let snapshot = dir.join(SNAPSHOT_FILE);
+        let markers = Some((epoch, term));
+        let image_len =
+            journal::write_image_atomic(snapshot, db, workspace, markers).map_err(journal_io)?;
         let writer =
             JournalWriter::create(dir.join(JOURNAL_FILE), epoch, term).map_err(journal_io)?;
-        Ok((writer, image))
+        Ok((writer, image_len))
     }
 
     /// Records an optional server-level op (e.g. a payload record) in

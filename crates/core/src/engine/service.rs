@@ -434,10 +434,10 @@ impl<E: ScriptExecutor + Default> ProjectService<E> {
             }
             Request::SaveProject { path } => {
                 let server = self.server.as_ref().ok_or(ApiError::NoProject)?;
-                let image = persist::save_project(server.db(), server.workspace());
                 match regular_file(&path) {
                     Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
-                    _ => journal::write_file_atomic(&path, &image),
+                    _ => journal::write_image_atomic(&path, server.db(), server.workspace(), None)
+                        .map(drop),
                 }
                 .map_err(|e| ApiError::Io {
                     reason: format!("cannot write {path}: {e}"),
@@ -1164,9 +1164,11 @@ fn serve_connection<S: RequestSink>(stream: TcpStream, session: &S, tail: Option
 /// Streams tail frames to one subscriber until its connection breaks or
 /// the hub ends the stream. Runs on the connection's own thread — the
 /// command loop is never blocked by a slow follower. Each wake-up takes
-/// the batches the subscriber is owed from the hub and renders them
-/// outside its lock, in chunks of about [`TAIL_CHUNK_BYTES`] through one
-/// buffer reused across wake-ups.
+/// the batches or the snapshot the subscriber is owed from the hub and
+/// renders them outside its lock, in chunks of about
+/// [`TAIL_CHUNK_BYTES`] through one buffer reused across wake-ups. A
+/// snapshot the hub cannot serve ends the stream with a structured
+/// error line.
 ///
 /// [`TAIL_CHUNK_BYTES`]: crate::engine::tail::TAIL_CHUNK_BYTES
 fn stream_tail(hub: &TailHub, cursor: &mut TailCursor, out: &mut TcpStream) {
@@ -1180,13 +1182,13 @@ fn stream_tail(hub: &TailHub, cursor: &mut TailCursor, out: &mut TcpStream) {
             }
             Err(ended) => {
                 let reason = match ended {
-                    TailEnded::Disabled => "journaling disabled on the leader; tail stream ends",
-                    TailEnded::Closed => "leader shutting down; tail stream ends",
+                    TailEnded::Disabled => {
+                        "journaling disabled on the leader; tail stream ends".to_string()
+                    }
+                    TailEnded::Closed => "leader shutting down; tail stream ends".to_string(),
+                    TailEnded::Unreadable(why) => format!("{why}; tail stream ends"),
                 };
-                let line = Response::Error(ApiError::Journal {
-                    reason: reason.to_string(),
-                })
-                .encode();
+                let line = Response::Error(ApiError::Journal { reason }).encode();
                 let _ = out.write_all(format!("{line}\n").as_bytes());
                 return;
             }

@@ -7,7 +7,7 @@
 //! committed*. This module provides the in-process half:
 //!
 //! * [`TailHub`] — a shared buffer of the current epoch's **committed**
-//!   journal records plus the checkpoint snapshot they extend. The
+//!   journal records plus the checkpoint [`Snapshot`] they extend. The
 //!   [`ProjectServer`](crate::engine::server::ProjectServer) publishes
 //!   into it at exactly three points: journal enable, each group-commit
 //!   flush (*after* the fsync — a record a tailer sees is always on the
@@ -39,11 +39,23 @@
 //!
 //! The hub retains only the current epoch's records (bounded by the
 //! checkpoint fold policy: about one snapshot's worth of record bytes,
-//! or fewer than its record floor) plus one `(epoch, final-count)` pair
-//! for the marker optimization — memory stays O(snapshot), never
-//! O(history). A subscriber handed batches before a fold keeps them alive
-//! until it has written them, so it streams every record it was owed and
-//! then takes the cheap marker.
+//! or fewer than its record floor), one `(epoch, final-count)` pair for
+//! the marker optimization, and the snapshot. A journaling node's
+//! snapshot is the checkpoint file it already wrote, held by its path;
+//! only a replica, which writes no file, holds its image as text, once.
+//! Memory stays O(snapshot), never O(history), and a journaling node
+//! holds no copy of its image at all. A subscriber handed batches before
+//! a fold keeps them alive until it has written them, so it streams
+//! every record it was owed and then takes the cheap marker.
+//!
+//! A reset from a snapshot file opens the file after the hub's lock is
+//! released, checks its `# epoch=` and `# term=` markers against the
+//! epoch and term the hub decided on, and streams it percent-escaped in
+//! chunks of about [`TAIL_CHUNK_BYTES`]. A later checkpoint may already
+//! have renamed a newer snapshot over the path: then the hub decides
+//! again, so the newer bytes never go out under the older epoch. A file
+//! that cannot be read ends the subscription with
+//! [`TailEnded::Unreadable`].
 //!
 //! # Terms
 //!
@@ -55,11 +67,14 @@
 //! follower republishes through its own hub under the bumped term, so
 //! replicas form a tree and a mid-tree promotion re-parents its subtree.
 
-use std::io::{self, BufRead, Write};
+use std::fs::File;
+use std::io::{self, BufRead, Read, Seek, Write};
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use damocles_meta::journal::RecordBatch;
+use damocles_meta::journal::{self, RecordBatch};
+use damocles_meta::persist;
 
 // The request codec's word helpers (`%` = empty string, shared
 // percent-escaping) — one implementation per crate, so the frame codec
@@ -435,23 +450,53 @@ pub struct TailCursor {
 }
 
 /// Why a tail subscription ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TailEnded {
     /// Journaling was disabled on the leader (poisoned or the project was
     /// swapped); there is no committed stream to follow any more.
     Disabled,
     /// The leader's command loop shut down.
     Closed,
+    /// The checkpoint snapshot a reset owed the subscriber could not be
+    /// read, or did not hold the epoch and term the hub published; the
+    /// reason says which.
+    Unreadable(String),
+}
+
+/// Where a hub finds the checkpoint snapshot a [`TailFrame::Reset`]
+/// carries.
+#[derive(Debug, Clone)]
+pub enum Snapshot {
+    /// A journaling node's snapshot file. The hub holds only its path:
+    /// each reset opens the file and checks its epoch and term markers
+    /// against the ones it serves.
+    File(PathBuf),
+    /// A replica's image. A replica writes no snapshot file, so its hub
+    /// holds the text once and every reset shares it.
+    Text(Arc<str>),
+}
+
+impl From<String> for Snapshot {
+    fn from(image: String) -> Self {
+        Snapshot::Text(image.into())
+    }
+}
+
+impl From<&str> for Snapshot {
+    fn from(image: &str) -> Self {
+        Snapshot::Text(image.into())
+    }
 }
 
 #[derive(Debug, Default)]
 struct TailState {
-    enabled: bool,
     closed: bool,
     epoch: u64,
     /// Leadership term the published records are committed under.
     term: u64,
-    snapshot: String,
+    /// The checkpoint snapshot `epoch` starts from; `None` while no
+    /// journal is enabled.
+    snapshot: Option<Snapshot>,
     /// Committed records of `epoch` (`<fnv1a> <seq> <op…>` lines), kept
     /// as the buffers the journal writer put on disk (or a follower
     /// applied), each paired with the sequence number of its first
@@ -498,8 +543,15 @@ pub const TAIL_CHUNK_BYTES: usize = 64 * 1024;
 /// hub while it is locked, rendered after the lock is released.
 #[derive(Debug)]
 pub(crate) enum Owed {
-    /// One frame.
+    /// One epoch marker or ping.
     Frame(TailFrame),
+    /// A reset to the checkpoint snapshot `image` of `epoch`, under
+    /// `term`.
+    Reset {
+        epoch: u64,
+        term: u64,
+        image: ResetImage,
+    },
     /// Committed records of `epoch`, under `term`: every record of
     /// `batches` but the first `skip` of the first batch.
     Records {
@@ -510,11 +562,31 @@ pub(crate) enum Owed {
     },
 }
 
+/// The snapshot an [`Owed::Reset`] sends: a replica's shared text, or a
+/// journaling node's snapshot file, open and checked to hold the reset's
+/// epoch and term.
+#[derive(Debug)]
+pub(crate) enum ResetImage {
+    Text(Arc<str>),
+    File(File),
+}
+
 impl Owed {
-    /// The owed frames, one per record.
-    fn into_frames(self) -> Vec<TailFrame> {
-        match self {
+    /// The owed frames, one per record; a snapshot file is read whole.
+    fn into_frames(self) -> Result<Vec<TailFrame>, TailEnded> {
+        Ok(match self {
             Owed::Frame(frame) => vec![frame],
+            Owed::Reset { epoch, term, image } => {
+                let image = match image {
+                    ResetImage::Text(text) => text.to_string(),
+                    ResetImage::File(mut file) => {
+                        let mut text = String::new();
+                        file.read_to_string(&mut text).map_err(|e| unreadable(&e))?;
+                        text
+                    }
+                };
+                vec![TailFrame::Reset { epoch, term, image }]
+            }
             Owed::Records {
                 epoch,
                 term,
@@ -527,22 +599,32 @@ impl Owed {
                     line: line.to_string(),
                 })
                 .collect(),
-        }
+        })
     }
 
     /// Writes the owed frames to `out` in wire form, one newline-terminated
     /// line each, rendered into `chunk` and written whenever it holds
-    /// [`TAIL_CHUNK_BYTES`] or more. `chunk` is scratch space, reused
-    /// across calls.
+    /// [`TAIL_CHUNK_BYTES`] or more; a reset's image is read and escaped
+    /// a chunk at a time. `chunk` is scratch space, reused across calls.
     ///
     /// # Errors
     ///
-    /// The first failed write.
+    /// The first failed write, or the first failed read of a snapshot
+    /// file (the stream then ends inside the reset's line).
     pub(crate) fn write_wire(&self, out: &mut impl Write, chunk: &mut String) -> io::Result<()> {
+        use std::fmt::Write as _;
         chunk.clear();
         match self {
             Owed::Frame(frame) => {
                 frame.encode_into(chunk);
+                chunk.push('\n');
+            }
+            Owed::Reset { epoch, term, image } => {
+                let _ = write!(chunk, "tail-reset {epoch} {term} ");
+                match image {
+                    ResetImage::Text(text) => write_escaped(text.as_bytes(), out, chunk)?,
+                    ResetImage::File(file) => write_escaped(file, out, chunk)?,
+                }
                 chunk.push('\n');
             }
             Owed::Records {
@@ -566,6 +648,55 @@ impl Owed {
         }
         out.write_all(chunk.as_bytes())
     }
+}
+
+/// Appends the text `source` yields to `chunk` percent-escaped, as
+/// [`TailFrame::Reset`] encodes its image (`%` when it is empty), and
+/// writes `chunk` to `out` each time it holds [`TAIL_CHUNK_BYTES`] or
+/// more. Reads [`TAIL_CHUNK_BYTES`] at a time; a character cut by a read
+/// waits for the next.
+///
+/// # Errors
+///
+/// The first failed read or write; `InvalidData` when the text is not
+/// UTF-8.
+fn write_escaped(
+    mut source: impl Read,
+    out: &mut impl Write,
+    chunk: &mut String,
+) -> io::Result<()> {
+    let invalid = |reason| io::Error::new(io::ErrorKind::InvalidData, reason);
+    let mut raw = vec![0; TAIL_CHUNK_BYTES];
+    // Bytes of a character the last read cut, moved to the front of `raw`.
+    let mut held = 0;
+    let mut empty = true;
+    loop {
+        let filled = match source.read(&mut raw[held..]) {
+            Ok(0) if held == 0 => break,
+            Ok(0) => return Err(invalid("the text ends inside a UTF-8 character")),
+            Ok(n) => held + n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        empty = false;
+        let whole = match std::str::from_utf8(&raw[..filled]) {
+            Ok(text) => text.len(),
+            Err(e) if e.error_len().is_none() => e.valid_up_to(),
+            Err(_) => return Err(invalid("the text is not UTF-8")),
+        };
+        let text = std::str::from_utf8(&raw[..whole]).expect("a valid UTF-8 prefix");
+        persist::escape_into(chunk, text);
+        if chunk.len() >= TAIL_CHUNK_BYTES {
+            out.write_all(chunk.as_bytes())?;
+            chunk.clear();
+        }
+        raw.copy_within(whole..filled, 0);
+        held = filled - whole;
+    }
+    if empty {
+        chunk.push('%');
+    }
+    Ok(())
 }
 
 /// The record lines of `batches` but the first `skip` of the first.
@@ -598,12 +729,11 @@ impl TailHub {
     /// Journaling was (re-)enabled: `snapshot` is the initial checkpoint
     /// image at `epoch`, journaled under leadership `term`, and the
     /// journal is empty.
-    pub fn publish_enable(&self, epoch: u64, term: u64, snapshot: String) {
+    pub fn publish_enable(&self, epoch: u64, term: u64, snapshot: Snapshot) {
         let mut st = self.state.lock().expect("tail hub lock");
-        st.enabled = true;
         st.epoch = epoch;
         st.term = term;
-        st.snapshot = snapshot;
+        st.snapshot = Some(snapshot);
         st.clear_records();
         st.prev = None;
         drop(st);
@@ -617,7 +747,7 @@ impl TailHub {
     /// keeps it whole and shares it with its subscribers.
     pub fn publish_records(&self, batch: RecordBatch) {
         let mut st = self.state.lock().expect("tail hub lock");
-        if !st.enabled || batch.is_empty() {
+        if st.snapshot.is_none() || batch.is_empty() {
             return;
         }
         let start = st.committed;
@@ -632,15 +762,14 @@ impl TailHub {
     /// record is represented in the stream (nothing was dropped outside
     /// it), so a caught-up subscriber may take the cheap
     /// [`TailFrame::Epoch`] marker instead of re-bootstrapping.
-    pub fn publish_checkpoint(&self, epoch: u64, term: u64, snapshot: String, seamless: bool) {
+    pub fn publish_checkpoint(&self, epoch: u64, term: u64, snapshot: Snapshot, seamless: bool) {
         let mut st = self.state.lock().expect("tail hub lock");
         // The marker shortcut only holds within one reign: a follower at
         // the fold point of an older term must re-bootstrap instead.
         st.prev = (seamless && st.term == term).then_some((st.epoch, st.committed));
-        st.enabled = true;
         st.epoch = epoch;
         st.term = term;
-        st.snapshot = snapshot;
+        st.snapshot = Some(snapshot);
         st.clear_records();
         drop(st);
         self.notify();
@@ -650,8 +779,7 @@ impl TailHub {
     /// swapped out). Live subscriptions end with [`TailEnded::Disabled`].
     pub fn publish_disable(&self) {
         let mut st = self.state.lock().expect("tail hub lock");
-        st.enabled = false;
-        st.snapshot.clear();
+        st.snapshot = None;
         st.clear_records();
         st.prev = None;
         drop(st);
@@ -670,20 +798,20 @@ impl TailHub {
     /// [`Tailing`]: crate::engine::api::Response::Tailing
     pub fn position(&self) -> Option<(u64, u64)> {
         let st = self.state.lock().expect("tail hub lock");
-        st.enabled.then_some((st.epoch, st.committed))
+        st.snapshot.is_some().then_some((st.epoch, st.committed))
     }
 
     /// The leadership term the published stream is committed under, or
     /// `None` when no journal is enabled.
     pub fn term(&self) -> Option<u64> {
         let st = self.state.lock().expect("tail hub lock");
-        st.enabled.then_some(st.term)
+        st.snapshot.is_some().then_some(st.term)
     }
 
     /// Blocks until the stream has something past `cursor` (or `timeout`
     /// elapses — then a single [`TailFrame::Ping`] is returned so the
     /// caller can probe its transport). Advances `cursor` past whatever
-    /// it returns.
+    /// it returns. A reset from a snapshot file reads the file whole.
     ///
     /// # Errors
     ///
@@ -694,68 +822,145 @@ impl TailHub {
         cursor: &mut TailCursor,
         timeout: Duration,
     ) -> Result<Vec<TailFrame>, TailEnded> {
-        self.next_owed(cursor, timeout).map(Owed::into_frames)
+        self.next_owed(cursor, timeout)?.into_frames()
     }
 
     /// The one catch-up decision behind [`TailHub::next_frames`] and the
     /// tail connection (see the module docs). Owed records come back as
-    /// shared batches: the hub stays locked only while they are counted
-    /// out, never while they are rendered or written.
+    /// shared batches and an owed snapshot as its shared text or its
+    /// opened file: the hub stays locked only while they are counted out,
+    /// never while a file is opened, rendered or written.
+    ///
+    /// A snapshot file is checked after the lock is released: when a
+    /// later checkpoint has renamed a newer snapshot over the path since
+    /// the decision, the hub decides again from `cursor` as it was asked,
+    /// waiting for that checkpoint's publication if needed, so the newer
+    /// bytes never go out under the older epoch.
     pub(crate) fn next_owed(
         &self,
         cursor: &mut TailCursor,
         timeout: Duration,
     ) -> Result<Owed, TailEnded> {
+        let asked = *cursor;
+        let mut superseded = None;
+        loop {
+            let (epoch, term, path) = match self.decide(cursor, timeout, superseded)? {
+                Decided::Owed(owed) => return Ok(owed),
+                Decided::Open { epoch, term, path } => (epoch, term, path),
+            };
+            match open_snapshot(&path, epoch, term)? {
+                Some(file) => {
+                    return Ok(Owed::Reset {
+                        epoch,
+                        term,
+                        image: ResetImage::File(file),
+                    })
+                }
+                None => {
+                    *cursor = asked;
+                    superseded = Some((epoch, term));
+                }
+            }
+        }
+    }
+
+    /// [`TailHub::next_owed`]'s decision, under the lock. A reset of the
+    /// `superseded` epoch and term is not decided again: the hub waits
+    /// for the checkpoint that replaced its file.
+    fn decide(
+        &self,
+        cursor: &mut TailCursor,
+        timeout: Duration,
+        superseded: Option<(u64, u64)>,
+    ) -> Result<Decided, TailEnded> {
         let mut st = self.state.lock().expect("tail hub lock");
         loop {
             if st.closed {
                 return Err(TailEnded::Closed);
             }
-            if !st.enabled {
+            let Some(snapshot) = &st.snapshot else {
                 return Err(TailEnded::Disabled);
+            };
+            let (epoch, term, committed) = (st.epoch, st.term, st.committed);
+            // A stale epoch, or a position we never committed (foreign
+            // or future cursor): re-bootstrap rather than guess.
+            let reset = cursor.epoch != epoch || cursor.seq > committed;
+            if cursor.epoch != epoch && st.prev == Some((cursor.epoch, cursor.seq)) {
+                // Caught up to the fold point: the follower's image
+                // already equals the new snapshot.
+                *cursor = TailCursor { epoch, seq: 0 };
+                return Ok(Decided::Owed(Owed::Frame(TailFrame::Epoch { epoch, term })));
             }
-            if cursor.epoch != st.epoch {
-                if st.prev == Some((cursor.epoch, cursor.seq)) {
-                    // Caught up to the fold point: the follower's image
-                    // already equals the new snapshot.
-                    cursor.epoch = st.epoch;
-                    cursor.seq = 0;
-                    return Ok(Owed::Frame(TailFrame::Epoch {
-                        epoch: st.epoch,
-                        term: st.term,
-                    }));
-                }
-                cursor.epoch = st.epoch;
-                cursor.seq = 0;
-                return Ok(Owed::Frame(TailFrame::Reset {
-                    epoch: st.epoch,
-                    term: st.term,
-                    image: st.snapshot.clone(),
-                }));
+            if reset && superseded != Some((epoch, term)) {
+                *cursor = TailCursor { epoch, seq: 0 };
+                return Ok(match snapshot {
+                    Snapshot::Text(text) => Decided::Owed(Owed::Reset {
+                        epoch,
+                        term,
+                        image: ResetImage::Text(Arc::clone(text)),
+                    }),
+                    Snapshot::File(path) => Decided::Open {
+                        epoch,
+                        term,
+                        path: path.clone(),
+                    },
+                });
             }
-            let committed = st.committed;
-            if cursor.seq > committed {
-                // A position we never committed (foreign or future
-                // cursor): re-bootstrap rather than guess.
-                cursor.seq = 0;
-                return Ok(Owed::Frame(TailFrame::Reset {
-                    epoch: st.epoch,
-                    term: st.term,
-                    image: st.snapshot.clone(),
-                }));
-            }
-            if cursor.seq < committed {
+            if !reset && cursor.seq < committed {
                 let owed = st.owed_from(cursor.seq);
                 cursor.seq = committed;
-                return Ok(owed);
+                return Ok(Decided::Owed(owed));
             }
             let (guard, wait) = self.wake.wait_timeout(st, timeout).expect("tail hub lock");
             st = guard;
             if wait.timed_out() {
-                return Ok(Owed::Frame(TailFrame::Ping));
+                return Ok(Decided::Owed(Owed::Frame(TailFrame::Ping)));
             }
         }
     }
+}
+
+/// What [`TailHub::decide`] settled on.
+enum Decided {
+    /// Owed as it is.
+    Owed(Owed),
+    /// A reset to the snapshot file at `path`, which must hold `epoch`
+    /// and `term`.
+    Open {
+        epoch: u64,
+        term: u64,
+        path: PathBuf,
+    },
+}
+
+/// Opens the snapshot file at `path` for a reset of `epoch` under `term`,
+/// rewound: `None` when a later checkpoint has already renamed a newer
+/// snapshot over it.
+///
+/// # Errors
+///
+/// [`TailEnded::Unreadable`] when the file cannot be read or holds an
+/// epoch and term that are neither these nor newer.
+fn open_snapshot(path: &Path, epoch: u64, term: u64) -> Result<Option<File>, TailEnded> {
+    let mut file = File::open(path).map_err(|e| unreadable(&e))?;
+    let (on_disk, on_disk_term) =
+        journal::snapshot_markers(&mut file).map_err(|e| unreadable(&e))?;
+    if (on_disk, on_disk_term) == (epoch, term) {
+        file.rewind().map_err(|e| unreadable(&e))?;
+        return Ok(Some(file));
+    }
+    if on_disk > epoch {
+        return Ok(None);
+    }
+    Err(TailEnded::Unreadable(format!(
+        "the snapshot file holds epoch {on_disk} term {on_disk_term}, not the published \
+         epoch {epoch} term {term}"
+    )))
+}
+
+/// [`TailEnded::Unreadable`] for a failed read of the snapshot file.
+fn unreadable(e: &io::Error) -> TailEnded {
+    TailEnded::Unreadable(format!("cannot read the snapshot file: {e}"))
 }
 
 #[cfg(test)]
@@ -763,6 +968,7 @@ mod tests {
     use super::*;
     use damocles_meta::journal::{encode_record, JournalOp};
     use damocles_meta::Oid;
+    use std::path::PathBuf;
 
     fn op(seq: u64) -> JournalOp {
         JournalOp::CreateOid {
@@ -1281,5 +1487,190 @@ mod tests {
         hub.publish_records(batch(0..1));
         let frames = waiter.join().unwrap().unwrap();
         assert!(matches!(frames.as_slice(), [TailFrame::Record { .. }]));
+    }
+
+    /// A fresh scratch directory for one test's snapshot files.
+    fn snapshot_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("damocles-tail-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// A snapshot text of `epoch` and `term` over three chunks long. Around
+    /// each multiple of [`TAIL_CHUNK_BYTES`] (where a file's reads end, give
+    /// or take the bytes of a cut character) it packs every byte the reset
+    /// escapes and characters of two, three and four bytes, and a four-byte
+    /// character straddles the first boundary exactly.
+    fn awkward_image(epoch: u64, term: u64) -> String {
+        const AWKWARD: &str = "é%€ 😀\t\r\n%%é€\n😀 ";
+        let mut image = String::from("damocles-db v1\n");
+        for boundary in (1..=3).map(|k| k * TAIL_CHUNK_BYTES) {
+            while image.len() < boundary - 2 - 8 * AWKWARD.len() {
+                image.push_str("oid blk,view,1\nprop p s:x\n");
+            }
+            while image.len() < boundary - 2 {
+                image.push('x');
+            }
+            image.push('😀');
+            for _ in 0..16 {
+                image.push_str(AWKWARD);
+            }
+        }
+        image + &format!("\n# epoch={epoch}\n# term={term}\n")
+    }
+
+    #[test]
+    fn a_reset_from_a_snapshot_file_streams_the_bytes_of_the_frame() {
+        let dir = snapshot_dir("reset");
+        let path = dir.join("snapshot.ddb");
+        let image = awkward_image(3, 2);
+        assert_eq!(
+            &image.as_bytes()[TAIL_CHUNK_BYTES - 2..][..4],
+            "😀".as_bytes()
+        );
+        std::fs::write(&path, &image).unwrap();
+        let frame = TailFrame::Reset {
+            epoch: 3,
+            term: 2,
+            image: image.clone(),
+        };
+        let expected = frame.encode() + "\n";
+        for snapshot in [Snapshot::File(path), Snapshot::from(image.as_str())] {
+            let hub = TailHub::new();
+            hub.publish_enable(3, 2, snapshot.clone());
+            let mut cursor = TailCursor { epoch: 0, seq: 0 };
+            let writes = streamed(&hub, &mut cursor).0;
+            assert_eq!(writes.concat(), expected.as_bytes(), "{snapshot:?}");
+            assert_eq!(cursor, TailCursor { epoch: 3, seq: 0 });
+            // Chunked: every write but the last fills a chunk, and none
+            // holds more than one read's text, escaped, past it.
+            let (last, full) = writes.split_last().unwrap();
+            assert!(full.len() >= 2, "{} writes", writes.len());
+            for chunk in full {
+                assert!(chunk.len() >= TAIL_CHUNK_BYTES);
+            }
+            for chunk in &writes {
+                assert!(chunk.len() < 4 * TAIL_CHUNK_BYTES);
+            }
+            assert!(last.ends_with(b"\n"));
+            // In process, the frame carries the file's whole text.
+            let mut cursor = TailCursor { epoch: 0, seq: 0 };
+            assert_eq!(
+                hub.next_frames(&mut cursor, Duration::from_millis(1)),
+                Ok(vec![frame.clone()])
+            );
+        }
+        // An empty image is `%` on the wire, as the frame encodes it.
+        let hub = TailHub::new();
+        hub.publish_enable(1, 1, Snapshot::from(""));
+        let empty = TailFrame::Reset {
+            epoch: 1,
+            term: 1,
+            image: String::new(),
+        };
+        let wire = streamed(&hub, &mut TailCursor { epoch: 0, seq: 0 })
+            .0
+            .concat();
+        assert_eq!(wire, (empty.encode() + "\n").as_bytes());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_snapshot_renamed_over_the_path_is_never_sent_under_the_old_epoch() {
+        let dir = snapshot_dir("superseded");
+        let path = dir.join("snapshot.ddb");
+        let image =
+            |epoch: u64| format!("damocles-db v1\noid a,v,{epoch}\n# epoch={epoch}\n# term=1\n");
+        std::fs::write(&path, image(1)).unwrap();
+        let hub = Arc::new(TailHub::new());
+        hub.publish_enable(1, 1, Snapshot::File(path.clone()));
+        // A checkpoint renames the epoch-2 snapshot into place; the hub
+        // has not been told yet.
+        let tmp = dir.join("snapshot.ddb.tmp");
+        std::fs::write(&tmp, image(2)).unwrap();
+        std::fs::rename(&tmp, &path).unwrap();
+        // Neither path serves a reset of epoch 1: the wait ends in a ping,
+        // the cursor as it was.
+        let mut cursor = TailCursor { epoch: 0, seq: 0 };
+        assert_eq!(
+            hub.next_frames(&mut cursor, Duration::from_millis(20)),
+            Ok(vec![TailFrame::Ping])
+        );
+        assert_eq!(cursor, TailCursor { epoch: 0, seq: 0 });
+        let wire = streamed(&hub, &mut cursor).0.concat();
+        assert_eq!(wire, b"tail-ping\n");
+        assert_eq!(cursor, TailCursor { epoch: 0, seq: 0 });
+        // A subscriber waiting when the checkpoint is published gets the
+        // new epoch's reset, with the new file's bytes.
+        let waiter = {
+            let hub = Arc::clone(&hub);
+            std::thread::spawn(move || {
+                let mut cursor = TailCursor { epoch: 0, seq: 0 };
+                let frames = hub.next_frames(&mut cursor, Duration::from_secs(10));
+                (frames, cursor)
+            })
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        hub.publish_checkpoint(2, 1, Snapshot::File(path), false);
+        let (frames, cursor) = waiter.join().unwrap();
+        assert_eq!(
+            frames,
+            Ok(vec![TailFrame::Reset {
+                epoch: 2,
+                term: 1,
+                image: image(2)
+            }])
+        );
+        assert_eq!(cursor, TailCursor { epoch: 2, seq: 0 });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_unreadable_snapshot_ends_the_subscription_at_once() {
+        let dir = snapshot_dir("unreadable");
+        let older = dir.join("older.ddb");
+        std::fs::write(&older, "damocles-db v1\n# epoch=3\n# term=1\n").unwrap();
+        let other_term = dir.join("other-term.ddb");
+        std::fs::write(&other_term, "damocles-db v1\n# epoch=4\n# term=2\n").unwrap();
+        let binary = dir.join("binary.ddb");
+        std::fs::write(&binary, b"damocles-db v1\n\xff\n# epoch=4\n# term=1\n").unwrap();
+        for (path, why) in [
+            (dir.join("missing.ddb"), "cannot read the snapshot file"),
+            (dir.clone(), "cannot read the snapshot file"),
+            (binary, "cannot read the snapshot file"),
+            (
+                older,
+                "holds epoch 3 term 1, not the published epoch 4 term 1",
+            ),
+            (
+                other_term,
+                "holds epoch 4 term 2, not the published epoch 4 term 1",
+            ),
+        ] {
+            let hub = TailHub::new();
+            hub.publish_enable(4, 1, Snapshot::File(path.clone()));
+            let started = std::time::Instant::now();
+            let mut cursor = TailCursor { epoch: 0, seq: 0 };
+            match hub.next_frames(&mut cursor, Duration::from_secs(10)) {
+                Err(TailEnded::Unreadable(reason)) => assert!(reason.contains(why), "{reason}"),
+                other => panic!("{path:?}: {other:?}"),
+            }
+            let mut cursor = TailCursor { epoch: 0, seq: 0 };
+            assert!(matches!(
+                hub.next_owed(&mut cursor, Duration::from_secs(10)),
+                Err(TailEnded::Unreadable(_))
+            ));
+            assert!(started.elapsed() < Duration::from_secs(2), "{path:?}");
+            // The hub is still whole: records and positions are served.
+            hub.publish_records(batch(0..1));
+            let mut cursor = TailCursor { epoch: 4, seq: 0 };
+            assert_eq!(
+                hub.next_frames(&mut cursor, Duration::from_millis(1))
+                    .map(|f| f.len()),
+                Ok(1)
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

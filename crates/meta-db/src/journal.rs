@@ -69,7 +69,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::fs::{self, File};
-use std::io::Write as _;
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 use crate::db::MetaDb;
@@ -1209,12 +1209,17 @@ fn sync_parent_dir(path: &Path) -> Result<(), std::io::Error> {
 /// [`recover`] matches against the journal header.
 pub fn write_snapshot(db: &MetaDb, workspace: &Workspace, epoch: u64, term: u64) -> String {
     let mut image = persist::save_project(db, workspace);
-    for (marker, n) in [(EPOCH_COMMENT, epoch), (TERM_COMMENT, term)] {
-        image.push_str(marker);
-        persist::push_u64(&mut image, n);
-        image.push('\n');
-    }
+    push_markers(&mut image, epoch, term);
     image
+}
+
+/// Appends a snapshot's epoch and term marker lines.
+fn push_markers(out: &mut String, epoch: u64, term: u64) {
+    for (marker, n) in [(EPOCH_COMMENT, epoch), (TERM_COMMENT, term)] {
+        out.push_str(marker);
+        persist::push_u64(out, n);
+        out.push('\n');
+    }
 }
 
 /// The epoch marker of a snapshot image (0 for plain [`persist::save`]
@@ -1239,20 +1244,78 @@ pub fn snapshot_term(image: &str) -> u64 {
         .unwrap_or(1)
 }
 
-/// Writes `content` to `path` atomically (tmp sibling + fsync + rename).
+/// Bytes at the end of a snapshot file that [`snapshot_markers`] reads:
+/// the two marker lines take at most 57.
+const MARKER_WINDOW: u64 = 256;
+
+/// The epoch and term markers of the snapshot file open at `file`
+/// ([`snapshot_epoch`] and [`snapshot_term`] of its text), read from its
+/// last 256 bytes; a file whose markers do not both sit in that window
+/// is read whole. Leaves `file`'s position anywhere.
+///
+/// # Errors
+///
+/// File-system errors; `InvalidData` when the lines read are not UTF-8.
+pub fn snapshot_markers(file: &mut File) -> Result<(u64, u64), std::io::Error> {
+    let start = file.seek(SeekFrom::End(0))?.saturating_sub(MARKER_WINDOW);
+    file.seek(SeekFrom::Start(start))?;
+    let mut window = Vec::new();
+    file.read_to_end(&mut window)?;
+    // Past the start of the file, the window's first line may be cut.
+    let whole = match window.iter().position(|&b| b == b'\n') {
+        Some(at) if start > 0 => &window[at + 1..],
+        None if start > 0 => &[],
+        _ => &window[..],
+    };
+    let lines = std::str::from_utf8(whole)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+    let found = |marker| lines.lines().any(|l| l.starts_with(marker));
+    if start > 0 && !(found(EPOCH_COMMENT) && found(TERM_COMMENT)) {
+        let mut text = String::new();
+        file.seek(SeekFrom::Start(0))?;
+        file.read_to_string(&mut text)?;
+        return Ok((snapshot_epoch(&text), snapshot_term(&text)));
+    }
+    Ok((snapshot_epoch(lines), snapshot_term(lines)))
+}
+
+/// Writes the [`persist::save_project`] image of `db` and `workspace` to
+/// `path` atomically, streamed: the image is rendered into the tmp
+/// sibling in chunks of about [`persist::IMAGE_CHUNK_BYTES`], then the
+/// file is fsynced, renamed over `path` and the directory fsynced. With
+/// `markers` `(epoch, term)` the image is a checkpoint snapshot, the
+/// bytes of [`write_snapshot`]. Returns the bytes written.
 ///
 /// # Errors
 ///
 /// File-system errors.
-pub fn write_file_atomic(path: impl AsRef<Path>, content: &str) -> Result<(), std::io::Error> {
+pub fn write_image_atomic(
+    path: impl AsRef<Path>,
+    db: &MetaDb,
+    workspace: &Workspace,
+    markers: Option<(u64, u64)>,
+) -> Result<u64, std::io::Error> {
     let path = path.as_ref();
     let tmp = tmp_sibling(path);
     let mut file = File::create(&tmp)?;
-    file.write_all(content.as_bytes())?;
+    let mut written = 0;
+    let mut spill = |chunk: &mut String| {
+        file.write_all(chunk.as_bytes())?;
+        written += chunk.len() as u64;
+        chunk.clear();
+        Ok::<(), std::io::Error>(())
+    };
+    // Grown on demand: most images are far smaller than a chunk.
+    let mut chunk = String::new();
+    persist::render_project(db, workspace, &mut chunk, &mut spill)?;
+    if let Some((epoch, term)) = markers {
+        push_markers(&mut chunk, epoch, term);
+    }
+    spill(&mut chunk)?;
     file.sync_all()?;
     fs::rename(&tmp, path)?;
     sync_parent_dir(path)?;
-    Ok(())
+    Ok(written)
 }
 
 /// What [`recover`] produced.
@@ -1973,6 +2036,93 @@ mod tests {
         assert_eq!(snapshot_term(&persist::save(&db)), 1);
         // The markers are comments: persist::load still accepts the image.
         assert!(persist::load(&image).is_ok());
+    }
+
+    /// A project of `blocks` checked-in objects, each with a property and
+    /// a 32-byte payload: its image is about 150 bytes an object.
+    fn project(blocks: usize) -> (MetaDb, Workspace) {
+        let mut db = MetaDb::new();
+        let mut ws = Workspace::new("w");
+        for i in 0..blocks {
+            let (id, _) = ws
+                .checkin(
+                    &mut db,
+                    &format!("blk{i}"),
+                    "HDL_model",
+                    "yves",
+                    vec![7; 32],
+                )
+                .unwrap();
+            db.set_prop(id, "note", Value::Str(format!("café {i}\n")))
+                .unwrap();
+        }
+        (db, ws)
+    }
+
+    #[test]
+    fn markers_read_from_the_tail_agree_with_the_whole_text() {
+        let dir = std::env::temp_dir().join(format!("damocles-markers-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let (small_db, small_ws) = project(1);
+        let (db, ws) = project(40);
+        let long = write_snapshot(&db, &ws, 9, 4);
+        assert!(long.len() as u64 > 4 * MARKER_WINDOW);
+        let images = [
+            // With markers, shorter and longer than the window.
+            write_snapshot(&small_db, &small_ws, 7, 3),
+            long.clone(),
+            // Without markers, shorter and longer.
+            persist::save_project(&MetaDb::new(), &Workspace::new("w")),
+            persist::save_project(&db, &ws),
+            // The window starts inside a three-byte character.
+            format!("{}\n# epoch=4\n# term=2\n", "€".repeat(100)),
+            // Markers that are not the file's last lines, or not numbers.
+            format!("{long}{}\n", "x".repeat(300)),
+            format!("# epoch=5\n# term=6\n{}", persist::save_project(&db, &ws)),
+            format!("{long}# epoch=x\n"),
+            "# epoch=1\n# term=2".to_string(),
+            String::new(),
+        ];
+        for (i, image) in images.iter().enumerate() {
+            let path = dir.join(format!("{i}.ddb"));
+            fs::write(&path, image).unwrap();
+            let mut file = File::open(&path).unwrap();
+            assert_eq!(
+                snapshot_markers(&mut file).unwrap(),
+                (snapshot_epoch(image), snapshot_term(image)),
+                "image {i}"
+            );
+        }
+        assert_eq!(snapshot_epoch(&long), 9);
+        // A window that is not UTF-8 is refused, as a whole-text read is.
+        let path = dir.join("binary.ddb");
+        fs::write(&path, b"damocles-db v1\n\xff\n# epoch=1\n# term=1\n").unwrap();
+        let err = snapshot_markers(&mut File::open(&path).unwrap()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_streamed_writer_writes_the_string_images() {
+        let dir = std::env::temp_dir().join(format!("damocles-streamed-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snapshot.ddb");
+        for blocks in [0, 3, 2_000] {
+            let (db, ws) = project(blocks);
+            let snapshot = write_snapshot(&db, &ws, 5, 2);
+            let written = write_image_atomic(&path, &db, &ws, Some((5, 2))).unwrap();
+            assert_eq!(fs::read_to_string(&path).unwrap(), snapshot, "{blocks}");
+            assert_eq!(written, snapshot.len() as u64);
+            let image = persist::save_project(&db, &ws);
+            assert!(blocks < 2_000 || image.len() > 2 * persist::IMAGE_CHUNK_BYTES);
+            let written = write_image_atomic(&path, &db, &ws, None).unwrap();
+            assert_eq!(fs::read_to_string(&path).unwrap(), image, "{blocks}");
+            assert_eq!(written, image.len() as u64);
+            assert!(!tmp_sibling(&path).exists());
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

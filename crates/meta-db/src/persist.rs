@@ -30,15 +30,25 @@
 //!
 //! Every encoder here has an `*_into` form that appends to a caller's
 //! `String`; the `String`-returning forms are thin wrappers over them.
-//! An image is rendered into one buffer, borrowing from the database.
+//! An image is rendered by one routine, [`render_project`], borrowing from
+//! the database: into one `String` for [`save`] and [`save_project`], or
+//! a chunk at a time through to a file (`journal::write_image_atomic`).
+
+use std::convert::Infallible;
 
 use crate::db::{MetaDb, OidId};
 use crate::error::MetaError;
 use crate::link::{LinkClass, LinkKind};
 use crate::oid::Oid;
 use crate::property::Value;
+use crate::workspace::Workspace;
 
 const HEADER: &str = "damocles-db v1";
+
+/// Bytes of image text a streamed render gathers before it hands them
+/// on: [`render_project`] spills its buffer at the end of the first
+/// record that brings it to this size.
+pub const IMAGE_CHUNK_BYTES: usize = 64 * 1024;
 
 /// Lower-hex digit of each nibble value.
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
@@ -260,8 +270,25 @@ pub fn decode_value(s: &str) -> Result<Value, String> {
 /// Serializes the database to its text image.
 pub fn save(db: &MetaDb) -> String {
     let mut out = String::with_capacity(image_capacity(db));
-    save_into(&mut out, db);
+    let Ok(()) = save_into(&mut out, db, &mut keep);
     out
+}
+
+/// The sink of a render into one `String`: it keeps every byte.
+fn keep(_: &mut String) -> Result<(), Infallible> {
+    Ok(())
+}
+
+/// Ends a record of a render: hands `out` to `spill` once it holds
+/// [`IMAGE_CHUNK_BYTES`] or more.
+fn record_end<E>(
+    out: &mut String,
+    spill: &mut impl FnMut(&mut String) -> Result<(), E>,
+) -> Result<(), E> {
+    if out.len() >= IMAGE_CHUNK_BYTES {
+        spill(out)?;
+    }
+    Ok(())
 }
 
 /// A starting capacity for the image of `db` — roughly a line per object
@@ -271,8 +298,13 @@ fn image_capacity(db: &MetaDb) -> usize {
 }
 
 /// Appends the [`save`] image of `db` to `out`, borrowing every OID,
-/// link and value in place.
-fn save_into(out: &mut String, db: &MetaDb) {
+/// link and value in place, and spilling it at record ends (see
+/// [`render_project`]).
+fn save_into<E>(
+    out: &mut String,
+    db: &MetaDb,
+    spill: &mut impl FnMut(&mut String) -> Result<(), E>,
+) -> Result<(), E> {
     out.push_str(HEADER);
     out.push('\n');
 
@@ -286,6 +318,7 @@ fn save_into(out: &mut String, db: &MetaDb) {
         for (name, value) in entry.props.iter() {
             push_prop_line(out, "prop ", name, value);
         }
+        record_end(out, spill)?;
     }
 
     // Image order (sorted by endpoint triplets, ties in arena order) is
@@ -304,7 +337,9 @@ fn save_into(out: &mut String, db: &MetaDb) {
         for (name, value) in link.props.iter() {
             push_prop_line(out, "lprop ", name, value);
         }
+        record_end(out, spill)?;
     }
+    Ok(())
 }
 
 /// Loads a database from its text image.
@@ -409,23 +444,47 @@ fn load_record(db: &mut MetaDb, owner: &mut Owner, line: &str) -> Result<(), Str
 
 /// Serializes database + workspace payloads (hex-encoded `data` records
 /// appended to the [`save`] image).
-pub fn save_project(db: &MetaDb, workspace: &crate::workspace::Workspace) -> String {
+pub fn save_project(db: &MetaDb, workspace: &Workspace) -> String {
+    let data_capacity: usize = workspace
+        .payloads()
+        .map(|(_, datum)| 64 + 2 * datum.content.len())
+        .sum();
+    let mut out = String::with_capacity(image_capacity(db) + data_capacity);
+    let Ok(()) = render_project(db, workspace, &mut out, &mut keep);
+    out
+}
+
+/// Renders the [`save_project`] image of `db` and `workspace` into `out`,
+/// handing `out` to `spill` at the end of each record once it holds
+/// [`IMAGE_CHUNK_BYTES`] or more. A sink that writes `out` through and
+/// clears it streams the image in chunks of about that size; the
+/// `String` sink of [`save_project`] keeps it all. What a render leaves
+/// in `out` is the image's last bytes, not yet spilled.
+///
+/// # Errors
+///
+/// The first error `spill` returns; the render stops there.
+pub fn render_project<E>(
+    db: &MetaDb,
+    workspace: &Workspace,
+    out: &mut String,
+    spill: &mut impl FnMut(&mut String) -> Result<(), E>,
+) -> Result<(), E> {
+    save_into(out, db, spill)?;
     let mut data: Vec<(&Oid, &[u8])> = workspace
         .payloads()
         .filter_map(|(id, datum)| Some((db.oid(id).ok()?, datum.content.as_slice())))
         .collect();
     data.sort_unstable_by(|a, b| a.0.cmp(b.0));
-    let data_capacity: usize = data.iter().map(|(_, payload)| 64 + 2 * payload.len()).sum();
-    let mut out = String::with_capacity(image_capacity(db) + data_capacity);
-    save_into(&mut out, db);
     for (oid, payload) in data {
         out.push_str("data ");
-        push_oid(&mut out, oid);
+        push_oid(out, oid);
         out.push(' ');
-        encode_hex_into(&mut out, payload);
+        encode_hex_into(out, payload);
         out.push('\n');
+        record_end(out, spill)?;
     }
-    out
+    Ok(())
 }
 
 /// Loads database + workspace from a [`save_project`] image.
@@ -433,7 +492,7 @@ pub fn save_project(db: &MetaDb, workspace: &crate::workspace::Workspace) -> Str
 /// # Errors
 ///
 /// Returns [`MetaError::ImageParse`] on any format violation.
-pub fn load_project(image: &str) -> Result<(MetaDb, crate::workspace::Workspace), MetaError> {
+pub fn load_project(image: &str) -> Result<(MetaDb, Workspace), MetaError> {
     // `load` ignores nothing, so strip data records first.
     let db_image: String = image
         .lines()
@@ -441,7 +500,7 @@ pub fn load_project(image: &str) -> Result<(MetaDb, crate::workspace::Workspace)
         .collect::<Vec<_>>()
         .join("\n");
     let db = load(&db_image)?;
-    let mut workspace = crate::workspace::Workspace::new("restored");
+    let mut workspace = Workspace::new("restored");
     for line in image.lines().filter(|l| l.starts_with("data ")) {
         let err = |reason: String| image_error(line, reason);
         let mut words = line.split_whitespace();
@@ -613,6 +672,48 @@ mod tests {
         assert!(load_project(&image).is_ok());
         let hostile = image.replace("s:%0A", "s:%+f");
         assert!(load_project(&hostile).is_err(), "{hostile}");
+    }
+
+    #[test]
+    fn a_streamed_render_spills_the_string_image_in_chunks() {
+        let mut db = MetaDb::new();
+        let mut ws = Workspace::new("w");
+        let mut prev = None;
+        for i in 0..3_000 {
+            let (id, _) = ws
+                .checkin(&mut db, &format!("b{i}"), "v", "yves", vec![1; 16])
+                .unwrap();
+            db.set_prop(id, "msg", Value::Str(format!("{i} é")))
+                .unwrap();
+            if let Some(p) = prev {
+                db.add_link_with(p, id, LinkClass::Use, LinkKind::Composition, ["e"])
+                    .unwrap();
+            }
+            prev = Some(id);
+        }
+        let image = save_project(&db, &ws);
+        assert!(image.len() > 3 * IMAGE_CHUNK_BYTES);
+        let mut chunks = Vec::new();
+        let mut out = String::new();
+        let spilled: Result<(), ()> = render_project(&db, &ws, &mut out, &mut |out| {
+            chunks.push(std::mem::take(out));
+            Ok(())
+        });
+        spilled.unwrap();
+        chunks.push(out);
+        assert_eq!(chunks.concat(), image);
+        let longest = image.lines().map(str::len).max().unwrap();
+        let (_, full) = chunks.split_last().unwrap();
+        assert!(full.len() >= 3);
+        for chunk in full {
+            assert!(chunk.len() >= IMAGE_CHUNK_BYTES && chunk.ends_with('\n'));
+            assert!(chunk.len() < IMAGE_CHUNK_BYTES + 4 * longest);
+        }
+        // A failed spill stops the render.
+        let mut out = String::new();
+        let failed = render_project(&db, &ws, &mut out, &mut |_| Err("disk full"));
+        assert_eq!(failed, Err("disk full"));
+        assert!(out.len() < IMAGE_CHUNK_BYTES + 4 * longest);
     }
 
     #[test]

@@ -153,3 +153,53 @@ fn queued_events_are_dropped_on_adopt() {
     assert_eq!(report.events, 0);
     assert_eq!(server.prop(&hdl, "sim_result").unwrap().as_atom(), "bad");
 }
+
+/// `save <path>` over TCP streams the image to the file in chunks: a
+/// project whose image spans several 64 KiB chunks is saved as exactly
+/// the bytes of `persist::save_project`.
+#[test]
+fn save_over_tcp_writes_the_bytes_of_save_project() {
+    use damocles::core::engine::api::{Request, Response};
+    use damocles::core::engine::service::{serve_listener, spawn_project_loop, ProjectService};
+    use damocles::tools::remote::RemoteWrapper;
+
+    let mut service: ProjectService = ProjectService::new();
+    let init = service.call(Request::Init {
+        source: AUTOMATED.into(),
+    });
+    assert!(!init.is_error(), "{init:?}");
+    for i in 0..96 {
+        let checkin = Request::Checkin {
+            block: format!("blk{i}"),
+            view: "HDL_model".into(),
+            user: "yves".into(),
+            payload: format!("módulo {i}\t%\r\n").repeat(100).into_bytes(),
+        };
+        assert!(matches!(service.call(checkin), Response::Created { .. }));
+    }
+    let server = service.server().unwrap();
+    let expected = persist::save_project(server.db(), server.workspace());
+    assert!(expected.len() > 3 * 64 * 1024, "{} bytes", expected.len());
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap();
+    let (handle, _join) = spawn_project_loop(service);
+    std::thread::spawn(move || {
+        let _ = serve_listener(listener, &handle);
+    });
+    let dir = std::env::temp_dir().join(format!("damocles-save-tcp-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("saved.ddb");
+    // Over nothing, then over the file it wrote.
+    for _ in 0..2 {
+        let mut client = RemoteWrapper::connect(addr, "saver").expect("connect");
+        let request = Request::SaveProject {
+            path: path.display().to_string(),
+        };
+        assert_eq!(client.request(&request).unwrap(), Response::Ok);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), expected);
+        assert!(!dir.join("saved.ddb.tmp").exists(), "no temporary sibling");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -340,3 +340,54 @@ fn unbootstrapped_follower_reports_lagging() {
         other => panic!("{other:?}"),
     }
 }
+
+/// A follower's first bootstrap after several checkpoints of a project
+/// whose image spans several 64 KiB chunks: the leader streams the reset
+/// from its current snapshot file, and the follower's image is the
+/// leader's, byte for byte.
+#[test]
+fn a_late_follower_bootstraps_from_a_multi_chunk_snapshot_file() {
+    let dir = std::env::temp_dir().join("damocles-repl-late");
+    let leader_addr = spawn_leader(&dir);
+    let mut client = RemoteWrapper::connect(leader_addr, "writer").expect("connect leader");
+    for round in 0..4u8 {
+        for i in 0..24 {
+            let request = Request::Checkin {
+                block: format!("blk{i}"),
+                view: "HDL_model".into(),
+                user: "yves".into(),
+                payload: vec![round; 1_500],
+            };
+            assert!(matches!(
+                client.request(&request).unwrap(),
+                Response::Created { .. }
+            ));
+        }
+        assert!(matches!(
+            client.request(&Request::ProcessAll).unwrap(),
+            Response::Processed { .. }
+        ));
+        assert!(matches!(
+            client.request(&Request::Checkpoint).unwrap(),
+            Response::Epoch { .. }
+        ));
+    }
+    let snapshot = std::fs::metadata(dir.join("snapshot.ddb")).unwrap().len();
+    assert!(snapshot > 3 * 64 * 1024, "{snapshot}-byte snapshot");
+
+    let (follower, _) = spawn_follower(leader_addr);
+    let (epoch, seq) = leader_position(&mut client);
+    assert!(epoch >= 5, "epoch {epoch}");
+    assert!(
+        follower
+            .status()
+            .wait_applied(epoch, seq, Duration::from_secs(10)),
+        "late follower caught up to ({epoch}, {seq}); at {:?}",
+        follower.status().cursor()
+    );
+    assert_eq!(
+        follower.image().unwrap(),
+        leader_image(&mut client, "late"),
+        "the late follower's image is the leader's"
+    );
+}
