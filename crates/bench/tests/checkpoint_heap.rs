@@ -1,7 +1,9 @@
 //! The heap a journal and its checkpoints cost a project, counted by a
 //! global allocator. A checkpoint streams its snapshot to disk a chunk at
 //! a time, and the tail hub holds the snapshot by its path, so neither
-//! keeps a copy of the image in memory.
+//! keeps a copy of the image in memory. Loading the snapshot back (what a
+//! follower's bootstrap, `recover` and a fleet activation run) parses the
+//! image in one pass, with no copy of it.
 //!
 //! The project is `damocles_bench::checkin_storm_session`'s 20,032
 //! objects, as in `footprint.rs`. The binary holds a single test, so no
@@ -16,6 +18,7 @@ use damocles_bench::{
     bench_dir, chain_design_blueprint, checkin_storm_session, MARK_STALE, STORM_FAMILIES,
     STORM_STAGES,
 };
+use damocles_meta::persist;
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -63,5 +66,25 @@ fn journaling_holds_no_image_and_a_checkpoint_streams_it() {
         "a checkpoint raised the heap peak by {rise} bytes for a {image}-byte image"
     );
     drop(server);
+
+    // Loading the snapshot may raise the peak by what the loaded project
+    // holds plus a quarter of the image; a loader that first copied the
+    // image without its `data` lines raised it by that plus a third.
+    let text = std::fs::read_to_string(&snapshot).expect("snapshot read");
+    let before = heap::live();
+    let base = heap::reset_peak();
+    let loaded = persist::load_project(&text).expect("the snapshot loads");
+    let rise = heap::peak() - base;
+    let holds = heap::live() - before;
+    eprintln!(
+        "checkpoint_heap: loading the snapshot raises the heap peak by {rise} bytes; \
+         the project holds {holds}"
+    );
+    assert!(
+        rise < holds + image / 4,
+        "loading a {image}-byte image raised the heap peak by {rise} bytes for a project \
+         holding {holds}"
+    );
+    drop(loaded);
     let _ = std::fs::remove_dir_all(&dir);
 }

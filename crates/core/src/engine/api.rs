@@ -253,9 +253,9 @@ pub enum Request {
     /// `(epoch, seq)` on. Requires journaling on the receiving server.
     ///
     /// Over a streaming transport (the TCP front door) the
-    /// [`Response::Tailing`] reply is followed by tail frames
-    /// ([`TailFrame`](crate::engine::tail::TailFrame) lines) until the
-    /// client disconnects; a brand-new follower sends `(0, 0)` and is
+    /// [`Response::Tailing`] reply is followed by the stream's
+    /// [`TailItem`](crate::engine::tail::TailItem)s, one line each and a
+    /// line per record, until the client disconnects; a brand-new follower sends `(0, 0)` and is
     /// bootstrapped with a snapshot. See `PROTOCOL.md` §5.
     TailFrom {
         /// The checkpoint epoch the follower is at.

@@ -127,24 +127,54 @@ pub struct FollowerStatus {
     wake: Condvar,
 }
 
+/// Where the replica stands: the loop keeps it and publishes every change
+/// to its [`FollowerStatus`] whole.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Position {
+    /// The checkpoint epoch the replica is applying records of.
+    epoch: u64,
+    /// The next record sequence number expected.
+    seq: u64,
+    /// A snapshot bootstrap has completed, and no apply has failed since:
+    /// reads are served.
+    bootstrapped: bool,
+    /// Highest leadership term observed in the stream (or taken by
+    /// promotion); frames from older terms are refused.
+    term: u64,
+    /// Set by a successful [`Request::Promote`](crate::engine::api::Request::Promote):
+    /// this node is now a leader.
+    promoted: bool,
+}
+
+impl Position {
+    /// Whether a frame of `term` is refused: it comes from a reign older
+    /// than the highest seen, or it is any substantive frame once this
+    /// node leads. The caller counts refused frames.
+    fn refuses(&self, term: u64) -> bool {
+        if term < self.term || (self.promoted && term <= self.term) {
+            return true;
+        }
+        if self.promoted {
+            // A term above our own while we lead: a newer reign exists.
+            // This loop does not re-demote itself; operators fence it.
+            eprintln!("promoted node: ignoring frame from newer term {term} (fence me)");
+            return true;
+        }
+        false
+    }
+}
+
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct StatusState {
-    epoch: u64,
-    seq: u64,
-    bootstrapped: bool,
+    /// The loop's [`Position`], as it last published it.
+    at: Position,
     leader_up: bool,
     /// The replica diverged (an apply or bootstrap failed): incremental
     /// frames can no longer repair it, only a fresh `tail-reset` can.
     needs_reset: bool,
-    /// Highest leadership term observed in the stream (or taken by
-    /// promotion); frames from older terms are refused.
-    term: u64,
     /// Frames refused because they carried a stale term — the split-brain
     /// witness counter.
     stale_frames: u64,
-    /// Set by a successful [`Request::Promote`](crate::engine::api::Request::Promote):
-    /// this node is now a leader.
-    promoted: bool,
     /// Records a tail pump counted in ([`FollowerStatus::add_backlog`])
     /// that the loop has not taken yet.
     backlog: u64,
@@ -163,8 +193,8 @@ impl StatusState {
 impl FollowerStatus {
     /// `(epoch, seq)` of the next record the follower expects.
     pub fn cursor(&self) -> (u64, u64) {
-        let st = self.state.lock().expect("follower status lock");
-        (st.epoch, st.seq)
+        let at = self.state.lock().expect("follower status lock").at;
+        (at.epoch, at.seq)
     }
 
     /// Whether a snapshot bootstrap has completed (reads are served).
@@ -172,13 +202,14 @@ impl FollowerStatus {
         self.state
             .lock()
             .expect("follower status lock")
+            .at
             .bootstrapped
     }
 
     /// The highest leadership term this node has observed (0 before the
     /// first term-bearing frame).
     pub fn term(&self) -> u64 {
-        self.state.lock().expect("follower status lock").term
+        self.state.lock().expect("follower status lock").at.term
     }
 
     /// Frames refused because they carried a term older than the highest
@@ -193,7 +224,7 @@ impl FollowerStatus {
 
     /// Whether a `Promote` turned this node into a leader.
     pub fn promoted(&self) -> bool {
-        self.state.lock().expect("follower status lock").promoted
+        self.state.lock().expect("follower status lock").at.promoted
     }
 
     /// Whether the leader connection is currently up.
@@ -217,7 +248,7 @@ impl FollowerStatus {
         if st.needs_reset {
             (u64::MAX, 0)
         } else {
-            (st.epoch, st.seq)
+            (st.at.epoch, st.at.seq)
         }
     }
 
@@ -228,8 +259,9 @@ impl FollowerStatus {
         let deadline = Instant::now() + timeout;
         let mut st = self.state.lock().expect("follower status lock");
         loop {
+            let at = st.at;
             let reached =
-                st.bootstrapped && (st.epoch > epoch || (st.epoch == epoch && st.seq >= seq));
+                at.bootstrapped && (at.epoch > epoch || (at.epoch == epoch && at.seq >= seq));
             if reached {
                 return true;
             }
@@ -257,10 +289,10 @@ impl FollowerStatus {
     /// is promoted or its loop is gone.
     pub fn wait_for_room(&self) -> bool {
         let mut st = self.state.lock().expect("follower status lock");
-        while st.backlog >= MAX_TAIL_BACKLOG && !st.promoted && !st.exited {
+        while st.backlog >= MAX_TAIL_BACKLOG && !st.at.promoted && !st.exited {
             st = self.wake.wait(st).expect("follower status lock");
         }
-        !st.promoted && !st.exited
+        !st.at.promoted && !st.exited
     }
 
     fn set(&self, update: impl FnOnce(&mut StatusState)) {
@@ -364,43 +396,23 @@ pub fn run_follower_loop<E>(
     // The follower's link-tag map: the same tag → address assignment the
     // leader's journal uses, rebuilt at every bootstrap and rollover.
     let mut tags: HashMap<u64, LinkId> = HashMap::new();
-    let mut bootstrapped = false;
-    let mut cursor = (0u64, 0u64);
-    // Highest leadership term observed; frames below it are refused.
-    let mut seen_term = 0u64;
-    // Set by a successful Promote: this loop now serves the full leader
-    // surface and refuses every upstream frame.
-    let mut promoted = false;
+    // Where the replica stands; every change is published to `status`.
+    let mut at = Position::default();
     // The node's own publication hub (fan-out): applied frames republish
     // here under their term, so replicas form a tree.
     let hub = service.tail_hub();
-    // Whether a frame comes from a reign older than the highest seen — or
-    // is any substantive frame once this node leads. The caller counts
-    // refused frames.
-    let stale = |frame_term: u64, seen: u64, promoted: bool| -> bool {
-        if frame_term < seen || (promoted && frame_term <= seen) {
-            return true;
-        }
-        if promoted {
-            // A term above our own while we lead: a newer reign exists.
-            // This loop does not re-demote itself; operators fence it.
-            eprintln!("promoted node: ignoring frame from newer term {frame_term} (fence me)");
-            return true;
-        }
-        false
-    };
     let _exit = ExitMark(status);
     run_batches(service, rx, |service, window, msg| match msg {
         FollowerMsg::Tail(TailItem::Records { epoch, term, batch }) => {
             let records = batch.len() as u64;
-            if stale(term, seen_term, promoted) {
+            if at.refuses(term) {
                 status.set(|st| {
                     st.took(records);
                     st.stale_frames += records;
                 });
                 return;
             }
-            if !bootstrapped || epoch != cursor.0 || term != seen_term {
+            if !at.bootstrapped || epoch != at.epoch || term != at.term {
                 // Records from before a reset raced in, or a newer
                 // reign's records arrived without its bootstrap; the
                 // stream will re-bootstrap us.
@@ -410,30 +422,29 @@ pub fn run_follower_loop<E>(
             let applied = service
                 .server_mut()
                 .ok_or_else(|| "no blueprint loaded".to_string())
-                .and_then(|srv| apply_batch(srv, &mut tags, &hub, &mut cursor.1, batch));
+                .and_then(|srv| apply_batch(srv, &mut tags, &hub, &mut at.seq, batch));
             if let Err(reason) = &applied {
                 // Divergence (or a garbled stream): this image cannot be
                 // repaired incrementally. Flag the status so the pump
                 // drops its connection and re-handshakes with the
                 // unservable sentinel cursor, which the leader answers
                 // with a full snapshot reset.
-                eprintln!("follower: record {}/{} failed: {reason}", epoch, cursor.1);
-                bootstrapped = false;
+                eprintln!("follower: record {}/{} failed: {reason}", epoch, at.seq);
+                at.bootstrapped = false;
                 hub.publish_disable();
             }
             status.set(|st| {
                 st.took(records);
-                st.seq = cursor.1;
+                st.at = at;
                 if applied.is_ok() {
                     st.leader_up = true;
                 } else {
-                    st.bootstrapped = false;
                     st.needs_reset = true;
                 }
             });
         }
         FollowerMsg::Tail(TailItem::Reset { epoch, term, image }) => {
-            if stale(term, seen_term, promoted) {
+            if at.refuses(term) {
                 status.set(|st| st.stale_frames += 1);
                 return;
             }
@@ -445,38 +456,39 @@ pub fn run_follower_loop<E>(
                 Ok(_) => {
                     let srv = service.server_mut().expect("adopted above");
                     tags = srv.replica_link_tags();
-                    bootstrapped = true;
-                    cursor = (epoch, 0);
-                    seen_term = term;
+                    at = Position {
+                        epoch,
+                        seq: 0,
+                        bootstrapped: true,
+                        term,
+                        ..at
+                    };
                     // Re-publish the bootstrap for our own subtree.
                     hub.publish_enable(epoch, term, image.into());
                     status.set(|st| {
-                        st.epoch = epoch;
-                        st.seq = 0;
-                        st.bootstrapped = true;
+                        st.at = at;
                         st.leader_up = true;
                         st.needs_reset = false;
-                        st.term = term;
                     });
                 }
                 Err(reason) => {
                     eprintln!("follower: snapshot bootstrap failed: {reason}");
-                    bootstrapped = false;
+                    at.bootstrapped = false;
                     // Our subtree must not trust a diverged image.
                     hub.publish_disable();
                     status.set(|st| {
-                        st.bootstrapped = false;
+                        st.at = at;
                         st.needs_reset = true;
                     });
                 }
             }
         }
         FollowerMsg::Tail(TailItem::Epoch { epoch, term }) => {
-            if stale(term, seen_term, promoted) {
+            if at.refuses(term) {
                 status.set(|st| st.stale_frames += 1);
                 return;
             }
-            if bootstrapped && term == seen_term {
+            if at.bootstrapped && term == at.term {
                 // The stream guarantees every record of the folded
                 // epoch preceded this marker, so our image equals the
                 // new snapshot; mirror the leader's re-tagging and
@@ -485,11 +497,11 @@ pub fn run_follower_loop<E>(
                 let srv = service.server_mut().expect("bootstrapped");
                 tags = srv.replica_link_tags();
                 let image = srv.project_image();
-                cursor = (epoch, 0);
+                at.epoch = epoch;
+                at.seq = 0;
                 hub.publish_checkpoint(epoch, term, image.into(), true);
                 status.set(|st| {
-                    st.epoch = epoch;
-                    st.seq = 0;
+                    st.at = at;
                     st.leader_up = true;
                 });
             }
@@ -498,12 +510,12 @@ pub fn run_follower_loop<E>(
             // reset the new reign must send.
         }
         FollowerMsg::Tail(TailItem::Ping) => {
-            if !promoted {
+            if !at.promoted {
                 status.set(|st| st.leader_up = true);
             }
         }
         FollowerMsg::LeaderGone { reason } => {
-            if !promoted {
+            if !at.promoted {
                 eprintln!("follower: leader connection lost ({reason}); serving stale reads");
                 status.set(|st| st.leader_up = false);
             }
@@ -517,29 +529,20 @@ pub fn run_follower_loop<E>(
         }
         FollowerMsg::Client(envelope) => {
             let (_, request, reply) = envelope.into_parts();
-            if !promoted && !matches!(request, Request::Promote { .. }) {
+            if !at.promoted && !matches!(request, Request::Promote { .. }) {
                 // A replica journals nothing, so no settle can change the
                 // reply: it goes out at once.
-                let response =
-                    follower_call(service, request, leader, bootstrapped, cursor, seen_term);
-                let _ = reply.send(response);
+                let _ = reply.send(follower_call(service, request, leader, at));
                 return;
             }
             window.execute(service, request, reply, |service, request| {
-                if promoted {
+                if at.promoted {
                     // Full leader surface: the loop owns the service, so
                     // requests route straight through it (mutations
                     // group-commit locally and republish via the hub).
                     return Ok(service.call(request));
                 }
-                let (resp, now_leading) =
-                    promote(service, &request, bootstrapped, cursor, seen_term, status);
-                if let Some((epoch, term)) = now_leading {
-                    promoted = true;
-                    seen_term = term;
-                    cursor = (epoch, 0);
-                }
-                Ok(resp)
+                Ok(promote(service, &request, &mut at, status))
             });
         }
     });
@@ -576,40 +579,32 @@ fn apply_batch<E: ScriptExecutor>(
 }
 
 /// Executes a [`Request::Promote`] against a (not yet promoted) follower
-/// loop: refuse before bootstrap or under a non-advancing term, otherwise
-/// enable the local journal above the consumed cursor. Returns the reply
-/// and, on success, the `(epoch, term)` the node now leads under.
+/// loop at `at`: refuse before bootstrap or under a non-advancing term,
+/// otherwise enable the local journal above the consumed cursor, and move
+/// `at` to the `(epoch, term)` the node now leads under.
 fn promote<E>(
     service: &mut ProjectService<E>,
     request: &Request,
-    bootstrapped: bool,
-    cursor: (u64, u64),
-    seen_term: u64,
+    at: &mut Position,
     status: &FollowerStatus,
-) -> (Response, Option<(u64, u64)>)
+) -> Response
 where
     E: ScriptExecutor + Default,
 {
     let Request::Promote { dir, every, term } = request else {
         unreachable!("caller matched Promote");
     };
-    if !bootstrapped {
-        return (
-            Response::Error(ApiError::Lagging {
-                epoch: cursor.0,
-                seq: cursor.1,
-            }),
-            None,
-        );
+    if !at.bootstrapped {
+        return Response::Error(ApiError::Lagging {
+            epoch: at.epoch,
+            seq: at.seq,
+        });
     }
-    if *term <= seen_term {
-        return (
-            Response::Error(ApiError::StaleTerm {
-                term: *term,
-                current: seen_term,
-            }),
-            None,
-        );
+    if *term <= at.term {
+        return Response::Error(ApiError::StaleTerm {
+            term: *term,
+            current: at.term,
+        });
     }
     // The epoch floor: our reign's first epoch strictly exceeds the one
     // we consumed, so no (epoch, seq) coordinate is ever published twice
@@ -617,31 +612,32 @@ where
     let promoted = service.server_mut().expect("bootstrapped").promote_journal(
         dir,
         *every,
-        cursor.0 + 1,
+        at.epoch + 1,
         *term,
     );
     match promoted {
         Ok(epoch) => {
+            *at = Position {
+                epoch,
+                seq: 0,
+                term: *term,
+                promoted: true,
+                ..*at
+            };
             status.set(|st| {
-                st.epoch = epoch;
-                st.seq = 0;
-                st.term = *term;
-                st.promoted = true;
+                st.at = *at;
                 st.leader_up = true;
                 st.needs_reset = false;
             });
-            (
-                Response::Promoted { epoch, term: *term },
-                Some((epoch, *term)),
-            )
+            Response::Promoted { epoch, term: *term }
         }
-        Err(e) => (Response::Error(e.into()), None),
+        Err(e) => Response::Error(e.into()),
     }
 }
 
-/// Executes one client request under follower rules: mutations are
-/// rejected toward the leader, reads wait for the first bootstrap, and
-/// everything else runs against the replica. [`Request::Snapshot`] is
+/// Executes one client request under follower rules at `at`: mutations
+/// are rejected toward the leader, reads wait for the first bootstrap,
+/// and everything else runs against the replica. [`Request::Snapshot`] is
 /// allowed — configurations are service-local pins, not database
 /// mutations — so analysts can pin closures on a replica.
 /// [`Request::TailFrom`] is accepted once bootstrapped: the fan-out
@@ -651,26 +647,27 @@ fn follower_call<E>(
     service: &mut ProjectService<E>,
     request: Request,
     leader: &str,
-    bootstrapped: bool,
-    cursor: (u64, u64),
-    term: u64,
+    at: Position,
 ) -> Response
 where
     E: ScriptExecutor + Default,
 {
+    let lagging = || {
+        Response::Error(ApiError::Lagging {
+            epoch: at.epoch,
+            seq: at.seq,
+        })
+    };
     if matches!(request, Request::TailFrom { .. }) {
         // The hub republishes exactly what the loop applied, so the
         // committed fan-out position IS the applied cursor.
-        return if bootstrapped {
+        return if at.bootstrapped {
             Response::Tailing {
-                epoch: cursor.0,
-                seq: cursor.1,
+                epoch: at.epoch,
+                seq: at.seq,
             }
         } else {
-            Response::Error(ApiError::Lagging {
-                epoch: cursor.0,
-                seq: cursor.1,
-            })
+            lagging()
         };
     }
     let read_only = !request.is_mutation() || matches!(request, Request::Snapshot { .. });
@@ -679,20 +676,17 @@ where
             leader: leader.to_string(),
         });
     }
-    if !bootstrapped {
-        return Response::Error(ApiError::Lagging {
-            epoch: cursor.0,
-            seq: cursor.1,
-        });
+    if !at.bootstrapped {
+        return lagging();
     }
     match service.call(request) {
         Response::Stat { mut stat } => {
             // The service reports the server's own (journal-less) view;
             // the loop knows the replication truth.
-            stat.term = term;
+            stat.term = at.term;
             stat.role = NodeRole::Follower;
-            stat.cursor_epoch = cursor.0;
-            stat.cursor_seq = cursor.1;
+            stat.cursor_epoch = at.epoch;
+            stat.cursor_seq = at.seq;
             Response::Stat { stat }
         }
         other => other,
@@ -703,7 +697,7 @@ where
 mod tests {
     use super::*;
     use crate::engine::api::Request;
-    use crate::engine::tail::{TailFrame, TailReader};
+    use crate::engine::tail::{read_owed, TailCursor};
     use damocles_meta::Oid;
 
     const SIMPLE: &str = r#"
@@ -720,26 +714,18 @@ mod tests {
         endblueprint
     "#;
 
-    /// Feeds a hub's `frames` to a follower loop as the tail pump would:
-    /// read back off their wire form, a batch of records at a time.
+    /// Feeds what `hub` owes at `cursor` to a follower loop as the tail
+    /// pump would: read back off the wire, a batch of records at a time.
     /// Returns whether anything but a ping was fed.
-    fn feed_frames(feed: &Sender<FollowerMsg>, frames: &[TailFrame]) -> bool {
-        let wire: String = frames.iter().map(|frame| frame.encode() + "\n").collect();
-        let mut reader = TailReader::new(wire.as_bytes());
+    fn feed_owed(hub: &TailHub, cursor: &mut TailCursor, feed: &Sender<FollowerMsg>) -> bool {
         let mut progressed = false;
-        loop {
-            match reader.next_item() {
-                Ok(TailItem::Ping) => {}
-                Ok(item) => {
-                    progressed = true;
-                    feed.send(FollowerMsg::Tail(item)).unwrap();
-                }
-                Err(end) => {
-                    assert_eq!(end.kind(), std::io::ErrorKind::UnexpectedEof, "{end}");
-                    return progressed;
-                }
+        for item in read_owed(hub, cursor, Duration::from_millis(1)).unwrap() {
+            if item != TailItem::Ping {
+                progressed = true;
+                feed.send(FollowerMsg::Tail(item)).unwrap();
             }
         }
+        progressed
     }
 
     /// Drives a journaled leader and hand-pumps its hub frames into a
@@ -769,17 +755,9 @@ mod tests {
 
         // Mutate the leader; pump whatever the hub committed. The cursor
         // persists across pumps, like a live subscriber's would.
-        let mut tail_cursor = crate::engine::tail::TailCursor { epoch: 0, seq: 0 };
-        let mut pump = |feed: &Sender<FollowerMsg>| loop {
-            match hub.next_frames(&mut tail_cursor, Duration::from_millis(1)) {
-                Ok(frames) => {
-                    if !feed_frames(feed, &frames) {
-                        break;
-                    }
-                }
-                Err(e) => panic!("{e:?}"),
-            }
-        };
+        let mut tail_cursor = TailCursor { epoch: 0, seq: 0 };
+        let mut pump =
+            |feed: &Sender<FollowerMsg>| while feed_owed(&hub, &mut tail_cursor, feed) {};
         for i in 0..4 {
             let resp = leader.call(Request::Checkin {
                 block: format!("blk{i}"),
@@ -887,14 +865,11 @@ mod tests {
         assert!(!status.needs_reset());
 
         // A garbled record (bad checksum) cannot apply.
-        feed.send(FollowerMsg::Tail(
-            TailFrame::Record {
-                epoch,
-                term: 1,
-                line: "0000000000000000 0 create bad,v,1".into(),
-            }
-            .into(),
-        ))
+        feed.send(FollowerMsg::Tail(TailItem::Records {
+            epoch,
+            term: 1,
+            batch: batch_of(&["0000000000000000 0 create bad,v,1"]),
+        }))
         .unwrap();
         let session = handle.session();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -948,24 +923,21 @@ mod tests {
             });
         }
         leader.call(Request::ProcessAll);
-        let mut cursor = crate::engine::tail::TailCursor { epoch, seq: 0 };
-        let lines = leader
-            .tail_hub()
-            .next_frames(&mut cursor, Duration::from_millis(1))
-            .unwrap()
-            .into_iter()
-            .map(|frame| match frame {
-                TailFrame::Record { line, .. } => line,
-                other => panic!("{other:?}"),
-            })
+        let mut cursor = TailCursor { epoch, seq: 0 };
+        let items = read_owed(&leader.tail_hub(), &mut cursor, Duration::from_millis(1)).unwrap();
+        let [TailItem::Records { batch, .. }] = items.as_slice() else {
+            panic!("{items:?}");
+        };
+        let lines = (0..batch.len())
+            .map(|r| batch.line(r).to_string())
             .collect();
         (leader, epoch, snapshot, lines)
     }
 
-    fn batch_of(lines: &[String]) -> RecordBatch {
+    fn batch_of(lines: &[impl AsRef<str>]) -> RecordBatch {
         let mut batch = RecordBatch::default();
         for line in lines {
-            batch.push_line(line);
+            batch.push_line(line.as_ref());
         }
         batch
     }
@@ -1003,18 +975,15 @@ mod tests {
         assert!(failed.unwrap_err().contains("checksum"));
         assert_eq!(seq, 3, "the cursor names the failed record");
         assert_eq!(hub.position(), Some((epoch, 3)));
-        let mut cursor = crate::engine::tail::TailCursor { epoch, seq: 0 };
-        let republished: Vec<TailFrame> = lines[..3]
-            .iter()
-            .map(|line| TailFrame::Record {
-                epoch,
-                term: 1,
-                line: line.clone(),
-            })
-            .collect();
+        let mut cursor = TailCursor { epoch, seq: 0 };
+        let republished = TailItem::Records {
+            epoch,
+            term: 1,
+            batch: batch_of(&lines[..3]),
+        };
         assert_eq!(
-            hub.next_frames(&mut cursor, Duration::from_millis(1)),
-            Ok(republished)
+            read_owed(&hub, &mut cursor, Duration::from_millis(1)),
+            Ok(vec![republished])
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1110,7 +1079,7 @@ mod tests {
 
         let status = full();
         let waiting = waiter(&status);
-        status.set(|st| st.promoted = true);
+        status.set(|st| st.at.promoted = true);
         ends_with(waiting, false);
 
         // A loop that ends (here at once: its inbox has no sender).
@@ -1189,19 +1158,12 @@ mod tests {
 
         // Catch the follower up off the live hub (a Reset and the
         // records come from separate pulls, like a live subscriber's).
-        let mut tail_cursor = crate::engine::tail::TailCursor { epoch: 0, seq: 0 };
+        let mut tail_cursor = TailCursor { epoch: 0, seq: 0 };
         let consumed = {
             let srv = leader.server().unwrap();
             (srv.journal_epoch().unwrap(), srv.journal_records().unwrap())
         };
-        loop {
-            let frames = hub
-                .next_frames(&mut tail_cursor, Duration::from_millis(1))
-                .unwrap();
-            if !feed_frames(&feed, &frames) {
-                break;
-            }
-        }
+        while feed_owed(&hub, &mut tail_cursor, &feed) {}
         assert!(status.wait_applied(consumed.0, consumed.1, Duration::from_secs(5)));
         assert_eq!(status.term(), 1);
 
@@ -1250,14 +1212,11 @@ mod tests {
 
         // The deposed leader's stream is refused, loudly counted.
         let before = status.stale_frames();
-        feed.send(FollowerMsg::Tail(
-            TailFrame::Record {
-                epoch: consumed.0,
-                term: 1,
-                line: "deadbeef 99 junk".into(),
-            }
-            .into(),
-        ))
+        feed.send(FollowerMsg::Tail(TailItem::Records {
+            epoch: consumed.0,
+            term: 1,
+            batch: batch_of(&["deadbeef 99 junk"]),
+        }))
         .unwrap();
         feed.send(FollowerMsg::Tail(TailItem::Epoch {
             epoch: consumed.0 + 7,
@@ -1299,14 +1258,11 @@ mod tests {
         assert!(status.wait_applied(5, 0, Duration::from_secs(5)));
         assert_eq!(status.term(), 2);
 
-        feed.send(FollowerMsg::Tail(
-            TailFrame::Record {
-                epoch: 5,
-                term: 1,
-                line: "deadbeef 0 junk".into(),
-            }
-            .into(),
-        ))
+        feed.send(FollowerMsg::Tail(TailItem::Records {
+            epoch: 5,
+            term: 1,
+            batch: batch_of(&["deadbeef 0 junk"]),
+        }))
         .unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while status.stale_frames() == 0 && std::time::Instant::now() < deadline {

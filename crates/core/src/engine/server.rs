@@ -2132,18 +2132,21 @@ mod tests {
         }
     }
 
-    /// The tail hub's record lines of the current epoch, from sequence 0.
+    /// The tail hub's record lines of the current epoch, from sequence 0,
+    /// as a follower reads them off the wire.
     fn hub_lines(server: &ProjectServer) -> Vec<String> {
-        use crate::engine::tail::{TailCursor, TailFrame};
+        use crate::engine::tail::{read_owed, TailCursor, TailItem};
         let hub = server.tail_hub();
         let (epoch, _) = hub.position().expect("journaling on");
         let mut cursor = TailCursor { epoch, seq: 0 };
-        hub.next_frames(&mut cursor, Duration::from_millis(1))
+        read_owed(&hub, &mut cursor, Duration::from_millis(1))
             .unwrap()
             .into_iter()
-            .filter_map(|frame| match frame {
-                TailFrame::Record { line, .. } => Some(line),
-                _ => None,
+            .flat_map(|item| match item {
+                TailItem::Records { batch, .. } => (0..batch.len())
+                    .map(|r| batch.line(r).to_string())
+                    .collect(),
+                _ => Vec::new(),
             })
             .collect()
     }

@@ -12,14 +12,17 @@
 //!   into it at exactly three points: journal enable, each group-commit
 //!   flush (*after* the fsync — a record a tailer sees is always on the
 //!   leader's stable storage), and each checkpoint (epoch rollover).
-//! * [`TailFrame`] — the line-framed stream elements a subscriber
-//!   receives: a full snapshot bootstrap, a committed record, an epoch
-//!   rollover marker, or a keep-alive ping.
+//! * [`TailItem`] — the stream's elements: a full snapshot bootstrap, a
+//!   batch of committed records, an epoch rollover marker, or a keep-alive
+//!   ping. On the wire each is one line, and a batch one `tail-rec` line
+//!   per record ([`TailItem::encode`]).
 //! * [`TailCursor`] — a subscriber's `(epoch, seq)` position;
-//!   [`TailHub::next_frames`] blocks until the hub has something past it.
+//!   [`TailHub::next_owed`] blocks until the hub has something past it.
 //!   A tail connection takes the record batches it is owed from the hub
-//!   while it is locked, and renders and writes them after, in chunks of
-//!   about [`TAIL_CHUNK_BYTES`].
+//!   while it is locked, and [`Owed::write_wire`] renders and writes them
+//!   after, in chunks of about [`TAIL_CHUNK_BYTES`]. That is the hub's one
+//!   reader: tests read a hub by writing what it owes into a buffer and
+//!   decoding the bytes with a [`TailReader`], as a follower does.
 //! * [`TailReader`] — the subscriber's side: reads the line-framed stream
 //!   a batch at a time, the `tail-rec` lines that arrived together (one
 //!   epoch and term) appended straight into one [`RecordBatch`].
@@ -31,10 +34,10 @@
 //!
 //! * same epoch, `seq` ≤ committed count → the records from `seq` on;
 //! * exactly at the end of the *previous* epoch when a checkpoint rolled
-//!   it over → a cheap [`TailFrame::Epoch`] marker (the follower's own
+//!   it over → a cheap [`TailItem::Epoch`] marker (the follower's own
 //!   image already equals the new snapshot, so only the cursor moves);
 //! * anything else (stale epoch, future position, brand-new follower) →
-//!   [`TailFrame::Reset`] carrying the current checkpoint snapshot, then
+//!   [`TailItem::Reset`] carrying the current checkpoint snapshot, then
 //!   records from sequence 0.
 //!
 //! The hub retains only the current epoch's records (bounded by the
@@ -77,14 +80,27 @@ use damocles_meta::journal::{self, RecordBatch};
 use damocles_meta::persist;
 
 // The request codec's word helpers (`%` = empty string, shared
-// percent-escaping) — one implementation per crate, so the frame codec
+// percent-escaping) — one implementation per crate, so the tail codec
 // cannot drift from the request codec.
 use crate::engine::api::{dec_str, enc_str_into, Response};
 
-/// One element of a tail stream, in its line-framed wire form (see
-/// `PROTOCOL.md` §5).
+/// One element of a tail stream (see `PROTOCOL.md` §5), as a
+/// [`TailReader`] delivers it and [`TailItem::encode`] writes it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TailFrame {
+pub enum TailItem {
+    /// Consecutive committed journal records of one epoch and term, in
+    /// sequence order, each exactly as it sits in the leader's journal
+    /// file: `<fnv1a> <seq> <op…>` (verify and decode with
+    /// [`damocles_meta::journal::decode_record`]). On the wire, one
+    /// `tail-rec` line per record.
+    Records {
+        /// The epoch the records extend.
+        epoch: u64,
+        /// The leadership term they were committed under.
+        term: u64,
+        /// The record lines (no trailing newlines).
+        batch: RecordBatch,
+    },
     /// Adopt this checkpoint snapshot (a `persist` project image) as the
     /// follower's whole state; records of `epoch` follow from sequence 0.
     Reset {
@@ -95,17 +111,6 @@ pub enum TailFrame {
         /// The full project image (`damocles_meta::persist::save_project`
         /// text plus the epoch/term marker lines).
         image: String,
-    },
-    /// One committed journal record of `epoch`, exactly as it sits in the
-    /// leader's journal file: `<fnv1a> <seq> <op…>` (verify and decode
-    /// with [`damocles_meta::journal::decode_record`]).
-    Record {
-        /// The epoch this record extends.
-        epoch: u64,
-        /// The leadership term the record was committed under.
-        term: u64,
-        /// The record line (no trailing newline).
-        line: String,
     },
     /// The leader checkpointed: every record streamed so far is folded
     /// into the snapshot at `epoch`. A caught-up follower's image already
@@ -122,72 +127,62 @@ pub enum TailFrame {
     Ping,
 }
 
-impl TailFrame {
-    /// Renders the single-line wire form (no trailing newline).
+impl TailItem {
+    /// Renders the wire form: one newline-terminated line, or one
+    /// `tail-rec` line per record of a batch.
     ///
     /// ```
-    /// use blueprint_core::engine::tail::TailFrame;
+    /// use blueprint_core::engine::tail::{TailItem, TailReader};
     ///
-    /// let frame = TailFrame::Epoch { epoch: 4, term: 2 };
-    /// assert_eq!(frame.encode(), "tail-epoch 4 2");
-    /// assert_eq!(TailFrame::decode("tail-epoch 4 2"), Ok(frame));
+    /// let item = TailItem::Epoch { epoch: 4, term: 2 };
+    /// let wire = item.encode();
+    /// assert_eq!(wire, "tail-epoch 4 2\n");
+    /// assert_eq!(TailReader::new(wire.as_bytes()).next_item().unwrap(), item);
     /// ```
     pub fn encode(&self) -> String {
-        let mut out = String::new();
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Appends [`TailFrame::encode`]`()` to `out`.
-    fn encode_into(&self, out: &mut String) {
         use std::fmt::Write as _;
+        let mut out = String::new();
         match self {
-            TailFrame::Reset { epoch, term, image } => {
+            TailItem::Records { epoch, term, batch } => {
+                for r in 0..batch.len() {
+                    push_rec_line(&mut out, *epoch, *term, batch.line(r));
+                }
+            }
+            TailItem::Reset { epoch, term, image } => {
                 let _ = write!(out, "tail-reset {epoch} {term} ");
-                enc_str_into(out, image);
+                enc_str_into(&mut out, image);
+                out.push('\n');
             }
-            TailFrame::Record { epoch, term, line } => record_frame(out, *epoch, *term, line),
-            TailFrame::Epoch { epoch, term } => {
-                let _ = write!(out, "tail-epoch {epoch} {term}");
+            TailItem::Epoch { epoch, term } => {
+                let _ = writeln!(out, "tail-epoch {epoch} {term}");
             }
-            TailFrame::Ping => out.push_str("tail-ping"),
+            TailItem::Ping => out.push_str("tail-ping\n"),
         }
-    }
-
-    /// Parses the single-line wire form.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable reason when the line is not a tail frame (a
-    /// follower treats that as a broken stream and reconnects).
-    pub fn decode(line: &str) -> Result<TailFrame, String> {
-        Ok(match parse(line)? {
-            Parsed::Record { epoch, term, at } => TailFrame::Record {
-                epoch,
-                term,
-                line: line[at..].to_string(),
-            },
-            Parsed::Frame(frame) => frame,
-        })
+        out
     }
 }
 
-/// A parsed tail line: a record frame, whose record is the rest of the
-/// line from byte `at`, or any other frame.
+/// A parsed tail line: a record, which is the rest of the line from byte
+/// `at`, or any other item.
 #[derive(Debug)]
 enum Parsed {
     Record { epoch: u64, term: u64, at: usize },
-    Frame(TailFrame),
+    Item(TailItem),
 }
 
-/// [`TailFrame::decode`] without the copy of a record frame's record.
+/// Parses one tail line (no terminator), leaving a record in the line.
+///
+/// # Errors
+///
+/// A human-readable reason when the line is not a tail line (a follower
+/// treats that as a broken stream and reconnects).
 fn parse(line: &str) -> Result<Parsed, String> {
     fn num(what: &str, w: &str) -> Result<u64, String> {
         w.parse::<u64>()
             .map_err(|_| format!("bad tail {what} `{w}`"))
     }
     // `<epoch> <term> <rest…>` — the shared prefix of every substantive
-    // frame.
+    // line.
     fn coords(rest: &str) -> Result<(u64, u64, &str), String> {
         let mut words = rest.splitn(3, ' ');
         let epoch = num("epoch", words.next().unwrap_or(""))?;
@@ -201,13 +196,13 @@ fn parse(line: &str) -> Result<Parsed, String> {
         Some((k, r)) => (k, r),
         None => (line, ""),
     };
-    let frame = match keyword {
+    let item = match keyword {
         "tail-reset" => {
             let (epoch, term, image) = coords(rest).map_err(|e| format!("tail-reset: {e}"))?;
             if image.is_empty() {
                 return Err("tail-reset missing image".to_string());
             }
-            TailFrame::Reset {
+            TailItem::Reset {
                 epoch,
                 term,
                 image: dec_str(image)?,
@@ -227,72 +222,22 @@ fn parse(line: &str) -> Result<Parsed, String> {
             if !extra.is_empty() {
                 return Err(format!("tail-epoch trailing `{extra}`"));
             }
-            TailFrame::Epoch { epoch, term }
+            TailItem::Epoch { epoch, term }
         }
-        "tail-ping" => TailFrame::Ping,
+        "tail-ping" => TailItem::Ping,
         other => return Err(format!("unknown tail frame `{other}`")),
     };
-    Ok(Parsed::Frame(frame))
+    Ok(Parsed::Item(item))
 }
 
-/// Appends the wire form of a [`TailFrame::Record`] (no newline).
-fn record_frame(out: &mut String, epoch: u64, term: u64, line: &str) {
+/// Appends one `tail-rec` line, newline included.
+fn push_rec_line(out: &mut String, epoch: u64, term: u64, record: &str) {
     use std::fmt::Write as _;
-    let _ = write!(out, "tail-rec {epoch} {term} {line}");
+    let _ = writeln!(out, "tail-rec {epoch} {term} {record}");
 }
 
 /// Most records a [`TailReader`] puts in one batch.
 pub const MAX_TAIL_BATCH: usize = 1024;
-
-/// One element of a tail stream as a [`TailReader`] delivers it: the
-/// [`TailFrame`]s, with records taken a batch at a time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TailItem {
-    /// Consecutive `tail-rec` frames of one epoch and term, their record
-    /// lines in sequence order in one batch.
-    Records {
-        /// The epoch the records extend.
-        epoch: u64,
-        /// The leadership term they were committed under.
-        term: u64,
-        /// The record lines, as [`TailFrame::Record`] carries them.
-        batch: RecordBatch,
-    },
-    /// A [`TailFrame::Reset`].
-    Reset {
-        /// The snapshot's checkpoint epoch.
-        epoch: u64,
-        /// The leadership term the publisher journals under.
-        term: u64,
-        /// The full project image.
-        image: String,
-    },
-    /// A [`TailFrame::Epoch`].
-    Epoch {
-        /// The new checkpoint epoch.
-        epoch: u64,
-        /// The leadership term the checkpoint was written under.
-        term: u64,
-    },
-    /// A [`TailFrame::Ping`].
-    Ping,
-}
-
-impl From<TailFrame> for TailItem {
-    /// The frame as an item; a record frame is a batch of one.
-    fn from(frame: TailFrame) -> Self {
-        match frame {
-            TailFrame::Reset { epoch, term, image } => TailItem::Reset { epoch, term, image },
-            TailFrame::Record { epoch, term, line } => {
-                let mut batch = RecordBatch::default();
-                batch.push_line(&line);
-                TailItem::Records { epoch, term, batch }
-            }
-            TailFrame::Epoch { epoch, term } => TailItem::Epoch { epoch, term },
-            TailFrame::Ping => TailItem::Ping,
-        }
-    }
-}
 
 /// Reads a tail stream (`PROTOCOL.md` §5) the way the leader writes it:
 /// the `tail-rec` lines that have already arrived, all of one epoch and
@@ -354,7 +299,7 @@ impl<R: BufRead> TailReader<R> {
             None => self.read(),
         };
         let (epoch, term, at) = match first? {
-            Parsed::Frame(frame) => return Ok(frame.into()),
+            Parsed::Item(item) => return Ok(item),
             Parsed::Record { epoch, term, at } => (epoch, term, at),
         };
         let mut batch = RecordBatch::default();
@@ -397,9 +342,14 @@ impl<R: BufRead> TailReader<R> {
     }
 
     /// Reads one line into `line` (a last line may lack its newline) and
-    /// notes whether bytes are left in `inner`'s buffer behind it.
+    /// notes whether bytes are left in `inner`'s buffer behind it. A
+    /// buffer grown past [`TAIL_CHUNK_BYTES`] (a reset's line) is let go,
+    /// not kept for the rest of the stream.
     fn read_line(&mut self) -> io::Result<()> {
         let mut bytes = std::mem::take(&mut self.line).into_bytes();
+        if bytes.capacity() > TAIL_CHUNK_BYTES {
+            bytes = Vec::new();
+        }
         bytes.clear();
         self.buffered = false;
         loop {
@@ -440,7 +390,7 @@ impl<R: BufRead> TailReader<R> {
 
 /// A subscriber's position in the stream: the next record it expects is
 /// `seq` of `epoch`. A brand-new follower starts at `(0, 0)` and lets the
-/// first [`TailFrame::Reset`] place it.
+/// first [`TailItem::Reset`] place it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TailCursor {
     /// The checkpoint epoch the follower is applying records of.
@@ -463,7 +413,7 @@ pub enum TailEnded {
     Unreadable(String),
 }
 
-/// Where a hub finds the checkpoint snapshot a [`TailFrame::Reset`]
+/// Where a hub finds the checkpoint snapshot a [`TailItem::Reset`]
 /// carries.
 #[derive(Debug, Clone)]
 pub enum Snapshot {
@@ -520,9 +470,9 @@ impl TailState {
 
     /// The records from sequence `from` (< `committed`) to the end of the
     /// epoch: the batches from the one holding `from` on, shared.
-    fn owed_from(&self, from: u64) -> Owed {
+    fn owed_from(&self, from: u64) -> Owing {
         let first = self.batches.partition_point(|(start, _)| *start <= from) - 1;
-        Owed::Records {
+        Owing::Records {
             epoch: self.epoch,
             term: self.term,
             skip: (from - self.batches[first].0) as usize,
@@ -540,11 +490,16 @@ impl TailState {
 pub const TAIL_CHUNK_BYTES: usize = 64 * 1024;
 
 /// What a subscriber is owed next ([`TailHub::next_owed`]): taken from the
-/// hub while it is locked, rendered after the lock is released.
+/// hub while it is locked, written by [`Owed::write_wire`] after the lock
+/// is released.
 #[derive(Debug)]
-pub(crate) enum Owed {
+pub struct Owed(Owing);
+
+/// The kinds of [`Owed`].
+#[derive(Debug)]
+enum Owing {
     /// One epoch marker or ping.
-    Frame(TailFrame),
+    Item(TailItem),
     /// A reset to the checkpoint snapshot `image` of `epoch`, under
     /// `term`.
     Reset {
@@ -562,64 +517,32 @@ pub(crate) enum Owed {
     },
 }
 
-/// The snapshot an [`Owed::Reset`] sends: a replica's shared text, or a
+/// The snapshot an [`Owing::Reset`] sends: a replica's shared text, or a
 /// journaling node's snapshot file, open and checked to hold the reset's
 /// epoch and term.
 #[derive(Debug)]
-pub(crate) enum ResetImage {
+enum ResetImage {
     Text(Arc<str>),
     File(File),
 }
 
 impl Owed {
-    /// The owed frames, one per record; a snapshot file is read whole.
-    fn into_frames(self) -> Result<Vec<TailFrame>, TailEnded> {
-        Ok(match self {
-            Owed::Frame(frame) => vec![frame],
-            Owed::Reset { epoch, term, image } => {
-                let image = match image {
-                    ResetImage::Text(text) => text.to_string(),
-                    ResetImage::File(mut file) => {
-                        let mut text = String::new();
-                        file.read_to_string(&mut text).map_err(|e| unreadable(&e))?;
-                        text
-                    }
-                };
-                vec![TailFrame::Reset { epoch, term, image }]
-            }
-            Owed::Records {
-                epoch,
-                term,
-                skip,
-                batches,
-            } => owed_lines(skip, &batches)
-                .map(|line| TailFrame::Record {
-                    epoch,
-                    term,
-                    line: line.to_string(),
-                })
-                .collect(),
-        })
-    }
-
-    /// Writes the owed frames to `out` in wire form, one newline-terminated
-    /// line each, rendered into `chunk` and written whenever it holds
-    /// [`TAIL_CHUNK_BYTES`] or more; a reset's image is read and escaped
-    /// a chunk at a time. `chunk` is scratch space, reused across calls.
+    /// Writes what is owed to `out` in wire form (the bytes of
+    /// [`TailItem::encode`]), rendered into `chunk` and written whenever it
+    /// holds [`TAIL_CHUNK_BYTES`] or more; a reset's image is read and
+    /// escaped a chunk at a time. `chunk` is scratch space, reused across
+    /// calls.
     ///
     /// # Errors
     ///
     /// The first failed write, or the first failed read of a snapshot
     /// file (the stream then ends inside the reset's line).
-    pub(crate) fn write_wire(&self, out: &mut impl Write, chunk: &mut String) -> io::Result<()> {
+    pub fn write_wire(&self, out: &mut impl Write, chunk: &mut String) -> io::Result<()> {
         use std::fmt::Write as _;
         chunk.clear();
-        match self {
-            Owed::Frame(frame) => {
-                frame.encode_into(chunk);
-                chunk.push('\n');
-            }
-            Owed::Reset { epoch, term, image } => {
+        match &self.0 {
+            Owing::Item(item) => chunk.push_str(&item.encode()),
+            Owing::Reset { epoch, term, image } => {
                 let _ = write!(chunk, "tail-reset {epoch} {term} ");
                 match image {
                     ResetImage::Text(text) => write_escaped(text.as_bytes(), out, chunk)?,
@@ -627,18 +550,20 @@ impl Owed {
                 }
                 chunk.push('\n');
             }
-            Owed::Records {
+            Owing::Records {
                 epoch,
                 term,
                 skip,
                 batches,
             } => {
-                for line in owed_lines(*skip, batches) {
-                    record_frame(chunk, *epoch, *term, line);
-                    chunk.push('\n');
-                    if chunk.len() >= TAIL_CHUNK_BYTES {
-                        out.write_all(chunk.as_bytes())?;
-                        chunk.clear();
+                for (i, batch) in batches.iter().enumerate() {
+                    let from = if i == 0 { *skip } else { 0 };
+                    for r in from..batch.len() {
+                        push_rec_line(chunk, *epoch, *term, batch.line(r));
+                        if chunk.len() >= TAIL_CHUNK_BYTES {
+                            out.write_all(chunk.as_bytes())?;
+                            chunk.clear();
+                        }
                     }
                 }
             }
@@ -651,7 +576,7 @@ impl Owed {
 }
 
 /// Appends the text `source` yields to `chunk` percent-escaped, as
-/// [`TailFrame::Reset`] encodes its image (`%` when it is empty), and
+/// [`TailItem::encode`] escapes a reset's image (`%` when it is empty), and
 /// writes `chunk` to `out` each time it holds [`TAIL_CHUNK_BYTES`] or
 /// more. Reads [`TAIL_CHUNK_BYTES`] at a time; a character cut by a read
 /// waits for the next.
@@ -699,14 +624,6 @@ fn write_escaped(
     Ok(())
 }
 
-/// The record lines of `batches` but the first `skip` of the first.
-fn owed_lines(skip: usize, batches: &[Arc<RecordBatch>]) -> impl Iterator<Item = &str> {
-    batches.iter().enumerate().flat_map(move |(i, batch)| {
-        let from = if i == 0 { skip } else { 0 };
-        (from..batch.len()).map(|r| batch.line(r))
-    })
-}
-
 /// The shared publication point between one journaling leader and any
 /// number of tail subscribers. See the module docs for the protocol.
 #[derive(Debug, Default)]
@@ -722,10 +639,6 @@ impl TailHub {
         Self::default()
     }
 
-    fn notify(&self) {
-        self.wake.notify_all();
-    }
-
     /// Journaling was (re-)enabled: `snapshot` is the initial checkpoint
     /// image at `epoch`, journaled under leadership `term`, and the
     /// journal is empty.
@@ -737,7 +650,7 @@ impl TailHub {
         st.clear_records();
         st.prev = None;
         drop(st);
-        self.notify();
+        self.wake.notify_all();
     }
 
     /// A batch of records reached stable storage (the group-commit fsync
@@ -754,14 +667,14 @@ impl TailHub {
         st.committed += batch.len() as u64;
         st.batches.push((start, Arc::new(batch)));
         drop(st);
-        self.notify();
+        self.wake.notify_all();
     }
 
     /// A checkpoint folded the journal into `snapshot` at `epoch`, under
     /// leadership `term`. `seamless` means every previously committed
     /// record is represented in the stream (nothing was dropped outside
     /// it), so a caught-up subscriber may take the cheap
-    /// [`TailFrame::Epoch`] marker instead of re-bootstrapping.
+    /// [`TailItem::Epoch`] marker instead of re-bootstrapping.
     pub fn publish_checkpoint(&self, epoch: u64, term: u64, snapshot: Snapshot, seamless: bool) {
         let mut st = self.state.lock().expect("tail hub lock");
         // The marker shortcut only holds within one reign: a follower at
@@ -772,7 +685,7 @@ impl TailHub {
         st.snapshot = Some(snapshot);
         st.clear_records();
         drop(st);
-        self.notify();
+        self.wake.notify_all();
     }
 
     /// Journaling was disabled (poisoned, or the project server was
@@ -783,13 +696,13 @@ impl TailHub {
         st.clear_records();
         st.prev = None;
         drop(st);
-        self.notify();
+        self.wake.notify_all();
     }
 
     /// The leader is shutting down; all subscriptions end.
     pub fn close(&self) {
         self.state.lock().expect("tail hub lock").closed = true;
-        self.notify();
+        self.wake.notify_all();
     }
 
     /// The committed stream position `(epoch, record count)`, or `None`
@@ -809,24 +722,9 @@ impl TailHub {
     }
 
     /// Blocks until the stream has something past `cursor` (or `timeout`
-    /// elapses — then a single [`TailFrame::Ping`] is returned so the
-    /// caller can probe its transport). Advances `cursor` past whatever
-    /// it returns. A reset from a snapshot file reads the file whole.
-    ///
-    /// # Errors
-    ///
-    /// [`TailEnded`] when the stream is over; the subscriber should
-    /// surface that to its follower and disconnect.
-    pub fn next_frames(
-        &self,
-        cursor: &mut TailCursor,
-        timeout: Duration,
-    ) -> Result<Vec<TailFrame>, TailEnded> {
-        self.next_owed(cursor, timeout)?.into_frames()
-    }
-
-    /// The one catch-up decision behind [`TailHub::next_frames`] and the
-    /// tail connection (see the module docs). Owed records come back as
+    /// elapses — then a ping is owed, so the caller can probe its
+    /// transport), advances `cursor` past it and returns what the
+    /// subscriber is owed (see the module docs). Owed records come back as
     /// shared batches and an owed snapshot as its shared text or its
     /// opened file: the hub stays locked only while they are counted out,
     /// never while a file is opened, rendered or written.
@@ -836,31 +734,25 @@ impl TailHub {
     /// the decision, the hub decides again from `cursor` as it was asked,
     /// waiting for that checkpoint's publication if needed, so the newer
     /// bytes never go out under the older epoch.
-    pub(crate) fn next_owed(
-        &self,
-        cursor: &mut TailCursor,
-        timeout: Duration,
-    ) -> Result<Owed, TailEnded> {
+    ///
+    /// # Errors
+    ///
+    /// [`TailEnded`] when the stream is over; the subscriber should
+    /// surface that to its follower and disconnect.
+    pub fn next_owed(&self, cursor: &mut TailCursor, timeout: Duration) -> Result<Owed, TailEnded> {
         let asked = *cursor;
         let mut superseded = None;
         loop {
             let (epoch, term, path) = match self.decide(cursor, timeout, superseded)? {
-                Decided::Owed(owed) => return Ok(owed),
+                Decided::Owed(owing) => return Ok(Owed(owing)),
                 Decided::Open { epoch, term, path } => (epoch, term, path),
             };
-            match open_snapshot(&path, epoch, term)? {
-                Some(file) => {
-                    return Ok(Owed::Reset {
-                        epoch,
-                        term,
-                        image: ResetImage::File(file),
-                    })
-                }
-                None => {
-                    *cursor = asked;
-                    superseded = Some((epoch, term));
-                }
+            if let Some(file) = open_snapshot(&path, epoch, term)? {
+                let image = ResetImage::File(file);
+                return Ok(Owed(Owing::Reset { epoch, term, image }));
             }
+            *cursor = asked;
+            superseded = Some((epoch, term));
         }
     }
 
@@ -889,12 +781,12 @@ impl TailHub {
                 // Caught up to the fold point: the follower's image
                 // already equals the new snapshot.
                 *cursor = TailCursor { epoch, seq: 0 };
-                return Ok(Decided::Owed(Owed::Frame(TailFrame::Epoch { epoch, term })));
+                return Ok(Decided::Owed(Owing::Item(TailItem::Epoch { epoch, term })));
             }
             if reset && superseded != Some((epoch, term)) {
                 *cursor = TailCursor { epoch, seq: 0 };
                 return Ok(match snapshot {
-                    Snapshot::Text(text) => Decided::Owed(Owed::Reset {
+                    Snapshot::Text(text) => Decided::Owed(Owing::Reset {
                         epoch,
                         term,
                         image: ResetImage::Text(Arc::clone(text)),
@@ -914,7 +806,7 @@ impl TailHub {
             let (guard, wait) = self.wake.wait_timeout(st, timeout).expect("tail hub lock");
             st = guard;
             if wait.timed_out() {
-                return Ok(Decided::Owed(Owed::Frame(TailFrame::Ping)));
+                return Ok(Decided::Owed(Owing::Item(TailItem::Ping)));
             }
         }
     }
@@ -923,7 +815,7 @@ impl TailHub {
 /// What [`TailHub::decide`] settled on.
 enum Decided {
     /// Owed as it is.
-    Owed(Owed),
+    Owed(Owing),
     /// A reset to the snapshot file at `path`, which must hold `epoch`
     /// and `term`.
     Open {
@@ -963,6 +855,33 @@ fn unreadable(e: &io::Error) -> TailEnded {
     TailEnded::Unreadable(format!("cannot read the snapshot file: {e}"))
 }
 
+/// What `hub` owes a subscriber at `cursor`, written as a tail connection
+/// writes it and read back by a [`TailReader`], as a follower reads it.
+///
+/// # Panics
+///
+/// When the write fails or the reader refuses the bytes.
+#[cfg(test)]
+pub(crate) fn read_owed(
+    hub: &TailHub,
+    cursor: &mut TailCursor,
+    timeout: Duration,
+) -> Result<Vec<TailItem>, TailEnded> {
+    let mut wire = Vec::new();
+    hub.next_owed(cursor, timeout)?
+        .write_wire(&mut wire, &mut String::new())
+        .expect("the owed bytes are written");
+    let mut reader = TailReader::new(wire.as_slice());
+    let mut items = Vec::new();
+    loop {
+        match reader.next_item() {
+            Ok(item) => items.push(item),
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(items),
+            Err(e) => panic!("the reader refused what the hub wrote: {e}"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -985,14 +904,15 @@ mod tests {
         RecordBatch::from_lines(seqs.map(|seq| encode_record(seq, &op(seq))).collect())
     }
 
-    fn record_lines(frames: &[TailFrame]) -> Vec<&str> {
-        frames
-            .iter()
-            .map(|frame| match frame {
-                TailFrame::Record { line, .. } => line.as_str(),
-                other => panic!("expected a record frame, got {other:?}"),
-            })
-            .collect()
+    /// The records `seqs` as one item.
+    fn records_of(epoch: u64, term: u64, seqs: std::ops::Range<u64>) -> TailItem {
+        let lines: Vec<String> = seqs.map(record_line).collect();
+        records(epoch, term, &lines)
+    }
+
+    /// What `hub` owes at `cursor`, read back off the wire.
+    fn owed(hub: &TailHub, cursor: &mut TailCursor) -> Result<Vec<TailItem>, TailEnded> {
+        read_owed(hub, cursor, Duration::from_millis(1))
     }
 
     #[test]
@@ -1009,11 +929,11 @@ mod tests {
                 epoch: 1,
                 seq: from,
             };
-            let frames = hub
-                .next_frames(&mut cursor, Duration::from_millis(1))
-                .unwrap();
-            let expected: Vec<String> = (from..6).map(record_line).collect();
-            assert_eq!(record_lines(&frames), expected, "from {from}");
+            assert_eq!(
+                owed(&hub, &mut cursor),
+                Ok(vec![records_of(1, 1, from..6)]),
+                "from {from}"
+            );
             assert_eq!(cursor, TailCursor { epoch: 1, seq: 6 });
         }
     }
@@ -1044,15 +964,6 @@ mod tests {
         out
     }
 
-    /// [`TailHub::next_frames`] at `cursor`, encoded one line each.
-    fn encoded(hub: &TailHub, mut cursor: TailCursor) -> String {
-        hub.next_frames(&mut cursor, Duration::from_millis(1))
-            .unwrap()
-            .iter()
-            .map(|frame| frame.encode() + "\n")
-            .collect()
-    }
-
     #[test]
     fn wire_frames_render_straight_from_the_batches() {
         let hub = TailHub::new();
@@ -1066,10 +977,9 @@ mod tests {
                 epoch: 3,
                 seq: from,
             };
-            let expected = encoded(&hub, cursor);
             assert_eq!(
                 streamed(&hub, &mut cursor).0.concat(),
-                expected.as_bytes(),
+                records_of(3, 2, from..6).encode().as_bytes(),
                 "from {from}"
             );
             assert_eq!(cursor, TailCursor { epoch: 3, seq: 6 });
@@ -1077,21 +987,21 @@ mod tests {
         let expected: String = (1..6)
             .map(|seq| format!("tail-rec 3 2 {}\n", record_line(seq)))
             .collect();
-        assert_eq!(encoded(&hub, TailCursor { epoch: 3, seq: 1 }), expected);
-        // One-frame answers, as `encode` renders them.
-        for (mut cursor, frame) in [
+        assert_eq!(records_of(3, 2, 1..6).encode(), expected);
+        // One-line answers, as `encode` renders them.
+        for (mut cursor, item) in [
             (
                 TailCursor { epoch: 1, seq: 0 },
-                TailFrame::Reset {
+                TailItem::Reset {
                     epoch: 3,
                     term: 2,
                     image: "image with spaces\n".into(),
                 },
             ),
-            (TailCursor { epoch: 3, seq: 6 }, TailFrame::Ping),
+            (TailCursor { epoch: 3, seq: 6 }, TailItem::Ping),
         ] {
             let wire = streamed(&hub, &mut cursor).0.concat();
-            assert_eq!(wire, (frame.encode() + "\n").as_bytes());
+            assert_eq!(wire, item.encode().as_bytes());
         }
     }
 
@@ -1110,7 +1020,7 @@ mod tests {
                 epoch: 7,
                 seq: from,
             };
-            let expected = encoded(&hub, cursor);
+            let expected = records_of(7, 3, from..next).encode();
             let writes = streamed(&hub, &mut cursor).0;
             assert_eq!(writes.concat(), expected.as_bytes(), "from {from}");
             assert_eq!(
@@ -1143,8 +1053,7 @@ mod tests {
         hub.publish_records(batch(0..2));
         hub.publish_records(batch(2..4));
         let mut cursor = TailCursor { epoch: 1, seq: 0 };
-        let expected = encoded(&hub, cursor);
-        let owed = hub
+        let owed_now = hub
             .next_owed(&mut cursor, Duration::from_millis(1))
             .unwrap();
         // The leader folds before the subscriber has written a byte: the
@@ -1152,13 +1061,12 @@ mod tests {
         hub.publish_checkpoint(2, 1, "image-e2".into(), true);
         assert_eq!(hub.state.lock().unwrap().batches.len(), 0);
         let mut out = Writes::default();
-        owed.write_wire(&mut out, &mut String::new()).unwrap();
-        assert_eq!(out.0.concat(), expected.as_bytes());
-        assert_eq!(expected.lines().count(), 4);
+        owed_now.write_wire(&mut out, &mut String::new()).unwrap();
+        assert_eq!(out.0.concat(), records_of(1, 1, 0..4).encode().as_bytes());
         // Caught up to the fold point: the cheap marker, no reset.
         assert_eq!(
-            hub.next_frames(&mut cursor, Duration::from_millis(1)),
-            Ok(vec![TailFrame::Epoch { epoch: 2, term: 1 }])
+            owed(&hub, &mut cursor),
+            Ok(vec![TailItem::Epoch { epoch: 2, term: 1 }])
         );
     }
 
@@ -1175,10 +1083,10 @@ mod tests {
         }
     }
 
-    fn records(epoch: u64, term: u64, lines: &[&str]) -> TailItem {
+    fn records(epoch: u64, term: u64, lines: &[impl AsRef<str>]) -> TailItem {
         let mut batch = RecordBatch::default();
         for line in lines {
-            batch.push_line(line);
+            batch.push_line(line.as_ref());
         }
         TailItem::Records { epoch, term, batch }
     }
@@ -1311,31 +1219,52 @@ mod tests {
     }
 
     #[test]
-    fn frames_roundtrip() {
-        let frames = vec![
-            TailFrame::Reset {
+    fn items_roundtrip_through_the_reader() {
+        let items = vec![
+            TailItem::Reset {
                 epoch: 3,
                 term: 2,
                 image: "damocles-db v1\noid a,v,1\n# epoch=3\n# term=2\n".into(),
             },
-            TailFrame::Record {
-                epoch: 3,
-                term: 2,
-                line: record_line(0),
-            },
-            TailFrame::Epoch { epoch: 4, term: 2 },
-            TailFrame::Ping,
+            records_of(3, 2, 0..2),
+            TailItem::Epoch { epoch: 4, term: 2 },
+            TailItem::Ping,
         ];
-        for frame in frames {
-            let line = frame.encode();
-            assert!(!line.contains('\n'), "{line:?}");
-            assert_eq!(TailFrame::decode(&line), Ok(frame), "{line}");
+        let wire: String = items.iter().map(TailItem::encode).collect();
+        assert_eq!(wire.lines().count(), 5, "{wire:?}");
+        let (read, end) = read_all(wire.as_bytes());
+        assert_eq!(read, items);
+        assert_eq!(end.kind(), io::ErrorKind::UnexpectedEof);
+        // Term-less lines are a different (pre-term) protocol: refused.
+        for line in [
+            "blah 1",
+            "tail-epoch 4",
+            "tail-epoch 4 2 junk",
+            "tail-rec 3 2",
+        ] {
+            let (read, end) = read_all(format!("{line}\n").as_bytes());
+            assert!(read.is_empty(), "{line}");
+            assert_eq!(end.kind(), io::ErrorKind::InvalidData, "{line}");
         }
-        assert!(TailFrame::decode("blah 1").is_err());
-        // Term-less frames are a different (pre-term) protocol: refused.
-        assert!(TailFrame::decode("tail-epoch 4").is_err());
-        assert!(TailFrame::decode("tail-epoch 4 2 junk").is_err());
-        assert!(TailFrame::decode("tail-rec 3 2").is_err());
+    }
+
+    #[test]
+    fn a_reset_lines_buffer_is_let_go_at_the_next_line() {
+        let reset = TailItem::Reset {
+            epoch: 1,
+            term: 1,
+            image: "oid blk,v,1\n".repeat(TAIL_CHUNK_BYTES / 4),
+        };
+        let wire = reset.encode() + &records_of(1, 1, 0..1).encode();
+        assert!(wire.len() > 2 * TAIL_CHUNK_BYTES);
+        let mut reader = TailReader::new(wire.as_bytes());
+        assert_eq!(reader.next_item().unwrap(), reset);
+        assert_eq!(reader.next_item().unwrap(), records_of(1, 1, 0..1));
+        assert!(
+            reader.line.capacity() <= TAIL_CHUNK_BYTES,
+            "the reader holds {} bytes",
+            reader.line.capacity()
+        );
     }
 
     #[test]
@@ -1343,38 +1272,22 @@ mod tests {
         let hub = TailHub::new();
         let mut cursor = TailCursor { epoch: 0, seq: 0 };
         // No journal yet: the subscription ends.
-        assert_eq!(
-            hub.next_frames(&mut cursor, Duration::from_millis(1)),
-            Err(TailEnded::Disabled)
-        );
+        assert_eq!(owed(&hub, &mut cursor), Err(TailEnded::Disabled));
         hub.publish_enable(1, 1, "image-e1".into());
         // Epoch 0 != 1: full bootstrap, then the committed records.
-        let frames = hub
-            .next_frames(&mut cursor, Duration::from_millis(1))
-            .unwrap();
         assert_eq!(
-            frames,
-            vec![TailFrame::Reset {
+            owed(&hub, &mut cursor),
+            Ok(vec![TailItem::Reset {
                 epoch: 1,
                 term: 1,
                 image: "image-e1".into()
-            }]
+            }])
         );
         hub.publish_records(batch(0..2));
-        let frames = hub
-            .next_frames(&mut cursor, Duration::from_millis(1))
-            .unwrap();
-        assert_eq!(frames.len(), 2);
-        assert!(matches!(
-            &frames[0],
-            TailFrame::Record { epoch: 1, term: 1, line } if *line == record_line(0)
-        ));
+        assert_eq!(owed(&hub, &mut cursor), Ok(vec![records_of(1, 1, 0..2)]));
         assert_eq!(cursor, TailCursor { epoch: 1, seq: 2 });
         // Caught up: the wait times out into a ping.
-        assert_eq!(
-            hub.next_frames(&mut cursor, Duration::from_millis(1)),
-            Ok(vec![TailFrame::Ping])
-        );
+        assert_eq!(owed(&hub, &mut cursor), Ok(vec![TailItem::Ping]));
     }
 
     #[test]
@@ -1386,14 +1299,14 @@ mod tests {
         let mut behind = TailCursor { epoch: 1, seq: 0 };
         hub.publish_checkpoint(2, 1, "image-e2".into(), true);
         assert_eq!(
-            hub.next_frames(&mut caught_up, Duration::from_millis(1)),
-            Ok(vec![TailFrame::Epoch { epoch: 2, term: 1 }])
+            owed(&hub, &mut caught_up),
+            Ok(vec![TailItem::Epoch { epoch: 2, term: 1 }])
         );
         assert_eq!(caught_up, TailCursor { epoch: 2, seq: 0 });
         // The straggler missed record 0 of the folded epoch: full reset.
         assert_eq!(
-            hub.next_frames(&mut behind, Duration::from_millis(1)),
-            Ok(vec![TailFrame::Reset {
+            owed(&hub, &mut behind),
+            Ok(vec![TailItem::Reset {
                 epoch: 2,
                 term: 1,
                 image: "image-e2".into()
@@ -1412,8 +1325,8 @@ mod tests {
         // image — the marker shortcut only holds within one term.
         hub.publish_checkpoint(2, 2, "image-t2".into(), true);
         assert_eq!(
-            hub.next_frames(&mut caught_up, Duration::from_millis(1)),
-            Ok(vec![TailFrame::Reset {
+            owed(&hub, &mut caught_up),
+            Ok(vec![TailItem::Reset {
                 epoch: 2,
                 term: 2,
                 image: "image-t2".into()
@@ -1432,10 +1345,8 @@ mod tests {
         // silently skip them.
         hub.publish_checkpoint(2, 1, "image-e2".into(), false);
         assert!(matches!(
-            hub.next_frames(&mut caught_up, Duration::from_millis(1))
-                .unwrap()
-                .as_slice(),
-            [TailFrame::Reset { epoch: 2, .. }]
+            owed(&hub, &mut caught_up).unwrap().as_slice(),
+            [TailItem::Reset { epoch: 2, .. }]
         ));
     }
 
@@ -1445,10 +1356,8 @@ mod tests {
         hub.publish_enable(1, 1, "image-e1".into());
         let mut cursor = TailCursor { epoch: 1, seq: 99 };
         assert!(matches!(
-            hub.next_frames(&mut cursor, Duration::from_millis(1))
-                .unwrap()
-                .as_slice(),
-            [TailFrame::Reset { epoch: 1, .. }]
+            owed(&hub, &mut cursor).unwrap().as_slice(),
+            [TailItem::Reset { epoch: 1, .. }]
         ));
         assert_eq!(cursor, TailCursor { epoch: 1, seq: 0 });
     }
@@ -1459,16 +1368,10 @@ mod tests {
         hub.publish_enable(1, 1, "image".into());
         let mut cursor = TailCursor { epoch: 1, seq: 0 };
         hub.publish_disable();
-        assert_eq!(
-            hub.next_frames(&mut cursor, Duration::from_millis(1)),
-            Err(TailEnded::Disabled)
-        );
+        assert_eq!(owed(&hub, &mut cursor), Err(TailEnded::Disabled));
         assert_eq!(hub.position(), None);
         hub.close();
-        assert_eq!(
-            hub.next_frames(&mut cursor, Duration::from_millis(1)),
-            Err(TailEnded::Closed)
-        );
+        assert_eq!(owed(&hub, &mut cursor), Err(TailEnded::Closed));
     }
 
     #[test]
@@ -1480,13 +1383,13 @@ mod tests {
             let hub = Arc::clone(&hub);
             std::thread::spawn(move || {
                 let mut cursor = TailCursor { epoch: 1, seq: 0 };
-                hub.next_frames(&mut cursor, Duration::from_secs(10))
+                read_owed(&hub, &mut cursor, Duration::from_secs(10))
             })
         };
         std::thread::sleep(Duration::from_millis(20));
         hub.publish_records(batch(0..1));
-        let frames = waiter.join().unwrap().unwrap();
-        assert!(matches!(frames.as_slice(), [TailFrame::Record { .. }]));
+        let items = waiter.join().unwrap().unwrap();
+        assert_eq!(items, [records_of(1, 1, 0..1)]);
     }
 
     /// A fresh scratch directory for one test's snapshot files.
@@ -1530,12 +1433,12 @@ mod tests {
             "😀".as_bytes()
         );
         std::fs::write(&path, &image).unwrap();
-        let frame = TailFrame::Reset {
+        let item = TailItem::Reset {
             epoch: 3,
             term: 2,
             image: image.clone(),
         };
-        let expected = frame.encode() + "\n";
+        let expected = item.encode();
         for snapshot in [Snapshot::File(path), Snapshot::from(image.as_str())] {
             let hub = TailHub::new();
             hub.publish_enable(3, 2, snapshot.clone());
@@ -1554,17 +1457,14 @@ mod tests {
                 assert!(chunk.len() < 4 * TAIL_CHUNK_BYTES);
             }
             assert!(last.ends_with(b"\n"));
-            // In process, the frame carries the file's whole text.
-            let mut cursor = TailCursor { epoch: 0, seq: 0 };
-            assert_eq!(
-                hub.next_frames(&mut cursor, Duration::from_millis(1)),
-                Ok(vec![frame.clone()])
-            );
+            // A follower's reader gets the file's whole text back.
+            let (read, _) = read_all(&writes.concat()[..]);
+            assert_eq!(read, std::slice::from_ref(&item));
         }
-        // An empty image is `%` on the wire, as the frame encodes it.
+        // An empty image is `%` on the wire, as the item encodes it.
         let hub = TailHub::new();
         hub.publish_enable(1, 1, Snapshot::from(""));
-        let empty = TailFrame::Reset {
+        let empty = TailItem::Reset {
             epoch: 1,
             term: 1,
             image: String::new(),
@@ -1572,7 +1472,7 @@ mod tests {
         let wire = streamed(&hub, &mut TailCursor { epoch: 0, seq: 0 })
             .0
             .concat();
-        assert_eq!(wire, (empty.encode() + "\n").as_bytes());
+        assert_eq!(wire, empty.encode().as_bytes());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1590,12 +1490,12 @@ mod tests {
         let tmp = dir.join("snapshot.ddb.tmp");
         std::fs::write(&tmp, image(2)).unwrap();
         std::fs::rename(&tmp, &path).unwrap();
-        // Neither path serves a reset of epoch 1: the wait ends in a ping,
-        // the cursor as it was.
+        // No reset of epoch 1 is served: the wait ends in a ping, the
+        // cursor as it was.
         let mut cursor = TailCursor { epoch: 0, seq: 0 };
         assert_eq!(
-            hub.next_frames(&mut cursor, Duration::from_millis(20)),
-            Ok(vec![TailFrame::Ping])
+            read_owed(&hub, &mut cursor, Duration::from_millis(20)),
+            Ok(vec![TailItem::Ping])
         );
         assert_eq!(cursor, TailCursor { epoch: 0, seq: 0 });
         let wire = streamed(&hub, &mut cursor).0.concat();
@@ -1607,16 +1507,16 @@ mod tests {
             let hub = Arc::clone(&hub);
             std::thread::spawn(move || {
                 let mut cursor = TailCursor { epoch: 0, seq: 0 };
-                let frames = hub.next_frames(&mut cursor, Duration::from_secs(10));
-                (frames, cursor)
+                let items = read_owed(&hub, &mut cursor, Duration::from_secs(10));
+                (items, cursor)
             })
         };
         std::thread::sleep(Duration::from_millis(20));
         hub.publish_checkpoint(2, 1, Snapshot::File(path), false);
-        let (frames, cursor) = waiter.join().unwrap();
+        let (items, cursor) = waiter.join().unwrap();
         assert_eq!(
-            frames,
-            Ok(vec![TailFrame::Reset {
+            items,
+            Ok(vec![TailItem::Reset {
                 epoch: 2,
                 term: 1,
                 image: image(2)
@@ -1652,24 +1552,15 @@ mod tests {
             hub.publish_enable(4, 1, Snapshot::File(path.clone()));
             let started = std::time::Instant::now();
             let mut cursor = TailCursor { epoch: 0, seq: 0 };
-            match hub.next_frames(&mut cursor, Duration::from_secs(10)) {
+            match hub.next_owed(&mut cursor, Duration::from_secs(10)) {
                 Err(TailEnded::Unreadable(reason)) => assert!(reason.contains(why), "{reason}"),
                 other => panic!("{path:?}: {other:?}"),
             }
-            let mut cursor = TailCursor { epoch: 0, seq: 0 };
-            assert!(matches!(
-                hub.next_owed(&mut cursor, Duration::from_secs(10)),
-                Err(TailEnded::Unreadable(_))
-            ));
             assert!(started.elapsed() < Duration::from_secs(2), "{path:?}");
             // The hub is still whole: records and positions are served.
             hub.publish_records(batch(0..1));
             let mut cursor = TailCursor { epoch: 4, seq: 0 };
-            assert_eq!(
-                hub.next_frames(&mut cursor, Duration::from_millis(1))
-                    .map(|f| f.len()),
-                Ok(1)
-            );
+            assert_eq!(owed(&hub, &mut cursor), Ok(vec![records_of(4, 1, 0..1)]));
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,22 +1,23 @@
 //! Mutation properties for the decoders a socket, a follower's tail
 //! stream or a disk file reaches: `Request::decode`, `Response::decode`,
-//! `TailFrame::decode`, the batching `TailReader` (a whole tail stream),
-//! `JournalOp::decode`, `journal::decode_record`, `TraceRecord::decode`
-//! (clients and `damocles_inspect --trace` read trace lines),
-//! `EventMessage::parse_wire` (a raw `postEvent` line on a connection),
-//! and the file decoders: `persist::load_project` (a saved or checkpoint
-//! image), `journal::parse_journal` (the whole journal file recovery
-//! reads), `RecordBatch::decode` and `init`'s parse, validate and
-//! compile of a blueprint source.
+//! the batching `TailReader` (a whole tail stream, and each of its lines
+//! as a stream of one), `JournalOp::decode`, `journal::decode_record`,
+//! `TraceRecord::decode` (clients and `damocles_inspect --trace` read
+//! trace lines), `EventMessage::parse_wire` (a raw `postEvent` line on a
+//! connection), and the file decoders: `persist::load_project` (a saved
+//! or checkpoint image), `journal::parse_journal` (the whole journal file
+//! recovery reads), `RecordBatch::decode` and `init`'s parse, validate
+//! and compile of a blueprint source.
 //!
 //! The seeds are real encodings: the requests and replies of a journaled
-//! session driven through [`ProjectService`], the tail hub's wire lines
-//! for that session, and the journal records and op bodies those lines
-//! carry (plus the invocation ops, which a session without detached tools
-//! never writes, rendered by the same encoder), the trace records of the
-//! session's `trace get` reply and its posted event messages, and the
-//! files it leaves: its saved image and checkpoint snapshots, every
-//! state of its journal file, and its blueprint. A small
+//! session driven through [`ProjectService`], the bytes the tail hub
+//! writes a subscriber of that session, and the journal records and op
+//! bodies those bytes carry (plus the invocation ops, which a session
+//! without detached tools never writes, rendered by the same encoder),
+//! the trace records of the session's `trace get` reply and its posted
+//! event messages, and the files it leaves: its saved image and
+//! checkpoint snapshots, every state of its journal file, and its
+//! blueprint. A small
 //! seeded mutator stacks one to three edits on a seed — a bit flip, a
 //! truncation, a splice with another seed's suffix, an inserted hostile
 //! byte, a number swapped for an out-of-range or signed one, a deleted
@@ -43,7 +44,7 @@ use std::time::Duration;
 use blueprint_core::engine::api::{Request, Response, TraceMode};
 use blueprint_core::engine::compile::CompiledBlueprint;
 use blueprint_core::engine::service::ProjectService;
-use blueprint_core::engine::tail::{TailCursor, TailFrame, TailItem, TailReader};
+use blueprint_core::engine::tail::{TailCursor, TailItem, TailReader};
 use blueprint_core::engine::trace::TraceRecord;
 use blueprint_core::lang::{parser, printer, validate};
 use damocles_meta::journal::{
@@ -241,7 +242,8 @@ fn record_payloads(first: u64, ops: &[JournalOp]) -> String {
 struct Seeds {
     requests: Vec<String>,
     responses: Vec<String>,
-    tail_frames: Vec<String>,
+    /// Every distinct line of the tail streams.
+    tail_lines: Vec<String>,
     /// What the subscriber read after each request, as one stream.
     tail_streams: Vec<String>,
     /// The op bodies of the streamed records, plus the invocation ops.
@@ -419,11 +421,13 @@ fn record_session() -> Seeds {
         },
     ];
     // A subscriber follows the tail stream as the session runs: resets,
-    // records, checkpoint epochs and keep-alives, in wire form.
+    // records, checkpoint epochs and keep-alives, the bytes a tail
+    // connection writes.
     let mut svc: ProjectService = ProjectService::new();
     let hub = svc.tail_hub();
     let mut cursor = TailCursor { epoch: 0, seq: 0 };
-    let mut tail_frames = Vec::new();
+    let mut chunk = String::new();
+    let mut tail_lines = Vec::new();
     let mut tail_streams = Vec::new();
     let mut responses = Vec::new();
     let mut request_lines = Vec::new();
@@ -446,14 +450,16 @@ fn record_session() -> Seeds {
             trace_records.extend(records.iter().cloned());
         }
         responses.push(response.encode());
-        let mut wire = String::new();
-        while let Ok(frames) = hub.next_frames(&mut cursor, Duration::from_millis(1)) {
-            wire.extend(frames.iter().map(|frame| frame.encode() + "\n"));
-            if frames == [TailFrame::Ping] {
+        let mut wire = Vec::new();
+        while let Ok(owed) = hub.next_owed(&mut cursor, Duration::from_millis(1)) {
+            let start = wire.len();
+            owed.write_wire(&mut wire, &mut chunk).unwrap();
+            if wire[start..] == *b"tail-ping\n" {
                 break;
             }
         }
-        tail_frames.extend(wire.lines().map(str::to_string));
+        let wire = String::from_utf8(wire).unwrap();
+        tail_lines.extend(wire.lines().map(str::to_string));
         if wire != "tail-ping\n" {
             tail_streams.push(wire);
         }
@@ -466,7 +472,8 @@ fn record_session() -> Seeds {
             journals.push(format!("{header}\n{}", records.collect::<String>()));
         }
     }
-    tail_frames.dedup();
+    tail_lines.sort();
+    tail_lines.dedup();
     images.push(std::fs::read_to_string(&saved_path).unwrap());
     for files in [&mut images, &mut journals] {
         files.sort();
@@ -492,10 +499,12 @@ fn record_session() -> Seeds {
         },
     ];
     // A record line is `<checksum> <seq> <body>`.
-    let op_bodies = tail_frames
+    let op_bodies = tail_lines
         .iter()
-        .filter_map(|frame| match TailFrame::decode(frame) {
-            Ok(TailFrame::Record { line, .. }) => line.splitn(3, ' ').nth(2).map(str::to_string),
+        .filter_map(|line| match read_stream(line).ok()?.pop()? {
+            TailItem::Records { batch, .. } => {
+                batch.line(0).splitn(3, ' ').nth(2).map(str::to_string)
+            }
             _ => None,
         })
         .chain(invoke_ops.iter().map(JournalOp::encode))
@@ -504,7 +513,7 @@ fn record_session() -> Seeds {
     Seeds {
         requests: request_lines,
         responses,
-        tail_frames,
+        tail_lines,
         tail_streams,
         op_bodies,
         trace_records,
@@ -541,25 +550,6 @@ fn response_decode_survives_mutants() {
     );
 }
 
-#[test]
-fn tail_frame_decode_survives_mutants() {
-    let seeds = &session().tail_frames;
-    for kind in ["tail-reset ", "tail-rec ", "tail-epoch ", "tail-ping"] {
-        assert!(
-            seeds.iter().any(|s| s.starts_with(kind)),
-            "{kind}: {seeds:?}"
-        );
-    }
-    holds(
-        "TailFrame::decode",
-        3,
-        CASES,
-        seeds,
-        TailFrame::decode,
-        TailFrame::encode,
-    );
-}
-
 /// A whole stream through a [`TailReader`]: every item, when the stream
 /// ends cleanly at its end.
 fn read_stream(wire: &str) -> Result<Vec<TailItem>, String> {
@@ -574,47 +564,42 @@ fn read_stream(wire: &str) -> Result<Vec<TailItem>, String> {
     }
 }
 
-/// The wire form of `items`: one `tail-rec` line per record.
-fn write_stream(items: &[TailItem]) -> String {
-    let mut wire = String::new();
-    for item in items.iter().cloned() {
-        let frames = match item {
-            TailItem::Records { epoch, term, batch } => (0..batch.len())
-                .map(|i| TailFrame::Record {
-                    epoch,
-                    term,
-                    line: batch.line(i).to_string(),
-                })
-                .collect(),
-            TailItem::Reset { epoch, term, image } => vec![TailFrame::Reset { epoch, term, image }],
-            TailItem::Epoch { epoch, term } => vec![TailFrame::Epoch { epoch, term }],
-            TailItem::Ping => vec![TailFrame::Ping],
-        };
-        for frame in frames {
-            wire.push_str(&(frame.encode() + "\n"));
-        }
-    }
-    wire
-}
-
+/// Each tail line as a stream of one, and the streams the subscriber
+/// read, through a [`TailReader`].
 #[test]
 fn tail_reader_survives_mutants() {
-    let seeds = &session().tail_streams;
-    let batched = seeds.iter().any(|stream| {
+    let seeds = session();
+    let lines: Vec<String> = seeds.tail_lines.iter().map(|l| format!("{l}\n")).collect();
+    for kind in ["tail-reset ", "tail-rec ", "tail-epoch ", "tail-ping"] {
+        assert!(
+            lines.iter().any(|s| s.starts_with(kind)),
+            "{kind}: {lines:?}"
+        );
+    }
+    let batched = seeds.tail_streams.iter().any(|stream| {
         read_stream(stream).is_ok_and(|items| {
             items
                 .iter()
                 .any(|item| matches!(item, TailItem::Records { batch, .. } if batch.len() > 1))
         })
     });
-    assert!(batched, "no seed streams a batch: {seeds:?}");
+    assert!(batched, "no seed streams a batch: {:?}", seeds.tail_streams);
+    let encode = |items: &Vec<TailItem>| -> String { items.iter().map(TailItem::encode).collect() };
+    holds(
+        "TailReader, one line",
+        3,
+        CASES,
+        &lines,
+        read_stream,
+        encode,
+    );
     holds(
         "TailReader",
         8,
         CASES,
-        seeds,
+        &seeds.tail_streams,
         read_stream,
-        |items: &Vec<TailItem>| write_stream(items),
+        encode,
     );
 }
 

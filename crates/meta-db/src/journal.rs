@@ -23,8 +23,6 @@
 //!   **through the normal [`MetaDb`] API**, so invariants (interned event
 //!   bitsets, version chains, the property index, link incidence) are
 //!   rebuilt rather than trusted from the file.
-//! * [`compact`] — folds `snapshot + tail` into a fresh snapshot at the
-//!   next epoch.
 //! * [`decode_record`] / [`apply_op`] — the per-record halves of recovery,
 //!   exposed so a replication follower can verify and apply a *streamed*
 //!   journal tail record-by-record through the same code paths (see
@@ -1638,27 +1636,6 @@ pub fn apply_op(
     Ok(())
 }
 
-/// Folds `snapshot + journal tail` into a fresh snapshot at the next
-/// epoch, under the same leadership term — offline compaction. The
-/// live-server equivalent is `ProjectServer::checkpoint`.
-///
-/// # Errors
-///
-/// As [`recover`].
-pub fn compact(snapshot: &str, journal: &[u8]) -> Result<(String, RecoveryReport), JournalError> {
-    let recovered = recover(snapshot, journal)?;
-    let next_epoch = recovered.report.epoch + 1;
-    Ok((
-        write_snapshot(
-            &recovered.db,
-            &recovered.workspace,
-            next_epoch,
-            recovered.report.term,
-        ),
-        recovered.report,
-    ))
-}
-
 /// Replays a journaled op stream against an **empty** database and
 /// workspace — the degenerate `recover` with an empty snapshot, used by
 /// tests and tools that treat a journal as a self-contained op script.
@@ -1679,38 +1656,6 @@ pub fn replay_ops(ops: &[JournalOp]) -> Result<(MetaDb, Workspace), JournalError
         })?;
     }
     Ok((db, workspace))
-}
-
-/// A set-valued view of which `(block, view, version)` triplets a journal
-/// mentions — handy for audit tooling and tests.
-pub fn touched_oids(ops: &[JournalOp]) -> BTreeSet<Oid> {
-    let mut out = BTreeSet::new();
-    for op in ops {
-        match op {
-            JournalOp::CreateOid { oid }
-            | JournalOp::DeleteOid { oid }
-            | JournalOp::SetProp { oid, .. }
-            | JournalOp::RemoveProp { oid, .. }
-            | JournalOp::Data { oid, .. }
-            | JournalOp::MoveLinkEnd { new: oid, .. }
-            | JournalOp::EventQueued { target: oid, .. } => {
-                out.insert(oid.clone());
-            }
-            JournalOp::AddLink { from, to, .. } => {
-                out.insert(from.clone());
-                out.insert(to.clone());
-            }
-            JournalOp::RemoveLink { .. }
-            | JournalOp::AllowEvent { .. }
-            | JournalOp::SetLinkProp { .. }
-            | JournalOp::RemoveLinkProp { .. }
-            | JournalOp::EventDone { .. }
-            | JournalOp::InvokeQueued { .. }
-            | JournalOp::InvokeCompleted { .. }
-            | JournalOp::InvokeFailed { .. } => {}
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -2246,13 +2191,5 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(db.oid_count(), 1);
-    }
-
-    #[test]
-    fn touched_oids_collects_endpoints() {
-        let ops = sample_ops();
-        let touched = touched_oids(&ops);
-        assert!(touched.contains(&Oid::new("cpu", "HDL_model", 1)));
-        assert!(touched.contains(&Oid::new("cpu", "schematic", 1)));
     }
 }

@@ -348,8 +348,15 @@ fn save_into<E>(
 ///
 /// Returns [`MetaError::ImageParse`] with the offending line for any format
 /// violation, including a record the database refuses (a duplicate OID, a
-/// link to an unknown one).
+/// link to an unknown one) and a `data` record ([`load_project`] reads
+/// those).
 pub fn load(image: &str) -> Result<MetaDb, MetaError> {
+    load_image(image, None)
+}
+
+/// Loads an image in one pass over its lines, the `data` records into
+/// `workspace`; without one they are refused.
+fn load_image(image: &str, mut workspace: Option<&mut Workspace>) -> Result<MetaDb, MetaError> {
     let mut lines = image.lines();
     let header = lines.next().unwrap_or("");
     if header.trim() != HEADER {
@@ -362,7 +369,8 @@ pub fn load(image: &str) -> Result<MetaDb, MetaError> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        load_record(&mut db, &mut owner, line).map_err(|reason| image_error(line, reason))?;
+        load_record(&mut db, &mut owner, workspace.as_deref_mut(), line)
+            .map_err(|reason| image_error(line, reason))?;
     }
     Ok(db)
 }
@@ -381,9 +389,14 @@ fn image_error(line: &str, reason: String) -> MetaError {
     }
 }
 
-/// Applies one image line to `db`; `owner` is the record the last `oid`
-/// or `link` line opened.
-fn load_record(db: &mut MetaDb, owner: &mut Owner, line: &str) -> Result<(), String> {
+/// Applies one image line to `db`, a `data` line to `workspace`; `owner`
+/// is the record the last `oid` or `link` line opened.
+fn load_record(
+    db: &mut MetaDb,
+    owner: &mut Owner,
+    workspace: Option<&mut Workspace>,
+    line: &str,
+) -> Result<(), String> {
     let refused = |e: MetaError| e.short_reason();
     let (keyword, rest) = line.split_once(' ').unwrap_or((line, ""));
     match keyword {
@@ -437,6 +450,19 @@ fn load_record(db: &mut MetaDb, owner: &mut Owner, line: &str) -> Result<(), Str
             db.set_link_prop(link, &unescape(name)?, decode_value(value)?)
                 .map_err(refused)?;
         }
+        "data" => {
+            let Some(workspace) = workspace else {
+                return Err("unknown record `data`".to_string());
+            };
+            let mut words = rest.split_whitespace();
+            let oid: Oid = words
+                .next()
+                .ok_or("missing OID")?
+                .parse()
+                .map_err(refused)?;
+            let payload = decode_hex(words.next().unwrap_or(""))?;
+            workspace.store(db.require(&oid).map_err(refused)?, payload);
+        }
         other => return Err(format!("unknown record `{other}`")),
     }
     Ok(())
@@ -487,33 +513,15 @@ pub fn render_project<E>(
     Ok(())
 }
 
-/// Loads database + workspace from a [`save_project`] image.
+/// Loads database + workspace from a [`save_project`] image, in one pass:
+/// a `data` record names an OID an earlier `oid` record created.
 ///
 /// # Errors
 ///
 /// Returns [`MetaError::ImageParse`] on any format violation.
 pub fn load_project(image: &str) -> Result<(MetaDb, Workspace), MetaError> {
-    // `load` ignores nothing, so strip data records first.
-    let db_image: String = image
-        .lines()
-        .filter(|l| !l.starts_with("data "))
-        .collect::<Vec<_>>()
-        .join("\n");
-    let db = load(&db_image)?;
     let mut workspace = Workspace::new("restored");
-    for line in image.lines().filter(|l| l.starts_with("data ")) {
-        let err = |reason: String| image_error(line, reason);
-        let mut words = line.split_whitespace();
-        let _ = words.next();
-        let oid: Oid = words
-            .next()
-            .ok_or_else(|| err("missing OID".to_string()))?
-            .parse()
-            .map_err(|e: MetaError| err(e.short_reason()))?;
-        let payload = decode_hex(words.next().unwrap_or("")).map_err(err)?;
-        let id = db.require(&oid).map_err(|e| err(e.short_reason()))?;
-        workspace.store(id, payload);
-    }
+    let db = load_image(image, Some(&mut workspace))?;
     Ok((db, workspace))
 }
 
@@ -610,9 +618,12 @@ mod tests {
             "damocles-db v1\noid b,v,1\nprop p q:x",
             "damocles-db v1\nlink a,v,1 b,v,1 use composition -",
             "damocles-db v1\nmystery record",
+            "damocles-db v1\noid a,v,1\ndata a,v,1 0f",
         ] {
             assert!(load(bad).is_err(), "should reject: {bad:?}");
         }
+        // One pass: a `data` record before its `oid` names an unknown OID.
+        assert!(load_project("damocles-db v1\ndata a,v,1 0f\noid a,v,1").is_err());
     }
 
     #[test]

@@ -417,7 +417,6 @@ pub fn spawn_tail_pump(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blueprint_core::engine::tail::TailFrame;
     use damocles_meta::{Direction, Oid};
     use std::net::TcpListener;
 
@@ -524,7 +523,7 @@ mod tests {
 
     #[test]
     fn tail_stream_keeps_a_records_trailing_space() {
-        use damocles_meta::journal::{decode_record, encode_record, JournalOp};
+        use damocles_meta::journal::{decode_record, encode_record, JournalOp, RecordBatch};
         // An empty payload leaves its `data` record ending in a space that
         // the checksum covers.
         let op = JournalOp::Data {
@@ -533,14 +532,16 @@ mod tests {
         };
         let line = encode_record(0, &op).trim_end_matches('\n').to_string();
         assert!(line.ends_with(' '));
-        let frame = TailFrame::Record {
+        let mut batch = RecordBatch::default();
+        batch.push_line(&line);
+        let item = TailItem::Records {
             epoch: 1,
             term: 1,
-            line,
+            batch,
         };
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let wire = format!("{}\r\n", frame.encode());
+        let wire = item.encode().replace('\n', "\r\n");
         let leader = std::thread::spawn(move || {
             let (mut socket, _) = listener.accept().unwrap();
             socket.write_all(wire.as_bytes()).unwrap();
@@ -548,7 +549,7 @@ mod tests {
         let mut stream = TailReader::new(BufReader::new(TcpStream::connect(addr).unwrap()));
         let received = stream.next_item().unwrap();
         leader.join().unwrap();
-        assert_eq!(received, TailItem::from(frame));
+        assert_eq!(received, item);
         let TailItem::Records { batch, .. } = received else {
             unreachable!()
         };
@@ -621,7 +622,7 @@ mod tests {
                 writeln!(stream, "{}", reply.encode()).unwrap();
                 stream
             });
-            writeln!(tail, "{}", TailFrame::Ping.encode()).unwrap();
+            tail.write_all(TailItem::Ping.encode().as_bytes()).unwrap();
             tail
         });
         let (feed, rx) = crossbeam::channel::unbounded();
@@ -667,12 +668,12 @@ mod tests {
                 Response::Tailing { epoch: 1, seq: 0 }.encode()
             )
             .unwrap();
-            let reset = TailFrame::Reset {
+            let reset = TailItem::Reset {
                 epoch: 1,
                 term: 1,
                 image,
             };
-            writeln!(stream, "{}", reset.encode()).unwrap();
+            stream.write_all(reset.encode().as_bytes()).unwrap();
             let mut wire = String::new();
             for seq in 0..total {
                 let op = JournalOp::CreateOid {
